@@ -21,7 +21,10 @@ __all__ = [
     "divide_exact",
     "geometric_factor",
     "h_polynomial",
+    "kostka_columns",
     "perm_sign",
+    "schur_to_monomials",
+    "straighten",
     "vandermonde",
     "x_var",
     "t_var",
@@ -299,6 +302,97 @@ def h_polynomial(k: int, c: int, nx: int, nt: int = 0) -> Polynomial:
         mono = (tuple(xe), (0,) * nt)
         out[mono] = out.get(mono, 0) + 1
     return Polynomial(nx, nt, out)
+
+
+def straighten(f) -> dict:
+    """Schur coefficients of the bialternant quotient A(f)/V.
+
+    A(x^a)/V is 0 when a has a repeated part, and otherwise sign(w) times
+    the Schur polynomial s_{w(a) - delta}, where w sorts a into decreasing
+    order and delta = (nx-1, ..., 1, 0) (Macdonald, I §3).  So the quotient
+    is read off term by term, with no sum over S_n and no division.  The
+    result maps (lam, t_exps) -> c, with lam padded to nx parts.
+    """
+    poly = f.poly if isinstance(f, TruncatedSeries) else f
+    n = poly.nx
+    delta = tuple(range(n - 1, -1, -1))
+    out = {}
+    for (xe, te), c in poly.terms.items():
+        a = sorted(xe, reverse=True)
+        if any(a[i] == a[i + 1] for i in range(n - 1)):
+            continue
+        key = (tuple(p - d for p, d in zip(a, delta)), te)
+        # sign(w) is the parity of the pairs i < j with xe[i] < xe[j]
+        out[key] = out.get(key, 0) + (c if perm_sign([-e for e in xe]) > 0 else -c)
+    return {key: c for key, c in out.items() if c}
+
+
+def _partitions(d: int, parts: int, largest: int):
+    """Partitions of d into at most `parts` parts of size at most `largest`,
+    padded with zeros to `parts` entries, in decreasing lex order."""
+    if parts == 0:
+        if d == 0:
+            yield ()
+        return
+    for first in range(min(d, largest), -1, -1):
+        if first * parts < d:
+            break
+        for rest in _partitions(d - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def kostka_columns(degrees, n: int) -> dict:
+    """Kostka numbers {nu: {lam: K_{lam,nu}}} for the partitions nu of each
+    d in `degrees` with at most n parts, lam and nu padded to n parts.
+
+    h_nu = sum_lam K_{lam,nu} s_lam, so the column of nu is
+    straighten(h_nu * x^delta); no tableau is enumerated.  h_nu is built one
+    part at a time: A commutes with multiplication by the symmetric h_k, so
+    h_k times the alternant numerator sum_lam K_{lam,nu'} x^(lam+delta) of
+    h_nu' straightens to h_nu, where nu' is nu less its last part k.
+    """
+    delta = tuple(range(n - 1, -1, -1))
+    columns = {(): {(0,) * n: 1}}
+
+    def column(nu):
+        if nu not in columns:
+            numerator = Polynomial(n, 0, {
+                (tuple(p + q for p, q in zip(lam, delta)), ()): c
+                for lam, c in column(nu[:-1]).items()
+            })
+            g = numerator * h_polynomial(nu[-1], n, n)
+            columns[nu] = {lam: c for (lam, _), c in straighten(g).items()}
+        return columns[nu]
+
+    return {
+        nu: column(tuple(p for p in nu if p))
+        for d in degrees
+        for nu in _partitions(d, n, d)
+    }
+
+
+def schur_to_monomials(coeffs: dict, n: int, nt: int) -> Polynomial:
+    """Expand sum c * s_lam(x_1..x_n) * t^b, given as {(lam, b): c}, in monomials.
+
+    The coefficient of x^alpha in s_lam is K_{lam,nu} with nu = sort(alpha),
+    so each dominant weight nu is summed once and copied onto every distinct
+    rearrangement of nu.
+    """
+    by_degree: dict[int, dict] = {}
+    for (lam, te), c in coeffs.items():
+        by_degree.setdefault(sum(lam), {})[(lam, te)] = c
+    out = {}
+    for nu, column in kostka_columns(by_degree, n).items():
+        dominant: dict = {}
+        for (lam, te), c in by_degree[sum(nu)].items():
+            if lam in column:
+                dominant[te] = dominant.get(te, 0) + column[lam] * c
+        if not any(dominant.values()):
+            continue
+        for alpha in set(permutations(nu)):
+            for te, c in dominant.items():
+                out[(alpha, te)] = c
+    return Polynomial(n, nt, out)
 
 
 def _divide_poly(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -287,6 +287,8 @@ def _cmd_trace(args) -> int:
     else:
         tableau = MultisetTableau.from_text(text)
     ell = args.ell if args.ell is not None else tableau.ell
+    if not 1 <= args.k <= ell:
+        raise ValueError(f"--k must be a stage label in 1..{ell}, got {args.k}")
     states = [tableau]
     traces = []
     if args.direction == "out":

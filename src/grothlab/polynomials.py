@@ -6,6 +6,17 @@ divided exactly by the Vandermonde) and the combinatorial one (a weighted
 sum over multiset or shifted multiset tableaux).  Matching results from
 the two routes is the core correctness check of the whole library.
 
+The algebraic route computes neither the antisymmetrization A(f) nor its
+quotient by the Vandermonde V.  By the bialternant rule
+A(x^a)/V = sign(w) s_{w(a) - delta} (w sorts a decreasingly; 0 if a
+repeats a part), `straighten` reads A(f)/V off the product f term by term
+as Schur coefficients, and Kostka numbers, themselves read off
+straighten(h_nu x^delta), turn them back into monomials.  For P the product
+is alternating in the n - m tail variables, so its coset sum over
+S_n / S_{n-m} is A(f)/(n-m)!; a coefficient that (n-m)! does not divide
+is an invariant breach (ExactDivisionError).  The explicit antisymmetrize,
+coset-sum and division path stays in use by the h-product reference.
+
 Everything is exact: integer coefficients throughout, with the t-degree
 cap as the only source of truncation.  Within the cap window the x-degree
 of every term equals |mu| plus its t-degree, so any x-cap of at least
@@ -16,8 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .algebra import (
+    ExactDivisionError,
     Polynomial,
     TruncatedSeries,
     antisymmetrize,
@@ -25,6 +38,8 @@ from .algebra import (
     divide_exact,
     geometric_factor,
     h_polynomial,
+    schur_to_monomials,
+    straighten,
     vandermonde,
 )
 from .partitions import (
@@ -145,7 +160,7 @@ def schur_bialternant(lam: tuple[int, ...], n: int) -> Polynomial:
     if len(lam) > n:
         return Polynomial.zero(n, 0)
     exps = tuple(a + b for a, b in zip(pad(lam, n), staircase(n)))
-    return divide_exact(antisymmetrize(Polynomial.monomial(exps, ())), vandermonde(n))
+    return schur_to_monomials(straighten(Polynomial.monomial(exps, ())), n, 0)
 
 
 @lru_cache(maxsize=None)
@@ -174,11 +189,9 @@ def _geometric_row(i: int, part: int, ell: int, n: int, x_cap: int, t_cap: int) 
     return out
 
 
-def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
-    """The antisymmetrized-product route, divided exactly by the Vandermonde."""
+def _j_product(spec: FamilySpec) -> TruncatedSeries:
+    """x^delta times the geometric rows of mu, truncated to the caps."""
     n, ell, t_cap = spec.n, spec.ell, spec.t_cap
-    if spec.vanishes():
-        return spec.zero_series()
     mu_p = pad(spec.mu, n)
     window = min(spec.effective_x_cap(), spec.weight_size + t_cap)
     x_work = window + n * (n - 1) // 2
@@ -188,8 +201,20 @@ def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
         stair[i] = n - 1 - i
         prod = prod * Polynomial.monomial(stair, (0,) * ell)
         prod = prod * _geometric_row(i, mu_p[i], ell, n, x_work, t_cap)
-    quotient = divide_exact(antisymmetrize(prod, n), vandermonde(n))
-    return TruncatedSeries(quotient.poly, spec.effective_x_cap(), t_cap)
+    return prod
+
+
+def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
+    """The bialternant route: A(f)/V for the truncated product f.
+
+    The quotient is read off f as Schur coefficients by `straighten` and
+    expanded into monomials by `schur_to_monomials`; it equals the exact
+    quotient of the antisymmetrized f by the Vandermonde.
+    """
+    if spec.vanishes():
+        return spec.zero_series()
+    quotient = schur_to_monomials(straighten(_j_product(spec)), spec.n, spec.ell)
+    return TruncatedSeries(quotient, spec.effective_x_cap(), spec.t_cap)
 
 
 def grothendieck_J_combinatorial(spec: FamilySpec) -> TruncatedSeries:
@@ -205,12 +230,10 @@ def grothendieck_J_combinatorial(spec: FamilySpec) -> TruncatedSeries:
 # the weak symmetric P-Grothendieck family
 
 
-def grothendieck_P_algebraic(spec: FamilySpec) -> TruncatedSeries:
-    """Coset-sum route with plus and minus pair factors, divided by V."""
+def _p_product(spec: FamilySpec) -> TruncatedSeries:
+    """Geometric rows of mu times the plus and minus pair factors, truncated."""
     n, ell, t_cap = spec.n, spec.ell, spec.t_cap
     m = len(spec.mu)
-    if spec.vanishes():
-        return spec.zero_series()
     window = min(spec.effective_x_cap(), spec.weight_size + t_cap)
     x_work = window + n * (n - 1) // 2
     prod = TruncatedSeries.one(n, ell, x_work, t_cap)
@@ -228,9 +251,26 @@ def grothendieck_P_algebraic(spec: FamilySpec) -> TruncatedSeries:
             xi = Polynomial.monomial([1 if a == i else 0 for a in range(n)], (0,) * ell)
             xj = Polynomial.monomial([1 if a == j else 0 for a in range(n)], (0,) * ell)
             minus = minus * (xi - xj)
-    prod = prod * plus * minus
-    quotient = divide_exact(coset_sum(prod, n, m), vandermonde(n))
-    return TruncatedSeries(quotient.poly, spec.effective_x_cap(), t_cap)
+    return prod * plus * minus
+
+
+def grothendieck_P_algebraic(spec: FamilySpec) -> TruncatedSeries:
+    """The coset-sum route: (sum over S_n / S_{n-m} of the signed product f) / V.
+
+    f is alternating in the n - m tail variables (the minus factors are,
+    and the rest is symmetric in them), so the coset sum is A(f)/(n-m)!.  `straighten` reads A(f)/V off f as Schur
+    coefficients, which are divided exactly by (n-m)! and expanded into
+    monomials.  An inexact division raises ExactDivisionError.
+    """
+    if spec.vanishes():
+        return spec.zero_series()
+    n, m = spec.n, len(spec.mu)
+    coeffs = straighten(_p_product(spec))
+    tail = factorial(n - m)
+    if any(c % tail for c in coeffs.values()):
+        raise ExactDivisionError(f"A(f)/V has a coefficient not divisible by ({n}-{m})!")
+    quotient = schur_to_monomials({k: c // tail for k, c in coeffs.items()}, n, spec.ell)
+    return TruncatedSeries(quotient, spec.effective_x_cap(), spec.t_cap)
 
 
 def grothendieck_P_combinatorial(spec: FamilySpec) -> TruncatedSeries:
@@ -412,7 +452,10 @@ def expand_in_pschur(f, n: int) -> BasisExpansion:
 
 def expansion_via_maximal(spec: FamilySpec) -> BasisExpansion:
     """Expansion read off maximal tableaux: index lambda gets sum of t^cw
-    (or t^dw) over the maximal tableaux of weight lambda."""
+    (or t^dw) over the maximal tableaux of weight lambda.
+
+    The series' x-cap applies here too: every lambda with |lambda| above
+    `spec.effective_x_cap()` is dropped, as its basis element is."""
     n, ell, t_cap = spec.n, spec.ell, spec.t_cap
     coeffs: dict[tuple[int, ...], Polynomial] = {}
     if spec.family == "J":
@@ -427,7 +470,10 @@ def expansion_via_maximal(spec: FamilySpec) -> BasisExpansion:
         raise ValueError("maximal-tableau expansions apply to families J and P")
     if spec.vanishes():
         return BasisExpansion.from_dict(basis, n, ell, {})
+    x_cap = spec.effective_x_cap()
     for wt, cw in stats:
+        if sum(wt) > x_cap:
+            continue
         if not is_partition(wt):
             raise ExpansionError(f"maximal tableau weight {wt} is not a partition")
         prev = coeffs.get(wt, Polynomial.zero(0, ell))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,10 +14,15 @@ from grothlab.algebra import (
     divide_exact,
     geometric_factor,
     h_polynomial,
+    kostka_columns,
     perm_sign,
+    schur_to_monomials,
+    straighten,
     vandermonde,
     x_var,
 )
+from grothlab.partitions import pad, subpartitions
+from grothlab.tableaux import enumerate_ssyt
 
 
 def poly_st(nx=2, nt=1, max_exp=3, max_terms=4):
@@ -201,3 +208,29 @@ def test_sorted_terms_order_is_graded_lex():
     )
     order = [xe for xe, te, c in p.sorted_terms()]
     assert order == [(1, 1), (0, 2), (1, 0)]
+
+
+def test_straighten_reads_bialternant_rule():
+    # x^(3,0,2): sorting to (3,2,0) is one transposition, and (3,2,0) - delta = (1,1,0)
+    f = Polynomial.monomial((3, 0, 2), (1,), 5) + Polynomial.monomial((1, 1, 0), (0,), 7)
+    assert straighten(f) == {((1, 1, 0), (1,)): -5}
+    assert straighten(Polynomial.zero(2, 0)) == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: poly_st(nx=n, nt=2, max_exp=n + 2, max_terms=6)))
+def test_straighten_matches_antisymmetrize_and_divide(f):
+    # antisymmetrize followed by exact division by V is the oracle
+    expected = divide_exact(antisymmetrize(f), vandermonde(f.nx, f.nt))
+    assert schur_to_monomials(straighten(f), f.nx, f.nt) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kostka_columns_count_ssyt_by_weight(n):
+    shapes = [lam for lam in subpartitions((6,) * n) if sum(lam) <= 6]
+    columns = kostka_columns(range(7), n)
+    assert sorted(columns) == sorted(pad(lam, n) for lam in shapes)
+    for lam in shapes:
+        counts = Counter(pad(t.weight(), n) for t in enumerate_ssyt(lam, n))
+        for nu, column in columns.items():
+            assert column.get(pad(lam, n), 0) == counts[nu], (lam, nu)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 import grothlab.cli as cli
+import grothlab.polynomials as polynomials
 from grothlab.algebra import ExactDivisionError
 from grothlab.fixtures import out_chain_shifted, out_chain_straight
 from grothlab.verify import CaseResult
@@ -143,6 +144,33 @@ def test_internal_invariant_breach_exits_three(capsys, monkeypatch):
     code, _, err = run(capsys, "compute", "J", "1", "--n", "2")
     assert code == 3
     assert "internal invariant breach" in err
+
+
+def test_coset_division_breach_exits_three(capsys, monkeypatch):
+    # n=3, m=1: every Schur coefficient of A(f)/V is even; make them odd
+    straighten = polynomials.straighten
+    monkeypatch.setattr(
+        polynomials, "straighten", lambda f: {k: c + 1 for k, c in straighten(f).items()}
+    )
+    code, _, err = run(capsys, "compute", "P", "2", "--n", "3", "--route", "algebraic")
+    assert code == 3
+    assert "internal invariant breach" in err
+
+
+def test_expand_with_low_xcap_agrees(capsys):
+    code, out, _ = run(capsys, "expand", "J", "2,1", "--n", "2", "--tcap", "1", "--xcap", "3")
+    assert code == 0
+    assert "verdict: AGREE" in out
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "5"])
+def test_trace_rejects_stage_outside_one_to_ell(capsys, k):
+    # the tableau is 4 columns wide, so ell = 4
+    path = os.path.join(DATA, "outchain_straight_start.txt")
+    code, out, err = run(capsys, "trace", path, "--k", k, "--flavor", "multiset")
+    assert code == 1
+    assert f"--k must be a stage label in 1..4, got {k}" in err
+    assert out == ""
 
 
 def test_trace_straight_chain(capsys):

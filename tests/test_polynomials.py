@@ -1,13 +1,19 @@
+from math import factorial
+
 import pytest
 
 from grothlab.algebra import (
     Polynomial,
     TruncatedSeries,
     antisymmetrize,
+    coset_sum,
     divide_exact,
     vandermonde,
 )
+from grothlab.partitions import subpartitions
 from grothlab.polynomials import (
+    _j_product,
+    _p_product,
     BasisExpansion,
     ExpansionError,
     FamilySpec,
@@ -261,3 +267,31 @@ def test_basis_expansion_helpers():
     assert [lam for lam, _ in exp.coefficients] == [(1,)]
     assert exp.coefficient((3,)) == Polynomial.zero(0, 1)
     assert exp.is_nonnegative()
+
+
+# The algebraic routes read A(f)/V off the product f; the explicit
+# antisymmetrize / coset_sum followed by divide_exact is the reference.
+SMALL_J = [
+    (mu, n, t_cap)
+    for mu in subpartitions((3, 2, 1)) if mu
+    for n, t_cap in ((1, 2), (2, 2), (3, 1), (3, 2), (4, 1))
+    if len(mu) <= n
+]
+SMALL_P = [(mu, n, t_cap) for mu, n, t_cap in SMALL_J if len(set(mu)) == len(mu)]
+
+
+@pytest.mark.parametrize("mu,n,t_cap", SMALL_J)
+def test_J_kernel_matches_antisymmetrize_and_divide(mu, n, t_cap):
+    spec = FamilySpec("J", mu, n, t_cap=t_cap)
+    expected = divide_exact(antisymmetrize(_j_product(spec), n), vandermonde(n))
+    assert grothendieck_J_algebraic(spec) == TruncatedSeries(expected.poly, spec.effective_x_cap(), t_cap)
+
+
+@pytest.mark.parametrize("mu,n,t_cap", SMALL_P)
+def test_P_kernel_matches_coset_sum_and_divide(mu, n, t_cap):
+    spec = FamilySpec("P", mu, n, t_cap=t_cap)
+    prod = _p_product(spec)
+    expected = divide_exact(coset_sum(prod, n, len(mu)), vandermonde(n))
+    assert grothendieck_P_algebraic(spec) == TruncatedSeries(expected.poly, spec.effective_x_cap(), t_cap)
+    # the identity the P route rests on: the coset sum is A(f)/(n-m)!
+    assert antisymmetrize(prod, n) == coset_sum(prod, n, len(mu)) * factorial(n - len(mu))
