@@ -8,7 +8,7 @@ degree caps on the two blocks; series products drop terms over either cap.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 
 __all__ = [
     "ExactDivisionError",
@@ -60,12 +60,7 @@ class Polynomial:
     def __init__(self, nx: int, nt: int, terms=None):
         self.nx = nx
         self.nt = nt
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+        self.terms = {mono: coeff for mono, coeff in terms.items() if coeff} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
@@ -82,6 +77,15 @@ class Polynomial:
     def monomial(cls, xexps, texps, coeff: int = 1) -> "Polynomial":
         return cls(len(xexps), len(texps), {(tuple(xexps), tuple(texps)): coeff})
 
+    @classmethod
+    def from_terms(cls, nx: int, nt: int, pairs) -> "Polynomial":
+        """Sum of (monomial, coeff) pairs in one pass: repeated monomials add
+        up, and coefficients that cancel to zero are dropped."""
+        out = {}
+        for mono, coeff in pairs:
+            out[mono] = out.get(mono, 0) + coeff
+        return cls(nx, nt, out)
+
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial"):
@@ -94,14 +98,9 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(other, self.nx, self.nt)
         self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = out.get(mono, 0) + coeff
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
-        return Polynomial(self.nx, self.nt, out)
+        return Polynomial.from_terms(
+            self.nx, self.nt, chain(self.terms.items(), other.terms.items())
+        )
 
     __radd__ = __add__
 
@@ -236,24 +235,17 @@ def apply_permutation(p, sigma):
     inv = [0] * len(sigma)
     for i, s in enumerate(sigma):
         inv[s] = i
-    out = {}
-    for (xe, te), c in p.terms.items():
-        new_xe = tuple(xe[inv[j]] for j in range(p.nx))
-        out[(new_xe, te)] = out.get((new_xe, te), 0) + c
-    return Polynomial(p.nx, p.nt, out)
+    return Polynomial.from_terms(p.nx, p.nt, (
+        ((tuple(xe[inv[j]] for j in range(p.nx)), te), c)
+        for (xe, te), c in p.terms.items()
+    ))
 
 
 def antisymmetrize(f, n: int | None = None):
     """Sum of sgn(sigma) * (f with x relabeled by sigma) over all of S_n."""
     poly = f.poly if isinstance(f, TruncatedSeries) else f
     n = poly.nx if n is None else n
-    total = Polynomial.zero(poly.nx, poly.nt)
-    for sigma in permutations(range(n)):
-        term = apply_permutation(poly, sigma)
-        total = total + (term if perm_sign(sigma) > 0 else -term)
-    if isinstance(f, TruncatedSeries):
-        return TruncatedSeries(total, f.x_cap, f.t_cap)
-    return total
+    return coset_sum(f, n, n)
 
 
 def coset_permutations(n: int, m: int):
@@ -270,10 +262,12 @@ def coset_permutations(n: int, m: int):
 def coset_sum(f, n: int, m: int):
     """Signed sum of x-relabelings of f over S_n / S_{n-m} coset representatives."""
     poly = f.poly if isinstance(f, TruncatedSeries) else f
-    total = Polynomial.zero(poly.nx, poly.nt)
-    for sigma in coset_permutations(n, m):
-        term = apply_permutation(poly, sigma)
-        total = total + (term if perm_sign(sigma) > 0 else -term)
+    signed = ((sigma, perm_sign(sigma)) for sigma in coset_permutations(n, m))
+    total = Polynomial.from_terms(poly.nx, poly.nt, (
+        (mono, sign * c)
+        for sigma, sign in signed
+        for mono, c in apply_permutation(poly, sigma).terms.items()
+    ))
     if isinstance(f, TruncatedSeries):
         return TruncatedSeries(total, f.x_cap, f.t_cap)
     return total
@@ -290,18 +284,17 @@ def vandermonde(n: int, nt: int = 0) -> Polynomial:
 
 def h_polynomial(k: int, c: int, nx: int, nt: int = 0) -> Polynomial:
     """Complete homogeneous polynomial h_k(x_1..x_c) inside Z[x_1..x_nx]."""
-    if k == 0:
-        return Polynomial.constant(1, nx, nt)
-    if c == 0:
-        return Polynomial.zero(nx, nt)
-    out = {}
-    for combo in combinations_with_replacement(range(c), k):
+    te = (0,) * nt
+
+    def monomial(combo):
         xe = [0] * nx
         for i in combo:
             xe[i] += 1
-        mono = (tuple(xe), (0,) * nt)
-        out[mono] = out.get(mono, 0) + 1
-    return Polynomial(nx, nt, out)
+        return (tuple(xe), te)
+
+    return Polynomial.from_terms(
+        nx, nt, ((monomial(combo), 1) for combo in combinations_with_replacement(range(c), k))
+    )
 
 
 def straighten(f) -> dict:
@@ -439,9 +432,11 @@ def divide_exact(f, g: Polynomial):
             raise ValueError("series division requires an x-homogeneous divisor")
         d = degs.pop()
         lifted = Polynomial(f.poly.nx, f.poly.nt, {(xe, (0,) * f.poly.nt): c for (xe, _), c in g.terms.items()})
-        out = Polynomial.zero(f.poly.nx, f.poly.nt)
-        for _, piece in f.poly.x_graded_slices().items():
-            out = out + _divide_poly(piece, lifted)
+        out = Polynomial.from_terms(f.poly.nx, f.poly.nt, (
+            term
+            for piece in f.poly.x_graded_slices().values()
+            for term in _divide_poly(piece, lifted).terms.items()
+        ))
         return TruncatedSeries(out, f.x_cap - d, f.t_cap)
     if f.nx != g.nx or f.nt != g.nt:
         raise ValueError("variable blocks differ")

@@ -16,6 +16,7 @@ from .algebra import ExactDivisionError, Polynomial, TruncatedSeries
 from .insertion import in_step, out_step
 from .polynomials import (
     BasisExpansion,
+    ExpansionError,
     FamilySpec,
     expand_in_pschur,
     expand_in_schur,
@@ -435,7 +436,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ExactDivisionError as ex:
+    except (ExactDivisionError, ExpansionError) as ex:
         print(f"internal invariant breach: {ex}", file=sys.stderr)
         return INTERNAL_ERROR
     except (ValueError, OSError) as ex:

@@ -49,8 +49,6 @@ __all__ = [
     "psi_k_inverse",
     "psi",
     "psi_inverse",
-    "phi_k",
-    "phi_k_inverse",
     "phi",
     "phi_inverse",
 ]
@@ -468,10 +466,6 @@ def psi_inverse(q: MultisetTableau, r: SkewFilling) -> MultisetTableau:
     return t
 
 
-def phi_k(t, k: int, ell: int):
-    return psi_k(t, k, ell)
-
-
 def phi(p: ShiftedMultisetTableau):
     """Shifted analog of psi; the filling lives on the staircase-reduced skew."""
     if not is_valid_smt(p):
@@ -482,7 +476,7 @@ def phi(p: ShiftedMultisetTableau):
     t = p
     marks: dict[tuple[int, int], int] = {}
     for k in range(1, ell + 1):
-        t, traces = phi_k(t, k, ell)
+        t, traces = psi_k(t, k, ell)
         cols = [tr.appended_cell[1] for tr in traces]
         if any(c2 <= c1 for c1, c2 in zip(cols, cols[1:])):
             raise InsertionError("appended boxes must move strictly right")
@@ -508,9 +502,6 @@ def phi(p: ShiftedMultisetTableau):
     return t, srt
 
 
-phi_k_inverse = psi_k_inverse
-
-
 def phi_inverse(q: ShiftedMultisetTableau, r: SkewFilling) -> ShiftedMultisetTableau:
     """Rebuild the shifted multiset tableau from (Q, R)."""
     m = len(r.inner)
@@ -528,7 +519,7 @@ def phi_inverse(q: ShiftedMultisetTableau, r: SkewFilling) -> ShiftedMultisetTab
             for i, v in enumerate(row)
             if v == k
         ]
-        t = phi_k_inverse(t, k, ell, cells)
+        t = psi_k_inverse(t, k, ell, cells)
     if t.shape != mu:
         raise InsertionError("inverse did not return to the inner shape")
     return t

@@ -37,6 +37,7 @@ __all__ = [
     "iota",
     "bad_pairs",
     "hmult_lhs",
+    "antisymmetrized_tops",
     "hmult_rhs_good",
     "hmult_bad_sum",
     "verify_hmult_lemma",
@@ -317,28 +318,23 @@ def hmult_lhs(mu, increments, columns, n: int) -> Polynomial:
     return antisymmetrize(f, n)
 
 
-def _antisym_monomial(exps, n: int) -> Polynomial:
-    return antisymmetrize(Polynomial.monomial(tuple(exps), ()), n)
+def antisymmetrized_tops(extensions, n: int) -> Polynomial:
+    """A(sum of x^top over the given extensions), antisymmetrized once: A is
+    linear, so this is the sum of the antisymmetrized top monomials."""
+    tops = Polynomial.from_terms(n, 0, (((ext.top, ()), 1) for ext in extensions))
+    return antisymmetrize(tops, n)
 
 
 def hmult_rhs_good(mu, increments, columns, n: int) -> Polynomial:
     """Sum of antisymmetrized top monomials over good extensions only."""
-    mu_p = pad(mu, n)
-    total = Polynomial.zero(n, 0)
-    for ext in enumerate_extensions(mu_p, increments, columns):
-        if is_good_extension(ext):
-            total = total + _antisym_monomial(ext.top, n)
-    return total
+    exts = enumerate_extensions(pad(mu, n), increments, columns)
+    return antisymmetrized_tops([e for e in exts if is_good_extension(e)], n)
 
 
 def hmult_bad_sum(mu, increments, columns, n: int) -> Polynomial:
     """Sum of antisymmetrized top monomials over bad extensions (should vanish)."""
-    mu_p = pad(mu, n)
-    total = Polynomial.zero(n, 0)
-    for ext in enumerate_extensions(mu_p, increments, columns):
-        if not is_good_extension(ext):
-            total = total + _antisym_monomial(ext.top, n)
-    return total
+    exts = enumerate_extensions(pad(mu, n), increments, columns)
+    return antisymmetrized_tops([e for e in exts if not is_good_extension(e)], n)
 
 
 def verify_hmult_lemma(mu, increments, columns, n: int) -> bool:

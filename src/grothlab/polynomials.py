@@ -140,18 +140,20 @@ class FamilySpec:
 # undeformed bases
 
 
+def _tableau_sum(tableaux, n: int, nt: int, t_stat) -> Polynomial:
+    """Sum of t^t_stat(T) x^wt(T) over the given tableaux."""
+    return Polynomial.from_terms(
+        n, nt, (((pad(t.weight(), n), t_stat(t)), 1) for t in tableaux)
+    )
+
+
 @lru_cache(maxsize=None)
 def schur(lam: tuple[int, ...], n: int) -> Polynomial:
     """Schur polynomial as the tableau generating function."""
     lam = tuple(p for p in lam if p)
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
-    total = Polynomial.zero(n, 0)
-    if len(lam) > n:
-        return total
-    for t in enumerate_ssyt(lam, n):
-        total = total + Polynomial.monomial(pad(t.weight(), n), ())
-    return total
+    return _tableau_sum(enumerate_ssyt(lam, n), n, 0, lambda t: ())
 
 
 def schur_bialternant(lam: tuple[int, ...], n: int) -> Polynomial:
@@ -169,12 +171,7 @@ def pschur(lam: tuple[int, ...], n: int) -> Polynomial:
     lam = tuple(lam)
     if not is_strict_partition(lam):
         raise ValueError(f"not a strict partition: {lam}")
-    total = Polynomial.zero(n, 0)
-    if len(lam) > n:
-        return total
-    for t in enumerate_sst(lam, n):
-        total = total + Polynomial.monomial(pad(t.weight(), n), ())
-    return total
+    return _tableau_sum(enumerate_sst(lam, n), n, 0, lambda t: ())
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +216,11 @@ def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
 
 def grothendieck_J_combinatorial(spec: FamilySpec) -> TruncatedSeries:
     """Tableau route: sum of t^cw x^wt over capped multiset tableaux."""
-    n, ell, t_cap = spec.n, spec.ell, spec.t_cap
-    total = Polynomial.zero(n, ell)
-    for t in enumerate_mt(spec.mu, n, t_cap):
-        total = total + Polynomial.monomial(pad(t.weight(), n), t.column_weight())
-    return TruncatedSeries(total, spec.effective_x_cap(), t_cap)
+    total = _tableau_sum(
+        enumerate_mt(spec.mu, spec.n, spec.t_cap), spec.n, spec.ell,
+        lambda t: t.column_weight(),
+    )
+    return TruncatedSeries(total, spec.effective_x_cap(), spec.t_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +270,22 @@ def grothendieck_P_algebraic(spec: FamilySpec) -> TruncatedSeries:
     return TruncatedSeries(quotient, spec.effective_x_cap(), spec.t_cap)
 
 
+def _smt_series(spec: FamilySpec, signed: bool) -> TruncatedSeries:
+    total = _tableau_sum(
+        enumerate_smt(spec.mu, spec.n, spec.t_cap, signed=signed), spec.n, spec.ell,
+        lambda t: t.diagonal_weight(),
+    )
+    return TruncatedSeries(total, spec.effective_x_cap(), spec.t_cap)
+
+
 def grothendieck_P_combinatorial(spec: FamilySpec) -> TruncatedSeries:
     """Tableau route: sum of t^dw x^wt over capped shifted multiset tableaux."""
-    n, ell, t_cap = spec.n, spec.ell, spec.t_cap
-    total = Polynomial.zero(n, ell)
-    for t in enumerate_smt(spec.mu, n, t_cap, signed=False):
-        total = total + Polynomial.monomial(pad(t.weight(), n), t.diagonal_weight())
-    return TruncatedSeries(total, spec.effective_x_cap(), t_cap)
+    return _smt_series(spec, signed=False)
 
 
 def signed_smt_sum(spec: FamilySpec) -> TruncatedSeries:
     """Sum over the signed census; equals 2^m times the unsigned route."""
-    n, ell, t_cap = spec.n, spec.ell, spec.t_cap
-    total = Polynomial.zero(n, ell)
-    for t in enumerate_smt(spec.mu, n, t_cap, signed=True):
-        total = total + Polynomial.monomial(pad(t.weight(), n), t.diagonal_weight())
-    return TruncatedSeries(total, spec.effective_x_cap(), t_cap)
+    return _smt_series(spec, signed=True)
 
 
 def grothendieck_P_from_signed(spec: FamilySpec) -> TruncatedSeries:
@@ -497,10 +494,8 @@ def specialize_t(f, values) -> Polynomial:
         raise ValueError(f"need exactly {poly.nt} substitution values")
     if any(v not in (0, 1) for v in values):
         raise ValueError("only 0/1 specializations are exact under truncation")
-    out: dict = {}
-    for (xe, te), c in poly.terms.items():
-        if any(e > 0 and v == 0 for e, v in zip(te, values)):
-            continue
-        mono = (xe, ())
-        out[mono] = out.get(mono, 0) + c
-    return Polynomial(poly.nx, 0, out)
+    return Polynomial.from_terms(poly.nx, 0, (
+        ((xe, ()), c)
+        for (xe, te), c in poly.terms.items()
+        if not any(e > 0 and v == 0 for e, v in zip(te, values))
+    ))

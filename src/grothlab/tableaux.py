@@ -482,19 +482,8 @@ def _partial_sums_ok(size, nrows: int, ell: int, bound: int) -> bool:
     return True
 
 
-def _mt_size(t: MultisetTableau):
-    ell = t.ell
-
-    def size(i: int, j: int) -> int:
-        r, c = i - 1, ell - j
-        if j < 1 or r < 0 or r >= len(t.rows) or c >= len(t.rows[r]):
-            return 0
-        return len(t.rows[r][c])
-
-    return size
-
-
-def _smt_size(t: ShiftedMultisetTableau):
+def _box_size(t):
+    """size(i, j): entries in the box of row i at column/diagonal label j."""
     ell = t.ell
 
     def size(i: int, j: int) -> int:
@@ -514,7 +503,7 @@ def is_maximal_mt(t: MultisetTableau) -> bool:
         for box in row:
             if any(v != r + 1 for v in box):
                 return False
-    return _partial_sums_ok(_mt_size(t), len(t.rows), t.ell, 1)
+    return _partial_sums_ok(_box_size(t), len(t.rows), t.ell, 1)
 
 
 def is_maximal_smt(t: ShiftedMultisetTableau) -> bool:
@@ -525,7 +514,7 @@ def is_maximal_smt(t: ShiftedMultisetTableau) -> bool:
         for box in row:
             if any(e.value != r + 1 or e.primed for e in box):
                 return False
-    return _partial_sums_ok(_smt_size(t), len(t.rows), t.ell, 0)
+    return _partial_sums_ok(_box_size(t), len(t.rows), t.ell, 0)
 
 
 def maximal_mt_to_rt(t: MultisetTableau) -> SkewFilling:

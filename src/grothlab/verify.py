@@ -3,7 +3,8 @@
 Each suite runs a fixed census of cases and reports one (name, passed,
 detail) triple per case.  The censuses come in two sizes selected by the
 environment variable GROTHLAB_CENSUS_SCALE: "small" (the default, the
-acceptance scale) and "full" (adds larger instances).
+acceptance scale) and "full" (adds larger instances, among them the
+(n=4, tcap=2) and (n=3, tcap=3) rows of the routes and positivity suites).
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
-from .algebra import Polynomial, apply_permutation
+from .algebra import Polynomial
 from .insertion import phi, phi_inverse, psi, psi_inverse
 from .partitions import (
     SignedPair,
+    antisymmetrized_tops,
     enumerate_extensions,
     hmult_lhs,
     is_good_extension,
@@ -122,24 +124,6 @@ def _lemma_cases(scale: str):
 def lemma_suite(scale: str | None = None) -> list[CaseResult]:
     scale = scale or census_scale()
     results = []
-    antisym_cache: dict[tuple, Polynomial] = {}
-
-    def antisym_monomial(exps, n):
-        key = (exps, n)
-        if key not in antisym_cache:
-            poly = Polynomial.monomial(exps, ())
-            total = Polynomial.zero(n, 0)
-            for sigma in permutations(range(n)):
-                term = apply_permutation(poly, sigma)
-                sgn = 1
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        if sigma[i] > sigma[j]:
-                            sgn = -sgn
-                total = total + (term if sgn > 0 else -term)
-            antisym_cache[key] = total
-        return antisym_cache[key]
-
     for mu, ts, cs, n in _lemma_cases(scale):
         name = f"lemma mu={mu} T={ts} c={cs} n={n}"
         try:
@@ -147,13 +131,7 @@ def lemma_suite(scale: str | None = None) -> list[CaseResult]:
             good = [e for e in exts if is_good_extension(e)]
             bad = [e for e in exts if not is_good_extension(e)]
             lhs = hmult_lhs(mu, ts, cs, n)
-            rhs = Polynomial.zero(n, 0)
-            for e in good:
-                rhs = rhs + antisym_monomial(e.top, n)
-            bad_sum = Polynomial.zero(n, 0)
-            for e in bad:
-                bad_sum = bad_sum + antisym_monomial(e.top, n)
-            ok = lhs == rhs and not bad_sum
+            ok = lhs == antisymmetrized_tops(good, n) and not antisymmetrized_tops(bad, n)
             detail = "" if ok else "h-product route disagrees with good extensions"
             if ok:
                 for e in good:
@@ -382,14 +360,16 @@ def maximal_suite(scale: str | None = None) -> list[CaseResult]:
 
 def _route_instances(scale: str):
     bound = (3, 2, 1)
-    t_cap = 2
+    rows = [(1, 2), (2, 2), (3, 2)]
+    if scale == "full":
+        rows += [(4, 2), (3, 3)]
     for family in ("J", "P"):
         for mu in subpartitions(bound):
             if family == "P" and mu and not all(
                 mu[i] > mu[i + 1] for i in range(len(mu) - 1)
             ):
                 continue
-            for n in (1, 2, 3):
+            for n, t_cap in rows:
                 yield family, mu, n, t_cap
 
 

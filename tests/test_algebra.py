@@ -25,12 +25,15 @@ from grothlab.partitions import pad, subpartitions
 from grothlab.tableaux import enumerate_ssyt
 
 
-def poly_st(nx=2, nt=1, max_exp=3, max_terms=4):
-    mono = st.tuples(
+def mono_st(nx=2, nt=1, max_exp=3):
+    return st.tuples(
         st.tuples(*([st.integers(0, max_exp)] * nx)),
         st.tuples(*([st.integers(0, 1)] * nt)),
     )
-    term = st.tuples(mono, st.integers(-3, 3))
+
+
+def poly_st(nx=2, nt=1, max_exp=3, max_terms=4):
+    term = st.tuples(mono_st(nx, nt, max_exp), st.integers(-3, 3))
     return st.lists(term, max_size=max_terms).map(
         lambda ts: Polynomial(nx, nt, {m: c for m, c in ts})
     )
@@ -55,6 +58,16 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
+
+
+@given(st.lists(st.tuples(mono_st(max_exp=2), st.integers(-3, 3)), max_size=8), st.integers(0, 8))
+def test_from_terms_matches_fold_of_monomials(pairs, k):
+    # the negated copies of the first k pairs cancel them to zero
+    pairs = pairs + [(mono, -c) for mono, c in pairs[:k]]
+    fold = sum((Polynomial.monomial(*mono) * c for mono, c in pairs), Polynomial.zero(2, 1))
+    got = Polynomial.from_terms(2, 1, pairs)
+    assert got == fold
+    assert 0 not in got.terms.values()
 
 
 def test_perm_sign():

@@ -7,6 +7,7 @@ import grothlab.cli as cli
 import grothlab.polynomials as polynomials
 from grothlab.algebra import ExactDivisionError
 from grothlab.fixtures import out_chain_shifted, out_chain_straight
+from grothlab.polynomials import ExpansionError
 from grothlab.verify import CaseResult
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -142,6 +143,17 @@ def test_internal_invariant_breach_exits_three(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "grothendieck_J_algebraic", explode)
     code, _, err = run(capsys, "compute", "J", "1", "--n", "2")
+    assert code == 3
+    assert "internal invariant breach" in err
+
+
+def test_expansion_error_in_expand_exits_three(capsys, monkeypatch):
+    # FamilySpec has validated the input, so a failed expansion is a breach
+    def explode(f, n):
+        raise ExpansionError("polynomial is not symmetric in the x-block")
+
+    monkeypatch.setattr(cli, "expand_in_schur", explode)
+    code, _, err = run(capsys, "expand", "J", "2,1", "--n", "2")
     assert code == 3
     assert "internal invariant breach" in err
 

@@ -13,7 +13,6 @@ from grothlab.insertion import (
     out_step,
     phi,
     phi_inverse,
-    phi_k,
     psi,
     psi_inverse,
     psi_k,
@@ -221,7 +220,7 @@ def test_shifted_out_chain_reproduces_display():
         appended.append(trace.appended_cell)
     assert removed == [Entry(5), Entry(5, True), Entry(3), Entry(2)]
     assert appended == [(2, 4), (1, 5), (0, 6), (0, 7)]
-    final, traces = phi_k(chain[0], 2, 3)
+    final, traces = psi_k(chain[0], 2, 3)
     assert final == chain[-1] and len(traces) == 4
 
 

@@ -173,6 +173,9 @@ def test_iota_census_is_nonvacuous():
         ((3, 1, 0), (2, 1), (3, 2), 3),
         ((2, 1), (1, 1), (2, 2), 2),
         ((2, 1, 0), (3,), (3,), 3),
+        # two tops repeat among the good extensions, so the one
+        # antisymmetrization of their sum must count each with multiplicity
+        ((3, 1, 0), (2, 2), (3, 2), 3),
     ],
 )
 def test_hmult_lemma(mu, increments, columns, n):

@@ -1,6 +1,6 @@
 import pytest
 
-from grothlab.verify import SUITES, census_scale, maximal_suite, run_suite
+from grothlab.verify import SUITES, _route_instances, census_scale, maximal_suite, run_suite
 
 
 def test_census_scale_env(monkeypatch):
@@ -28,3 +28,10 @@ def test_maximal_suite_names_are_unique():
     names = [r.name for r in results]
     assert len(set(names)) == len(names)
     assert all(r.passed for r in results)
+
+
+def test_full_route_instances_strictly_contain_small():
+    small = set(_route_instances("small"))
+    full = set(_route_instances("full"))
+    assert small < full
+    assert {(n, t_cap) for _, _, n, t_cap in full - small} == {(4, 2), (3, 3)}
