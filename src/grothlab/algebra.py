@@ -27,7 +27,6 @@ __all__ = [
     "straighten",
     "vandermonde",
     "x_var",
-    "t_var",
 ]
 
 
@@ -220,12 +219,6 @@ def x_var(i: int, nx: int, nt: int = 0) -> Polynomial:
     return Polynomial.monomial(xe, (0,) * nt)
 
 
-def t_var(j: int, nx: int, nt: int) -> Polynomial:
-    te = [0] * nt
-    te[j] = 1
-    return Polynomial.monomial((0,) * nx, te)
-
-
 def apply_permutation(p, sigma):
     """Relabel x_i -> x_{sigma(i)} (0-based one-line sigma); t-block untouched."""
     if isinstance(p, TruncatedSeries):
@@ -284,17 +277,15 @@ def vandermonde(n: int, nt: int = 0) -> Polynomial:
 
 def h_polynomial(k: int, c: int, nx: int, nt: int = 0) -> Polynomial:
     """Complete homogeneous polynomial h_k(x_1..x_c) inside Z[x_1..x_nx]."""
+    # distinct multisets give distinct monomials, so nothing needs summing
     te = (0,) * nt
-
-    def monomial(combo):
+    terms = {}
+    for combo in combinations_with_replacement(range(c), k):
         xe = [0] * nx
         for i in combo:
             xe[i] += 1
-        return (tuple(xe), te)
-
-    return Polynomial.from_terms(
-        nx, nt, ((monomial(combo), 1) for combo in combinations_with_replacement(range(c), k))
-    )
+        terms[(tuple(xe), te)] = 1
+    return Polynomial(nx, nt, terms)
 
 
 def straighten(f) -> dict:

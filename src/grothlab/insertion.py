@@ -290,13 +290,7 @@ def _out_step_shifted(t: ShiftedMultisetTableau, k: int, ell: int):
     boxes = [(r, rows[r][idx]) for r in _diag_cells(rows, idx)]
     if not boxes:
         raise InsertionError(f"diagonal {k} is empty")
-    pick = None
-    for r, box in boxes:
-        extras = list(box)
-        extras.remove(min(box))
-        for e in extras:
-            if pick is None or e > pick[0] or (e == pick[0] and r >= pick[1]):
-                pick = (e, r)
+    pick = _largest_noncircled(boxes)
     if pick is None:
         raise InsertionError(f"no noncircled entry remains on diagonal {k}")
     v, r0 = pick
@@ -410,12 +404,16 @@ def psi_k(t, k: int, ell: int):
     return t, traces
 
 
-def psi(p: MultisetTableau):
-    """Decompose a multiset tableau into (Q, R): a single-entry tableau of a
-    larger shape and a restricted filling recording each stage's strip."""
-    if not is_valid_mt(p):
-        raise InsertionError("psi needs a valid multiset tableau")
-    mu = p.shape
+def psi_k_inverse(t, k: int, ell: int, cells):
+    """Undo stage k by consuming the given strip cells, rightmost first."""
+    for cell in sorted(cells, key=lambda rc: -rc[1]):
+        t, _ = in_step(t, k, ell, cell)
+    return t
+
+
+def _run_stages(p, valid):
+    """Run psi_k for k = 1..ell on p; returns (Q, marks), where marks maps
+    each appended cell to the stage k that appended it."""
     ell = p.ell
     t = p
     marks: dict[tuple[int, int], int] = {}
@@ -426,36 +424,19 @@ def psi(p: MultisetTableau):
             raise InsertionError("appended boxes must move strictly right")
         for tr in traces:
             marks[tr.appended_cell] = k
-        if not is_valid_mt(t):
+        if not valid(t):
             raise InsertionError(f"stage {k} left an invalid tableau")
-    lam = t.shape
-    inner = pad(mu, len(lam))
-    rows = []
-    for r in range(len(lam)):
-        rows.append(tuple(marks[(r, c)] for c in range(inner[r], lam[r])))
-    rt = SkewFilling(lam, inner, tuple(rows))
-    if not is_valid_rt(rt):
-        raise InsertionError("recorded strip entries do not form a restricted tableau")
-    return t, rt
+    return t, marks
 
 
-def psi_k_inverse(t, k: int, ell: int, cells):
-    """Undo stage k by consuming the given strip cells, rightmost first."""
-    for cell in sorted(cells, key=lambda rc: -rc[1]):
-        t, _ = in_step(t, k, ell, cell)
-    return t
-
-
-def psi_inverse(q: MultisetTableau, r: SkewFilling) -> MultisetTableau:
-    """Rebuild the multiset tableau from (Q, R)."""
-    if q.shape != r.outer:
-        raise InsertionError("shapes of Q and R disagree")
-    mu = tuple(p for p in r.inner if p)
+def _undo_stages(q, r: SkewFilling, mu, offset: int):
+    """Undo stages ell..1 of q; the cells of R labeled k, shifted right by
+    offset columns, are the strip that stage k appended."""
     ell = mu[0] if mu else 0
     t = q
     for k in range(ell, 0, -1):
         cells = [
-            (rr, r.inner[rr] + i)
+            (rr, r.inner[rr] + i + offset)
             for rr, row in enumerate(r.rows)
             for i, v in enumerate(row)
             if v == k
@@ -466,37 +447,48 @@ def psi_inverse(q: MultisetTableau, r: SkewFilling) -> MultisetTableau:
     return t
 
 
+def psi(p: MultisetTableau):
+    """Decompose a multiset tableau into (Q, R): a single-entry tableau of a
+    larger shape and a restricted filling recording each stage's strip."""
+    if not is_valid_mt(p):
+        raise InsertionError("psi needs a valid multiset tableau")
+    mu = p.shape
+    t, marks = _run_stages(p, is_valid_mt)
+    lam = t.shape
+    inner = pad(mu, len(lam))
+    rows = tuple(
+        tuple(marks[(r, c)] for c in range(inner[r], lam[r])) for r in range(len(lam))
+    )
+    rt = SkewFilling(lam, inner, rows)
+    if not is_valid_rt(rt):
+        raise InsertionError("recorded strip entries do not form a restricted tableau")
+    return t, rt
+
+
+def psi_inverse(q: MultisetTableau, r: SkewFilling) -> MultisetTableau:
+    """Rebuild the multiset tableau from (Q, R)."""
+    if q.shape != r.outer:
+        raise InsertionError("shapes of Q and R disagree")
+    return _undo_stages(q, r, tuple(p for p in r.inner if p), 0)
+
+
 def phi(p: ShiftedMultisetTableau):
     """Shifted analog of psi; the filling lives on the staircase-reduced skew."""
     if not is_valid_smt(p):
         raise InsertionError("phi needs a valid shifted multiset tableau")
     mu = p.shape
-    ell = p.ell
     m = len(mu)
-    t = p
-    marks: dict[tuple[int, int], int] = {}
-    for k in range(1, ell + 1):
-        t, traces = psi_k(t, k, ell)
-        cols = [tr.appended_cell[1] for tr in traces]
-        if any(c2 <= c1 for c1, c2 in zip(cols, cols[1:])):
-            raise InsertionError("appended boxes must move strictly right")
-        for tr in traces:
-            marks[tr.appended_cell] = k
-        if not is_valid_smt(ShiftedMultisetTableau(t.rows, signed=True)):
-            raise InsertionError(f"stage {k} left an invalid tableau")
+    t, marks = _run_stages(
+        p, lambda t: is_valid_smt(ShiftedMultisetTableau(t.rows, signed=True))
+    )
     lam = t.shape
     if len(lam) != m:
         raise InsertionError("the row count changed during phi")
     delta = staircase(m)
     outer = tuple(l - d for l, d in zip(lam, delta))
     inner = tuple(p_ - d for p_, d in zip(mu, delta))
-    rows = []
-    for r in range(m):
-        entries = []
-        for c in range(mu[r], lam[r]):
-            entries.append(marks[(r, r + c)])
-        rows.append(tuple(entries))
-    srt = SkewFilling(outer, inner, tuple(rows))
+    rows = tuple(tuple(marks[(r, r + c)] for c in range(mu[r], lam[r])) for r in range(m))
+    srt = SkewFilling(outer, inner, rows)
     if not is_valid_srt(srt, mu):
         raise InsertionError("recorded strip entries do not form a shifted restricted tableau")
     return t, srt
@@ -510,16 +502,4 @@ def phi_inverse(q: ShiftedMultisetTableau, r: SkewFilling) -> ShiftedMultisetTab
     mu = tuple(i + d for i, d in zip(r.inner, delta))
     if q.shape != lam:
         raise InsertionError("shapes of Q and R disagree")
-    ell = mu[0] if mu else 0
-    t = q
-    for k in range(ell, 0, -1):
-        cells = [
-            (rr, r.inner[rr] + i + (m - 1))
-            for rr, row in enumerate(r.rows)
-            for i, v in enumerate(row)
-            if v == k
-        ]
-        t = psi_k_inverse(t, k, ell, cells)
-    if t.shape != mu:
-        raise InsertionError("inverse did not return to the inner shape")
-    return t
+    return _undo_stages(q, r, mu, m - 1)

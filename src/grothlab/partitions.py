@@ -27,7 +27,6 @@ __all__ = [
     "conjugate",
     "staircase",
     "pad",
-    "normalize",
     "is_partition",
     "is_strict_partition",
     "subpartitions",
@@ -60,16 +59,6 @@ def is_strict_partition(parts) -> bool:
     return all(p > 0 for p in parts) and all(
         parts[i] > parts[i + 1] for i in range(len(parts) - 1)
     )
-
-
-def normalize(parts) -> Partition:
-    """Drop trailing zeros; reject non-partitions."""
-    parts = tuple(parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    if not is_partition(parts):
-        raise ValueError(f"not a partition: {parts}")
-    return parts
 
 
 def pad(mu, n: int) -> tuple[int, ...]:

@@ -41,6 +41,7 @@ from .algebra import (
     schur_to_monomials,
     straighten,
     vandermonde,
+    x_var,
 )
 from .partitions import (
     column_heights,
@@ -239,15 +240,11 @@ def _p_product(spec: FamilySpec) -> TruncatedSeries:
     plus = Polynomial.constant(1, n, ell)
     for i in range(m):
         for j in range(i + 1, n):
-            xi = Polynomial.monomial([1 if a == i else 0 for a in range(n)], (0,) * ell)
-            xj = Polynomial.monomial([1 if a == j else 0 for a in range(n)], (0,) * ell)
-            plus = plus * (xi + xj)
+            plus = plus * (x_var(i, n, ell) + x_var(j, n, ell))
     minus = Polynomial.constant(1, n, ell)
     for i in range(m, n):
         for j in range(i + 1, n):
-            xi = Polynomial.monomial([1 if a == i else 0 for a in range(n)], (0,) * ell)
-            xj = Polynomial.monomial([1 if a == j else 0 for a in range(n)], (0,) * ell)
-            minus = minus * (xi - xj)
+            minus = minus * (x_var(i, n, ell) - x_var(j, n, ell))
     return prod * plus * minus
 
 
@@ -336,12 +333,10 @@ def coefficient_via_hmult(spec: FamilySpec, t_exps) -> Polynomial:
         f = _h_product(t_exps, heights, n) * Polynomial.monomial(pad(spec.mu, n), ())
         for i in range(m):
             for j in range(i + 1, n):
-                f = f * (Polynomial.monomial([1 if a == i else 0 for a in range(n)], ())
-                         + Polynomial.monomial([1 if a == j else 0 for a in range(n)], ()))
+                f = f * (x_var(i, n) + x_var(j, n))
         for i in range(m, n):
             for j in range(i + 1, n):
-                f = f * (Polynomial.monomial([1 if a == i else 0 for a in range(n)], ())
-                         - Polynomial.monomial([1 if a == j else 0 for a in range(n)], ()))
+                f = f * (x_var(i, n) - x_var(j, n))
         return divide_exact(coset_sum(f, n, m), vandermonde(n))
     raise ValueError("coefficient_via_hmult applies to families J and P")
 

@@ -9,6 +9,7 @@ of the shape); diagonals of a shifted tableau are labeled the same way.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import combinations_with_replacement
@@ -99,15 +100,20 @@ def gt_p(a: Entry, z: Entry) -> bool:
     return lt_p(z, a)
 
 
-# ---------------------------------------------------------------------------
-# straight-shape multiset tableaux
+def _weight_vector(counts: dict[int, int], top: int | None = None) -> tuple[int, ...]:
+    """(count of 1, ..., count of top); top defaults to the largest value counted."""
+    if top is None:
+        top = max(counts, default=0)
+    return tuple(counts.get(v, 0) for v in range(1, top + 1))
 
 
-@dataclass(frozen=True)
-class MultisetTableau:
-    """Left-justified rows of boxes, each box a sorted tuple of integers."""
+class _BoxRows:
+    """Shared body of the straight and shifted multiset tableaux.
 
-    rows: tuple[tuple[tuple[int, ...], ...], ...]
+    Box c of every row sits on the column (straight) or diagonal (shifted)
+    labeled ell - c, so both families read shape, ell and the per-label
+    weight off `rows` the same way.
+    """
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -117,8 +123,24 @@ class MultisetTableau:
     def ell(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def box(self, r: int, c: int) -> tuple[int, ...]:
-        return self.rows[r][c]
+    def _label_weight(self) -> tuple[int, ...]:
+        """(T_1..T_ell): entries at label j minus the number of boxes there."""
+        ell = self.ell
+        return tuple(
+            sum(len(row[ell - j]) - 1 for row in self.rows if ell - j < len(row))
+            for j in range(1, ell + 1)
+        )
+
+
+# ---------------------------------------------------------------------------
+# straight-shape multiset tableaux
+
+
+@dataclass(frozen=True)
+class MultisetTableau(_BoxRows):
+    """Left-justified rows of boxes, each box a sorted tuple of integers."""
+
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
 
     def weight(self) -> tuple[int, ...]:
         counts: dict[int, int] = {}
@@ -126,20 +148,9 @@ class MultisetTableau:
             for box in row:
                 for v in box:
                     counts[v] = counts.get(v, 0) + 1
-        if not counts:
-            return ()
-        return tuple(counts.get(v, 0) for v in range(1, max(counts) + 1))
+        return _weight_vector(counts)
 
-    def column_weight(self) -> tuple[int, ...]:
-        """(T_1..T_ell): entries in column j minus its height c_j."""
-        ell = self.ell
-        heights = column_heights(self.shape)
-        out = []
-        for j in range(1, ell + 1):
-            col = ell - j
-            total = sum(len(row[col]) for row in self.rows if col < len(row))
-            out.append(total - heights[j])
-        return tuple(out)
+    column_weight = _BoxRows._label_weight
 
     def to_text(self) -> str:
         return "\n".join(
@@ -199,7 +210,7 @@ def is_valid_ssyt(t: MultisetTableau) -> bool:
 
 
 @dataclass(frozen=True)
-class ShiftedMultisetTableau:
+class ShiftedMultisetTableau(_BoxRows):
     """Shifted rows of boxes over the primed alphabet.
 
     Row i starts one column right of row i-1, so the box at within-row
@@ -211,37 +222,15 @@ class ShiftedMultisetTableau:
     rows: tuple[tuple[tuple[Entry, ...], ...], ...]
     signed: bool = False
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
-
-    @property
-    def ell(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def box(self, r: int, c: int) -> tuple[Entry, ...]:
-        return self.rows[r][c]
-
     def weight(self) -> tuple[int, ...]:
         counts: dict[int, int] = {}
         for row in self.rows:
             for box in row:
                 for e in box:
                     counts[e.value] = counts.get(e.value, 0) + 1
-        if not counts:
-            return ()
-        return tuple(counts.get(v, 0) for v in range(1, max(counts) + 1))
+        return _weight_vector(counts)
 
-    def diagonal_weight(self) -> tuple[int, ...]:
-        """(T_1..T_ell): entries on diagonal j minus its box count c_j."""
-        ell = self.ell
-        heights = column_heights(self.shape)
-        out = []
-        for j in range(1, ell + 1):
-            c = ell - j
-            total = sum(len(row[c]) for row in self.rows if c < len(row))
-            out.append(total - heights[j])
-        return tuple(out)
+    diagonal_weight = _BoxRows._label_weight
 
     def row_minimum(self, r: int) -> Entry:
         return min(self.rows[r][0])
@@ -373,8 +362,7 @@ class SkewFilling:
         for row in self.rows:
             for v in row:
                 counts[v] = counts.get(v, 0) + 1
-        top = alphabet if alphabet is not None else (max(counts) if counts else 0)
-        return tuple(counts.get(v, 0) for v in range(1, top + 1))
+        return _weight_vector(counts, alphabet)
 
     def entry(self, r: int, col: int):
         """Entry at absolute column col of row r, or None outside the skew."""
@@ -517,40 +505,38 @@ def is_maximal_smt(t: ShiftedMultisetTableau) -> bool:
     return _partial_sums_ok(_box_size(t), len(t.rows), t.ell, 0)
 
 
+def _restricted_rows(t) -> tuple[tuple[int, ...], ...]:
+    """Row i holds |box| - 1 copies of the label of each box in row i."""
+    ell = t.ell
+    return tuple(
+        tuple(sorted(ell - c for c, box in enumerate(row) for _ in range(len(box) - 1)))
+        for row in t.rows
+    )
+
+
+def _maximal_rows(f: SkewFilling, mu, entry):
+    """Inverse of _restricted_rows on shape mu: row i holds boxes of entry(i)."""
+    ell = mu[0] if mu else 0
+    rows = []
+    for r, width in enumerate(mu):
+        counts = Counter(f.rows[r] if r < len(f.rows) else ())
+        rows.append(tuple((entry(r + 1),) * (1 + counts[ell - c]) for c in range(width)))
+    return tuple(rows)
+
+
 def maximal_mt_to_rt(t: MultisetTableau) -> SkewFilling:
     """Row i of the image holds |b_ij| - 1 copies of each column label j."""
     if not is_maximal_mt(t):
         raise ValueError("input is not a maximal multiset tableau")
     lam = t.weight()
-    mu = t.shape
     if not is_partition(lam):
         raise ValueError("weight of a maximal tableau must be a partition")
-    ell = t.ell
-    rows = []
-    for r, row in enumerate(t.rows):
-        entries = []
-        for c, box in enumerate(row):
-            entries.extend([ell - c] * (len(box) - 1))
-        rows.append(tuple(sorted(entries)))
-    inner = mu + (0,) * (len(lam) - len(mu))
-    return SkewFilling(lam, inner, tuple(rows))
+    return SkewFilling(lam, t.shape, _restricted_rows(t))
 
 
 def rt_to_maximal_mt(f: SkewFilling) -> MultisetTableau:
     """Inverse of maximal_mt_to_rt."""
-    mu = tuple(p for p in f.inner if p)
-    ell = mu[0] if mu else 0
-    rows = []
-    for r, width in enumerate(mu):
-        counts: dict[int, int] = {}
-        for v in f.rows[r] if r < len(f.rows) else ():
-            counts[v] = counts.get(v, 0) + 1
-        boxes = []
-        for c in range(width):
-            j = ell - c
-            boxes.append((r + 1,) * (1 + counts.get(j, 0)))
-        rows.append(tuple(boxes))
-    t = MultisetTableau(tuple(rows))
+    t = MultisetTableau(_maximal_rows(f, tuple(p for p in f.inner if p), int))
     if not is_maximal_mt(t):
         raise ValueError("filling does not encode a maximal multiset tableau")
     return t
@@ -560,36 +546,14 @@ def maximal_smt_to_srt(t: ShiftedMultisetTableau) -> SkewFilling:
     """Row i of the image holds |d_ij| - 1 copies of each diagonal label j."""
     if not is_maximal_smt(t):
         raise ValueError("input is not a maximal shifted multiset tableau")
-    lam = t.weight()
-    mu = t.shape
-    outer, inner = srt_shapes(lam, mu)
-    ell = t.ell
-    rows = []
-    for r, row in enumerate(t.rows):
-        entries = []
-        for c, box in enumerate(row):
-            entries.extend([ell - c] * (len(box) - 1))
-        rows.append(tuple(sorted(entries)))
-    return SkewFilling(outer, inner, tuple(rows))
+    outer, inner = srt_shapes(t.weight(), t.shape)
+    return SkewFilling(outer, inner, _restricted_rows(t))
 
 
 def srt_to_maximal_smt(f: SkewFilling) -> ShiftedMultisetTableau:
     """Inverse of maximal_smt_to_srt; inner shape determines mu."""
-    m = len(f.inner)
-    delta = staircase(m)
-    mu = tuple(i + d for i, d in zip(f.inner, delta))
-    ell = mu[0] if mu else 0
-    rows = []
-    for r, width in enumerate(mu):
-        counts: dict[int, int] = {}
-        for v in f.rows[r] if r < len(f.rows) else ():
-            counts[v] = counts.get(v, 0) + 1
-        boxes = []
-        for c in range(width):
-            j = ell - c
-            boxes.append((Entry(r + 1),) * (1 + counts.get(j, 0)))
-        rows.append(tuple(boxes))
-    t = ShiftedMultisetTableau(tuple(rows), signed=False)
+    mu = tuple(i + d for i, d in zip(f.inner, staircase(len(f.inner))))
+    t = ShiftedMultisetTableau(_maximal_rows(f, mu, Entry), signed=False)
     if not is_maximal_smt(t):
         raise ValueError("filling does not encode a maximal shifted tableau")
     return t
@@ -755,25 +719,17 @@ def enumerate_srt(lam, mu):
     return _enumerate_restricted(outer, inner, mu)
 
 
-def _enumerate_size_matrices(shape, extra_cap: int, bound: int):
-    """Box-size matrices for maximal tableaux: every size >= 1, total extra
-    bounded, and the running-sum condition with the given bound."""
+def _enumerate_size_matrices(shape, extra_cap: int):
+    """Box-size matrices of the given shape: every size >= 1, and at most
+    extra_cap entries beyond one per box in total."""
     shape = tuple(shape)
     cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
     sizes = [[1] * width for width in shape]
     out = []
-    ell = shape[0] if shape else 0
-
-    def size(i: int, j: int) -> int:
-        r, c = i - 1, ell - j
-        if j < 1 or r < 0 or r >= len(sizes) or c >= len(sizes[r]):
-            return 0
-        return sizes[r][c]
 
     def backtrack(idx: int, budget: int):
         if idx == len(cells):
-            if _partial_sums_ok(size, len(shape), ell, bound):
-                out.append([list(row) for row in sizes])
+            out.append([list(row) for row in sizes])
             return
         r, c = cells[idx]
         for s in range(1, budget + 2):
@@ -785,25 +741,19 @@ def _enumerate_size_matrices(shape, extra_cap: int, bound: int):
     return out
 
 
-def enumerate_maximal_mt(shape, extra_cap: int):
+def _enumerate_maximal(shape, extra_cap: int, entry, make, is_maximal):
+    """Tableaux whose row-i boxes hold only entry(i), kept when is_maximal."""
     out = []
-    for sizes in _enumerate_size_matrices(shape, extra_cap, 1):
-        rows = tuple(
-            tuple((r + 1,) * s for s in row) for r, row in enumerate(sizes)
-        )
-        t = MultisetTableau(rows)
-        if is_maximal_mt(t):
+    for sizes in _enumerate_size_matrices(shape, extra_cap):
+        t = make(tuple(tuple((entry(r + 1),) * s for s in row) for r, row in enumerate(sizes)))
+        if is_maximal(t):
             out.append(t)
     return out
+
+
+def enumerate_maximal_mt(shape, extra_cap: int):
+    return _enumerate_maximal(shape, extra_cap, int, MultisetTableau, is_maximal_mt)
 
 
 def enumerate_maximal_smt(shape, extra_cap: int):
-    out = []
-    for sizes in _enumerate_size_matrices(shape, extra_cap, 0):
-        rows = tuple(
-            tuple((Entry(r + 1),) * s for s in row) for r, row in enumerate(sizes)
-        )
-        t = ShiftedMultisetTableau(rows, signed=False)
-        if is_maximal_smt(t):
-            out.append(t)
-    return out
+    return _enumerate_maximal(shape, extra_cap, Entry, ShiftedMultisetTableau, is_maximal_smt)

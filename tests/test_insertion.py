@@ -1,6 +1,7 @@
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from grothlab.fixtures import out_chain_shifted, out_chain_straight
 from grothlab.insertion import (
@@ -334,3 +335,94 @@ def test_circled_state():
         (1, 2): Entry(3, True),
         (2, 3): Entry(4),
     }
+
+
+# ---------------------------------------------------------------------------
+# random tableaux beyond the census
+
+MAX_VALUE = 6
+EXTRA_CAP = 3  # entries beyond one per box, so about 8 entries in all
+STRAIGHT_SHAPES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 1)]
+STRICT_SHAPES = [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (3, 2, 1)]
+ALPHABET = sorted(Entry(v, p) for v in range(1, MAX_VALUE + 1) for p in (True, False))
+
+
+@st.composite
+def random_mt(draw):
+    """Rows built box by box above the left and upper neighbours."""
+    shape = draw(st.sampled_from(STRAIGHT_SHAPES))
+    budget = EXTRA_CAP
+    rows = []
+    for r, width in enumerate(shape):
+        row = []
+        for c in range(width):
+            lo = max(row[c - 1][-1] if c else 1, rows[r - 1][c][-1] + 1 if r else 1)
+            assume(lo <= MAX_VALUE)
+            values = draw(
+                st.lists(st.integers(lo, MAX_VALUE), min_size=1, max_size=1 + min(budget, 2))
+            )
+            budget -= len(values) - 1
+            row.append(tuple(sorted(values)))
+        rows.append(tuple(row))
+    t = MultisetTableau(tuple(rows))
+    assume(is_valid_mt(t))
+    return t
+
+
+@st.composite
+def random_smt(draw, signed):
+    """Shifted rows built box by box: the box minimum is admissible against
+    the left and upper neighbours, and no primed value repeats in a box."""
+    shape = draw(st.sampled_from(STRICT_SHAPES))
+    budget = EXTRA_CAP
+    rows = []
+    for r, width in enumerate(shape):
+        row = []
+        for c in range(width):
+            left = row[c - 1][-1] if c else None
+            above = rows[r - 1][c + 1][0] if r else None
+            firsts = [
+                e
+                for e in ALPHABET
+                if (left is None or lt_u(left, e))
+                and (above is None or lt_p(above, e))
+                and (signed or c or not e.primed)
+            ]
+            assume(firsts)
+            first = draw(st.sampled_from(firsts))
+            extras = draw(
+                st.lists(st.sampled_from([e for e in ALPHABET if first <= e]), max_size=min(budget, 2))
+            )
+            entries = [first]
+            for e in sorted(extras):
+                if not (e.primed and e in entries):
+                    entries.append(e)
+            budget -= len(entries) - 1
+            row.append(tuple(sorted(entries)))
+        rows.append(tuple(row))
+    t = ShiftedMultisetTableau(tuple(rows), signed=signed)
+    assume(is_valid_smt(t))
+    return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_mt())
+def test_psi_roundtrip_on_random_tableaux(p):
+    q, r = psi(p)
+    assert psi_inverse(q, r) == p
+    assert q.weight() == p.weight()
+    assert r.weight(p.ell) == p.column_weight()
+    assert is_valid_ssyt(q) and is_valid_rt(r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(random_smt))
+def test_phi_roundtrip_on_random_tableaux(p):
+    q, r = phi(p)
+    assert phi_inverse(q, r) == p
+    assert q.weight() == p.weight()
+    assert r.weight(p.ell) == p.diagonal_weight()
+    assert is_valid_sst(ShiftedMultisetTableau(q.rows, signed=True))
+    assert is_valid_srt(r, p.shape)
+    if not p.signed:
+        assert not q.signed and is_valid_sst(q)

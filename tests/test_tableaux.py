@@ -257,3 +257,20 @@ def test_json_round_trips():
     assert data["signed"] is False and data["shape"] == [5, 4, 2]
     mt = example_mt()
     assert MultisetTableau.from_json_dict(json.loads(json.dumps(mt.to_json_dict()))) == mt
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3, 1), (3, 2), (3, 2, 1)])
+def test_enumerate_maximal_is_the_maximal_part_of_the_census(shape):
+    # the maximal enumerators test every size matrix with is_maximal_*, so
+    # their output must be exactly the maximal members of the full census
+    for cap in range(3):
+        mts = enumerate_maximal_mt(shape, cap)
+        assert len(set(mts)) == len(mts)
+        assert set(mts) == {
+            t for t in enumerate_mt(shape, len(shape), cap) if is_maximal_mt(t)
+        }
+        smts = enumerate_maximal_smt(shape, cap)
+        assert len(set(smts)) == len(smts)
+        assert set(smts) == {
+            t for t in enumerate_smt(shape, len(shape), cap) if is_maximal_smt(t)
+        }
