@@ -14,6 +14,7 @@ import sys
 
 from .algebra import ExactDivisionError, Polynomial, TruncatedSeries
 from .insertion import in_step, out_step
+from .partitions import is_partition, is_strict_partition
 from .polynomials import (
     BasisExpansion,
     ExpansionError,
@@ -41,6 +42,7 @@ from .tableaux import (
     enumerate_srt,
     enumerate_ssyt,
     enumerate_sst,
+    lt_u,
 )
 from .verify import SUITES, run_suite
 
@@ -280,6 +282,25 @@ def _render_cell(cell) -> list[int]:
     return [cell[0] + 1, cell[1] + 1]
 
 
+def _check_trace_input(tableau, shifted: bool) -> None:
+    """Raise ValueError unless the shape and rows meet what the steps need:
+    a (strict, when shifted) partition shape, nonempty boxes of positive
+    entries, and rows increasing left to right.  Columns are not checked,
+    since the paper's displayed out-chains do not always meet them."""
+    shape = tableau.shape
+    if not (is_strict_partition(shape) if shifted else is_partition(shape)):
+        kind = "strict partition" if shifted else "partition"
+        raise ValueError(f"trace input shape {_format_mu(shape)} is not a {kind}")
+    value = (lambda e: e.value) if shifted else (lambda v: v)
+    precedes = lt_u if shifted else (lambda a, z: a <= z)
+    for r, row in enumerate(tableau.rows, start=1):
+        for c, box in enumerate(row, start=1):
+            if not box or any(value(e) < 1 for e in box):
+                raise ValueError(f"trace input row {r} box {c} must hold positive entries")
+            if c > 1 and not precedes(row[c - 2][-1], box[0]):
+                raise ValueError(f"trace input row {r} does not increase at box {c}")
+
+
 def _cmd_trace(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
@@ -287,6 +308,7 @@ def _cmd_trace(args) -> int:
         tableau = ShiftedMultisetTableau.from_text(text)
     else:
         tableau = MultisetTableau.from_text(text)
+    _check_trace_input(tableau, args.flavor == "shifted")
     ell = args.ell if args.ell is not None else tableau.ell
     if not 1 <= args.k <= ell:
         raise ValueError(f"--k must be a stage label in 1..{ell}, got {args.k}")

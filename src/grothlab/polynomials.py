@@ -6,6 +6,14 @@ divided exactly by the Vandermonde) and the combinatorial one (a weighted
 sum over multiset or shifted multiset tableaux).  Matching results from
 the two routes is the core correctness check of the whole library.
 
+The combinatorial route builds no tableau.  `count_mt_by_weight` and
+`count_smt_by_weight` tally the tableaux by (x, t) = (weight, column or
+diagonal weight) inside the backtrack that fills them, and those counts
+are the coefficients of the result.  The shifted backtrack draws each box
+from the part of the primed alphabet at or above the least entry its left
+and upper neighbours admit.  `schur` and `pschur` are the same counts
+with no extra entries, where t is zero.
+
 The algebraic route computes neither the antisymmetrization A(f) nor its
 quotient by the Vandermonde V.  By the bialternant rule
 A(x^a)/V = sign(w) s_{w(a) - delta} (w sorts a decreasingly; 0 if a
@@ -51,12 +59,10 @@ from .partitions import (
     staircase,
 )
 from .tableaux import (
+    count_mt_by_weight,
+    count_smt_by_weight,
     enumerate_maximal_mt,
     enumerate_maximal_smt,
-    enumerate_mt,
-    enumerate_smt,
-    enumerate_ssyt,
-    enumerate_sst,
 )
 
 __all__ = [
@@ -141,11 +147,10 @@ class FamilySpec:
 # undeformed bases
 
 
-def _tableau_sum(tableaux, n: int, nt: int, t_stat) -> Polynomial:
-    """Sum of t^t_stat(T) x^wt(T) over the given tableaux."""
-    return Polynomial.from_terms(
-        n, nt, (((pad(t.weight(), n), t_stat(t)), 1) for t in tableaux)
-    )
+def _x_part(counts, n: int) -> Polynomial:
+    """The t-free polynomial of (x, t) counts taken with no extra entries,
+    so that t is zero throughout."""
+    return Polynomial(n, 0, {(x, ()): c for (x, _), c in counts.items()})
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +159,7 @@ def schur(lam: tuple[int, ...], n: int) -> Polynomial:
     lam = tuple(p for p in lam if p)
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
-    return _tableau_sum(enumerate_ssyt(lam, n), n, 0, lambda t: ())
+    return _x_part(count_mt_by_weight(lam, n, 0), n)
 
 
 def schur_bialternant(lam: tuple[int, ...], n: int) -> Polynomial:
@@ -172,7 +177,7 @@ def pschur(lam: tuple[int, ...], n: int) -> Polynomial:
     lam = tuple(lam)
     if not is_strict_partition(lam):
         raise ValueError(f"not a strict partition: {lam}")
-    return _tableau_sum(enumerate_sst(lam, n), n, 0, lambda t: ())
+    return _x_part(count_smt_by_weight(lam, n, 0), n)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +222,7 @@ def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
 
 def grothendieck_J_combinatorial(spec: FamilySpec) -> TruncatedSeries:
     """Tableau route: sum of t^cw x^wt over capped multiset tableaux."""
-    total = _tableau_sum(
-        enumerate_mt(spec.mu, spec.n, spec.t_cap), spec.n, spec.ell,
-        lambda t: t.column_weight(),
-    )
+    total = Polynomial(spec.n, spec.ell, count_mt_by_weight(spec.mu, spec.n, spec.t_cap))
     return TruncatedSeries(total, spec.effective_x_cap(), spec.t_cap)
 
 
@@ -268,10 +270,8 @@ def grothendieck_P_algebraic(spec: FamilySpec) -> TruncatedSeries:
 
 
 def _smt_series(spec: FamilySpec, signed: bool) -> TruncatedSeries:
-    total = _tableau_sum(
-        enumerate_smt(spec.mu, spec.n, spec.t_cap, signed=signed), spec.n, spec.ell,
-        lambda t: t.diagonal_weight(),
-    )
+    counts = count_smt_by_weight(spec.mu, spec.n, spec.t_cap, signed=signed)
+    total = Polynomial(spec.n, spec.ell, counts)
     return TruncatedSeries(total, spec.effective_x_cap(), spec.t_cap)
 
 
@@ -407,6 +407,13 @@ class BasisExpansion:
         )
 
 
+def _from_grouped(basis: str, n: int, nt: int, grouped: dict) -> BasisExpansion:
+    """The expansion whose index lambda gets the sum of its t-terms in grouped[lambda]."""
+    return BasisExpansion.from_dict(basis, n, nt, {
+        lam: Polynomial.from_terms(0, nt, pairs) for lam, pairs in grouped.items()
+    })
+
+
 def _expand(f, n: int, basis_fn, basis_name: str, strict: bool) -> BasisExpansion:
     poly = f.poly if isinstance(f, TruncatedSeries) else f
     if not poly.is_symmetric_x():
@@ -415,7 +422,7 @@ def _expand(f, n: int, basis_fn, basis_name: str, strict: bool) -> BasisExpansio
     slices: dict[tuple, dict] = {}
     for (xe, te), c in poly.terms.items():
         slices.setdefault(te, {})[(xe, ())] = c
-    coeffs: dict[tuple[int, ...], Polynomial] = {}
+    grouped: dict[tuple[int, ...], list] = {}
     for te, terms in sorted(slices.items()):
         rem = Polynomial(n, 0, terms)
         while rem:
@@ -427,9 +434,8 @@ def _expand(f, n: int, basis_fn, basis_name: str, strict: bool) -> BasisExpansio
                 raise ExpansionError(f"leading exponent {xe} is not strict")
             c = rem.terms[(xe, ())]
             rem = rem - basis_fn(lam, n) * c
-            prev = coeffs.get(lam, Polynomial.zero(0, nt))
-            coeffs[lam] = prev + Polynomial.monomial((), te, c)
-    return BasisExpansion.from_dict(basis_name, n, nt, coeffs)
+            grouped.setdefault(lam, []).append((((), te), c))
+    return _from_grouped(basis_name, n, nt, grouped)
 
 
 def expand_in_schur(f, n: int) -> BasisExpansion:
@@ -449,7 +455,6 @@ def expansion_via_maximal(spec: FamilySpec) -> BasisExpansion:
     The series' x-cap applies here too: every lambda with |lambda| above
     `spec.effective_x_cap()` is dropped, as its basis element is."""
     n, ell, t_cap = spec.n, spec.ell, spec.t_cap
-    coeffs: dict[tuple[int, ...], Polynomial] = {}
     if spec.family == "J":
         tableaux = enumerate_maximal_mt(spec.mu, t_cap)
         stats = [(t.weight(), t.column_weight()) for t in tableaux]
@@ -463,14 +468,14 @@ def expansion_via_maximal(spec: FamilySpec) -> BasisExpansion:
     if spec.vanishes():
         return BasisExpansion.from_dict(basis, n, ell, {})
     x_cap = spec.effective_x_cap()
+    grouped: dict[tuple[int, ...], list] = {}
     for wt, cw in stats:
         if sum(wt) > x_cap:
             continue
         if not is_partition(wt):
             raise ExpansionError(f"maximal tableau weight {wt} is not a partition")
-        prev = coeffs.get(wt, Polynomial.zero(0, ell))
-        coeffs[wt] = prev + Polynomial.monomial((), cw)
-    return BasisExpansion.from_dict(basis, n, ell, coeffs)
+        grouped.setdefault(wt, []).append((((), cw), 1))
+    return _from_grouped(basis, n, ell, grouped)
 
 
 # ---------------------------------------------------------------------------

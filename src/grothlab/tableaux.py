@@ -46,6 +46,8 @@ __all__ = [
     "enumerate_mt",
     "enumerate_ssyt",
     "enumerate_smt",
+    "count_mt_by_weight",
+    "count_smt_by_weight",
     "enumerate_sst",
     "enumerate_rt",
     "enumerate_srt",
@@ -563,19 +565,29 @@ def srt_to_maximal_smt(f: SkewFilling) -> ShiftedMultisetTableau:
 # bounded exhaustive enumeration
 
 
-def enumerate_mt(shape, max_value: int, extra_cap: int):
-    """All multiset tableaux of the given shape, entries <= max_value and
-    at most extra_cap entries beyond one per box, in deterministic order."""
+# One backtracking core per family fills the cells in row order and keeps
+# the statistics of the partial filling current: x[v-1] counts the entries
+# equal to v, and t[j-1] the entries at label j beyond one per box.  Each
+# complete filling goes to a leaf callback, which either builds the tableau
+# (enumerate_*) or tallies its (x, t) (count_*_by_weight).
+
+
+def _fill_mt(shape, max_value: int, extra_cap: int, leaf) -> None:
+    """Call leaf(rows, x, t) on every multiset tableau of the given shape,
+    entries <= max_value and at most extra_cap entries beyond one per box,
+    in deterministic order."""
     shape = tuple(shape)
     if not is_partition(shape):
         raise ValueError(f"not a partition: {shape}")
+    ell = shape[0] if shape else 0
     cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
     rows = [[None] * width for width in shape]
-    out = []
+    x = [0] * max_value
+    t = [0] * ell
 
     def backtrack(idx: int, budget: int):
         if idx == len(cells):
-            out.append(MultisetTableau(tuple(tuple(row) for row in rows)))
+            leaf(rows, x, t)
             return
         r, c = cells[idx]
         lo = 1
@@ -585,18 +597,20 @@ def enumerate_mt(shape, max_value: int, extra_cap: int):
             lo = max(lo, rows[r - 1][c][-1] + 1)
         if lo > max_value:
             return
+        j = ell - 1 - c
         for size in range(1, budget + 2):
+            t[j] += size - 1
             for box in combinations_with_replacement(range(lo, max_value + 1), size):
                 rows[r][c] = box
+                for v in box:
+                    x[v - 1] += 1
                 backtrack(idx + 1, budget - (size - 1))
+                for v in box:
+                    x[v - 1] -= 1
+            t[j] -= size - 1
         rows[r][c] = None
 
     backtrack(0, extra_cap)
-    return out
-
-
-def enumerate_ssyt(shape, max_value: int):
-    return enumerate_mt(shape, max_value, 0)
 
 
 def _alphabet(max_value: int) -> list[Entry]:
@@ -607,55 +621,129 @@ def _alphabet(max_value: int) -> list[Entry]:
     return out
 
 
-def _shifted_boxes(lo_pred, alphabet, size: int):
-    """Sorted entry multisets of the given size with an admissible minimum
-    and no repeated primed value."""
-    for box in combinations_with_replacement(alphabet, size):
-        if not lo_pred(box[0]):
-            continue
-        primed = [e.value for e in box if e.primed]
-        if len(primed) != len(set(primed)):
-            continue
-        yield box
+def _fill_smt(shape, max_value: int, extra_cap: int, signed: bool, leaf) -> None:
+    """Call leaf(rows, x, t) on every (signed) shifted multiset tableau with
+    the given caps, in deterministic order.
 
-
-def enumerate_smt(shape, max_value: int, extra_cap: int, signed: bool = False):
-    """All (signed) shifted multiset tableaux with the given caps."""
+    Entries are handled as indices into the alphabet 1' < 1 < 2' < 2 < ...,
+    where index i is the value i // 2 + 1, primed when i is even.  A cell's
+    least admissible index follows from its neighbours: the last entry i of
+    the box to its left admits i onwards when unprimed and i + 1 onwards when
+    primed (lt_u); the first entry i of the box above admits i onwards when
+    primed and i + 1 onwards when unprimed (lt_p).  Boxes are drawn from that
+    suffix of the alphabet only, which yields the admissible boxes in the
+    order a filter over all of them would keep.
+    """
     shape = tuple(shape)
     if shape and not is_strict_partition(shape):
         raise ValueError(f"not a strict partition: {shape}")
     alphabet = _alphabet(max_value)
+    ell = shape[0] if shape else 0
     cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
     rows = [[None] * width for width in shape]
-    out = []
+    ends = [[None] * width for width in shape]  # (first, last) alphabet index
+    x = [0] * max_value
+    t = [0] * ell
+    # box lists per (least index, size, unprimed minimum), for this call only
+    cache: dict[tuple[int, int, bool], list] = {}
+
+    def boxes(lo: int, size: int, unprimed_min: bool) -> list:
+        key = (lo, size, unprimed_min)
+        found = cache.get(key)
+        if found is None:
+            found = []
+            for box in combinations_with_replacement(range(lo, len(alphabet)), size):
+                if unprimed_min and box[0] % 2 == 0:
+                    continue
+                if any(a == b and a % 2 == 0 for a, b in zip(box, box[1:])):
+                    continue  # a primed value repeated
+                entries = tuple(alphabet[i] for i in box)
+                found.append((entries, tuple(i // 2 for i in box), (box[0], box[-1])))
+            cache[key] = found
+        return found
 
     def backtrack(idx: int, budget: int):
         if idx == len(cells):
-            out.append(
-                ShiftedMultisetTableau(tuple(tuple(row) for row in rows), signed=signed)
-            )
+            leaf(rows, x, t)
             return
         r, c = cells[idx]
-        left = rows[r][c - 1][-1] if c > 0 else None
-        above = min(rows[r - 1][c + 1]) if r > 0 else None
-
-        def ok_min(e: Entry) -> bool:
-            if not signed and c == 0 and e.primed:
-                return False
-            if left is not None and not lt_u(left, e):
-                return False
-            if above is not None and not lt_p(above, e):
-                return False
-            return True
-
+        lo = 0
+        if c > 0:
+            lo = ends[r][c - 1][1] | 1
+        if r > 0:
+            first = ends[r - 1][c + 1][0]
+            lo = max(lo, first + first % 2)
+        unprimed_min = not signed and c == 0
+        j = ell - 1 - c
         for size in range(1, budget + 2):
-            for box in _shifted_boxes(ok_min, alphabet, size):
-                rows[r][c] = box
+            t[j] += size - 1
+            for entries, values, box_ends in boxes(lo, size, unprimed_min):
+                rows[r][c] = entries
+                ends[r][c] = box_ends
+                for v in values:
+                    x[v] += 1
                 backtrack(idx + 1, budget - (size - 1))
+                for v in values:
+                    x[v] -= 1
+            t[j] -= size - 1
         rows[r][c] = None
+        ends[r][c] = None
 
     backtrack(0, extra_cap)
+
+
+def _weight_tally():
+    """A leaf callback counting fillings by (x, t), and the dict it fills."""
+    counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+    def leaf(rows, x, t):
+        key = (tuple(x), tuple(t))
+        counts[key] = counts.get(key, 0) + 1
+
+    return counts, leaf
+
+
+def enumerate_mt(shape, max_value: int, extra_cap: int):
+    """All multiset tableaux of the given shape, entries <= max_value and
+    at most extra_cap entries beyond one per box, in deterministic order."""
+    out = []
+    _fill_mt(
+        shape, max_value, extra_cap,
+        lambda rows, x, t: out.append(MultisetTableau(tuple(tuple(row) for row in rows))),
+    )
     return out
+
+
+def count_mt_by_weight(shape, max_value: int, extra_cap: int) -> dict:
+    """{(x, t): count} over the tableaux of enumerate_mt: x is the weight
+    padded to max_value entries and t the column weight."""
+    counts, leaf = _weight_tally()
+    _fill_mt(shape, max_value, extra_cap, leaf)
+    return counts
+
+
+def enumerate_ssyt(shape, max_value: int):
+    return enumerate_mt(shape, max_value, 0)
+
+
+def enumerate_smt(shape, max_value: int, extra_cap: int, signed: bool = False):
+    """All (signed) shifted multiset tableaux with the given caps."""
+    out = []
+    _fill_smt(
+        shape, max_value, extra_cap, signed,
+        lambda rows, x, t: out.append(
+            ShiftedMultisetTableau(tuple(tuple(row) for row in rows), signed=signed)
+        ),
+    )
+    return out
+
+
+def count_smt_by_weight(shape, max_value: int, extra_cap: int, signed: bool = False) -> dict:
+    """{(x, t): count} over the tableaux of enumerate_smt: x is the weight
+    padded to max_value entries and t the diagonal weight."""
+    counts, leaf = _weight_tally()
+    _fill_smt(shape, max_value, extra_cap, signed, leaf)
+    return counts
 
 
 def enumerate_sst(shape, max_value: int, signed: bool = False):

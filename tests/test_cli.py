@@ -8,6 +8,7 @@ import grothlab.polynomials as polynomials
 from grothlab.algebra import ExactDivisionError
 from grothlab.fixtures import out_chain_shifted, out_chain_straight
 from grothlab.polynomials import ExpansionError
+from grothlab.tableaux import MultisetTableau, ShiftedMultisetTableau, is_valid_mt
 from grothlab.verify import CaseResult
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -260,6 +261,38 @@ def test_trace_rejects_bad_file(capsys, tmp_path):
     f.write_text("1 | 1\n2 | 2\n")  # second row lacks its placeholder
     code, _, err = run(capsys, "trace", str(f), "--k", "1", "--flavor", "shifted")
     assert code == 1 and "placeholder" in err
+
+
+@pytest.mark.parametrize("flavor, text, message", [
+    ("multiset", "2 | 1\n1\n", "row 1 does not increase at box 2"),
+    ("multiset", "1 | 2\n1 | 1 | 1\n", "shape 2,3 is not a partition"),
+    ("multiset", "1 |  | 2\n", "row 1 box 2 must hold positive entries"),
+    ("multiset", "1 | 0\n", "row 1 box 2 must hold positive entries"),
+    ("shifted", "2 | 1'\n. | 3\n", "row 1 does not increase at box 2"),
+    ("shifted", "1 | 2\n. | 3 | 4\n", "shape 2,2 is not a strict partition"),
+])
+def test_trace_rejects_broken_shape_or_rows(capsys, tmp_path, flavor, text, message):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "trace", str(f), "--k", "1", "--flavor", flavor)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("name, shifted", [
+    ("outchain_straight_start.txt", False),
+    ("outchain_shifted_start.txt", True),
+    ("outchain_shifted_end.txt", True),
+])
+def test_trace_accepts_the_displayed_chains(name, shifted):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        text = fh.read()
+    cls = ShiftedMultisetTableau if shifted else MultisetTableau
+    tableau = cls.from_text(text)
+    cli._check_trace_input(tableau, shifted)
+    if not shifted:
+        # the straight display breaks a column condition, which trace leaves alone
+        assert not is_valid_mt(tableau)
 
 
 def test_usage_error_exit_code(capsys):

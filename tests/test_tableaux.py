@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -11,11 +12,14 @@ from grothlab.fixtures import (
     paper_rt,
     paper_srt,
 )
+from grothlab.partitions import pad
 from grothlab.tableaux import (
     Entry,
     MultisetTableau,
     ShiftedMultisetTableau,
     SkewFilling,
+    count_mt_by_weight,
+    count_smt_by_weight,
     enumerate_maximal_mt,
     enumerate_maximal_smt,
     enumerate_mt,
@@ -274,3 +278,52 @@ def test_enumerate_maximal_is_the_maximal_part_of_the_census(shape):
         assert set(smts) == {
             t for t in enumerate_smt(shape, len(shape), cap) if is_maximal_smt(t)
         }
+
+
+# the shapes and caps of verify's psi/phi census (values <= 3, extras <= 2)
+@pytest.mark.parametrize("shape", [(2, 1), (3, 1), (3, 2)])
+def test_count_by_weight_tallies_the_census(shape):
+    for cap in range(3):
+        assert count_mt_by_weight(shape, 3, cap) == Counter(
+            (pad(t.weight(), 3), t.column_weight()) for t in enumerate_mt(shape, 3, cap)
+        )
+        for signed in (False, True):
+            assert count_smt_by_weight(shape, 3, cap, signed=signed) == Counter(
+                (pad(t.weight(), 3), t.diagonal_weight())
+                for t in enumerate_smt(shape, 3, cap, signed=signed)
+            )
+
+
+def _brute_force_smt(shape, max_value, extra_cap, signed):
+    """Every filling with boxes drawn from the whole primed alphabet, kept
+    when is_valid_smt accepts it."""
+    alphabet = [Entry(v, primed) for v in range(1, max_value + 1) for primed in (True, False)]
+    boxes = {
+        size: list(combinations_with_replacement(alphabet, size))
+        for size in range(1, extra_cap + 2)
+    }
+    out = set()
+    for sizes in product(boxes, repeat=sum(shape)):
+        if sum(sizes) - len(sizes) > extra_cap:
+            continue
+        for filling in product(*(boxes[size] for size in sizes)):
+            rows, start = [], 0
+            for width in shape:
+                rows.append(filling[start:start + width])
+                start += width
+            t = ShiftedMultisetTableau(tuple(rows), signed=signed)
+            if is_valid_smt(t):
+                out.add(t)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (2, 1), (3, 1), (3, 2)])
+def test_enumerate_smt_matches_brute_force_over_the_alphabet(shape):
+    # boxes come from the alphabet suffix above each cell's least admissible
+    # entry; drawing them from the whole alphabet must find nothing more
+    for max_value in range(1, 4):
+        for cap in range(2):
+            for signed in (False, True):
+                found = enumerate_smt(shape, max_value, cap, signed=signed)
+                assert len(set(found)) == len(found)
+                assert set(found) == _brute_force_smt(shape, max_value, cap, signed)
