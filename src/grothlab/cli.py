@@ -2,8 +2,8 @@
 
 Output is byte-deterministic for identical inputs.  Exit codes: 0 on
 success, 1 on usage errors, 2 on verification failure (including route
-disagreement), 3 on an internal invariant breach such as an inexact
-Vandermonde division.
+disagreement), 3 on an internal invariant breach such as a failed basis
+expansion.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
-from .algebra import ExactDivisionError, Polynomial, TruncatedSeries
+from .algebra import ExactDivisionError, TruncatedSeries
 from .insertion import in_step, out_step
 from .partitions import is_partition, is_strict_partition
 from .polynomials import (
@@ -26,10 +27,6 @@ from .polynomials import (
     grothendieck_J_combinatorial,
     grothendieck_P_algebraic,
     grothendieck_P_combinatorial,
-    pschur,
-    schur,
-    schur_bialternant,
-    specialize_t,
 )
 from .tableaux import (
     MultisetTableau,
@@ -108,27 +105,13 @@ def _routes_for(spec: FamilySpec):
             "algebraic": lambda: grothendieck_P_algebraic(spec),
             "combinatorial": lambda: grothendieck_P_combinatorial(spec),
         }
-    cap = spec.effective_x_cap()
-
-    def as_series(poly: Polynomial) -> TruncatedSeries:
-        lifted = Polynomial(
-            spec.n, spec.ell, {(xe, (0,) * spec.ell): c for (xe, _), c in poly.terms.items()}
-        )
-        return TruncatedSeries(lifted, cap, spec.t_cap)
-
-    if spec.family == "schur":
-        return {
-            "algebraic": lambda: as_series(schur_bialternant(spec.mu, spec.n)),
-            "combinatorial": lambda: as_series(schur(spec.mu, spec.n)),
-        }
+    # s_mu and P_mu are J_mu and P_mu at t = 0, lifted to the spec's caps
+    base = FamilySpec("J" if spec.family == "schur" else "P", spec.mu, spec.n, t_cap=0)
     return {
-        "algebraic": lambda: as_series(
-            specialize_t(
-                grothendieck_P_algebraic(FamilySpec("P", spec.mu, spec.n, t_cap=0)),
-                (0,) * spec.ell,
-            )
-        ),
-        "combinatorial": lambda: as_series(pschur(spec.mu, spec.n)),
+        name: lambda route=route: TruncatedSeries(
+            route().poly, spec.effective_x_cap(), spec.t_cap
+        )
+        for name, route in _routes_for(base).items()
     }
 
 
@@ -403,6 +386,7 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="grothlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,11 +19,11 @@ quotient by the Vandermonde V.  By the bialternant rule
 A(x^a)/V = sign(w) s_{w(a) - delta} (w sorts a decreasingly; 0 if a
 repeats a part), `straighten` reads A(f)/V off the product f term by term
 as Schur coefficients, and Kostka numbers, themselves read off
-straighten(h_nu x^delta), turn them back into monomials.  For P the product
-is alternating in the n - m tail variables, so its coset sum over
-S_n / S_{n-m} is A(f)/(n-m)!; a coefficient that (n-m)! does not divide
-is an invariant breach (ExactDivisionError).  The explicit antisymmetrize,
-coset-sum and division path stays in use by the h-product reference.
+straighten(h_nu x^delta), turn them back into monomials.  J and P share
+one product, `_product`: for P the tail Vandermonde of the coset sum is
+replaced by its leading monomial, which turns the coset sum into a plain
+A(f)/V.  The explicit antisymmetrize, coset-sum and division path stays
+in use by the h-product reference.
 
 Everything is exact: integer coefficients throughout, with the t-degree
 cap as the only source of truncation.  Within the cap window the x-degree
@@ -35,10 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 from .algebra import (
-    ExactDivisionError,
     Polynomial,
     TruncatedSeries,
     antisymmetrize,
@@ -70,7 +68,6 @@ __all__ = [
     "FamilySpec",
     "BasisExpansion",
     "schur",
-    "schur_bialternant",
     "pschur",
     "grothendieck_J_algebraic",
     "grothendieck_J_combinatorial",
@@ -162,15 +159,6 @@ def schur(lam: tuple[int, ...], n: int) -> Polynomial:
     return _x_part(count_mt_by_weight(lam, n, 0), n)
 
 
-def schur_bialternant(lam: tuple[int, ...], n: int) -> Polynomial:
-    """Schur polynomial as the bialternant quotient (independent route)."""
-    lam = tuple(lam)
-    if len(lam) > n:
-        return Polynomial.zero(n, 0)
-    exps = tuple(a + b for a, b in zip(pad(lam, n), staircase(n)))
-    return schur_to_monomials(straighten(Polynomial.monomial(exps, ())), n, 0)
-
-
 @lru_cache(maxsize=None)
 def pschur(lam: tuple[int, ...], n: int) -> Polynomial:
     """P-Schur polynomial as the shifted tableau generating function."""
@@ -192,19 +180,39 @@ def _geometric_row(i: int, part: int, ell: int, n: int, x_cap: int, t_cap: int) 
     return out
 
 
-def _j_product(spec: FamilySpec) -> TruncatedSeries:
-    """x^delta times the geometric rows of mu, truncated to the caps."""
+def _product(spec: FamilySpec) -> TruncatedSeries:
+    """x^delta times the geometric rows of mu, truncated to the caps; for P,
+    each factor x_i of x^delta with i < m becomes (x_i + x_j).
+
+    The P coset sum over S_n / S_{n-m} is A(f)/(n-m)! for the paper's
+    product f = g * V_tail, where V_tail = prod_{m<=i<j} (x_i - x_j) and g
+    (the geometric rows times the pair factors of the rows i < m) is
+    symmetric in the n - m tail variables.  Each term sign(s) s(x_tail^delta)
+    of V_tail gives A(g * s(x_tail^delta)) = sign(s) A(g * x_tail^delta), so
+    A(f) = (n-m)! A(g * x_tail^delta): the coset sum is A of this product,
+    with no division.  The stair factors are multiplied in last, as one
+    polynomial, so the row products stay small.
+    """
     n, ell, t_cap = spec.n, spec.ell, spec.t_cap
-    mu_p = pad(spec.mu, n)
+    head = len(spec.mu) if spec.family == "P" else 0
+    stair = Polynomial.constant(1, n, ell)
+    for i in range(n):
+        for j in range(i + 1, n):
+            factor = x_var(i, n, ell) + x_var(j, n, ell) if i < head else x_var(i, n, ell)
+            stair = stair * factor
     window = min(spec.effective_x_cap(), spec.weight_size + t_cap)
     x_work = window + n * (n - 1) // 2
     prod = TruncatedSeries.one(n, ell, x_work, t_cap)
-    for i in range(n):
-        stair = [0] * n
-        stair[i] = n - 1 - i
-        prod = prod * Polynomial.monomial(stair, (0,) * ell)
-        prod = prod * _geometric_row(i, mu_p[i], ell, n, x_work, t_cap)
-    return prod
+    for i, part in enumerate(spec.mu):
+        prod = prod * _geometric_row(i, part, ell, n, x_work, t_cap)
+    return prod * stair
+
+
+def _algebraic(spec: FamilySpec) -> TruncatedSeries:
+    if spec.vanishes():
+        return spec.zero_series()
+    quotient = schur_to_monomials(straighten(_product(spec)), spec.n, spec.ell)
+    return TruncatedSeries(quotient, spec.effective_x_cap(), spec.t_cap)
 
 
 def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
@@ -214,10 +222,7 @@ def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
     expanded into monomials by `schur_to_monomials`; it equals the exact
     quotient of the antisymmetrized f by the Vandermonde.
     """
-    if spec.vanishes():
-        return spec.zero_series()
-    quotient = schur_to_monomials(straighten(_j_product(spec)), spec.n, spec.ell)
-    return TruncatedSeries(quotient, spec.effective_x_cap(), spec.t_cap)
+    return _algebraic(spec)
 
 
 def grothendieck_J_combinatorial(spec: FamilySpec) -> TruncatedSeries:
@@ -230,43 +235,15 @@ def grothendieck_J_combinatorial(spec: FamilySpec) -> TruncatedSeries:
 # the weak symmetric P-Grothendieck family
 
 
-def _p_product(spec: FamilySpec) -> TruncatedSeries:
-    """Geometric rows of mu times the plus and minus pair factors, truncated."""
-    n, ell, t_cap = spec.n, spec.ell, spec.t_cap
-    m = len(spec.mu)
-    window = min(spec.effective_x_cap(), spec.weight_size + t_cap)
-    x_work = window + n * (n - 1) // 2
-    prod = TruncatedSeries.one(n, ell, x_work, t_cap)
-    for i in range(m):
-        prod = prod * _geometric_row(i, spec.mu[i], ell, n, x_work, t_cap)
-    plus = Polynomial.constant(1, n, ell)
-    for i in range(m):
-        for j in range(i + 1, n):
-            plus = plus * (x_var(i, n, ell) + x_var(j, n, ell))
-    minus = Polynomial.constant(1, n, ell)
-    for i in range(m, n):
-        for j in range(i + 1, n):
-            minus = minus * (x_var(i, n, ell) - x_var(j, n, ell))
-    return prod * plus * minus
-
-
 def grothendieck_P_algebraic(spec: FamilySpec) -> TruncatedSeries:
     """The coset-sum route: (sum over S_n / S_{n-m} of the signed product f) / V.
 
-    f is alternating in the n - m tail variables (the minus factors are,
-    and the rest is symmetric in them), so the coset sum is A(f)/(n-m)!.  `straighten` reads A(f)/V off f as Schur
-    coefficients, which are divided exactly by (n-m)! and expanded into
-    monomials.  An inexact division raises ExactDivisionError.
+    The coset sum is A of `_product(spec)`, which carries the tail staircase
+    in place of the tail Vandermonde (see there).  `straighten` reads its
+    quotient by V off that product as Schur coefficients, which are expanded
+    into monomials.
     """
-    if spec.vanishes():
-        return spec.zero_series()
-    n, m = spec.n, len(spec.mu)
-    coeffs = straighten(_p_product(spec))
-    tail = factorial(n - m)
-    if any(c % tail for c in coeffs.values()):
-        raise ExactDivisionError(f"A(f)/V has a coefficient not divisible by ({n}-{m})!")
-    quotient = schur_to_monomials({k: c // tail for k, c in coeffs.items()}, n, spec.ell)
-    return TruncatedSeries(quotient, spec.effective_x_cap(), spec.t_cap)
+    return _algebraic(spec)
 
 
 def _smt_series(spec: FamilySpec, signed: bool) -> TruncatedSeries:

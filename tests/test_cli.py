@@ -4,7 +4,6 @@ import os
 import pytest
 
 import grothlab.cli as cli
-import grothlab.polynomials as polynomials
 from grothlab.algebra import ExactDivisionError
 from grothlab.fixtures import out_chain_shifted, out_chain_straight
 from grothlab.polynomials import ExpansionError
@@ -55,6 +54,17 @@ def test_compute_schur_and_pschur_routes(capsys):
     assert code == 0 and "verdict: AGREE" in out
     code, out, _ = run(capsys, "compute", "pschur", "2,1", "--n", "2", "--tcap", "0")
     assert code == 0 and "verdict: AGREE" in out
+
+
+def test_compute_schur_and_pschur_print_their_own_terms(capsys):
+    # s_31 and P_31 differ at x^(2,2): 1 against 2
+    for family, middle in (("schur", "1  2 2 | 0 0 0"), ("pschur", "2  2 2 | 0 0 0")):
+        code, out, _ = run(capsys, "compute", family, "3,1", "--n", "2", "--tcap", "0")
+        assert code == 0
+        lines = out.splitlines()
+        for route in ("algebraic", "combinatorial"):
+            start = lines.index(f"route {route}: 3 terms") + 1
+            assert lines[start : start + 3] == ["1  3 1 | 0 0 0", middle, "1  1 3 | 0 0 0"]
 
 
 def test_compute_json_matches_text(capsys):
@@ -159,15 +169,27 @@ def test_expansion_error_in_expand_exits_three(capsys, monkeypatch):
     assert "internal invariant breach" in err
 
 
-def test_coset_division_breach_exits_three(capsys, monkeypatch):
-    # n=3, m=1: every Schur coefficient of A(f)/V is even; make them odd
-    straighten = polynomials.straighten
-    monkeypatch.setattr(
-        polynomials, "straighten", lambda f: {k: c + 1 for k, c in straighten(f).items()}
+def test_one_parser_serves_successive_calls(capsys):
+    # main builds its parser once; each call must see only its own arguments
+    assert cli._build_parser() is cli._build_parser()
+    code, raw, _ = run(
+        capsys, "compute", "J", "2,1", "--n", "3", "--tcap", "2", "--xcap", "4",
+        "--route", "algebraic", "--format", "json",
     )
-    code, _, err = run(capsys, "compute", "P", "2", "--n", "3", "--route", "algebraic")
-    assert code == 3
-    assert "internal invariant breach" in err
+    assert code == 0
+    payload = json.loads(raw)
+    assert list(payload["routes"]) == ["algebraic"]
+    assert (payload["tcap"], payload["xcap"]) == (2, 4)
+    code, out, _ = run(capsys, "compute", "J", "1", "--n", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:5] == ["family: J", "mu: 1", "n: 2", "tcap: 1", "xcap: 3"]
+    assert "route algebraic: 5 terms" in lines and "route combinatorial: 5 terms" in lines
+    assert lines[-1] == "verdict: AGREE"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["compute", "J", "1"])
+    assert exit_info.value.code == 1
+    assert "the following arguments are required: --n" in capsys.readouterr().err
 
 
 def test_expand_with_low_xcap_agrees(capsys):

@@ -426,3 +426,26 @@ def test_phi_roundtrip_on_random_tableaux(p):
     assert is_valid_srt(r, p.shape)
     if not p.signed:
         assert not q.signed and is_valid_sst(q)
+
+
+# ---------------------------------------------------------------------------
+# serialization of the same random tableaux
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_mt())
+def test_mt_serialization_roundtrip(p):
+    assert MultisetTableau.from_text(p.to_text()) == p
+    assert MultisetTableau.from_json_dict(p.to_json_dict()) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(random_smt))
+def test_smt_serialization_roundtrip(p):
+    assert ShiftedMultisetTableau.from_json_dict(p.to_json_dict()) == p
+    # the text form carries no flag: signed is read back as "some row
+    # minimum is primed", so a signed tableau with unprimed minima reads
+    # back unsigned
+    read = ShiftedMultisetTableau.from_text(p.to_text())
+    assert read.rows == p.rows
+    assert read.signed == any(min(row[0]).primed for row in p.rows)

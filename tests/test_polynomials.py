@@ -9,11 +9,12 @@ from grothlab.algebra import (
     coset_sum,
     divide_exact,
     vandermonde,
+    x_var,
 )
 from grothlab.partitions import subpartitions
 from grothlab.polynomials import (
-    _j_product,
-    _p_product,
+    _geometric_row,
+    _product,
     BasisExpansion,
     ExpansionError,
     FamilySpec,
@@ -29,7 +30,6 @@ from grothlab.polynomials import (
     hmult_good_extension_route,
     pschur,
     schur,
-    schur_bialternant,
     signed_smt_sum,
     specialize_t,
 )
@@ -47,13 +47,14 @@ def test_schur_basics():
     assert schur((1,), 2) == Polynomial.monomial((1, 0), ()) + Polynomial.monomial((0, 1), ())
     s = schur((2, 1), 3)
     assert sum(s.terms.values()) == 8
-    assert s == schur_bialternant((2, 1), 3)
+    assert s == grothendieck_J_algebraic(FamilySpec("J", (2, 1), 3, t_cap=0)).poly.coefficient_of_t((0, 0))
     assert schur((1, 1, 1), 2) == Polynomial.zero(2, 0)
 
 
 @pytest.mark.parametrize("lam,n", [((2,), 2), ((2, 2), 3), ((3, 1), 3), ((3, 2, 1), 3)])
 def test_schur_routes_agree(lam, n):
-    assert schur(lam, n) == schur_bialternant(lam, n)
+    bialternant = grothendieck_J_algebraic(FamilySpec("J", lam, n, t_cap=0))
+    assert schur(lam, n) == bialternant.poly.coefficient_of_t((0,) * lam[0])
 
 
 def test_pschur_values():
@@ -278,20 +279,41 @@ SMALL_J = [
     if len(mu) <= n
 ]
 SMALL_P = [(mu, n, t_cap) for mu, n, t_cap in SMALL_J if len(set(mu)) == len(mu)]
+# tails of 4 and 5 variables, where (n - m)! is 24 or 120
+LARGER_TAILS = [((1,), 5, 2), ((1,), 6, 1), ((2, 1), 5, 1), ((2,), 5, 2)]
 
 
 @pytest.mark.parametrize("mu,n,t_cap", SMALL_J)
 def test_J_kernel_matches_antisymmetrize_and_divide(mu, n, t_cap):
     spec = FamilySpec("J", mu, n, t_cap=t_cap)
-    expected = divide_exact(antisymmetrize(_j_product(spec), n), vandermonde(n))
+    expected = divide_exact(antisymmetrize(_product(spec), n), vandermonde(n))
     assert grothendieck_J_algebraic(spec) == TruncatedSeries(expected.poly, spec.effective_x_cap(), t_cap)
 
 
-@pytest.mark.parametrize("mu,n,t_cap", SMALL_P)
+def _paper_p_product(spec):
+    """The paper's P product: geometric rows of mu, the plus factors of the
+    rows i < m, and the tail Vandermonde prod_{m<=i<j} (x_i - x_j)."""
+    n, ell, t_cap, m = spec.n, spec.ell, spec.t_cap, len(spec.mu)
+    x_work = min(spec.effective_x_cap(), spec.weight_size + t_cap) + n * (n - 1) // 2
+    prod = TruncatedSeries.one(n, ell, x_work, t_cap)
+    for i in range(m):
+        prod = prod * _geometric_row(i, spec.mu[i], ell, n, x_work, t_cap)
+    for i in range(n):
+        for j in range(i + 1, n):
+            sign = 1 if i < m else -1
+            prod = prod * (x_var(i, n, ell) + x_var(j, n, ell) * sign)
+    return prod
+
+
+@pytest.mark.parametrize("mu,n,t_cap", SMALL_P + LARGER_TAILS)
 def test_P_kernel_matches_coset_sum_and_divide(mu, n, t_cap):
     spec = FamilySpec("P", mu, n, t_cap=t_cap)
-    prod = _p_product(spec)
-    expected = divide_exact(coset_sum(prod, n, len(mu)), vandermonde(n))
+    m = len(mu)
+    f_paper = _paper_p_product(spec)
+    expected = divide_exact(coset_sum(f_paper, n, m), vandermonde(n))
     assert grothendieck_P_algebraic(spec) == TruncatedSeries(expected.poly, spec.effective_x_cap(), t_cap)
-    # the identity the P route rests on: the coset sum is A(f)/(n-m)!
-    assert antisymmetrize(prod, n) == coset_sum(prod, n, len(mu)) * factorial(n - len(mu))
+    # the coset sum is A(f)/(n-m)!, and the tail staircase of _product
+    # carries exactly that A(f)/(n-m)!
+    a_paper = antisymmetrize(f_paper, n)
+    assert a_paper == coset_sum(f_paper, n, m) * factorial(n - m)
+    assert a_paper == antisymmetrize(_product(spec), n) * factorial(n - m)
