@@ -7,12 +7,14 @@ sum over multiset or shifted multiset tableaux).  Matching results from
 the two routes is the core correctness check of the whole library.
 
 The combinatorial route builds no tableau.  `count_mt_by_weight` and
-`count_smt_by_weight` tally the tableaux by (x, t) = (weight, column or
-diagonal weight) inside the backtrack that fills them, and those counts
-are the coefficients of the result.  The shifted backtrack draws each box
-from the part of the primed alphabet at or above the least entry its left
-and upper neighbours admit.  `schur` and `pschur` are the same counts
-with no extra entries, where t is zero.
+`count_smt_by_weight` count the tableaux by (x, t) = (weight, column or
+diagonal weight), and those counts are the coefficients of the result.
+They fill the cells in row order, where a cell's admissible boxes depend
+only on its left and upper boxes (one helper per family states the rule),
+so the completions of a partial filling depend only on the next cell, the
+frontier of boxes later cells still read, and the extra entries left; each
+such state is counted once per call (the transfer-matrix method).  `schur`
+and `pschur` are the same counts with no extra entries, where t is zero.
 
 The algebraic route computes neither the antisymmetrization A(f) nor its
 quotient by the Vandermonde V.  By the bialternant rule

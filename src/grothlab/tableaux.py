@@ -562,154 +562,222 @@ def srt_to_maximal_smt(f: SkewFilling) -> ShiftedMultisetTableau:
 
 
 # ---------------------------------------------------------------------------
-# bounded exhaustive enumeration
+# bounded exhaustive enumeration and counting
 
 
-# One backtracking core per family fills the cells in row order and keeps
-# the statistics of the partial filling current: x[v-1] counts the entries
-# equal to v, and t[j-1] the entries at label j beyond one per box.  Each
-# complete filling goes to a leaf callback, which either builds the tableau
-# (enumerate_*) or tallies its (x, t) (count_*_by_weight).
+# Both families fill the cells of the shape in row order.  A box is a
+# nondecreasing run of indices into an alphabet: 1 < 2 < ... for multiset
+# tableaux, where index i is the value i + 1, and 1' < 1 < 2' < 2 < ... for
+# shifted ones, where index i is the value i // 2 + 1, primed when i is even.
+# A cell admits the boxes whose first index is at least the least index that
+# its left and upper boxes allow (`_mt_least`, `_smt_least`, with -1 for a
+# missing neighbour); nothing else of the filling matters to it.  So what
+# later cells read is a frontier of two slots per column (straight) or
+# absolute column (shifted): the first and last index of the box filled
+# there last.  `_fill` walks every tableau for enumerate_*, and `_count`
+# counts them by (x, t) on the frontier for count_*_by_weight.
 
 
-def _fill_mt(shape, max_value: int, extra_cap: int, leaf) -> None:
-    """Call leaf(rows, x, t) on every multiset tableau of the given shape,
-    entries <= max_value and at most extra_cap entries beyond one per box,
-    in deterministic order."""
-    shape = tuple(shape)
-    if not is_partition(shape):
-        raise ValueError(f"not a partition: {shape}")
-    ell = shape[0] if shape else 0
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-    rows = [[None] * width for width in shape]
-    x = [0] * max_value
-    t = [0] * ell
-
-    def backtrack(idx: int, budget: int):
-        if idx == len(cells):
-            leaf(rows, x, t)
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1][-1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c][-1] + 1)
-        if lo > max_value:
-            return
-        j = ell - 1 - c
-        for size in range(1, budget + 2):
-            t[j] += size - 1
-            for box in combinations_with_replacement(range(lo, max_value + 1), size):
-                rows[r][c] = box
-                for v in box:
-                    x[v - 1] += 1
-                backtrack(idx + 1, budget - (size - 1))
-                for v in box:
-                    x[v - 1] -= 1
-            t[j] -= size - 1
-        rows[r][c] = None
-
-    backtrack(0, extra_cap)
+def _mt_least(left: int, above: int) -> int:
+    """Least index a multiset tableau cell admits, given the last index of
+    the box to its left and of the box above: rows weakly increase and
+    columns strictly."""
+    return max(left, above + 1)
 
 
-def _alphabet(max_value: int) -> list[Entry]:
-    out = []
-    for v in range(1, max_value + 1):
-        out.append(Entry(v, True))
-        out.append(Entry(v, False))
-    return out
+def _smt_least(left: int, above: int) -> int:
+    """Least index a shifted cell admits, given the last index of the box to
+    its left and the first index of the box above.  Along a row (lt_u) the
+    left index i admits i onwards when unprimed (odd) and i + 1 when primed;
+    down a column (lt_p) the upper index i admits i onwards when primed
+    (even) and i + 1 when unprimed."""
+    return max(left | 1, above + above % 2)
 
 
-def _fill_smt(shape, max_value: int, extra_cap: int, signed: bool, leaf) -> None:
-    """Call leaf(rows, x, t) on every (signed) shifted multiset tableau with
-    the given caps, in deterministic order.
+class _Grid:
+    """The cells, frontier layout and box lists of one enumeration or count.
 
-    Entries are handled as indices into the alphabet 1' < 1 < 2' < 2 < ...,
-    where index i is the value i // 2 + 1, primed when i is even.  A cell's
-    least admissible index follows from its neighbours: the last entry i of
-    the box to its left admits i onwards when unprimed and i + 1 onwards when
-    primed (lt_u); the first entry i of the box above admits i onwards when
-    primed and i + 1 onwards when unprimed (lt_p).  Boxes are drawn from that
-    suffix of the alphabet only, which yields the admissible boxes in the
-    order a filter over all of them would keep.
+    Each cell is (r, c, left, above, slot, unprimed_min): the frontier slots
+    its neighbours' indices are read from, the slot pair (first, last) its
+    own box is written to, and whether its box must start unprimed.  A
+    missing neighbour reads the extra last slot, which always holds -1.
     """
-    shape = tuple(shape)
-    if shape and not is_strict_partition(shape):
-        raise ValueError(f"not a strict partition: {shape}")
-    alphabet = _alphabet(max_value)
-    ell = shape[0] if shape else 0
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-    rows = [[None] * width for width in shape]
-    ends = [[None] * width for width in shape]  # (first, last) alphabet index
-    x = [0] * max_value
-    t = [0] * ell
-    # box lists per (least index, size, unprimed minimum), for this call only
-    cache: dict[tuple[int, int, bool], list] = {}
 
-    def boxes(lo: int, size: int, unprimed_min: bool) -> list:
+    def __init__(self, shape, max_value: int, extra_cap: int, shifted: bool, signed: bool = False):
+        shape = tuple(shape)
+        if shifted and shape and not is_strict_partition(shape):
+            raise ValueError(f"not a strict partition: {shape}")
+        if not shifted and not is_partition(shape):
+            raise ValueError(f"not a partition: {shape}")
+        if max_value < 0:
+            raise ValueError(f"max_value must be nonnegative, got {max_value}")
+        if extra_cap < 0:
+            raise ValueError(f"extra_cap must be nonnegative, got {extra_cap}")
+        self.shape, self.max_value, self.extra_cap = shape, max_value, extra_cap
+        self.ell = shape[0] if shape else 0
+        self.shifted = shifted
+        self.least = _smt_least if shifted else _mt_least
+        if shifted:
+            self.alphabet = [Entry(i // 2 + 1, i % 2 == 0) for i in range(2 * max_value)]
+        else:
+            self.alphabet = list(range(1, max_value + 1))
+        self.nslots = 2 * self.ell
+        self.cells = []
+        for r, width in enumerate(shape):
+            for c in range(width):
+                pos = r + c if shifted else c
+                left = 2 * pos - 1 if c else self.nslots
+                above = (2 * pos if shifted else 2 * pos + 1) if r else self.nslots
+                unprimed_min = shifted and not signed and c == 0
+                self.cells.append((r, c, left, above, 2 * pos, unprimed_min))
+        self._boxes: dict[tuple[int, int, bool], list] = {}
+
+    def frontier(self) -> tuple[int, ...]:
+        return (0,) * self.nslots + (-1,)
+
+    def boxes(self, lo: int, size: int, unprimed_min: bool) -> list:
+        """The admissible boxes of the given size with first index >= lo, as
+        index tuples in lexicographic order.  In a shifted box a primed
+        (even) index never repeats, and leads only when unprimed_min is off."""
         key = (lo, size, unprimed_min)
-        found = cache.get(key)
+        found = self._boxes.get(key)
         if found is None:
-            found = []
-            for box in combinations_with_replacement(range(lo, len(alphabet)), size):
-                if unprimed_min and box[0] % 2 == 0:
-                    continue
-                if any(a == b and a % 2 == 0 for a, b in zip(box, box[1:])):
-                    continue  # a primed value repeated
-                entries = tuple(alphabet[i] for i in box)
-                found.append((entries, tuple(i // 2 for i in box), (box[0], box[-1])))
-            cache[key] = found
+            found = combinations_with_replacement(range(lo, len(self.alphabet)), size)
+            if self.shifted:
+                found = (
+                    box for box in found
+                    if not (unprimed_min and box[0] % 2 == 0)
+                    and not any(a == b and a % 2 == 0 for a, b in zip(box, box[1:]))
+                )
+            found = self._boxes[key] = list(found)
         return found
 
+
+def _fill(grid: _Grid, leaf) -> None:
+    """Call leaf(rows) on every tableau of the grid, in deterministic order:
+    cells in row order, each box by size, then lexicographically."""
+    rows = [[None] * width for width in grid.shape]
+    frontier = list(grid.frontier())
+    cells, entry = grid.cells, grid.alphabet.__getitem__
+
     def backtrack(idx: int, budget: int):
         if idx == len(cells):
-            leaf(rows, x, t)
+            leaf(rows)
             return
-        r, c = cells[idx]
-        lo = 0
-        if c > 0:
-            lo = ends[r][c - 1][1] | 1
-        if r > 0:
-            first = ends[r - 1][c + 1][0]
-            lo = max(lo, first + first % 2)
-        unprimed_min = not signed and c == 0
-        j = ell - 1 - c
+        r, c, left, above, slot, unprimed_min = cells[idx]
+        lo = grid.least(frontier[left], frontier[above])
+        saved = frontier[slot:slot + 2]
         for size in range(1, budget + 2):
-            t[j] += size - 1
-            for entries, values, box_ends in boxes(lo, size, unprimed_min):
-                rows[r][c] = entries
-                ends[r][c] = box_ends
-                for v in values:
-                    x[v] += 1
+            for box in grid.boxes(lo, size, unprimed_min):
+                rows[r][c] = tuple(map(entry, box))
+                frontier[slot:slot + 2] = box[0], box[-1]
                 backtrack(idx + 1, budget - (size - 1))
-                for v in values:
-                    x[v] -= 1
-            t[j] -= size - 1
+        frontier[slot:slot + 2] = saved
         rows[r][c] = None
-        ends[r][c] = None
 
-    backtrack(0, extra_cap)
+    backtrack(0, grid.extra_cap)
 
 
-def _weight_tally():
-    """A leaf callback counting fillings by (x, t), and the dict it fills."""
-    counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+def _count(grid: _Grid) -> dict:
+    """{(x, t): count} over the tableaux of the grid, with x the weight padded
+    to max_value entries and t the per-label weight (T_1..T_ell).
 
-    def leaf(rows, x, t):
-        key = (tuple(x), tuple(t))
-        counts[key] = counts.get(key, 0) + 1
+    The transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7):
+    the completions of a partial filling depend only on the next cell, the
+    frontier and the remaining extra budget, so they are counted once per
+    such state, as a dict {packed weight of the remaining cells: count}.  A
+    frontier slot no later cell reads is zeroed, so that more states
+    coincide.  Weights are packed into one integer, x_v at digit v - 1 and
+    T_j at digit max_value + j - 1 in base |shape| + extra_cap + 1, so a box
+    choice adds one integer to each key of its child's dict.  The memo lives
+    for this call only.
+    """
+    cells, mv, ell = grid.cells, grid.max_value, grid.ell
+    base = sum(grid.shape) + grid.extra_cap + 1
+    # an x digit counts at most every entry, a T digit at most the extra ones
+    assert sum(grid.shape) + grid.extra_cap < base
+    unit = [base ** k for k in range(mv + ell + 1)]
+    x_unit = [unit[i // 2 if grid.shifted else i] for i in range(len(grid.alphabet))]
 
-    return counts, leaf
+    # dead[idx]: the slots that no cell after idx reads before writing them
+    dead = []
+    for idx in range(len(cells)):
+        live = set()
+        for s in range(grid.nslots):
+            for _, _, left, above, slot, _ in cells[idx + 1:]:
+                if s in (left, above):
+                    live.add(s)
+                if s in (left, above, slot, slot + 1):
+                    break
+        dead.append([s for s in range(grid.nslots) if s not in live])
+
+    # the box choices of cell idx, grouped by the slot pair they leave
+    choices: dict[tuple[int, int, int], list] = {}
+
+    def choices_at(idx: int, lo: int, size: int) -> list:
+        key = (idx, lo, size)
+        found = choices.get(key)
+        if found is None:
+            _, c, _, _, slot, unprimed_min = cells[idx]
+            t_shift = (size - 1) * unit[mv + ell - 1 - c]
+            keep_first, keep_last = slot not in dead[idx], slot + 1 not in dead[idx]
+            groups: dict[tuple[int, int], list] = {}
+            for box in grid.boxes(lo, size, unprimed_min):
+                pair = (box[0] if keep_first else 0, box[-1] if keep_last else 0)
+                groups.setdefault(pair, []).append(t_shift + sum(map(x_unit.__getitem__, box)))
+            found = choices[key] = list(groups.items())
+        return found
+
+    memo: dict[tuple, dict] = {}
+    done = {0: 1}
+
+    def completions(idx: int, frontier: tuple, budget: int) -> dict:
+        if idx == len(cells):
+            return done
+        key = (idx, frontier, budget)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        _, _, left, above, slot, _ = cells[idx]
+        lo = grid.least(frontier[left], frontier[above])
+        nxt = list(frontier)
+        for s in dead[idx]:
+            nxt[s] = 0
+        out: dict[int, int] = {}
+        for size in range(1, budget + 2):
+            for pair, weights in choices_at(idx, lo, size):
+                nxt[slot:slot + 2] = pair
+                child = completions(idx + 1, tuple(nxt), budget - (size - 1))
+                for w in weights:
+                    for k, v in child.items():
+                        k += w
+                        out[k] = out.get(k, 0) + v
+        memo[key] = out
+        return out
+
+    x_digits, t_digits = unit[:mv], unit[:ell]
+    xs: dict[int, tuple] = {}
+    ts: dict[int, tuple] = {}
+    counts = {}
+    for key, count in completions(0, grid.frontier(), grid.extra_cap).items():
+        high, low = divmod(key, unit[mv])
+        x = xs.get(low)
+        if x is None:
+            x = xs[low] = tuple([low // u % base for u in x_digits])
+        t = ts.get(high)
+        if t is None:
+            t = ts[high] = tuple([high // u % base for u in t_digits])
+        counts[(x, t)] = count
+    return counts
 
 
 def enumerate_mt(shape, max_value: int, extra_cap: int):
     """All multiset tableaux of the given shape, entries <= max_value and
     at most extra_cap entries beyond one per box, in deterministic order."""
     out = []
-    _fill_mt(
-        shape, max_value, extra_cap,
-        lambda rows, x, t: out.append(MultisetTableau(tuple(tuple(row) for row in rows))),
+    _fill(
+        _Grid(shape, max_value, extra_cap, shifted=False),
+        lambda rows: out.append(MultisetTableau(tuple(tuple(row) for row in rows))),
     )
     return out
 
@@ -717,9 +785,7 @@ def enumerate_mt(shape, max_value: int, extra_cap: int):
 def count_mt_by_weight(shape, max_value: int, extra_cap: int) -> dict:
     """{(x, t): count} over the tableaux of enumerate_mt: x is the weight
     padded to max_value entries and t the column weight."""
-    counts, leaf = _weight_tally()
-    _fill_mt(shape, max_value, extra_cap, leaf)
-    return counts
+    return _count(_Grid(shape, max_value, extra_cap, shifted=False))
 
 
 def enumerate_ssyt(shape, max_value: int):
@@ -729,9 +795,9 @@ def enumerate_ssyt(shape, max_value: int):
 def enumerate_smt(shape, max_value: int, extra_cap: int, signed: bool = False):
     """All (signed) shifted multiset tableaux with the given caps."""
     out = []
-    _fill_smt(
-        shape, max_value, extra_cap, signed,
-        lambda rows, x, t: out.append(
+    _fill(
+        _Grid(shape, max_value, extra_cap, shifted=True, signed=signed),
+        lambda rows: out.append(
             ShiftedMultisetTableau(tuple(tuple(row) for row in rows), signed=signed)
         ),
     )
@@ -741,9 +807,7 @@ def enumerate_smt(shape, max_value: int, extra_cap: int, signed: bool = False):
 def count_smt_by_weight(shape, max_value: int, extra_cap: int, signed: bool = False) -> dict:
     """{(x, t): count} over the tableaux of enumerate_smt: x is the weight
     padded to max_value entries and t the diagonal weight."""
-    counts, leaf = _weight_tally()
-    _fill_smt(shape, max_value, extra_cap, signed, leaf)
-    return counts
+    return _count(_Grid(shape, max_value, extra_cap, shifted=True, signed=signed))
 
 
 def enumerate_sst(shape, max_value: int, signed: bool = False):
@@ -811,6 +875,8 @@ def _enumerate_size_matrices(shape, extra_cap: int):
     """Box-size matrices of the given shape: every size >= 1, and at most
     extra_cap entries beyond one per box in total."""
     shape = tuple(shape)
+    if extra_cap < 0:
+        raise ValueError(f"extra_cap must be nonnegative, got {extra_cap}")
     cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
     sizes = [[1] * width for width in shape]
     out = []

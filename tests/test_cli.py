@@ -117,6 +117,24 @@ def test_enumerate_counts(capsys):
     assert all(t["signed"] is False for t in payload["tableaux"])
 
 
+@pytest.mark.parametrize("family", ["MT", "SMT", "SMT+-", "maxMT", "maxSMT"])
+@pytest.mark.parametrize("shape", ["3,2", "0"])
+def test_enumerate_rejects_negative_caps(capsys, family, shape):
+    # a negative cap used to print an empty (or one-tableau) census and exit 0
+    code, out, err = run(capsys, "enumerate", family, shape, "--extra", "-1")
+    assert code == 1 and out == "" and "extra_cap must be nonnegative" in err
+    if not family.startswith("max"):
+        code, out, err = run(capsys, "enumerate", family, shape, "--max-value", "-1")
+        assert code == 1 and out == "" and "max_value must be nonnegative" in err
+
+
+def test_enumerate_accepts_max_value_zero(capsys):
+    code, out, _ = run(capsys, "enumerate", "MT", "3,2", "--max-value", "0")
+    assert code == 0 and "count: 0" in out
+    code, out, _ = run(capsys, "enumerate", "SMT", "0", "--max-value", "0")
+    assert code == 0 and "count: 1" in out
+
+
 def test_enumerate_rt_requires_outer(capsys):
     code, _, err = run(capsys, "enumerate", "RT", "2,1")
     assert code == 1 and "outer" in err

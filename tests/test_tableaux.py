@@ -3,6 +3,7 @@ from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from grothlab.fixtures import (
     example_mt,
@@ -292,6 +293,75 @@ def test_count_by_weight_tallies_the_census(shape):
                 (pad(t.weight(), 3), t.diagonal_weight())
                 for t in enumerate_smt(shape, 3, cap, signed=signed)
             )
+
+
+@st.composite
+def _shapes(draw, max_cells: int, strict: bool):
+    """A partition (strict when asked) of at most 3 rows and max_cells cells."""
+    shape: list[int] = []
+    while len(shape) < 3:
+        room = max_cells - sum(shape)
+        if shape:
+            room = min(room, shape[-1] - strict)
+        part = draw(st.integers(0, max(room, 0)))
+        if not part:
+            break
+        shape.append(part)
+    return tuple(shape)
+
+
+@st.composite
+def _census_args(draw, strict: bool):
+    max_value = draw(st.integers(0, 4))
+    extra_cap = draw(st.integers(0, 2))
+    # the shifted census grows fastest (it reaches 350k tableaux at 7 cells,
+    # max_value 4 and cap 2), so its cells shrink as the caps grow
+    max_cells = min(7, 9 - max_value - extra_cap) if strict else 7
+    return draw(_shapes(max_cells, strict)), max_value, extra_cap
+
+
+# The counter works on the fill frontier and never builds a tableau; these
+# properties hold it to the tableaux that enumerate_* builds one by one.
+@settings(max_examples=100, deadline=None)
+@given(_census_args(strict=False))
+@example(((2, 2, 1), 4, 2))
+@example(((3, 3), 4, 2))
+@example(((3, 2, 1), 4, 1))
+@example(((), 3, 2))
+@example(((2, 2, 1), 2, 2))  # max_value below the row count: no tableau
+@example(((2, 1), 0, 1))
+def test_count_mt_by_weight_is_the_census_tally(args):
+    shape, max_value, extra_cap = args
+    census = enumerate_mt(shape, max_value, extra_cap)
+    assert all(is_valid_mt(t) for t in census)
+    assert count_mt_by_weight(shape, max_value, extra_cap) == Counter(
+        (pad(t.weight(), max_value), t.column_weight()) for t in census
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_census_args(strict=True), st.booleans())
+@example(((), 2, 1), True)
+@example(((3, 2, 1), 2, 1), False)  # max_value below the row count
+@example(((3, 2, 1), 2, 1), True)
+@example(((2, 1), 0, 0), True)
+def test_count_smt_by_weight_is_the_census_tally(args, signed):
+    shape, max_value, extra_cap = args
+    census = enumerate_smt(shape, max_value, extra_cap, signed=signed)
+    assert all(is_valid_smt(t) for t in census)
+    assert count_smt_by_weight(shape, max_value, extra_cap, signed=signed) == Counter(
+        (pad(t.weight(), max_value), t.diagonal_weight()) for t in census
+    )
+
+
+@pytest.mark.parametrize("caps", [(-1, 0), (2, -1)])
+def test_counting_rejects_negative_caps(caps):
+    # the counter's packing base needs extra_cap >= 0; a negative cap used to
+    # count nothing (or one empty tableau) without complaint
+    with pytest.raises(ValueError):
+        count_mt_by_weight((), *caps)
+    with pytest.raises(ValueError):
+        count_smt_by_weight((2, 1), *caps, signed=True)
 
 
 def _brute_force_smt(shape, max_value, extra_cap, signed):
