@@ -179,13 +179,14 @@ class Polynomial:
         return {d: Polynomial(self.nx, self.nt, ts) for d, ts in sorted(slices.items())}
 
     def is_symmetric_x(self) -> bool:
-        """True iff invariant under every adjacent x-transposition."""
-        for i in range(self.nx - 1):
-            sigma = list(range(self.nx))
-            sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-            if apply_permutation(self, tuple(sigma)) != self:
-                return False
-        return True
+        """True iff invariant under every adjacent x-transposition: each
+        term's swapped monomial carries the same coefficient."""
+        terms = self.terms
+        return all(
+            terms.get((xe[:i] + (xe[i + 1], xe[i]) + xe[i + 2:], te)) == c
+            for (xe, te), c in terms.items()
+            for i in range(self.nx - 1)
+        )
 
     def sorted_terms(self):
         """Terms as (x_exps, t_exps, coeff), leading (graded lex) first."""

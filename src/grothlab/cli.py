@@ -66,6 +66,19 @@ def _parse_mu(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _nonnegative_int(name: str):
+    """argparse type for a cap that must be an int >= 0; `name` is the
+    library's name for it, so the message matches the library's own check."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{name} must be nonnegative, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _format_mu(mu) -> str:
     return ",".join(map(str, mu)) if mu else "0"
 
@@ -414,8 +427,9 @@ def _build_parser() -> _Parser:
     p.add_argument("family", choices=_ENUM_FAMILIES)
     p.add_argument("mu")
     p.add_argument("--outer", default=None, help="outer shape for RT/SRT")
-    p.add_argument("--max-value", type=int, default=3, dest="max_value")
-    p.add_argument("--extra", type=int, default=1, help="cap on extra entries")
+    p.add_argument("--max-value", type=_nonnegative_int("max_value"), default=3, dest="max_value")
+    p.add_argument("--extra", type=_nonnegative_int("extra_cap"), default=1,
+                   help="cap on extra entries")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_enumerate)
 

@@ -167,14 +167,20 @@ class TExtension:
             prev = cur
 
 
-def is_good_extension(ext: TExtension) -> bool:
-    """True iff lam^h_k < lam^{h-1}_{k-1} for all levels h and 2 <= k <= c_h."""
+def _first_violation(ext: TExtension):
+    """The least level h, then the least 2 <= k <= c_h, with
+    lam^h_k >= lam^{h-1}_{k-1}; None when there is none."""
     for h in range(1, ext.ell + 1):
         cur, prev = ext.level(h), ext.level(h - 1)
         for k in range(2, ext.c_at(h) + 1):
             if cur[k - 1] >= prev[k - 2]:
-                return False
-    return True
+                return h, k
+    return None
+
+
+def is_good_extension(ext: TExtension) -> bool:
+    """True iff lam^h_k < lam^{h-1}_{k-1} for all levels h and 2 <= k <= c_h."""
+    return _first_violation(ext) is None
 
 
 def enumerate_extensions(mu, increments, columns) -> list[TExtension]:
@@ -256,17 +262,9 @@ def iota(pair: SignedPair) -> SignedPair:
     lam^h with h >= i.
     """
     ext = pair.extension
-    if is_good_extension(ext):
+    viol = _first_violation(ext)
+    if viol is None:
         raise ValueError("iota is undefined on good extensions")
-    viol = None
-    for h in range(1, ext.ell + 1):
-        cur, prev = ext.level(h), ext.level(h - 1)
-        for k in range(2, ext.c_at(h) + 1):
-            if cur[k - 1] >= prev[k - 2]:
-                viol = (h, k)
-                break
-        if viol:
-            break
     i, k = viol
     cur, prev = ext.level(i), ext.level(i - 1)
     j = next(j for j in range(1, k) if cur[k - 1] >= prev[j - 1])

@@ -375,16 +375,6 @@ class BasisExpansion:
             c >= 0 for _, poly in self.coefficients for c in poly.terms.values()
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, BasisExpansion):
-            return NotImplemented
-        return (self.basis, self.n, self.nt, self.coefficients) == (
-            other.basis,
-            other.n,
-            other.nt,
-            other.coefficients,
-        )
-
 
 def _from_grouped(basis: str, n: int, nt: int, grouped: dict) -> BasisExpansion:
     """The expansion whose index lambda gets the sum of its t-terms in grouped[lambda]."""

@@ -1,7 +1,9 @@
 """Exhaustive desk-scale verification suites.
 
 Each suite runs a fixed census of cases and reports one (name, passed,
-detail) triple per case.  The censuses come in two sizes selected by the
+detail) triple per case.  A case body returns "" when the case passes and
+its failure text otherwise; one runner, `_case`, records it, and records an
+exception raised by the body as the failure.  The censuses come in two sizes selected by the
 environment variable GROTHLAB_CENSUS_SCALE: "small" (the default, the
 acceptance scale) and "full" (adds larger instances, among them the
 (n=4, tcap=2) and (n=3, tcap=3) rows of the routes and positivity suites).
@@ -12,9 +14,10 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, permutations, product
 
 from .algebra import Polynomial
+from .fixtures import paper_maximal_mt, paper_maximal_smt, paper_rt, paper_srt
 from .insertion import phi, phi_inverse, psi, psi_inverse
 from .partitions import (
     SignedPair,
@@ -83,8 +86,13 @@ def census_scale() -> str:
     return scale
 
 
-def _check(name: str, ok: bool, detail: str = "") -> CaseResult:
-    return CaseResult(name, bool(ok), "" if ok else detail)
+def _case(name: str, body, *args) -> CaseResult:
+    """Run body(*args), which returns "" on a pass or the failure text."""
+    try:
+        detail = body(*args)
+    except Exception as ex:
+        detail = f"{type(ex).__name__}: {ex}"
+    return CaseResult(name, not detail, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +101,7 @@ def _check(name: str, ok: bool, detail: str = "") -> CaseResult:
 
 def _distinct_padded_mus(n: int, part_bound: int):
     """Weakly decreasing tuples of length n with distinct entries <= bound."""
-    out = []
-    for combo in combinations_with_replacement(range(part_bound + 1), n):
-        parts = tuple(sorted(combo, reverse=True))
-        if len(set(parts)) == n:
-            out.append(parts)
-    return sorted(set(out))
+    return sorted(tuple(reversed(c)) for c in combinations(range(part_bound + 1), n))
 
 
 def _lemma_cases(scale: str):
@@ -121,50 +124,42 @@ def _lemma_cases(scale: str):
                         yield mu, ts, cs, n
 
 
+def _lemma_case(mu, ts, cs, n) -> str:
+    exts = enumerate_extensions(mu, ts, cs)
+    good = [e for e in exts if is_good_extension(e)]
+    bad = [e for e in exts if not is_good_extension(e)]
+    lhs = hmult_lhs(mu, ts, cs, n)
+    if not (lhs == antisymmetrized_tops(good, n) and not antisymmetrized_tops(bad, n)):
+        return "h-product route disagrees with good extensions"
+    for e in good:
+        if any(e.level(h) != tuple(sorted(e.level(h), reverse=True)) for h in range(e.ell + 1)):
+            return f"good extension {e.chain} contains a non-partition"
+    for ext in bad:
+        for sigma in permutations(range(n)):
+            pair = SignedPair(sigma, ext)
+            img = iota(pair)
+            if is_good_extension(img.extension):
+                return "iota produced a good extension"
+            if img.sign != -pair.sign:
+                return "iota did not flip the sign"
+            if iota(img) != pair:
+                return "iota is not an involution"
+            if img.monomial() != pair.monomial():
+                return "iota moved the signed monomial"
+    return ""
+
+
 def lemma_suite(scale: str | None = None) -> list[CaseResult]:
-    scale = scale or census_scale()
-    results = []
-    for mu, ts, cs, n in _lemma_cases(scale):
-        name = f"lemma mu={mu} T={ts} c={cs} n={n}"
-        try:
-            exts = enumerate_extensions(mu, ts, cs)
-            good = [e for e in exts if is_good_extension(e)]
-            bad = [e for e in exts if not is_good_extension(e)]
-            lhs = hmult_lhs(mu, ts, cs, n)
-            ok = lhs == antisymmetrized_tops(good, n) and not antisymmetrized_tops(bad, n)
-            detail = "" if ok else "h-product route disagrees with good extensions"
-            if ok:
-                for e in good:
-                    if any(e.level(h) != tuple(sorted(e.level(h), reverse=True)) for h in range(e.ell + 1)):
-                        ok, detail = False, f"good extension {e.chain} contains a non-partition"
-                        break
-            if ok:
-                for ext in bad:
-                    for sigma in permutations(range(n)):
-                        pair = SignedPair(sigma, ext)
-                        img = iota(pair)
-                        if is_good_extension(img.extension):
-                            ok, detail = False, "iota produced a good extension"
-                            break
-                        if img.sign != -pair.sign:
-                            ok, detail = False, "iota did not flip the sign"
-                            break
-                        if iota(img) != pair:
-                            ok, detail = False, "iota is not an involution"
-                            break
-                        if img.monomial() != pair.monomial():
-                            ok, detail = False, "iota moved the signed monomial"
-                            break
-                    if not ok:
-                        break
-            results.append(_check(name, ok, detail))
-        except Exception as ex:  # pragma: no cover - defensive reporting
-            results.append(CaseResult(name, False, f"{type(ex).__name__}: {ex}"))
-    return results
+    return [
+        _case(f"lemma mu={mu} T={ts} c={cs} n={n}", _lemma_case, mu, ts, cs, n)
+        for mu, ts, cs, n in _lemma_cases(scale or census_scale())
+    ]
 
 
 # ---------------------------------------------------------------------------
 # bijection suites
+
+_CAP_N, _CAP_D = 3, 2  # value and extra-entry caps of the psi/phi censuses
 
 
 def _bijection_shapes(scale: str):
@@ -194,164 +189,120 @@ def _grown_shapes(mu, extra: int):
     return out
 
 
+def _psi_case(mu, cap_n: int, cap_d: int) -> str:
+    seen = set()
+    classes = Counter()
+    for p in enumerate_mt(mu, cap_n, cap_d):
+        q, r = psi(p)
+        if not (is_valid_ssyt(q) and is_valid_rt(r)):
+            return f"invalid image for {p.rows}"
+        if q.weight() != p.weight() or r.weight(p.ell) != p.column_weight():
+            return f"weights not preserved for {p.rows}"
+        if psi_inverse(q, r) != p:
+            return f"round trip failed for {p.rows}"
+        key = (q.rows, r.outer, r.rows)
+        if key in seen:
+            return "psi is not injective"
+        seen.add(key)
+        classes[(pad(p.weight(), cap_n), p.column_weight())] += 1
+        highest = all(all(b[0] == i + 1 for b in row) for i, row in enumerate(q.rows))
+        if highest != is_maximal_mt(p):
+            return f"maximality mismatch for {p.rows}"
+    rhs = Counter(
+        (pad(q.weight(), cap_n), r.weight(mu[0]))
+        for lam in _grown_shapes(mu, cap_d)
+        for r in enumerate_rt(lam, mu)
+        for q in enumerate_ssyt(lam, cap_n)
+    )
+    return "" if rhs == classes else "pair census cardinalities differ per class"
+
+
+def _phi_case(mu, cap_n: int, cap_d: int) -> str:
+    signed = enumerate_smt(mu, cap_n, cap_d, signed=True)
+    unsigned = enumerate_smt(mu, cap_n, cap_d, signed=False)
+    m = len(mu)
+    for p in signed:
+        q, r = phi(p)
+        if not (is_valid_sst(ShiftedMultisetTableau(q.rows, signed=True))
+                and is_valid_srt(r, mu)):
+            return f"invalid image for {p.rows}"
+        if q.weight() != p.weight() or r.weight(p.ell) != p.diagonal_weight():
+            return f"weights not preserved for {p.rows}"
+        if phi_inverse(q, r) != p:
+            return f"round trip failed for {p.rows}"
+    for p in unsigned:
+        q, r = phi(p)
+        if q.signed or not is_valid_sst(q):
+            return "unsigned input left the unsigned family"
+        highest = all(
+            all(e == Entry(i + 1) for b in row for e in b)
+            for i, row in enumerate(q.rows)
+        )
+        if highest != is_maximal_smt(p):
+            return f"maximality mismatch for {p.rows}"
+    fibers = Counter(strip_signs(t) for t in signed)
+    if set(fibers) != set(unsigned) or any(v != (1 << m) for v in fibers.values()):
+        return "strip_signs fibers are not uniform of size 2^m"
+    spec = FamilySpec("P", mu, cap_n, t_cap=cap_d)
+    if signed_smt_sum(spec).poly != grothendieck_P_combinatorial(spec).poly * (1 << m):
+        return "signed sum is not 2^m times the unsigned sum"
+    lhs = Counter((pad(p.weight(), cap_n), p.diagonal_weight()) for p in signed)
+    rhs = Counter(
+        (pad(q.weight(), cap_n), r.weight(mu[0]))
+        for lam in _grown_shapes(mu, cap_d)
+        if all(lam[i] > lam[i + 1] for i in range(len(lam) - 1))
+        for r in enumerate_srt(lam, mu)
+        for q in enumerate_sst(lam, cap_n, signed=True)
+    )
+    return "" if rhs == lhs else "pair census cardinalities differ per class"
+
+
 def psi_suite(scale: str | None = None) -> list[CaseResult]:
-    scale = scale or census_scale()
-    results = []
-    cap_n, cap_d = 3, 2
-    for mu in _bijection_shapes(scale):
-        name = f"psi census MT({mu}) values<={cap_n} extras<={cap_d}"
-        try:
-            census = enumerate_mt(mu, cap_n, cap_d)
-            seen = set()
-            ok, detail = True, ""
-            classes = Counter()
-            for p in census:
-                q, r = psi(p)
-                if not (is_valid_ssyt(q) and is_valid_rt(r)):
-                    ok, detail = False, f"invalid image for {p.rows}"
-                    break
-                if q.weight() != p.weight() or r.weight(p.ell) != p.column_weight():
-                    ok, detail = False, f"weights not preserved for {p.rows}"
-                    break
-                if psi_inverse(q, r) != p:
-                    ok, detail = False, f"round trip failed for {p.rows}"
-                    break
-                key = (q.rows, r.outer, r.rows)
-                if key in seen:
-                    ok, detail = False, "psi is not injective"
-                    break
-                seen.add(key)
-                classes[(pad(p.weight(), cap_n), p.column_weight())] += 1
-                highest = all(
-                    all(b[0] == i + 1 for b in row) for i, row in enumerate(q.rows)
-                )
-                if highest != is_maximal_mt(p):
-                    ok, detail = False, f"maximality mismatch for {p.rows}"
-                    break
-            if ok:
-                rhs = Counter()
-                for lam in _grown_shapes(mu, cap_d):
-                    for r in enumerate_rt(lam, mu):
-                        for q in enumerate_ssyt(lam, cap_n):
-                            rhs[(pad(q.weight(), cap_n), r.weight(mu[0]))] += 1
-                if rhs != classes:
-                    ok, detail = False, "pair census cardinalities differ per class"
-            results.append(_check(name, ok, detail))
-        except Exception as ex:  # pragma: no cover
-            results.append(CaseResult(name, False, f"{type(ex).__name__}: {ex}"))
-    return results
+    return [
+        _case(f"psi census MT({mu}) values<={_CAP_N} extras<={_CAP_D}",
+              _psi_case, mu, _CAP_N, _CAP_D)
+        for mu in _bijection_shapes(scale or census_scale())
+    ]
 
 
 def phi_suite(scale: str | None = None) -> list[CaseResult]:
-    scale = scale or census_scale()
-    results = []
-    cap_n, cap_d = 3, 2
-    for mu in _bijection_shapes(scale):
-        name = f"phi census SMT+-({mu}) values<={cap_n} extras<={cap_d}"
-        try:
-            signed = enumerate_smt(mu, cap_n, cap_d, signed=True)
-            unsigned = enumerate_smt(mu, cap_n, cap_d, signed=False)
-            m = len(mu)
-            ok, detail = True, ""
-            for p in signed:
-                q, r = phi(p)
-                if not (is_valid_sst(ShiftedMultisetTableau(q.rows, signed=True))
-                        and is_valid_srt(r, mu)):
-                    ok, detail = False, f"invalid image for {p.rows}"
-                    break
-                if q.weight() != p.weight() or r.weight(p.ell) != p.diagonal_weight():
-                    ok, detail = False, f"weights not preserved for {p.rows}"
-                    break
-                if phi_inverse(q, r) != p:
-                    ok, detail = False, f"round trip failed for {p.rows}"
-                    break
-            if ok:
-                for p in unsigned:
-                    q, r = phi(p)
-                    if q.signed or not is_valid_sst(q):
-                        ok, detail = False, "unsigned input left the unsigned family"
-                        break
-                    highest = all(
-                        all(e == Entry(i + 1) for b in row for e in b)
-                        for i, row in enumerate(q.rows)
-                    )
-                    if highest != is_maximal_smt(p):
-                        ok, detail = False, f"maximality mismatch for {p.rows}"
-                        break
-            if ok:
-                fibers = Counter(strip_signs(t) for t in signed)
-                if set(fibers) != set(unsigned) or any(
-                    v != (1 << m) for v in fibers.values()
-                ):
-                    ok, detail = False, "strip_signs fibers are not uniform of size 2^m"
-            if ok:
-                spec = FamilySpec("P", mu, cap_n, t_cap=cap_d)
-                if signed_smt_sum(spec).poly != grothendieck_P_combinatorial(spec).poly * (1 << m):
-                    ok, detail = False, "signed sum is not 2^m times the unsigned sum"
-            if ok:
-                lhs = Counter(
-                    (pad(p.weight(), cap_n), p.diagonal_weight()) for p in signed
-                )
-                rhs = Counter()
-                strict_shapes = [
-                    lam
-                    for lam in _grown_shapes(mu, cap_d)
-                    if all(lam[i] > lam[i + 1] for i in range(len(lam) - 1))
-                ]
-                for lam in strict_shapes:
-                    for r in enumerate_srt(lam, mu):
-                        for q in enumerate_sst(lam, cap_n, signed=True):
-                            rhs[(pad(q.weight(), cap_n), r.weight(mu[0]))] += 1
-                if rhs != lhs:
-                    ok, detail = False, "pair census cardinalities differ per class"
-            results.append(_check(name, ok, detail))
-        except Exception as ex:  # pragma: no cover
-            results.append(CaseResult(name, False, f"{type(ex).__name__}: {ex}"))
-    return results
+    return [
+        _case(f"phi census SMT+-({mu}) values<={_CAP_N} extras<={_CAP_D}",
+              _phi_case, mu, _CAP_N, _CAP_D)
+        for mu in _bijection_shapes(scale or census_scale())
+    ]
+
+
+def _paper_pair_case(make_tableau, make_filling, to_filling, to_tableau) -> str:
+    tableau, filling = make_tableau(), make_filling()
+    ok = to_filling(tableau) == filling and to_tableau(filling) == tableau
+    return "" if ok else "pair mismatch"
+
+
+def _maximal_case(mu) -> str:
+    for t in enumerate_maximal_mt(mu, 2):
+        f = maximal_mt_to_rt(t)
+        if not is_valid_rt(f) or rt_to_maximal_mt(f) != t:
+            return f"straight round trip failed for {t.rows}"
+        if f.weight(t.ell) != t.column_weight():
+            return "column weight not preserved"
+    for t in enumerate_maximal_smt(mu, 2):
+        f = maximal_smt_to_srt(t)
+        if not is_valid_srt(f, mu) or srt_to_maximal_smt(f) != t:
+            return f"shifted round trip failed for {t.rows}"
+        if f.weight(t.ell) != t.diagonal_weight():
+            return "diagonal weight not preserved"
+    return ""
 
 
 def maximal_suite(scale: str | None = None) -> list[CaseResult]:
     scale = scale or census_scale()
-    results = []
-
-    maxmt = rt_ex = None
-    try:
-        from .fixtures import paper_maximal_mt, paper_rt, paper_maximal_smt, paper_srt
-
-        maxmt, rt_ex = paper_maximal_mt(), paper_rt()
-        ok = maximal_mt_to_rt(maxmt) == rt_ex and rt_to_maximal_mt(rt_ex) == maxmt
-        results.append(_check("maximal straight paper pair", ok, "pair mismatch"))
-        maxsmt, srt_ex = paper_maximal_smt(), paper_srt()
-        ok = maximal_smt_to_srt(maxsmt) == srt_ex and srt_to_maximal_smt(srt_ex) == maxsmt
-        results.append(_check("maximal shifted paper pair", ok, "pair mismatch"))
-    except Exception as ex:  # pragma: no cover
-        results.append(CaseResult("maximal paper pairs", False, f"{type(ex).__name__}: {ex}"))
-
-    for mu in _bijection_shapes(scale):
-        name = f"maximal round trips ({mu})"
-        try:
-            ok, detail = True, ""
-            for t in enumerate_maximal_mt(mu, 2):
-                f = maximal_mt_to_rt(t)
-                if not is_valid_rt(f) or rt_to_maximal_mt(f) != t:
-                    ok, detail = False, f"straight round trip failed for {t.rows}"
-                    break
-                if f.weight(t.ell) != t.column_weight():
-                    ok, detail = False, "column weight not preserved"
-                    break
-            if ok:
-                for t in enumerate_maximal_smt(mu, 2):
-                    f = maximal_smt_to_srt(t)
-                    if not is_valid_srt(f, mu) or srt_to_maximal_smt(f) != t:
-                        ok, detail = False, f"shifted round trip failed for {t.rows}"
-                        break
-                    if f.weight(t.ell) != t.diagonal_weight():
-                        ok, detail = False, "diagonal weight not preserved"
-                        break
-            results.append(_check(name, ok, detail))
-        except Exception as ex:  # pragma: no cover
-            results.append(CaseResult(name, False, f"{type(ex).__name__}: {ex}"))
-    return results
+    return [
+        _case("maximal straight paper pair", _paper_pair_case,
+              paper_maximal_mt, paper_rt, maximal_mt_to_rt, rt_to_maximal_mt),
+        _case("maximal shifted paper pair", _paper_pair_case,
+              paper_maximal_smt, paper_srt, maximal_smt_to_srt, srt_to_maximal_smt),
+    ] + [_case(f"maximal round trips ({mu})", _maximal_case, mu) for mu in _bijection_shapes(scale)]
 
 
 # ---------------------------------------------------------------------------
@@ -373,65 +324,62 @@ def _route_instances(scale: str):
                 yield family, mu, n, t_cap
 
 
+def _instance_name(suite: str, family: str, mu, n: int, t_cap: int) -> str:
+    return f"{suite} {family} mu={','.join(map(str, mu)) or '0'} n={n} tcap={t_cap}"
+
+
+def _routes_case(family: str, mu, n: int, t_cap: int) -> str:
+    spec = FamilySpec(family, mu, n, t_cap=t_cap)
+    if family == "J":
+        alg = grothendieck_J_algebraic(spec)
+        comb = grothendieck_J_combinatorial(spec)
+        base = schur(mu, n)
+    else:
+        alg = grothendieck_P_algebraic(spec)
+        comb = grothendieck_P_combinatorial(spec)
+        base = pschur(mu, n) if len(mu) <= n else Polynomial.zero(n, 0)
+    if alg != comb:
+        return "algebraic and combinatorial routes disagree"
+    if not alg.poly.is_symmetric_x():
+        return "series is not symmetric in x"
+    if specialize_t(alg, (0,) * spec.ell) != base:
+        return "t=0 specialization is not the undeformed basis"
+    if not spec.ell:
+        return ""
+    for t_exps in ((1,) + (0,) * (spec.ell - 1), (0,) * (spec.ell - 1) + (1,)):
+        got = coefficient_via_hmult(spec, t_exps)
+        if got != alg.coefficient_of_t(t_exps):
+            return f"h-product coefficient differs at t^{t_exps}"
+        if family == "J" and hmult_good_extension_route(spec, t_exps) != got:
+            return f"good-extension route differs at t^{t_exps}"
+    return ""
+
+
+def _positivity_case(family: str, mu, n: int, t_cap: int) -> str:
+    spec = FamilySpec(family, mu, n, t_cap=t_cap)
+    if family == "J":
+        expansion = expand_in_schur(grothendieck_J_combinatorial(spec), n)
+    else:
+        expansion = expand_in_pschur(grothendieck_P_combinatorial(spec), n)
+    if not expansion.is_nonnegative():
+        return "a basis coefficient has a negative term"
+    if expansion != expansion_via_maximal(spec):
+        return "maximal-tableau expansion disagrees"
+    return ""
+
+
 def routes_suite(scale: str | None = None) -> list[CaseResult]:
-    scale = scale or census_scale()
-    results = []
-    for family, mu, n, t_cap in _route_instances(scale):
-        name = f"routes {family} mu={','.join(map(str, mu)) or '0'} n={n} tcap={t_cap}"
-        try:
-            spec = FamilySpec(family, mu, n, t_cap=t_cap)
-            if family == "J":
-                alg = grothendieck_J_algebraic(spec)
-                comb = grothendieck_J_combinatorial(spec)
-                base = schur(mu, n)
-            else:
-                alg = grothendieck_P_algebraic(spec)
-                comb = grothendieck_P_combinatorial(spec)
-                base = pschur(mu, n) if len(mu) <= n else Polynomial.zero(n, 0)
-            ok, detail = True, ""
-            if alg != comb:
-                ok, detail = False, "algebraic and combinatorial routes disagree"
-            if ok and not alg.poly.is_symmetric_x():
-                ok, detail = False, "series is not symmetric in x"
-            if ok and specialize_t(alg, (0,) * spec.ell) != base:
-                ok, detail = False, "t=0 specialization is not the undeformed basis"
-            if ok and spec.ell:
-                for t_exps in ((1,) + (0,) * (spec.ell - 1), (0,) * (spec.ell - 1) + (1,)):
-                    got = coefficient_via_hmult(spec, t_exps)
-                    if got != alg.coefficient_of_t(t_exps):
-                        ok, detail = False, f"h-product coefficient differs at t^{t_exps}"
-                        break
-                    if family == "J" and hmult_good_extension_route(spec, t_exps) != got:
-                        ok, detail = False, f"good-extension route differs at t^{t_exps}"
-                        break
-            results.append(_check(name, ok, detail))
-        except Exception as ex:  # pragma: no cover
-            results.append(CaseResult(name, False, f"{type(ex).__name__}: {ex}"))
-    return results
+    return [
+        _case(_instance_name("routes", *inst), _routes_case, *inst)
+        for inst in _route_instances(scale or census_scale())
+    ]
 
 
 def positivity_suite(scale: str | None = None) -> list[CaseResult]:
-    scale = scale or census_scale()
-    results = []
-    for family, mu, n, t_cap in _route_instances(scale):
-        name = f"positivity {family} mu={','.join(map(str, mu)) or '0'} n={n} tcap={t_cap}"
-        try:
-            spec = FamilySpec(family, mu, n, t_cap=t_cap)
-            if family == "J":
-                series = grothendieck_J_combinatorial(spec)
-                expansion = expand_in_schur(series, n)
-            else:
-                series = grothendieck_P_combinatorial(spec)
-                expansion = expand_in_pschur(series, n)
-            ok, detail = True, ""
-            if not expansion.is_nonnegative():
-                ok, detail = False, "a basis coefficient has a negative term"
-            if ok and expansion != expansion_via_maximal(spec):
-                ok, detail = False, "maximal-tableau expansion disagrees"
-            results.append(_check(name, ok, detail))
-        except Exception as ex:  # pragma: no cover
-            results.append(CaseResult(name, False, f"{type(ex).__name__}: {ex}"))
-    return results
+    return [
+        _case(_instance_name("positivity", *inst), _positivity_case, *inst)
+        for inst in _route_instances(scale or census_scale())
+    ]
 
 
 SUITES = {

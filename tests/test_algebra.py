@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +91,31 @@ def test_apply_permutation_composes(p):
     assert apply_permutation(apply_permutation(p, tau), sigma) == apply_permutation(
         p, composed
     )
+
+
+def test_is_symmetric_x():
+    x1, x2, x3 = (x_var(i, 3, 1) for i in range(3))
+    t = Polynomial.monomial((0, 0, 0), (1,))
+    e2 = x1 * x2 + x1 * x3 + x2 * x3
+    assert (e2 * t + x1 + x2 + x3).is_symmetric_x()
+    # x1^2*x2 + x1*x2^2 + x1^2*x3 + x1*x3^2 lacks x2^2*x3 and x2*x3^2
+    missing = x1 * x1 * x2 + x1 * x2 * x2 + x1 * x1 * x3 + x1 * x3 * x3
+    assert not missing.is_symmetric_x()
+    assert not (x1 * t + x2 * t + x3 * t + x3).is_symmetric_x()
+    assert Polynomial.monomial((3,), (1,)).is_symmetric_x()
+    assert Polynomial.constant(5, 0, 1).is_symmetric_x()
+
+
+@settings(max_examples=40)
+@given(poly_st(nx=3, nt=1))
+def test_is_symmetric_x_matches_adjacent_relabellings(p):
+    swaps = ((1, 0, 2), (0, 2, 1))
+    assert p.is_symmetric_x() == all(apply_permutation(p, s) == p for s in swaps)
+    orbit_sum = Polynomial.from_terms(3, 1, (
+        term for sigma in permutations(range(3))
+        for term in apply_permutation(p, sigma).terms.items()
+    ))
+    assert orbit_sum.is_symmetric_x()
 
 
 def test_vandermonde():

@@ -14,7 +14,11 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    """Run the CLI in-process; a parse-time rejection gives its exit code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as ex:
+        code = ex.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -126,6 +130,17 @@ def test_enumerate_rejects_negative_caps(capsys, family, shape):
     if not family.startswith("max"):
         code, out, err = run(capsys, "enumerate", family, shape, "--max-value", "-1")
         assert code == 1 and out == "" and "max_value must be nonnegative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "maxMT", "3,2", "--max-value", "-1"),
+    ("enumerate", "RT", "2,1", "--outer", "3,1", "--extra", "-1", "--max-value", "-5"),
+])
+def test_enumerate_rejects_negative_caps_the_family_ignores(capsys, argv):
+    # maxMT reads no value cap and RT neither cap; both used to print a count and exit 0
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "must be nonnegative" in err and "Traceback" not in err
 
 
 def test_enumerate_accepts_max_value_zero(capsys):

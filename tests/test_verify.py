@@ -1,6 +1,15 @@
 import pytest
 
-from grothlab.verify import SUITES, _route_instances, census_scale, maximal_suite, run_suite
+import grothlab.verify as verify
+from grothlab.verify import (
+    SUITES,
+    _bijection_shapes,
+    _route_instances,
+    census_scale,
+    maximal_suite,
+    psi_suite,
+    run_suite,
+)
 
 
 def test_census_scale_env(monkeypatch):
@@ -35,3 +44,17 @@ def test_full_route_instances_strictly_contain_small():
     full = set(_route_instances("full"))
     assert small < full
     assert {(n, t_cap) for _, _, n, t_cap in full - small} == {(4, 2), (3, 3)}
+
+
+def test_a_raising_case_body_fails_that_case_only(monkeypatch):
+    passing = [r.name for r in psi_suite("small")]
+
+    def boom(p):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "psi", boom)
+    results = psi_suite("small")
+    assert [r.name for r in results] == passing
+    assert len(results) == len(_bijection_shapes("small"))
+    assert all(not r.passed and r.detail == "RuntimeError: boom" for r in results)
+    assert all(r.passed for r in maximal_suite("small"))
