@@ -208,10 +208,13 @@ _ENUM_FAMILIES = ("MT", "SMT", "SMT+-", "SSYT", "SST", "SST+-", "RT", "SRT", "ma
 def _cmd_enumerate(args) -> int:
     mu = _parse_mu(args.mu)
     fam = args.family
+    try:
+        outer = None if args.outer is None else _parse_mu(args.outer)
+    except ValueError as ex:
+        raise ValueError(f"--outer: {ex}") from None
     if fam in ("RT", "SRT"):
-        if args.outer is None:
+        if outer is None:
             raise ValueError(f"family {fam} needs --outer")
-        outer = _parse_mu(args.outer)
         items = enumerate_rt(outer, mu) if fam == "RT" else enumerate_srt(outer, mu)
     elif fam == "MT":
         items = enumerate_mt(mu, args.max_value, args.extra)
@@ -305,7 +308,12 @@ def _cmd_trace(args) -> int:
     else:
         tableau = MultisetTableau.from_text(text)
     _check_trace_input(tableau, args.flavor == "shifted")
-    ell = args.ell if args.ell is not None else tableau.ell
+    ell = tableau.ell
+    if args.ell is not None:
+        # stages only append boxes, so the base shape is never wider than the tableau
+        if not 1 <= args.ell <= ell:
+            raise ValueError(f"--ell must be in 1..{ell}, got {args.ell}")
+        ell = args.ell
     if not 1 <= args.k <= ell:
         raise ValueError(f"--k must be a stage label in 1..{ell}, got {args.k}")
     states = [tableau]

@@ -12,11 +12,22 @@ Labels follow the tableau convention: column/diagonal k of the ambient base
 shape sits ell - k columns from the left, where ell is the first part of
 the base shape.  The ambient ell must be passed explicitly because the
 tableau widens while the base shape stays fixed.
+
+Both families share one out step and one in step.  Row r starts at
+absolute column r * shift, with shift 0 for straight and 1 for shifted
+tableaux, so the cell of row r in absolute column col has within-row index
+col - r * shift.  At stage k let idx = ell - k: a cell whose index exceeds
+idx holds a single entry and takes part in bumping, and a cell whose index
+equals idx is a circled box of the active column/diagonal.  A straight
+column is therefore all single cells (col > idx) or all circled boxes
+(col = idx), while a shifted column has its single cells on top of at most
+one circled box.  The families differ only in the data `_family` returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import le
 
 from .partitions import pad, staircase
 from .tableaux import (
@@ -30,7 +41,6 @@ from .tableaux import (
     is_valid_srt,
     lt_p,
     lt_u,
-    gt_u,
 )
 
 __all__ = [
@@ -66,15 +76,31 @@ class PrimedDuplicationError(InsertionError):
 # single-column steps
 
 
+def _first_bump(a, cells, order) -> int | None:
+    """Index of the topmost cell b with order(a, b), the cell a bumps."""
+    for i, b in enumerate(cells):
+        if order(a, b):
+            return i
+    return None
+
+
+def _last_bump(cells, z, order) -> int | None:
+    """Index of the bottommost cell b with order(b, z), the cell z reverse-bumps."""
+    for i in range(len(cells) - 1, -1, -1):
+        if order(cells[i], z):
+            return i
+    return None
+
+
 def column_insert(a: int, cells: tuple[int, ...]):
     """Replace the topmost entry >= a by a and bump it; else append at bottom.
 
     Returns (new_cells, bumped) with bumped None when a was appended.
     """
-    for i, entry in enumerate(cells):
-        if a <= entry:
-            return cells[:i] + (a,) + cells[i + 1 :], entry
-    return cells + (a,), None
+    i = _first_bump(a, cells, le)
+    if i is None:
+        return cells + (a,), None
+    return cells[:i] + (a,) + cells[i + 1 :], cells[i]
 
 
 def column_reverse_insert(cells: tuple[int, ...], z: int):
@@ -82,26 +108,26 @@ def column_reverse_insert(cells: tuple[int, ...], z: int):
 
     Requires some entry of the column to be <= z.
     """
-    for i in range(len(cells) - 1, -1, -1):
-        if z >= cells[i]:
-            return cells[i], cells[:i] + (z,) + cells[i + 1 :]
-    raise InsertionError(f"reverse insertion of {z} undefined: no entry <= {z}")
+    i = _last_bump(cells, z, le)
+    if i is None:
+        raise InsertionError(f"reverse insertion of {z} undefined: no entry <= {z}")
+    return cells[i], cells[:i] + (z,) + cells[i + 1 :]
 
 
 def shifted_column_insert(a: Entry, cells: tuple[Entry, ...]):
     """Replace the topmost entry with a <_u entry and bump it; else append."""
-    for i, entry in enumerate(cells):
-        if lt_u(a, entry):
-            return cells[:i] + (a,) + cells[i + 1 :], entry
-    return cells + (a,), None
+    i = _first_bump(a, cells, lt_u)
+    if i is None:
+        return cells + (a,), None
+    return cells[:i] + (a,) + cells[i + 1 :], cells[i]
 
 
 def shifted_column_reverse_insert(cells: tuple[Entry, ...], z: Entry):
     """Replace the bottommost entry with z >_u entry by z and bump it."""
-    for i in range(len(cells) - 1, -1, -1):
-        if gt_u(z, cells[i]):
-            return cells[i], cells[:i] + (z,) + cells[i + 1 :]
-    raise InsertionError(f"reverse insertion of {z} undefined in {cells}")
+    i = _last_bump(cells, z, lt_u)
+    if i is None:
+        raise InsertionError(f"reverse insertion of {z} undefined in {cells}")
+    return cells[i], cells[:i] + (z,) + cells[i + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +161,13 @@ class CircledState:
     ell: int
 
     def circled(self) -> dict[tuple[int, int], object]:
-        t = self.tableau
-        shifted = isinstance(t, ShiftedMultisetTableau)
+        shift = _family(self.tableau)[0]
         idx = self.ell - self.stage
-        out = {}
-        for r, row in enumerate(t.rows):
-            if idx < len(row):
-                col = r + idx if shifted else idx
-                out[(r, col)] = min(row[idx])
-        return out
+        return {
+            (r, r * shift + idx): min(row[idx])
+            for r, row in enumerate(self.tableau.rows)
+            if idx < len(row)
+        }
 
     def out_step(self):
         t, trace = out_step(self.tableau, self.stage, self.ell)
@@ -155,11 +179,34 @@ class CircledState:
 
 
 # ---------------------------------------------------------------------------
-# unshifted out / in
+# out / in, one body for both families
 
 
-def _rows_as_lists(t) -> list[list[tuple]]:
-    return [list(row) for row in t.rows]
+def _admits_shifted(m, z) -> bool:
+    return not lt_p(z, m)
+
+
+# (shift, order, admits, word): row r starts at absolute column r * shift;
+# order(a, b) says a bumps b in column insertion; admits(m, z) says a
+# circled box with minimum m takes the deposit z; word names the active line
+_STRAIGHT = (0, le, le, "column")
+_SHIFTED = (1, lt_u, _admits_shifted, "diagonal")
+
+
+def _family(t):
+    return _SHIFTED if isinstance(t, ShiftedMultisetTableau) else _STRAIGHT
+
+
+def _column(rows, col: int, shift: int, idx: int) -> tuple[int, int]:
+    """(s, h): rows 0..h-1 hold a cell in absolute column col, and the top s
+    of those cells sit right of within-row index idx (single entries)."""
+    h = 0
+    while h < len(rows) and 0 <= col - h * shift < len(rows[h]):
+        h += 1
+    s = 0
+    while s < h and col - s * shift > idx:
+        s += 1
+    return s, h
 
 
 def _largest_noncircled(boxes):
@@ -176,213 +223,96 @@ def _largest_noncircled(boxes):
 
 def out_step(t, k: int, ell: int):
     """One out move at stage k; returns (tableau, OutTrace)."""
-    if isinstance(t, ShiftedMultisetTableau):
-        return _out_step_shifted(t, k, ell)
-    return _out_step_mt(t, k, ell)
-
-
-def in_step(t, k: int, ell: int, cell):
-    """One in move at stage k undoing an out; cell is the corner consumed."""
-    if isinstance(t, ShiftedMultisetTableau):
-        return _in_step_shifted(t, k, ell, cell)
-    return _in_step_mt(t, k, ell, cell)
-
-
-def _out_step_mt(t: MultisetTableau, k: int, ell: int):
-    rows = _rows_as_lists(t)
-    col_k = ell - k
-    boxes = [(r, rows[r][col_k]) for r in range(len(rows)) if col_k < len(rows[r])]
-    if not boxes:
-        raise InsertionError(f"column {k} is empty")
-    pick = _largest_noncircled(boxes)
-    if pick is None:
-        raise InsertionError(f"no noncircled entry remains in column {k}")
-    v, r0 = pick
-    box = list(rows[r0][col_k])
-    box.remove(v)
-    rows[r0][col_k] = tuple(box)
-
-    a, c = v, col_k + 1
-    path = []
-    while True:
-        height = sum(1 for row in rows if c < len(row))
-        cells = tuple(rows[r][c][0] for r in range(height))
-        new_cells, bumped = column_insert(a, cells)
-        if bumped is None:
-            if height < len(rows):
-                if len(rows[height]) != c:
-                    raise InsertionError("append does not extend a row")
-                rows[height].append((a,))
-            else:
-                if c != 0:
-                    raise InsertionError("append cannot start a new row here")
-                rows.append([(a,)])
-            appended_cell, appended = (height, c), a
-            break
-        rset = next(i for i in range(height) if a <= cells[i])
-        path.append((rset, c, cells[rset], a))
-        rows[rset][c] = (a,)
-        a, c = bumped, c + 1
-    new_t = MultisetTableau(tuple(tuple(row) for row in rows))
-    return new_t, OutTrace(v, (r0, col_k), tuple(path), appended_cell, appended)
-
-
-def _in_step_mt(t: MultisetTableau, k: int, ell: int, cell):
-    rows = _rows_as_lists(t)
-    col_k = ell - k
-    r, c = cell
-    if c <= col_k:
-        raise InsertionError(f"{cell} is not strictly right of column {k}")
-    if r >= len(rows) or c != len(rows[r]) - 1:
-        raise InsertionError(f"{cell} is not the last box of its row")
-    if r + 1 < len(rows) and len(rows[r + 1]) > c:
-        raise InsertionError(f"{cell} is not a removable corner")
-    if len(rows[r][c]) != 1:
-        raise InsertionError(f"corner box at {cell} must hold a single entry")
-    removed = rows[r][c][0]
-    rows[r].pop()
-    if not rows[r]:
-        rows.pop()
-
-    z = removed
-    path = []
-    for col in range(c - 1, col_k, -1):
-        height = sum(1 for row in rows if col < len(row))
-        cells = tuple(rows[rr][col][0] for rr in range(height))
-        bumped, _ = column_reverse_insert(cells, z)
-        rset = max(i for i in range(height) if z >= cells[i])
-        path.append((rset, col, cells[rset], z))
-        rows[rset][col] = (z,)
-        z = bumped
-
-    # deposit into the lowest box whose circled minimum admits z: the box
-    # minima increase strictly down the column, so this is the unique box
-    # whose min m satisfies m <= z < (min of the box below)
-    boxes = [(rr, rows[rr][col_k]) for rr in range(len(rows)) if col_k < len(rows[rr])]
-    target = None
-    for rr, box in boxes:
-        if min(box) <= z:
-            target = rr
-    if target is None:
-        raise InsertionError(f"no admissible box in column {k} for {z}")
-    rows[target][col_k] = tuple(sorted(rows[target][col_k] + (z,)))
-    new_t = MultisetTableau(tuple(tuple(row) for row in rows))
-    return new_t, InTrace((r, c), removed, tuple(path), (target, col_k), z)
-
-
-# ---------------------------------------------------------------------------
-# shifted out / in
-
-
-def _diag_cells(rows, idx: int):
-    """Rows whose within-row index idx exists (the diagonal labeled ell-idx)."""
-    return [r for r in range(len(rows)) if idx < len(rows[r])]
-
-
-def _column_cells(rows, col: int):
-    """Rows holding a cell in absolute column col (top to bottom)."""
-    return [r for r in range(len(rows)) if 0 <= col - r < len(rows[r])]
-
-
-def _out_step_shifted(t: ShiftedMultisetTableau, k: int, ell: int):
-    rows = _rows_as_lists(t)
+    shift, order, _, word = _family(t)
+    rows = [list(row) for row in t.rows]
     idx = ell - k
-    boxes = [(r, rows[r][idx]) for r in _diag_cells(rows, idx)]
+    boxes = [(r, row[idx]) for r, row in enumerate(rows) if idx < len(row)]
     if not boxes:
-        raise InsertionError(f"diagonal {k} is empty")
+        raise InsertionError(f"{word} {k} is empty")
     pick = _largest_noncircled(boxes)
     if pick is None:
-        raise InsertionError(f"no noncircled entry remains on diagonal {k}")
+        raise InsertionError(f"no noncircled entry remains in {word} {k}")
     v, r0 = pick
     box = list(rows[r0][idx])
     box.remove(v)
     rows[r0][idx] = tuple(box)
 
-    a, col = v, r0 + idx + 1
+    a, col = v, r0 * shift + idx + 1
     path = []
     while True:
-        cell_rows = _column_cells(rows, col)
-        rstar = col - idx
-        has_circle = rstar in cell_rows
-        scope = [r for r in cell_rows if r < rstar] if has_circle else cell_rows
-        cells = tuple(rows[r][col - r][0] for r in scope)
-        new_cells, bumped = shifted_column_insert(a, cells)
-        if bumped is None:
-            if has_circle:
-                raise InsertionError("append blocked by the circled cell")
-            if cell_rows:
-                rnew = cell_rows[-1] + 1
-            else:
-                candidates = [r for r in range(len(rows)) if r + len(rows[r]) == col]
-                if not candidates:
-                    raise InsertionError("append does not extend a row")
-                rnew = candidates[0]
-            if rnew < len(rows):
-                if rnew + len(rows[rnew]) != col:
-                    raise InsertionError("append does not extend a row")
-                rows[rnew].append((a,))
-            else:
-                if col != rnew:
-                    raise InsertionError("append cannot start a new row here")
-                rows.append([(a,)])
-            appended_cell, appended = (rnew, col), a
+        s, h = _column(rows, col, shift, idx)
+        cells = [rows[r][col - r * shift][0] for r in range(s)]
+        i = _first_bump(a, cells, order)
+        if i is None:
             break
-        i = next(i for i, r in enumerate(scope) if lt_u(a, cells[i]))
-        rset = scope[i]
-        path.append((rset, col, cells[i], a))
-        rows[rset][col - rset] = (a,)
-        a, col = bumped, col + 1
-    new_t = ShiftedMultisetTableau(tuple(tuple(row) for row in rows), signed=t.signed)
-    return new_t, OutTrace(v, (r0, r0 + idx), tuple(path), appended_cell, appended)
+        path.append((i, col, cells[i], a))
+        rows[i][col - i * shift] = (a,)
+        a, col = cells[i], col + 1
+    # a lands at the foot of column col, in row h
+    if s < h:
+        raise InsertionError("append blocked by the circled cell")
+    if h < len(rows):
+        if h * shift + len(rows[h]) != col:
+            raise InsertionError("append does not extend a row")
+        rows[h].append((a,))
+    else:
+        if col != h * shift:
+            raise InsertionError("append cannot start a new row here")
+        rows.append([(a,)])
+    new_t = replace(t, rows=tuple(tuple(row) for row in rows))
+    return new_t, OutTrace(v, (r0, r0 * shift + idx), tuple(path), (h, col), a)
 
 
-def _in_step_shifted(t: ShiftedMultisetTableau, k: int, ell: int, cell):
-    rows = _rows_as_lists(t)
+def in_step(t, k: int, ell: int, cell):
+    """One in move at stage k undoing an out; cell is the corner consumed."""
+    shift, order, admits, word = _family(t)
+    rows = [list(row) for row in t.rows]
     idx = ell - k
     r, col = cell
-    c = col - r
-    if r >= len(rows) or c != len(rows[r]) - 1:
+    c = col - r * shift
+    if c <= idx:
+        raise InsertionError(f"{cell} is not strictly right of {word} {k}")
+    if not 0 <= r < len(rows) or c != len(rows[r]) - 1:
         raise InsertionError(f"{cell} is not the last box of its row")
-    if r + 1 < len(rows) and col - (r + 1) < len(rows[r + 1]):
+    if r + 1 < len(rows) and col - (r + 1) * shift < len(rows[r + 1]):
         raise InsertionError(f"{cell} is not a removable corner")
     if len(rows[r][c]) != 1:
         raise InsertionError(f"corner box at {cell} must hold a single entry")
-    removed = rows[r][c][0]
+    removed = z = rows[r][c][0]
     rows[r].pop()
     if not rows[r]:
         rows.pop()
 
-    z = removed
     path = []
-    col -= 1
     while True:
-        cell_rows = _column_cells(rows, col)
-        rstar = col - idx
-        has_circle = rstar in cell_rows
-        if has_circle:
-            circled = min(rows[rstar][idx])
-            if not lt_p(z, circled):
-                box = rows[rstar][idx]
-                if z.primed and z in box:
-                    raise PrimedDuplicationError(
-                        f"deposit of {z} duplicates a primed entry at {(rstar, col)}"
-                    )
-                rows[rstar][idx] = tuple(sorted(box + (z,), key=Entry.sort_key))
-                deposit_cell = (rstar, col)
-                break
-            scope = [rr for rr in cell_rows if rr < rstar]
-        else:
-            scope = cell_rows
-        cells = tuple(rows[rr][col - rr][0] for rr in scope)
-        bumped, _ = shifted_column_reverse_insert(cells, z)
-        i = max(i for i in range(len(scope)) if gt_u(z, cells[i]))
-        rset = scope[i]
-        path.append((rset, col, cells[i], z))
-        rows[rset][col - rset] = (z,)
-        z = bumped
         col -= 1
-    new_t = ShiftedMultisetTableau(tuple(tuple(row) for row in rows), signed=t.signed)
-    return new_t, InTrace(cell, removed, tuple(path), deposit_cell, z)
+        s, h = _column(rows, col, shift, idx)
+        # deposit into the lowest circled box whose minimum admits z; only
+        # straight column idx holds more than one, and as its minima increase
+        # strictly downward this is the box with m <= z < (min of the next)
+        target = None
+        for rr in range(s, h):
+            if col - rr * shift == idx and admits(min(rows[rr][idx]), z):
+                target = rr
+        if target is not None:
+            break
+        cells = [rows[rr][col - rr * shift][0] for rr in range(s)]
+        i = _last_bump(cells, z, order)
+        if i is None:
+            raise InsertionError(f"no admissible box in {word} {k} for {z}")
+        path.append((i, col, cells[i], z))
+        rows[i][col - i * shift] = (z,)
+        z = cells[i]
+
+    box = rows[target][idx]
+    # only shifted entries carry primes, and a box holds each primed value once
+    if shift and z.primed and z in box:
+        raise PrimedDuplicationError(
+            f"deposit of {z} duplicates a primed entry at {(target, col)}"
+        )
+    rows[target][idx] = tuple(sorted(box + (z,)))
+    new_t = replace(t, rows=tuple(tuple(row) for row in rows))
+    return new_t, InTrace(cell, removed, tuple(path), (target, col), z)
 
 
 # ---------------------------------------------------------------------------

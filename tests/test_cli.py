@@ -157,6 +157,14 @@ def test_enumerate_rt_requires_outer(capsys):
     assert code == 0 and "count: 2" in out
 
 
+@pytest.mark.parametrize("family", ["MT", "SMT+-", "maxSMT", "RT"])
+def test_enumerate_rejects_malformed_outer(capsys, family):
+    # --outer used to be parsed only for RT/SRT, so other families accepted any value
+    code, out, err = run(capsys, "enumerate", family, "2,1", "--outer", "abc")
+    assert code == 1 and out == ""
+    assert "--outer" in err and "Traceback" not in err
+
+
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "maximal")
     assert code == 0
@@ -239,6 +247,17 @@ def test_trace_rejects_stage_outside_one_to_ell(capsys, k):
     assert code == 1
     assert f"--k must be a stage label in 1..4, got {k}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("ell", ["-2", "0", "9"])
+def test_trace_rejects_ell_outside_one_to_width(capsys, ell):
+    # the tableau is 4 columns wide; ell = 9 used to print "steps: 0" and exit 0
+    path = os.path.join(DATA, "outchain_straight_start.txt")
+    code, out, err = run(
+        capsys, "trace", path, "--k", "2", "--flavor", "multiset", "--ell", ell
+    )
+    assert code == 1 and out == ""
+    assert f"--ell must be in 1..4, got {ell}" in err
 
 
 def test_trace_straight_chain(capsys):

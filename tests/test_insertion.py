@@ -245,6 +245,10 @@ def test_in_rejects_non_corners():
     t = MultisetTableau((((1,), (1,)), ((2,),)))
     with pytest.raises(InsertionError):
         in_step(t, 1, 2, (0, 0))
+    # the corner sits on diagonal 2 itself; this used to return 1' 2' | 1
+    t = ShiftedMultisetTableau(((box("1'"), box("1")), (box("2'"),)), signed=True)
+    with pytest.raises(InsertionError):
+        in_step(t, 2, 2, (1, 1))
 
 
 def test_in_primed_duplication_is_reported():
@@ -257,8 +261,14 @@ def test_in_primed_duplication_is_reported():
 
 
 def test_single_out_steps_invert_on_valid_census():
-    for p in enumerate_mt((2, 1), 3, 1):
-        for k in (1, 2):
+    census = (
+        enumerate_mt((2, 1), 3, 1)
+        + enumerate_mt((3, 2), 3, 1)
+        + enumerate_smt((3, 1), 3, 1, signed=True)
+        + enumerate_smt((3, 2), 3, 1)
+    )
+    for p in census:
+        for k in range(1, p.ell + 1):
             idx = p.ell - k
             if all(len(row[idx]) == 1 for row in p.rows if idx < len(row)):
                 continue
