@@ -326,27 +326,38 @@ def _partitions(d: int, parts: int, largest: int):
             yield (first,) + rest
 
 
+def _horizontal_strips(mu: tuple[int, ...], k: int) -> list:
+    """The partitions lam, padded like mu, for which lam/mu is a horizontal
+    k-strip: |lam| = |mu| + k and mu_i <= lam_i <= mu_{i-1} (no bound on lam_1)."""
+    grown = [((), k)]
+    for i in range(len(mu) - 1, 0, -1):
+        grown = [
+            ((mu[i] + e,) + tail, left - e)
+            for tail, left in grown
+            for e in range(min(mu[i - 1] - mu[i], left) + 1)
+        ]
+    return [(mu[0] + left,) + tail for tail, left in grown]
+
+
 def kostka_columns(degrees, n: int) -> dict:
     """Kostka numbers {nu: {lam: K_{lam,nu}}} for the partitions nu of each
     d in `degrees` with at most n parts, lam and nu padded to n parts.
 
-    h_nu = sum_lam K_{lam,nu} s_lam, so the column of nu is
-    straighten(h_nu * x^delta); no tableau is enumerated.  h_nu is built one
-    part at a time: A commutes with multiplication by the symmetric h_k, so
-    h_k times the alternant numerator sum_lam K_{lam,nu'} x^(lam+delta) of
-    h_nu' straightens to h_nu, where nu' is nu less its last part k.
+    h_nu = sum_lam K_{lam,nu} s_lam, and h_nu is built one part at a time
+    by the Pieri rule s_mu h_k = sum of s_lam over the horizontal k-strips
+    lam/mu with at most n rows (Macdonald, I (5.16)): the column of nu is
+    the column of nu' = nu less its last part k, pushed through the strips.
+    No polynomial is built and no tableau is enumerated.
     """
-    delta = tuple(range(n - 1, -1, -1))
     columns = {(): {(0,) * n: 1}}
 
     def column(nu):
         if nu not in columns:
-            numerator = Polynomial(n, 0, {
-                (tuple(p + q for p, q in zip(lam, delta)), ()): c
-                for lam, c in column(nu[:-1]).items()
-            })
-            g = numerator * h_polynomial(nu[-1], n, n)
-            columns[nu] = {lam: c for (lam, _), c in straighten(g).items()}
+            out = {}
+            for mu, c in column(nu[:-1]).items():
+                for lam in _horizontal_strips(mu, nu[-1]):
+                    out[lam] = out.get(lam, 0) + c
+            columns[nu] = out
         return columns[nu]
 
     return {

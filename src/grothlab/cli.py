@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .algebra import ExactDivisionError, TruncatedSeries
 from .insertion import in_step, out_step
@@ -84,12 +84,12 @@ def _format_mu(mu) -> str:
 
 
 def _series_lines(series: TruncatedSeries) -> list[str]:
-    out = []
-    for xe, te, c in series.poly.sorted_terms():
-        xs = " ".join(map(str, xe))
-        ts = " ".join(map(str, te))
-        out.append(f"{c}  {xs} | {ts}".rstrip())
-    return out
+    @cache
+    def joined(exps):
+        # exponent tuples repeat across lines, so each is joined once
+        return " ".join(map(str, exps))
+
+    return [f"{c}  {joined(xe)} | {joined(te)}".rstrip() for xe, te, c in series.poly.sorted_terms()]
 
 
 def _series_json(series: TruncatedSeries) -> list:

@@ -20,12 +20,13 @@ The algebraic route computes neither the antisymmetrization A(f) nor its
 quotient by the Vandermonde V.  By the bialternant rule
 A(x^a)/V = sign(w) s_{w(a) - delta} (w sorts a decreasingly; 0 if a
 repeats a part), `straighten` reads A(f)/V off the product f term by term
-as Schur coefficients, and Kostka numbers, themselves read off
-straighten(h_nu x^delta), turn them back into monomials.  J and P share
-one product, `_product`: for P the tail Vandermonde of the coset sum is
-replaced by its leading monomial, which turns the coset sum into a plain
-A(f)/V.  The explicit antisymmetrize, coset-sum and division path stays
-in use by the h-product reference.
+as Schur coefficients, and Kostka numbers, built by the Pieri rule with no
+polynomial, turn them back into monomials.  J and P share one product,
+`_product`: for P the tail Vandermonde of the coset sum is replaced by its
+leading monomial, which turns the coset sum into a plain A(f)/V.  The
+product multiplies packed-integer exponents and hands `straighten` one
+tuple-keyed Polynomial.  The explicit antisymmetrize, coset-sum and
+division path stays in use by the h-product reference.
 
 Everything is exact: integer coefficients throughout, with the t-degree
 cap as the only source of truncation.  Within the cap window the x-degree
@@ -36,7 +37,7 @@ of every term equals |mu| plus its t-degree, so any x-cap of at least
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .algebra import (
     Polynomial,
@@ -44,7 +45,6 @@ from .algebra import (
     antisymmetrize,
     coset_sum,
     divide_exact,
-    geometric_factor,
     h_polynomial,
     schur_to_monomials,
     straighten,
@@ -174,15 +174,7 @@ def pschur(lam: tuple[int, ...], n: int) -> Polynomial:
 # the weak symmetric Grothendieck family J
 
 
-def _geometric_row(i: int, part: int, ell: int, n: int, x_cap: int, t_cap: int) -> TruncatedSeries:
-    """Product of the geometric factors of row i: t-indices ell-part+1..ell."""
-    out = TruncatedSeries.one(n, ell, x_cap, t_cap)
-    for j in range(ell - part + 1, ell + 1):
-        out = out * geometric_factor(i, j - 1, n, ell, x_cap, t_cap)
-    return out
-
-
-def _product(spec: FamilySpec) -> TruncatedSeries:
+def _product(spec: FamilySpec) -> Polynomial:
     """x^delta times the geometric rows of mu, truncated to the caps; for P,
     each factor x_i of x^delta with i < m becomes (x_i + x_j).
 
@@ -194,20 +186,55 @@ def _product(spec: FamilySpec) -> TruncatedSeries:
     A(f) = (n-m)! A(g * x_tail^delta): the coset sum is A of this product,
     with no division.  The stair factors are multiplied in last, as one
     polynomial, so the row products stay small.
+
+    Exponents are packed (Monagan and Pearce, CASC 2007): a monomial is one
+    int with a `width`-bit field per x_i, then per t_j, then the total
+    x-degree, then the total t-degree on top.  Only monomials within the
+    caps x_work and t_cap are stored, so each field is at most
+    max(x_work, t_cap) < 2^(width-1): a sum of two carries out of no field,
+    and its two degree fields tell whether it is past a cap.  The terms are
+    unpacked once, at the end.
     """
     n, ell, t_cap = spec.n, spec.ell, spec.t_cap
     head = len(spec.mu) if spec.family == "P" else 0
-    stair = Polynomial.constant(1, n, ell)
+    x_work = min(spec.effective_x_cap(), spec.weight_size + t_cap) + n * (n - 1) // 2
+    width = max(x_work, t_cap).bit_length() + 1
+    mask = (1 << width) - 1
+    x_total, t_total = (n + ell) * width, (n + ell + 1) * width
+    x_one = [1 << (i * width) | 1 << x_total for i in range(n)]
+    t_one = [1 << ((n + j) * width) | 1 << t_total for j in range(ell)]
+
+    def times(a, b):
+        # every factor has positive coefficients, so no sum cancels to zero
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                if k >> t_total <= t_cap and k >> x_total & mask <= x_work:
+                    out[k] = out.get(k, 0) + ca * cb
+        return out
+
+    in_cap = range(min(t_cap, x_work - 1) + 1)  # the k of the in-cap t_j^k x_i^(k+1)
+    prod = {0: 1}
+    for i, part in enumerate(spec.mu):
+        for j in range(ell - part, ell):
+            prod = times(prod, {(k + 1) * x_one[i] + k * t_one[j]: 1 for k in in_cap})
+    stair = {0: 1}
     for i in range(n):
         for j in range(i + 1, n):
-            factor = x_var(i, n, ell) + x_var(j, n, ell) if i < head else x_var(i, n, ell)
-            stair = stair * factor
-    window = min(spec.effective_x_cap(), spec.weight_size + t_cap)
-    x_work = window + n * (n - 1) // 2
-    prod = TruncatedSeries.one(n, ell, x_work, t_cap)
-    for i, part in enumerate(spec.mu):
-        prod = prod * _geometric_row(i, part, ell, n, x_work, t_cap)
-    return prod * stair
+            stair = times(stair, dict.fromkeys((x_one[i], x_one[j]) if i < head else (x_one[i],), 1))
+
+    @cache
+    def fields(bits, count):
+        # x parts repeat across t parts and t parts across x parts
+        return tuple(bits >> (f * width) & mask for f in range(count))
+
+    x_bits = (1 << n * width) - 1
+    terms = {
+        (fields(k & x_bits, n), fields(k >> (n * width), ell)): c
+        for k, c in times(prod, stair).items()
+    }
+    return Polynomial(n, ell, terms)
 
 
 def _algebraic(spec: FamilySpec) -> TruncatedSeries:

@@ -22,7 +22,7 @@ from grothlab.algebra import (
     vandermonde,
     x_var,
 )
-from grothlab.partitions import pad, subpartitions
+from grothlab.partitions import pad, staircase, subpartitions
 from grothlab.tableaux import enumerate_ssyt
 
 
@@ -264,7 +264,7 @@ def test_straighten_matches_antisymmetrize_and_divide(f):
     assert schur_to_monomials(straighten(f), f.nx, f.nt) == expected
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_kostka_columns_count_ssyt_by_weight(n):
     shapes = [lam for lam in subpartitions((6,) * n) if sum(lam) <= 6]
     columns = kostka_columns(range(7), n)
@@ -273,3 +273,61 @@ def test_kostka_columns_count_ssyt_by_weight(n):
         counts = Counter(pad(t.weight(), n) for t in enumerate_ssyt(lam, n))
         for nu, column in columns.items():
             assert column.get(pad(lam, n), 0) == counts[nu], (lam, nu)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kostka_columns_match_straightened_h_products(n):
+    # the rule the Pieri columns replace: the column of nu is
+    # straighten(h_k * numerator of h_nu'), nu' being nu less its last part k
+    delta = staircase(n)
+    memo = {(): {(0,) * n: 1}}
+
+    def straightened(nu):
+        if nu not in memo:
+            numerator = Polynomial(n, 0, {
+                (tuple(p + q for p, q in zip(lam, delta)), ()): c
+                for lam, c in straightened(nu[:-1]).items()
+            })
+            g = numerator * h_polynomial(nu[-1], n, n)
+            memo[nu] = {lam: c for (lam, _), c in straighten(g).items()}
+        return memo[nu]
+
+    columns = kostka_columns(range(8), n)
+    assert len(columns) == sum(1 for lam in subpartitions((7,) * n) if sum(lam) <= 7)
+    for nu, column in columns.items():
+        assert column == straightened(tuple(p for p in nu if p)), nu
+
+
+STRAIGHTEN_ORACLE_CASES = [
+    Polynomial.monomial((2,), (1,), 3) + Polynomial.monomial((0,), (0,), -2),
+    Polynomial.monomial((3, 0), (1,), 5) + Polynomial.monomial((1, 2), (0,), 2) + Polynomial.monomial((2, 2), (1,)),
+    Polynomial.monomial((3, 0, 2), (1, 0), 5) + Polynomial.monomial((4, 2, 1), (0, 2), -7)
+    + Polynomial.monomial((0, 1, 1), (0, 0), 4),
+    (x_var(0, 3, 1) + x_var(1, 3, 1)) * (x_var(0, 3, 1) + x_var(2, 3, 1)) * x_var(1, 3, 1)
+    * (Polynomial.constant(1, 3, 1) + Polynomial.monomial((1, 0, 0), (1,))),
+]
+
+
+@pytest.mark.parametrize("f", STRAIGHTEN_ORACLE_CASES)
+def test_straighten_matches_sympy_quotient(f):
+    # a third oracle, independent of this library's antisymmetrize and division
+    sympy = pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation
+
+    n, nt = f.nx, f.nt
+    xs, ts = sympy.symbols(f"x1:{n + 1}"), sympy.symbols(f"t1:{nt + 1}")
+
+    def expr(p):
+        return sympy.Add(*(
+            c * sympy.Mul(*(v ** e for v, e in zip(xs + ts, xe + te)))
+            for (xe, te), c in p.terms.items()
+        ))
+
+    g = expr(f)
+    alternant = sympy.Add(*(
+        Permutation(list(sigma)).signature() * g.subs(dict(zip(xs, [xs[i] for i in sigma])), simultaneous=True)
+        for sigma in permutations(range(n))
+    ))
+    vandermonde_expr = sympy.Mul(*(xs[i] - xs[j] for i in range(n) for j in range(i + 1, n)))
+    quotient = sympy.cancel(alternant / vandermonde_expr)
+    assert sympy.expand(expr(schur_to_monomials(straighten(f), n, nt)) - quotient) == 0

@@ -8,12 +8,12 @@ from grothlab.algebra import (
     antisymmetrize,
     coset_sum,
     divide_exact,
+    geometric_factor,
     vandermonde,
     x_var,
 )
 from grothlab.partitions import subpartitions
 from grothlab.polynomials import (
-    _geometric_row,
     _product,
     BasisExpansion,
     ExpansionError,
@@ -286,18 +286,31 @@ LARGER_TAILS = [((1,), 5, 2), ((1,), 6, 1), ((2, 1), 5, 1), ((2,), 5, 2)]
 @pytest.mark.parametrize("mu,n,t_cap", SMALL_J)
 def test_J_kernel_matches_antisymmetrize_and_divide(mu, n, t_cap):
     spec = FamilySpec("J", mu, n, t_cap=t_cap)
-    expected = divide_exact(antisymmetrize(_product(spec), n), vandermonde(n))
-    assert grothendieck_J_algebraic(spec) == TruncatedSeries(expected.poly, spec.effective_x_cap(), t_cap)
+    expected = divide_exact(antisymmetrize(_product(spec), n), vandermonde(n, spec.ell))
+    assert grothendieck_J_algebraic(spec) == TruncatedSeries(expected, spec.effective_x_cap(), t_cap)
+
+
+def _x_work(spec):
+    """The x-cap of `_product`: the window of the result plus deg x^delta."""
+    n = spec.n
+    return min(spec.effective_x_cap(), spec.weight_size + spec.t_cap) + n * (n - 1) // 2
+
+
+def _geometric_rows(spec, x_work):
+    """The truncated geometric factors of every row of mu, as tuple-keyed series."""
+    n, ell, t_cap = spec.n, spec.ell, spec.t_cap
+    prod = TruncatedSeries.one(n, ell, x_work, t_cap)
+    for i, part in enumerate(spec.mu):
+        for j in range(ell - part, ell):
+            prod = prod * geometric_factor(i, j, n, ell, x_work, t_cap)
+    return prod
 
 
 def _paper_p_product(spec):
     """The paper's P product: geometric rows of mu, the plus factors of the
     rows i < m, and the tail Vandermonde prod_{m<=i<j} (x_i - x_j)."""
-    n, ell, t_cap, m = spec.n, spec.ell, spec.t_cap, len(spec.mu)
-    x_work = min(spec.effective_x_cap(), spec.weight_size + t_cap) + n * (n - 1) // 2
-    prod = TruncatedSeries.one(n, ell, x_work, t_cap)
-    for i in range(m):
-        prod = prod * _geometric_row(i, spec.mu[i], ell, n, x_work, t_cap)
+    n, ell, m = spec.n, spec.ell, len(spec.mu)
+    prod = _geometric_rows(spec, _x_work(spec))
     for i in range(n):
         for j in range(i + 1, n):
             sign = 1 if i < m else -1
@@ -316,4 +329,28 @@ def test_P_kernel_matches_coset_sum_and_divide(mu, n, t_cap):
     # carries exactly that A(f)/(n-m)!
     a_paper = antisymmetrize(f_paper, n)
     assert a_paper == coset_sum(f_paper, n, m) * factorial(n - m)
-    assert a_paper == antisymmetrize(_product(spec), n) * factorial(n - m)
+    assert a_paper.poly == antisymmetrize(_product(spec), n) * factorial(n - m)
+
+
+PRODUCT_SPECS = (
+    [("J", mu, n, t_cap, None) for mu, n, t_cap in SMALL_J]
+    + [("P", mu, n, t_cap, None) for mu, n, t_cap in SMALL_P + LARGER_TAILS]
+    # x-cap 3 + 7 + 21 = 31 = 2^5 - 1: the total x-degree field is full
+    # below its carry bit
+    + [("J", (3,), 7, 7, None), ("P", (3,), 7, 7, None)]
+    # x-caps below |mu| + t_cap, so the x-degree field drops pairs; in the
+    # last row t_cap = 7 = 2^3 - 1 and the pairs past the x-cap reach 8
+    + [("J", (2, 1), 3, 2, 3), ("P", (2, 1), 4, 3, 4), ("J", (2,), 1, 7, 4)]
+)
+
+
+@pytest.mark.parametrize("family,mu,n,t_cap,x_cap", PRODUCT_SPECS)
+def test_packed_product_matches_tuple_series_product(family, mu, n, t_cap, x_cap):
+    spec = FamilySpec(family, mu, n, t_cap=t_cap, x_cap=x_cap)
+    head = len(mu) if family == "P" else 0
+    ell = spec.ell
+    expected = _geometric_rows(spec, _x_work(spec))
+    for i in range(n):
+        for j in range(i + 1, n):
+            expected = expected * (x_var(i, n, ell) + x_var(j, n, ell) if i < head else x_var(i, n, ell))
+    assert _product(spec) == expected.poly
