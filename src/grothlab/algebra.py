@@ -8,6 +8,7 @@ degree caps on the two blocks; series products drop terms over either cap.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, combinations_with_replacement, permutations
 
 __all__ = [
@@ -43,6 +44,11 @@ def perm_sign(sigma) -> int:
             if sigma[i] > sigma[j]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def _block_key(exps):
+    """Graded lex key of one block's exponents."""
+    return (sum(exps), exps)
 
 
 def _order_key(mono):
@@ -151,10 +157,10 @@ class Polynomial:
         return self.terms.get((tuple(xexps), texps), 0)
 
     def x_degree(self) -> int:
-        return max((sum(xe) for xe, _ in self.terms), default=0)
+        return max(map(sum, {xe for xe, _ in self.terms}), default=0)
 
     def t_degree(self) -> int:
-        return max((sum(te) for _, te in self.terms), default=0)
+        return max(map(sum, {te for _, te in self.terms}), default=0)
 
     def leading_monomial(self):
         """Largest monomial in graded lex order (x-block first), or None."""
@@ -189,11 +195,19 @@ class Polynomial:
         )
 
     def sorted_terms(self):
-        """Terms as (x_exps, t_exps, coeff), leading (graded lex) first."""
-        return [
-            (xe, te, self.terms[(xe, te)])
-            for xe, te in sorted(self.terms, key=_order_key, reverse=True)
-        ]
+        """Terms as (x_exps, t_exps, coeff), leading (graded lex) first.
+
+        This is the one ordering of every printed series, text and JSON.
+        `_order_key` compares the x part before the t part, so each distinct
+        part is ranked once and a term sorts on one int built from its two
+        ranks, with no tuple compared per term.
+        """
+        xs = sorted({xe for xe, _ in self.terms}, key=_block_key)
+        ts = sorted({te for _, te in self.terms}, key=_block_key)
+        x_rank = {xe: i * len(ts) for i, xe in enumerate(xs)}
+        t_rank = {te: i for i, te in enumerate(ts)}
+        by_rank = {x_rank[xe] + t_rank[te]: (xe, te, c) for (xe, te), c in self.terms.items()}
+        return [by_rank[r] for r in sorted(by_rank, reverse=True)]
 
     def __repr__(self):
         if not self.terms:
@@ -301,14 +315,22 @@ def straighten(f) -> dict:
     poly = f.poly if isinstance(f, TruncatedSeries) else f
     n = poly.nx
     delta = tuple(range(n - 1, -1, -1))
+
+    @cache
+    def read(xe):
+        # an x part repeats under many t parts, so each is sorted and signed once
+        if len(set(xe)) < n:
+            return None
+        a = sorted(xe, reverse=True)
+        # sign(w) is the parity of the pairs i < j with xe[i] < xe[j]
+        return tuple(p - d for p, d in zip(a, delta)), perm_sign([-e for e in xe])
+
     out = {}
     for (xe, te), c in poly.terms.items():
-        a = sorted(xe, reverse=True)
-        if any(a[i] == a[i + 1] for i in range(n - 1)):
-            continue
-        key = (tuple(p - d for p, d in zip(a, delta)), te)
-        # sign(w) is the parity of the pairs i < j with xe[i] < xe[j]
-        out[key] = out.get(key, 0) + (c if perm_sign([-e for e in xe]) > 0 else -c)
+        entry = read(xe)
+        if entry is not None:
+            key = (entry[0], te)
+            out[key] = out.get(key, 0) + entry[1] * c
     return {key: c for key, c in out.items() if c}
 
 
@@ -372,23 +394,28 @@ def schur_to_monomials(coeffs: dict, n: int, nt: int) -> Polynomial:
 
     The coefficient of x^alpha in s_lam is K_{lam,nu} with nu = sort(alpha),
     so each dominant weight nu is summed once and copied onto every distinct
-    rearrangement of nu.
+    rearrangement of nu.  The coefficients are grouped by lam, so each
+    weight reads its Kostka column once per distinct lam.
     """
     by_degree: dict[int, dict] = {}
     for (lam, te), c in coeffs.items():
-        by_degree.setdefault(sum(lam), {})[(lam, te)] = c
-    out = {}
+        by_degree.setdefault(sum(lam), {}).setdefault(lam, []).append((te, c))
+    result = Polynomial(n, nt)
+    out = result.terms  # filled in place, with no zero stored, so never copied
     for nu, column in kostka_columns(by_degree, n).items():
         dominant: dict = {}
-        for (lam, te), c in by_degree[sum(nu)].items():
-            if lam in column:
-                dominant[te] = dominant.get(te, 0) + column[lam] * c
-        if not any(dominant.values()):
+        for lam, t_terms in by_degree[sum(nu)].items():
+            k = column.get(lam)
+            if k:
+                for te, c in t_terms:
+                    dominant[te] = dominant.get(te, 0) + k * c
+        nonzero = [(te, c) for te, c in dominant.items() if c]
+        if not nonzero:
             continue
         for alpha in set(permutations(nu)):
-            for te, c in dominant.items():
+            for te, c in nonzero:
                 out[(alpha, te)] = c
-    return Polynomial(n, nt, out)
+    return result
 
 
 def _divide_poly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -456,12 +483,14 @@ class TruncatedSeries:
     __slots__ = ("poly", "x_cap", "t_cap")
 
     def __init__(self, poly: Polynomial, x_cap: int, t_cap: int):
-        kept = {
-            mono: c
-            for mono, c in poly.terms.items()
-            if sum(mono[0]) <= x_cap and sum(mono[1]) <= t_cap
-        }
-        self.poly = Polynomial(poly.nx, poly.nt, kept)
+        # the input is kept, not copied, when every term is within the caps
+        if poly.x_degree() > x_cap or poly.t_degree() > t_cap:
+            poly = Polynomial(poly.nx, poly.nt, {
+                mono: c
+                for mono, c in poly.terms.items()
+                if sum(mono[0]) <= x_cap and sum(mono[1]) <= t_cap
+            })
+        self.poly = poly
         self.x_cap = x_cap
         self.t_cap = t_cap
 

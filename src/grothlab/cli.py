@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .algebra import ExactDivisionError, TruncatedSeries
 from .insertion import in_step, out_step
@@ -83,13 +83,14 @@ def _format_mu(mu) -> str:
     return ",".join(map(str, mu)) if mu else "0"
 
 
-def _series_lines(series: TruncatedSeries) -> list[str]:
-    @cache
-    def joined(exps):
-        # exponent tuples repeat across lines, so each is joined once
-        return " ".join(map(str, exps))
-
-    return [f"{c}  {joined(xe)} | {joined(te)}".rstrip() for xe, te, c in series.poly.sorted_terms()]
+def _series_text(series: TruncatedSeries) -> str:
+    """The series' lines, each ending in a newline, as one string."""
+    # x parts repeat across lines and t parts across x parts, so each part's
+    # text is built once; an empty t part leaves the line ending in "|"
+    terms = series.poly.terms
+    x_text = {xe: " ".join(map(str, xe)) for xe in {xe for xe, _ in terms}}
+    t_text = {te: f" | {' '.join(map(str, te))}".rstrip() + "\n" for te in {te for _, te in terms}}
+    return "".join([f"{c}  {x_text[xe]}{t_text[te]}" for xe, te, c in series.poly.sorted_terms()])
 
 
 def _series_json(series: TruncatedSeries) -> list:
@@ -158,8 +159,8 @@ def _cmd_compute(args) -> int:
         print(f"xcap: {spec.effective_x_cap()}")
         for name, s in computed.items():
             print(f"route {name}: {len(s.poly.terms)} terms")
-            for line in _series_lines(s):
-                print(line)
+            # a series runs to 10^5 lines, so they go out in one write
+            sys.stdout.write(_series_text(s))
         if verdict:
             print(f"verdict: {verdict}")
     return 0 if verdict in (None, "AGREE") else VERIFY_ERROR
@@ -467,7 +468,8 @@ def main(argv=None) -> int:
     except (ExactDivisionError, ExpansionError) as ex:
         print(f"internal invariant breach: {ex}", file=sys.stderr)
         return INTERNAL_ERROR
-    except (ValueError, OSError) as ex:
+    except (ValueError, OverflowError, OSError) as ex:
+        # OverflowError: a part too large for the packed exponents of `_product`
         print(f"error: {ex}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -76,7 +76,6 @@ __all__ = [
     "grothendieck_P_algebraic",
     "grothendieck_P_combinatorial",
     "signed_smt_sum",
-    "grothendieck_P_from_signed",
     "coefficient_via_hmult",
     "hmult_good_extension_route",
     "expand_in_schur",
@@ -289,18 +288,6 @@ def grothendieck_P_combinatorial(spec: FamilySpec) -> TruncatedSeries:
 def signed_smt_sum(spec: FamilySpec) -> TruncatedSeries:
     """Sum over the signed census; equals 2^m times the unsigned route."""
     return _smt_series(spec, signed=True)
-
-
-def grothendieck_P_from_signed(spec: FamilySpec) -> TruncatedSeries:
-    """Signed route: divide the signed census sum by 2^m, exactly."""
-    m = len(spec.mu)
-    total = signed_smt_sum(spec)
-    out = {}
-    for mono, c in total.poly.terms.items():
-        if c % (1 << m):
-            raise ExpansionError(f"coefficient {c} not divisible by 2^{m}")
-        out[mono] = c >> m
-    return TruncatedSeries(Polynomial(spec.n, spec.ell, out), total.x_cap, total.t_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -856,6 +856,10 @@ def enumerate_rt(outer, mu):
     """All restricted tableaux of shape outer/mu."""
     outer = tuple(outer)
     mu = tuple(mu)
+    # outer may end in zero rows: the expansion oracles pad it to len(mu)
+    rows = tuple(p for p in outer if p)
+    if not (is_partition(mu) and is_partition(rows) and outer == rows + (0,) * (len(outer) - len(rows))):
+        raise ValueError(f"not a partition pair: {outer}/{mu}")
     inner = mu + (0,) * (len(outer) - len(mu))
     if any(i > o for i, o in zip(inner, outer)):
         raise ValueError("inner shape must fit inside outer shape")
@@ -865,6 +869,8 @@ def enumerate_rt(outer, mu):
 def enumerate_srt(lam, mu):
     """All shifted restricted tableaux of shape lam/mu (strict shapes)."""
     lam, mu = tuple(lam), tuple(mu)
+    if not (is_strict_partition(lam) and is_strict_partition(mu)):
+        raise ValueError(f"not a strict partition pair: {lam}/{mu}")
     outer, inner = srt_shapes(lam, mu)
     if any(i > o for i, o in zip(inner, outer)):
         raise ValueError("inner shape must fit inside outer shape")
@@ -906,8 +912,12 @@ def _enumerate_maximal(shape, extra_cap: int, entry, make, is_maximal):
 
 
 def enumerate_maximal_mt(shape, extra_cap: int):
+    if not is_partition(shape):
+        raise ValueError(f"not a partition: {tuple(shape)}")
     return _enumerate_maximal(shape, extra_cap, int, MultisetTableau, is_maximal_mt)
 
 
 def enumerate_maximal_smt(shape, extra_cap: int):
+    if not is_strict_partition(shape):
+        raise ValueError(f"not a strict partition: {tuple(shape)}")
     return _enumerate_maximal(shape, extra_cap, Entry, ShiftedMultisetTableau, is_maximal_smt)

@@ -8,6 +8,7 @@ from grothlab.algebra import (
     ExactDivisionError,
     Polynomial,
     TruncatedSeries,
+    _order_key,
     antisymmetrize,
     apply_permutation,
     coset_permutations,
@@ -223,6 +224,20 @@ def test_series_caps():
         s + TruncatedSeries(x, 2, 1)
 
 
+def test_series_below_the_x_cap_drops_terms_and_keeps_its_input():
+    p = (
+        Polynomial.monomial((3, 1), (1,), 2)
+        + Polynomial.monomial((2, 1), (0,))
+        + Polynomial.monomial((1, 1), (2,), 5)
+    )
+    before = dict(p.terms)
+    s = TruncatedSeries(p, 3, 2)
+    assert s.poly.terms == {((2, 1), (0,)): 1, ((1, 1), (2,)): 5}
+    assert p.terms == before
+    assert TruncatedSeries(p, 4, 1).poly.terms == {((3, 1), (1,)): 2, ((2, 1), (0,)): 1}
+    assert TruncatedSeries(p, 4, 2).poly == p
+
+
 def test_series_division_adjusts_cap():
     geo = geometric_factor(0, 0, 2, 1, x_cap=4, t_cap=2)
     v = vandermonde(2, 1)
@@ -249,11 +264,39 @@ def test_sorted_terms_order_is_graded_lex():
     assert order == [(1, 1), (0, 2), (1, 0)]
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=4),
+    st.data(),
+)
+def test_sorted_terms_is_the_order_key_sort(xs, ts, data):
+    # every x part is drawn under several t parts, so the ranks of both
+    # blocks decide the order
+    pairs = [(xe, te) for xe in xs for te in ts]
+    coeffs = data.draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(pairs), max_size=len(pairs)))
+    p = Polynomial(3, 2, dict(zip(pairs, coeffs)))
+    expected = sorted(p.terms, key=_order_key, reverse=True)
+    assert p.sorted_terms() == [(xe, te, p.terms[(xe, te)]) for xe, te in expected]
+
+
 def test_straighten_reads_bialternant_rule():
     # x^(3,0,2): sorting to (3,2,0) is one transposition, and (3,2,0) - delta = (1,1,0)
     f = Polynomial.monomial((3, 0, 2), (1,), 5) + Polynomial.monomial((1, 1, 0), (0,), 7)
     assert straighten(f) == {((1, 1, 0), (1,)): -5}
     assert straighten(Polynomial.zero(2, 0)) == {}
+
+
+def test_straighten_reads_one_x_part_under_opposite_signs():
+    # x^(3,0,2) sits under t1 and t2 with opposite signs; under t1 it cancels
+    # against x^(2,0,3), whose sort into (3,2,0) is even
+    f = (
+        Polynomial.monomial((3, 0, 2), (1, 0), 5)
+        + Polynomial.monomial((3, 0, 2), (0, 1), -5)
+        + Polynomial.monomial((2, 0, 3), (1, 0), 5)
+    )
+    assert straighten(f) == {((1, 1, 0), (0, 1)): 5}
+    assert schur_to_monomials(straighten(f), 3, 2) == divide_exact(antisymmetrize(f), vandermonde(3, 2))
 
 
 @settings(max_examples=80, deadline=None)

@@ -373,3 +373,100 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["compute", "Q", "1", "--n", "1"])
     assert exc.value.code == 1
+
+
+def test_compute_below_the_x_cap_prints_the_truncated_series(capsys):
+    # --xcap 4 is below |mu| + tcap = 5, so the terms of x-degree 5 are cut
+    code, out, _ = run(capsys, "compute", "J", "2,1", "--n", "2", "--tcap", "2", "--xcap", "4")
+    assert code == 0
+    terms = [
+        "1  3 1 | 1 0", "1  3 1 | 0 1", "1  2 2 | 1 0", "2  2 2 | 0 1",
+        "1  1 3 | 1 0", "1  1 3 | 0 1", "1  2 1 | 0 0", "1  1 2 | 0 0",
+    ]
+    assert out.splitlines() == [
+        "family: J", "mu: 2,1", "n: 2", "tcap: 2", "xcap: 4",
+        "route algebraic: 8 terms", *terms,
+        "route combinatorial: 8 terms", *terms,
+        "verdict: AGREE",
+    ]
+
+
+# Malformed input to every subcommand must end as a usage error: exit 1, a
+# message on stderr and no traceback.
+MALFORMED_MU = ["1,,2", "abc", ",", "-1", "2,-1", "1,2", "2,1,0"]
+OVERSIZED_PART = "99999999999999999999"  # past the packed exponents of the product
+STRAIGHT_START = os.path.join(DATA, "outchain_straight_start.txt")
+SHIFTED_FAMILIES = ("SMT", "SMT+-", "SST", "SST+-", "maxSMT")
+
+MALFORMED_ARGV = (
+    [["compute", "J", mu, "--n", "2"] for mu in MALFORMED_MU]
+    + [["expand", "J", mu, "--n", "2"] for mu in MALFORMED_MU]
+    + [["enumerate", fam, mu] for fam in cli._ENUM_FAMILIES if fam not in ("RT", "SRT") for mu in MALFORMED_MU]
+    + [["enumerate", fam, mu, "--outer", "3,2"] for fam in ("RT", "SRT") for mu in MALFORMED_MU]
+    + [["enumerate", fam, "2", "--outer", outer] for fam in ("RT", "SRT") for outer in ("1,,2", "-3", "1,3", "3,0,1")]
+    + [["enumerate", fam, "2,2"] for fam in SHIFTED_FAMILIES]
+    + [
+        ["compute", "P", "2,2", "--n", "2"],
+        ["expand", "P", "2,2", "--n", "2"],
+        ["enumerate", "SRT", "2,2", "--outer", "3,2"],
+        ["compute", "J", OVERSIZED_PART, "--n", "1", "--tcap", "0"],
+        ["compute", "P", OVERSIZED_PART, "--n", "2", "--tcap", "1", "--format", "json"],
+        ["expand", "J", OVERSIZED_PART, "--n", "1", "--tcap", "0"],
+        ["compute", "J", "2,1", "--n", "abc"],
+        ["compute", "J", "2,1", "--n", "0"],
+        ["compute", "J", "2,1", "--n", "-2"],
+        ["compute", "J", "2,1", "--n", "2", "--tcap", "-1"],
+        ["compute", "J", "2,1", "--n", "2", "--tcap", "1.5"],
+        ["compute", "J", "2,1", "--n", "2", "--xcap", "-1"],
+        ["compute", "J", "2,1", "--n", "2", "--route", "nope"],
+        ["compute", "J", "2,1", "--n", "2", "--format", "xml"],
+        ["compute", "Q", "2,1", "--n", "2"],
+        ["compute", "J", "2,1"],
+        ["expand", "J", "2,1", "--n", "2", "--tcap", "x"],
+        ["expand", "J", "2,1", "--n", "2", "--xcap", "-1"],
+        ["expand", "schur", "2,1", "--n", "2"],
+        ["enumerate", "MT", "2,1", "--max-value", "x"],
+        ["enumerate", "MT", "2,1", "--max-value", "-1"],
+        ["enumerate", "MT", "2,1", "--extra", "-1"],
+        ["enumerate", "XX", "2,1"],
+        ["verify", "nope"],
+        ["verify", "all", "--format", "xml"],
+        ["verify"],
+        ["trace", STRAIGHT_START, "--k", "abc", "--flavor", "multiset"],
+        ["trace", STRAIGHT_START, "--k", "1", "--flavor", "odd"],
+        ["trace", STRAIGHT_START, "--k", "1", "--flavor", "multiset", "--ell", "x"],
+        ["trace", STRAIGHT_START, "--k", "1", "--flavor", "multiset", "--direction", "sideways"],
+        ["trace", STRAIGHT_START, "--k", "1", "--flavor", "multiset", "--direction", "in", "--inner", "1,,2"],
+        ["trace", STRAIGHT_START, "--k", "1", "--flavor", "multiset", "--direction", "in", "--inner", "9,9"],
+        ["trace", STRAIGHT_START, "--flavor", "multiset"],
+        ["nope"],
+        [],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=" ".join)
+def test_malformed_argv_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    b"", b"abc | def\n", b"1 | 2''\n", b"1 | 1 1 | 0\n", b"2 | 1\n1\n",
+    b"1 |  | 2\n", b". | 1\n", b"1 | 2\n3 | 4 | 5\n", b"\x00\xff\xfe\n",
+])
+@pytest.mark.parametrize("flavor", ["multiset", "shifted"])
+def test_malformed_tableau_file_is_a_usage_error(capsys, tmp_path, flavor, content):
+    f = tmp_path / "tableau.txt"
+    f.write_bytes(content)
+    code, out, err = run(capsys, "trace", str(f), "--k", "1", "--flavor", flavor)
+    assert code == 1 and out == ""
+    assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["missing.txt", "."])
+def test_unreadable_tableau_file_is_a_usage_error(capsys, tmp_path, name):
+    code, out, err = run(capsys, "trace", str(tmp_path / name), "--k", "1", "--flavor", "multiset")
+    assert code == 1 and out == ""
+    assert err.strip() and "Traceback" not in err

@@ -26,7 +26,6 @@ from grothlab.polynomials import (
     grothendieck_J_combinatorial,
     grothendieck_P_algebraic,
     grothendieck_P_combinatorial,
-    grothendieck_P_from_signed,
     hmult_good_extension_route,
     pschur,
     schur,
@@ -130,7 +129,6 @@ def test_P_signed_route():
     spec = FamilySpec("P", (2, 1), 2, t_cap=1)
     comb = grothendieck_P_combinatorial(spec)
     assert signed_smt_sum(spec).poly == comb.poly * 4
-    assert grothendieck_P_from_signed(spec) == comb
 
 
 def test_P_requires_strict_mu():
