@@ -162,12 +162,6 @@ class Polynomial:
     def t_degree(self) -> int:
         return max(map(sum, {te for _, te in self.terms}), default=0)
 
-    def leading_monomial(self):
-        """Largest monomial in graded lex order (x-block first), or None."""
-        if not self.terms:
-            return None
-        return max(self.terms, key=_order_key)
-
     def coefficient_of_t(self, texps) -> "Polynomial":
         """Extract the x-polynomial multiplying t^texps (t-block dropped)."""
         texps = tuple(texps)
@@ -422,7 +416,7 @@ def _divide_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact division by leading-term reduction in graded lex order."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    lt_g = g.leading_monomial()
+    lt_g = max(g.terms, key=_order_key)
     c_g = g.terms[lt_g]
     rem = dict(f.terms)
     quot = {}

@@ -20,8 +20,7 @@ from .polynomials import (
     BasisExpansion,
     ExpansionError,
     FamilySpec,
-    expand_in_pschur,
-    expand_in_schur,
+    basis_expansion,
     expansion_via_maximal,
     grothendieck_J_algebraic,
     grothendieck_J_combinatorial,
@@ -97,10 +96,6 @@ def _series_json(series: TruncatedSeries) -> list:
     return [[c, list(xe), list(te)] for xe, te, c in series.poly.sorted_terms()]
 
 
-def _expansion_lines(exp: BasisExpansion) -> list[str]:
-    return [f"{_format_mu(lam)} : {poly!r}" for lam, poly in exp.coefficients]
-
-
 def _expansion_json(exp: BasisExpansion) -> dict:
     return {
         _format_mu(lam): [[c, list(te)] for _, te, c in poly.sorted_terms()]
@@ -168,15 +163,8 @@ def _cmd_compute(args) -> int:
 
 def _cmd_expand(args) -> int:
     mu = _parse_mu(args.mu)
-    if args.family not in ("J", "P"):
-        raise ValueError("expand applies to families J and P")
     spec = FamilySpec(args.family, mu, args.n, t_cap=args.tcap, x_cap=args.xcap)
-    if spec.family == "J":
-        series = grothendieck_J_algebraic(spec)
-        expansion = expand_in_schur(series, spec.n)
-    else:
-        series = grothendieck_P_algebraic(spec)
-        expansion = expand_in_pschur(series, spec.n)
+    expansion = basis_expansion(spec)
     via_maximal = expansion_via_maximal(spec)
     verdict = "AGREE" if expansion == via_maximal else "DISAGREE"
     if args.format == "json":
@@ -197,8 +185,8 @@ def _cmd_expand(args) -> int:
         print(f"n: {spec.n}")
         print(f"tcap: {spec.t_cap}")
         print(f"basis: {expansion.basis}")
-        for line in _expansion_lines(expansion):
-            print(line)
+        for lam, poly in expansion.coefficients:
+            print(f"{_format_mu(lam)} : {poly!r}")
         print(f"verdict: {verdict}")
     return 0 if verdict == "AGREE" else VERIFY_ERROR
 

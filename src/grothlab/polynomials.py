@@ -20,13 +20,14 @@ The algebraic route computes neither the antisymmetrization A(f) nor its
 quotient by the Vandermonde V.  By the bialternant rule
 A(x^a)/V = sign(w) s_{w(a) - delta} (w sorts a decreasingly; 0 if a
 repeats a part), `straighten` reads A(f)/V off the product f term by term
-as Schur coefficients, and Kostka numbers, built by the Pieri rule with no
-polynomial, turn them back into monomials.  J and P share one product,
-`_product`: for P the tail Vandermonde of the coset sum is replaced by its
-leading monomial, which turns the coset sum into a plain A(f)/V.  The
-product multiplies packed-integer exponents and hands `straighten` one
-tuple-keyed Polynomial.  The explicit antisymmetrize, coset-sum and
-division path stays in use by the h-product reference.
+as Schur coefficients.  Kostka numbers, built by the Pieri rule with no
+polynomial, turn them into monomials; `_from_schur` turns them into a
+basis expansion.  J and P share one product, `_product`: for P the tail
+Vandermonde of the coset sum is replaced by its leading monomial, which
+turns the coset sum into a plain A(f)/V.  The product multiplies
+packed-integer exponents and hands `straighten` one tuple-keyed
+Polynomial.  The explicit antisymmetrize, coset-sum and division path
+stays in use by the h-product reference.
 
 Everything is exact: integer coefficients throughout, with the t-degree
 cap as the only source of truncation.  Within the cap window the x-degree
@@ -78,6 +79,7 @@ __all__ = [
     "signed_smt_sum",
     "coefficient_via_hmult",
     "hmult_good_extension_route",
+    "basis_expansion",
     "expand_in_schur",
     "expand_in_pschur",
     "expansion_via_maximal",
@@ -135,11 +137,6 @@ class FamilySpec:
     def vanishes(self) -> bool:
         return len(self.mu) > self.n
 
-    def zero_series(self) -> TruncatedSeries:
-        return TruncatedSeries(
-            Polynomial.zero(self.n, self.ell), self.effective_x_cap(), self.t_cap
-        )
-
 
 # ---------------------------------------------------------------------------
 # undeformed bases
@@ -195,6 +192,8 @@ def _product(spec: FamilySpec) -> Polynomial:
     unpacked once, at the end.
     """
     n, ell, t_cap = spec.n, spec.ell, spec.t_cap
+    if spec.vanishes():
+        return Polynomial.zero(n, ell)
     head = len(spec.mu) if spec.family == "P" else 0
     x_work = min(spec.effective_x_cap(), spec.weight_size + t_cap) + n * (n - 1) // 2
     width = max(x_work, t_cap).bit_length() + 1
@@ -236,13 +235,6 @@ def _product(spec: FamilySpec) -> Polynomial:
     return Polynomial(n, ell, terms)
 
 
-def _algebraic(spec: FamilySpec) -> TruncatedSeries:
-    if spec.vanishes():
-        return spec.zero_series()
-    quotient = schur_to_monomials(straighten(_product(spec)), spec.n, spec.ell)
-    return TruncatedSeries(quotient, spec.effective_x_cap(), spec.t_cap)
-
-
 def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
     """The bialternant route: A(f)/V for the truncated product f.
 
@@ -250,7 +242,8 @@ def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
     expanded into monomials by `schur_to_monomials`; it equals the exact
     quotient of the antisymmetrized f by the Vandermonde.
     """
-    return _algebraic(spec)
+    quotient = schur_to_monomials(straighten(_product(spec)), spec.n, spec.ell)
+    return TruncatedSeries(quotient, spec.effective_x_cap(), spec.t_cap)
 
 
 def grothendieck_J_combinatorial(spec: FamilySpec) -> TruncatedSeries:
@@ -267,11 +260,9 @@ def grothendieck_P_algebraic(spec: FamilySpec) -> TruncatedSeries:
     """The coset-sum route: (sum over S_n / S_{n-m} of the signed product f) / V.
 
     The coset sum is A of `_product(spec)`, which carries the tail staircase
-    in place of the tail Vandermonde (see there).  `straighten` reads its
-    quotient by V off that product as Schur coefficients, which are expanded
-    into monomials.
+    in place of the tail Vandermonde (see there), so the J route serves.
     """
-    return _algebraic(spec)
+    return grothendieck_J_algebraic(spec)
 
 
 def _smt_series(spec: FamilySpec, signed: bool) -> TruncatedSeries:
@@ -379,10 +370,7 @@ class BasisExpansion:
         return dict(self.coefficients)
 
     def coefficient(self, lam) -> Polynomial:
-        for lam_i, c in self.coefficients:
-            if lam_i == tuple(lam):
-                return c
-        return Polynomial.zero(0, self.nt)
+        return self.as_dict().get(tuple(lam), Polynomial.zero(0, self.nt))
 
     def is_nonnegative(self) -> bool:
         return all(
@@ -390,45 +378,68 @@ class BasisExpansion:
         )
 
 
-def _from_grouped(basis: str, n: int, nt: int, grouped: dict) -> BasisExpansion:
-    """The expansion whose index lambda gets the sum of its t-terms in grouped[lambda]."""
-    return BasisExpansion.from_dict(basis, n, nt, {
-        lam: Polynomial.from_terms(0, nt, pairs) for lam, pairs in grouped.items()
-    })
+def _from_schur(coeffs: dict, basis: str, n: int, nt: int) -> BasisExpansion:
+    """The `basis` ('schur' or 'pschur') expansion of `straighten`'s output.
+
+    P_lam is s_lam plus Schur terms lower in dominance order (Macdonald,
+    III §8), so the graded-lex largest lam left leads: its t-coefficient is
+    read off and that multiple of P_lam, straightened from the P product at
+    t_cap = 0, subtracted.  A non-strict leader has no P-Schur expansion.
+    """
+
+    @cache
+    def in_schur(lam):
+        if basis == "schur":
+            return {lam: 1}
+        shape = tuple(p for p in lam if p)
+        if not is_strict_partition(shape):
+            raise ExpansionError(f"leading shape {shape} is not strict")
+        return {nu: k for (nu, _), k in straighten(_product(FamilySpec("P", shape, n, 0))).items()}
+
+    rem = {lam: Polynomial(0, nt) for lam, _ in coeffs}
+    for (lam, te), c in coeffs.items():
+        rem[lam].terms[((), te)] = c  # straighten stores no zero
+    out = {}
+    while rem:
+        lam = max(rem, key=lambda l: (sum(l), l))
+        lead = out[tuple(p for p in lam if p)] = rem[lam]
+        for nu, k in in_schur(lam).items():
+            rem[nu] = rem.get(nu, Polynomial(0, nt)) - lead * k
+        rem = {nu: c for nu, c in rem.items() if c}
+    return BasisExpansion.from_dict(basis, n, nt, out)
 
 
-def _expand(f, n: int, basis_fn, basis_name: str, strict: bool) -> BasisExpansion:
+def basis_expansion(spec: FamilySpec) -> BasisExpansion:
+    """J_mu in Schur or P_mu in P-Schur polynomials, read off the Schur
+    coefficients `straighten` gives the algebraic product, with no monomial.
+
+    For J these do not depend on n.  The J product is x^delta times
+    g(x_1..x_m), m = len(mu), so every head exponent a_i + n-1-i (i < m) is
+    at least n-m, above every tail exponent n-1-i (i >= m).  Sorting a
+    term's exponents only permutes the head, so neither lam nor sign(w)
+    depends on n.
+    """
+    basis = "pschur" if spec.family == "P" else "schur"
+    return _from_schur(straighten(_product(spec)), basis, spec.n, spec.ell)
+
+
+def _read_symmetric(f, n: int, basis: str) -> BasisExpansion:
+    # A(f x^delta)/V = f for symmetric f (Macdonald, I §3)
     poly = f.poly if isinstance(f, TruncatedSeries) else f
     if not poly.is_symmetric_x():
         raise ExpansionError("polynomial is not symmetric in the x-block")
-    nt = poly.nt
-    slices: dict[tuple, dict] = {}
-    for (xe, te), c in poly.terms.items():
-        slices.setdefault(te, {})[(xe, ())] = c
-    grouped: dict[tuple[int, ...], list] = {}
-    for te, terms in sorted(slices.items()):
-        rem = Polynomial(n, 0, terms)
-        while rem:
-            xe, _ = rem.leading_monomial()
-            lam = tuple(p for p in xe if p)
-            if tuple(sorted(lam, reverse=True)) != lam:
-                raise ExpansionError(f"leading exponent {xe} is not a partition")
-            if strict and not is_strict_partition(lam):
-                raise ExpansionError(f"leading exponent {xe} is not strict")
-            c = rem.terms[(xe, ())]
-            rem = rem - basis_fn(lam, n) * c
-            grouped.setdefault(lam, []).append((((), te), c))
-    return _from_grouped(basis_name, n, nt, grouped)
+    shifted = poly * Polynomial.monomial(staircase(n), (0,) * poly.nt)
+    return _from_schur(straighten(shifted), basis, n, poly.nt)
 
 
 def expand_in_schur(f, n: int) -> BasisExpansion:
-    """Greedy leading-monomial expansion in Schur polynomials."""
-    return _expand(f, n, schur, "schur", strict=False)
+    """Expansion of a symmetric f in the Schur polynomials s_lam(x_1..x_n)."""
+    return _read_symmetric(f, n, "schur")
 
 
 def expand_in_pschur(f, n: int) -> BasisExpansion:
-    """Greedy leading-monomial expansion in P-Schur polynomials."""
-    return _expand(f, n, pschur, "pschur", strict=True)
+    """Expansion of a symmetric f in the P-Schur polynomials P_lam(x_1..x_n)."""
+    return _read_symmetric(f, n, "pschur")
 
 
 def expansion_via_maximal(spec: FamilySpec) -> BasisExpansion:
@@ -458,7 +469,9 @@ def expansion_via_maximal(spec: FamilySpec) -> BasisExpansion:
         if not is_partition(wt):
             raise ExpansionError(f"maximal tableau weight {wt} is not a partition")
         grouped.setdefault(wt, []).append((((), cw), 1))
-    return _from_grouped(basis, n, ell, grouped)
+    return BasisExpansion.from_dict(basis, n, ell, {
+        lam: Polynomial.from_terms(0, ell, pairs) for lam, pairs in grouped.items()
+    })
 
 
 # ---------------------------------------------------------------------------

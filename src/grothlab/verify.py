@@ -32,8 +32,6 @@ from .partitions import (
 from .polynomials import (
     FamilySpec,
     coefficient_via_hmult,
-    expand_in_pschur,
-    expand_in_schur,
     expansion_via_maximal,
     grothendieck_J_algebraic,
     grothendieck_J_combinatorial,
@@ -358,12 +356,19 @@ def _routes_case(family: str, mu, n: int, t_cap: int) -> str:
 def _positivity_case(family: str, mu, n: int, t_cap: int) -> str:
     spec = FamilySpec(family, mu, n, t_cap=t_cap)
     if family == "J":
-        expansion = expand_in_schur(grothendieck_J_combinatorial(spec), n)
+        series, basis = grothendieck_J_combinatorial(spec), schur
     else:
-        expansion = expand_in_pschur(grothendieck_P_combinatorial(spec), n)
+        series, basis = grothendieck_P_combinatorial(spec), pschur
+    expansion = expansion_via_maximal(spec)
     if not expansion.is_nonnegative():
         return "a basis coefficient has a negative term"
-    if expansion != expansion_via_maximal(spec):
+    # basis elements with at most n parts are linearly independent
+    if series.poly != Polynomial.from_terms(n, spec.ell, (
+        ((xe, te), c * k)
+        for lam, coeff in expansion.coefficients
+        for (_, te), c in coeff.terms.items()
+        for (xe, _), k in basis(lam, n).terms.items()
+    )):
         return "maximal-tableau expansion disagrees"
     return ""
 

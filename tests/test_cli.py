@@ -201,10 +201,10 @@ def test_internal_invariant_breach_exits_three(capsys, monkeypatch):
 
 def test_expansion_error_in_expand_exits_three(capsys, monkeypatch):
     # FamilySpec has validated the input, so a failed expansion is a breach
-    def explode(f, n):
-        raise ExpansionError("polynomial is not symmetric in the x-block")
+    def explode(spec):
+        raise ExpansionError("leading shape (2, 2) is not strict")
 
-    monkeypatch.setattr(cli, "expand_in_schur", explode)
+    monkeypatch.setattr(cli, "basis_expansion", explode)
     code, _, err = run(capsys, "expand", "J", "2,1", "--n", "2")
     assert code == 3
     assert "internal invariant breach" in err

@@ -1,6 +1,7 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grothlab.algebra import (
     Polynomial,
@@ -12,12 +13,13 @@ from grothlab.algebra import (
     vandermonde,
     x_var,
 )
-from grothlab.partitions import subpartitions
+from grothlab.partitions import is_strict_partition, subpartitions
 from grothlab.polynomials import (
     _product,
     BasisExpansion,
     ExpansionError,
     FamilySpec,
+    basis_expansion,
     coefficient_via_hmult,
     expand_in_pschur,
     expand_in_schur,
@@ -167,26 +169,61 @@ def test_expand_in_schur_counts_restricted_tableaux():
     # restricted fillings of the corresponding skew shape
     mu, n, t_cap = (2, 1), 3, 2
     spec = FamilySpec("J", mu, n, t_cap=t_cap)
-    exp = expand_in_schur(grothendieck_J_algebraic(spec), n)
-    assert exp.coefficients
-    for lam, coeff in exp.coefficients:
-        expected = Polynomial.zero(0, spec.ell)
-        outer = lam + (0,) * (len(mu) - len(lam))
-        for filling in enumerate_rt(outer, mu):
-            expected = expected + Polynomial.monomial((), filling.weight(spec.ell))
-        assert coeff == expected, lam
+    for exp in (expand_in_schur(grothendieck_J_algebraic(spec), n), basis_expansion(spec)):
+        assert exp.coefficients
+        for lam, coeff in exp.coefficients:
+            expected = Polynomial.zero(0, spec.ell)
+            outer = lam + (0,) * (len(mu) - len(lam))
+            for filling in enumerate_rt(outer, mu):
+                expected = expected + Polynomial.monomial((), filling.weight(spec.ell))
+            assert coeff == expected, lam
 
 
 def test_expand_in_pschur_counts_shifted_restricted_tableaux():
     mu, n, t_cap = (2, 1), 3, 2
     spec = FamilySpec("P", mu, n, t_cap=t_cap)
-    exp = expand_in_pschur(grothendieck_P_algebraic(spec), n)
-    assert exp.coefficients
-    for lam, coeff in exp.coefficients:
-        expected = Polynomial.zero(0, spec.ell)
-        for filling in enumerate_srt(lam, mu):
-            expected = expected + Polynomial.monomial((), filling.weight(spec.ell))
-        assert coeff == expected, lam
+    for exp in (expand_in_pschur(grothendieck_P_algebraic(spec), n), basis_expansion(spec)):
+        assert exp.coefficients
+        for lam, coeff in exp.coefficients:
+            expected = Polynomial.zero(0, spec.ell)
+            for filling in enumerate_srt(lam, mu):
+                expected = expected + Polynomial.monomial((), filling.weight(spec.ell))
+            assert coeff == expected, lam
+
+
+SMALL_SHAPES = [lam for lam in subpartitions((6, 6, 6, 6)) if sum(lam) <= 6]
+
+
+@pytest.mark.parametrize("basis, expand, strict", [
+    (schur, expand_in_schur, False),
+    (pschur, expand_in_pschur, True),
+])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_expand_recovers_integer_combinations_of_the_basis(basis, expand, strict, data, n):
+    # the basis elements come from tableau counts, independent of straighten
+    shapes = [lam for lam in SMALL_SHAPES if len(lam) <= n and (is_strict_partition(lam) or not strict)]
+    coeffs = data.draw(st.dictionaries(
+        st.sampled_from(shapes), st.integers(-4, 4).filter(bool), max_size=4
+    ))
+    f = Polynomial.zero(n, 0)
+    for lam, c in coeffs.items():
+        f = f + basis(lam, n) * c
+    exp = expand(f, n)
+    assert exp.as_dict() == {lam: Polynomial.constant(c, 0, 0) for lam, c in coeffs.items()}
+
+
+@pytest.mark.parametrize("family, mu", [
+    ("J", (2, 1)), ("J", (3, 2, 1)), ("J", (4, 2, 1)),
+    ("P", (2, 1)), ("P", (3, 1)), ("P", (4, 2, 1)),
+])
+def test_basis_expansion_does_not_depend_on_n(family, mu):
+    m = len(mu)
+    for t_cap in range(4):
+        at_m = basis_expansion(FamilySpec(family, mu, m, t_cap=t_cap)).coefficients
+        assert at_m
+        for n in (m + 1, m + 2):
+            assert basis_expansion(FamilySpec(family, mu, n, t_cap=t_cap)).coefficients == at_m
 
 
 def test_expand_in_pschur_paper_line():

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 import grothlab.verify as verify
+from grothlab.algebra import Polynomial
 from grothlab.verify import (
     SUITES,
     _bijection_shapes,
@@ -58,3 +61,24 @@ def test_a_raising_case_body_fails_that_case_only(monkeypatch):
     assert len(results) == len(_bijection_shapes("small"))
     assert all(not r.passed and r.detail == "RuntimeError: boom" for r in results)
     assert all(r.passed for r in maximal_suite("small"))
+
+
+def test_positivity_case_fails_on_a_wrong_expansion(monkeypatch):
+    true_expansion = verify.expansion_via_maximal
+
+    def drop_one_term(spec):
+        exp = true_expansion(spec)
+        return replace(exp, coefficients=exp.coefficients[:-1])
+
+    def add_one_to_a_coefficient(spec):
+        exp = true_expansion(spec)
+        (lam, coeff), *rest = exp.coefficients
+        return replace(exp, coefficients=((lam, coeff + Polynomial.constant(1, 0, spec.ell)), *rest))
+
+    for family in ("J", "P"):
+        assert verify._positivity_case(family, (2, 1), 3, 2) == ""
+        for wrong in (drop_one_term, add_one_to_a_coefficient):
+            monkeypatch.setattr(verify, "expansion_via_maximal", wrong)
+            detail = verify._positivity_case(family, (2, 1), 3, 2)
+            assert detail == "maximal-tableau expansion disagrees", wrong.__name__
+            monkeypatch.setattr(verify, "expansion_via_maximal", true_expansion)
