@@ -35,6 +35,7 @@ from .tableaux import (
     MultisetTableau,
     ShiftedMultisetTableau,
     SkewFilling,
+    _smt_structure_ok,
     is_valid_mt,
     is_valid_rt,
     is_valid_smt,
@@ -245,6 +246,8 @@ def out_step(t, k: int, ell: int):
         i = _first_bump(a, cells, order)
         if i is None:
             break
+        if len(rows[i][col - i * shift]) != 1:
+            raise InsertionError(f"bumped box at {(i, col)} holds more than one entry")
         path.append((i, col, cells[i], a))
         rows[i][col - i * shift] = (a,)
         a, col = cells[i], col + 1
@@ -300,6 +303,8 @@ def in_step(t, k: int, ell: int, cell):
         i = _last_bump(cells, z, order)
         if i is None:
             raise InsertionError(f"no admissible box in {word} {k} for {z}")
+        if len(rows[i][col - i * shift]) != 1:
+            raise InsertionError(f"bumped box at {(i, col)} holds more than one entry")
         path.append((i, col, cells[i], z))
         rows[i][col - i * shift] = (z,)
         z = cells[i]
@@ -408,9 +413,8 @@ def phi(p: ShiftedMultisetTableau):
         raise InsertionError("phi needs a valid shifted multiset tableau")
     mu = p.shape
     m = len(mu)
-    t, marks = _run_stages(
-        p, lambda t: is_valid_smt(ShiftedMultisetTableau(t.rows, signed=True))
-    )
+    # every stage must stay in the signed family, whatever p's own flag
+    t, marks = _run_stages(p, _smt_structure_ok)
     lam = t.shape
     if len(lam) != m:
         raise InsertionError("the row count changed during phi")

@@ -68,7 +68,10 @@ class Entry:
         return (self.value, 0 if self.primed else 1)
 
     def __lt__(self, other: "Entry") -> bool:
-        return self.sort_key() < other.sort_key()
+        # the order of sort_key, read off the fields
+        return self.value < other.value or (
+            self.value == other.value and self.primed and not other.primed
+        )
 
     def __str__(self) -> str:
         return f"{self.value}'" if self.primed else str(self.value)
@@ -85,13 +88,13 @@ class Entry:
 
 
 def lt_u(a: Entry, z: Entry) -> bool:
-    """a < z, or a = z and both are unprimed."""
-    return a < z or (a == z and not a.primed)
+    """a < z, or a = z and both are unprimed: on equal values z is unprimed."""
+    return a.value < z.value or (a.value == z.value and not z.primed)
 
 
 def lt_p(a: Entry, z: Entry) -> bool:
-    """a < z, or a = z and both are primed."""
-    return a < z or (a == z and a.primed)
+    """a < z, or a = z and both are primed: on equal values a is primed."""
+    return a.value < z.value or (a.value == z.value and a.primed)
 
 
 def gt_u(a: Entry, z: Entry) -> bool:
@@ -188,18 +191,29 @@ class MultisetTableau(_BoxRows):
 
 
 def is_valid_mt(t: MultisetTableau) -> bool:
-    """Membership test for straight-shape multiset tableaux."""
-    if not is_partition(t.shape):
-        return False
-    for r, row in enumerate(t.rows):
-        for c, box in enumerate(row):
-            if not box or any(v < 1 for v in box) or tuple(sorted(box)) != box:
+    """Membership test for straight-shape multiset tableaux, in one pass over
+    the rows: nonempty rows no longer than the row above, each row one
+    nondecreasing chain of entries >= 1 read left to right through nonempty
+    boxes, and the last entry of each box below the first of the box under it."""
+    above = None
+    for row in t.rows:
+        if not row:
+            return False
+        last = 1
+        for box in row:
+            if not box:
                 return False
-            if c + 1 < len(row) and box[-1] > row[c + 1][0]:
-                return False
-            if r + 1 < len(t.rows) and c < len(t.rows[r + 1]):
-                if box[-1] >= t.rows[r + 1][c][0]:
+            for v in box:
+                if v < last:
                     return False
+                last = v
+        if above is not None:
+            if len(row) > len(above):
+                return False
+            for up, box in zip(above, row):
+                if up[-1] >= box[0]:
+                    return False
+        above = row
     return True
 
 
@@ -284,35 +298,33 @@ class ShiftedMultisetTableau(_BoxRows):
         return cls(rows, signed=bool(data.get("signed", False)))
 
 
-def _smt_box_ok(box: tuple[Entry, ...]) -> bool:
-    if not box or any(e.value < 1 for e in box):
-        return False
-    if tuple(sorted(box, key=Entry.sort_key)) != box:
-        return False
-    primed_counts: dict[int, int] = {}
-    for e in box:
-        if e.primed:
-            primed_counts[e.value] = primed_counts.get(e.value, 0) + 1
-            if primed_counts[e.value] > 1:
-                return False
-    return True
-
-
 def _smt_structure_ok(t: ShiftedMultisetTableau) -> bool:
-    if not is_strict_partition(t.shape) and t.shape != ():
-        return False
-    for r, row in enumerate(t.rows):
-        for c, box in enumerate(row):
-            if not _smt_box_ok(box):
+    """Membership in the signed family, in one pass over the rows: nonempty
+    rows strictly shorter than the row above, each row one lt_u chain of
+    entries >= 1 read left to right through nonempty boxes (so a box never
+    repeats a primed entry), and the first entry of each box lt_p the first
+    entry of the box under it, one within-row index to the left."""
+    above = None
+    for row in t.rows:
+        if not row or not row[0] or row[0][0].value < 1:
+            return False
+        # lt_u(a, z) reads only a's value: a.value < z.value, or equal and z unprimed
+        last = 0
+        for box in row:
+            if not box:
                 return False
-            if c + 1 < len(row):
-                # every entry here must be <_u every entry to the right
-                if not lt_u(box[-1], row[c + 1][0]):
+            for e in box:
+                v = e.value
+                if v < last or (v == last and e.primed):
                     return False
-            if r + 1 < len(t.rows) and 0 <= c - 1 < len(t.rows[r + 1]):
-                # some entry here must be <_p everything directly below
-                if not lt_p(box[0], t.rows[r + 1][c - 1][0]):
+                last = v
+        if above is not None:
+            if len(row) >= len(above):
+                return False
+            for c, box in enumerate(row):
+                if not lt_p(above[c + 1][0], box[0]):
                     return False
+        above = row
     return True
 
 
@@ -321,7 +333,10 @@ def is_valid_smt(t: ShiftedMultisetTableau) -> bool:
     if not _smt_structure_ok(t):
         return False
     if not t.signed:
-        return all(not t.row_minimum(r).primed for r in range(len(t.rows)))
+        for row in t.rows:
+            # boxes are sorted, so a row's minimum leads its first box
+            if row[0][0].primed:
+                return False
     return True
 
 
@@ -386,25 +401,27 @@ class SkewFilling:
 
 
 def _skew_semistandard_ok(f: SkewFilling) -> bool:
-    if len(f.outer) != len(f.inner) or len(f.rows) != len(f.outer):
+    """Rows of the skew outer/inner (both weakly decreasing, inner inside
+    outer), weakly increasing along rows and strictly down columns; one pass
+    over the rows, each compared with the row above by direct indexing."""
+    outer, inner, rows = f.outer, f.inner, f.rows
+    if len(inner) != len(outer) or len(rows) != len(outer):
         return False
-    if any(i > o for i, o in zip(f.inner, f.outer)):
-        return False
-    outer_ok = all(f.outer[r] >= f.outer[r + 1] for r in range(len(f.outer) - 1))
-    inner_ok = all(f.inner[r] >= f.inner[r + 1] for r in range(len(f.inner) - 1))
-    if not (outer_ok and inner_ok):
-        return False
-    for r, row in enumerate(f.rows):
-        if len(row) != f.outer[r] - f.inner[r]:
+    for r, row in enumerate(rows):
+        lo, hi = inner[r], outer[r]
+        if lo > hi or len(row) != hi - lo:
             return False
         for i in range(len(row) - 1):
             if row[i] > row[i + 1]:
                 return False
-        if r + 1 < len(f.rows):
-            for col in range(f.inner[r + 1], f.outer[r + 1]):
-                above = f.entry(r, col)
-                below = f.entry(r + 1, col)
-                if above is not None and below is not None and above >= below:
+        if r:
+            up_lo = inner[r - 1]
+            if up_lo < lo or outer[r - 1] < hi:
+                return False
+            up = rows[r - 1]
+            # absolute columns up_lo..hi-1 hold a cell here and one above
+            for col in range(up_lo, hi):
+                if up[col - up_lo] >= row[col - lo]:
                     return False
     return True
 

@@ -11,6 +11,7 @@ from grothlab.tableaux import MultisetTableau, ShiftedMultisetTableau, is_valid_
 from grothlab.verify import CaseResult
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(capsys, *argv):
@@ -367,6 +368,40 @@ def test_trace_accepts_the_displayed_chains(name, shifted):
     if not shifted:
         # the straight display breaks a column condition, which trace leaves alone
         assert not is_valid_mt(tableau)
+
+
+def _readme_trace_examples():
+    """README's example tableau and its `grothlab trace` command lines."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Tableau text format", 1)[1]
+    tableau = section.split("```", 2)[1].strip("\n")
+    commands = [
+        line.split()[1:] for line in text.splitlines() if line.startswith("grothlab trace ")
+    ]
+    return tableau, commands
+
+
+def _final_text(out):
+    """The last tableau a text trace prints, between its last step and `steps:`."""
+    lines = out.splitlines()
+    last = max(i for i, line in enumerate(lines) if line.startswith("step "))
+    return "\n".join(lines[last + 1:-1])
+
+
+def test_readme_trace_examples_run_and_invert(capsys, tmp_path):
+    tableau, commands = _readme_trace_examples()
+    assert [argv[1] for argv in commands] == ["tableau.txt", "grown.txt"]
+    start = ShiftedMultisetTableau.from_text(tableau)
+    (tmp_path / "tableau.txt").write_text(tableau + "\n")
+    out_argv, in_argv = ([str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+                         for argv in commands)
+    code, out, _ = run(capsys, *out_argv)
+    assert code == 0
+    (tmp_path / "grown.txt").write_text(_final_text(out) + "\n")
+    code, out, _ = run(capsys, *in_argv)
+    assert code == 0
+    assert ShiftedMultisetTableau.from_text(_final_text(out)) == start
 
 
 def test_usage_error_exit_code(capsys):

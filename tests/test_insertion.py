@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grothlab.fixtures import out_chain_shifted, out_chain_straight
+from grothlab.fixtures import example_smt, out_chain_shifted, out_chain_straight
 from grothlab.insertion import (
     CircledState,
     InsertionError,
@@ -249,6 +249,23 @@ def test_in_rejects_non_corners():
     t = ShiftedMultisetTableau(((box("1'"), box("1")), (box("2'"),)), signed=True)
     with pytest.raises(InsertionError):
         in_step(t, 2, 2, (1, 1))
+
+
+def test_steps_refuse_to_bump_a_multi_entry_box():
+    # out at column 2 moves a 1 into column 1, whose box 2 3 it would bump
+    t = MultisetTableau((((1, 1), (2, 3)),))
+    assert is_valid_mt(t)
+    with pytest.raises(InsertionError, match="more than one entry"):
+        out_step(t, 2, 2)
+    # in from the corner 3 would reverse-bump the box 1 2 of column 2
+    t = MultisetTableau((((1,), (1, 2), (3,)),))
+    assert is_valid_mt(t)
+    with pytest.raises(InsertionError, match="more than one entry"):
+        in_step(t, 3, 3, (0, 2))
+    # stage 2 of the shifted example bumps its box 7' 7 at diagonal 1; it
+    # used to overwrite the box with one entry and drop the other
+    with pytest.raises(InsertionError, match="more than one entry"):
+        out_step(example_smt(), 2, 3)
 
 
 def test_in_primed_duplication_is_reported():

@@ -89,6 +89,16 @@ def test_mt_validator_rejects_single_clause_mutations():
     assert not is_valid_mt(MultisetTableau((((1,), (1,)), ((2,), (2,), (2,)))))
 
 
+def test_validators_reject_an_empty_box_beside_or_below_a_nonempty_one():
+    # these raised IndexError instead of returning False
+    assert not is_valid_mt(MultisetTableau((((1,), ()),)))
+    assert not is_valid_mt(MultisetTableau((((1,), (2,)), ((),))))
+    assert not is_valid_smt(ShiftedMultisetTableau(((box("1"), ()),)))
+    assert not is_valid_smt(
+        ShiftedMultisetTableau(((box("1"), box("2")), ((),)), signed=True)
+    )
+
+
 def test_smt_validator_rejects_single_clause_mutations():
     base = ShiftedMultisetTableau(((box("1"), box("2")), (box("3"),)))
     assert is_valid_smt(base)
