@@ -73,6 +73,11 @@ class PrimedDuplicationError(InsertionError):
     """An in-step deposited a primed entry into a box already holding it."""
 
 
+def _cell_text(r: int, col: int) -> str:
+    """A 0-based (row, absolute column) cell, written 1-based as trace shows it."""
+    return f"({r + 1}, {col + 1})"
+
+
 # ---------------------------------------------------------------------------
 # single-column steps
 
@@ -247,7 +252,7 @@ def out_step(t, k: int, ell: int):
         if i is None:
             break
         if len(rows[i][col - i * shift]) != 1:
-            raise InsertionError(f"bumped box at {(i, col)} holds more than one entry")
+            raise InsertionError(f"bumped box at {_cell_text(i, col)} holds more than one entry")
         path.append((i, col, cells[i], a))
         rows[i][col - i * shift] = (a,)
         a, col = cells[i], col + 1
@@ -274,13 +279,13 @@ def in_step(t, k: int, ell: int, cell):
     r, col = cell
     c = col - r * shift
     if c <= idx:
-        raise InsertionError(f"{cell} is not strictly right of {word} {k}")
+        raise InsertionError(f"{_cell_text(r, col)} is not strictly right of {word} {k}")
     if not 0 <= r < len(rows) or c != len(rows[r]) - 1:
-        raise InsertionError(f"{cell} is not the last box of its row")
+        raise InsertionError(f"{_cell_text(r, col)} is not the last box of its row")
     if r + 1 < len(rows) and col - (r + 1) * shift < len(rows[r + 1]):
-        raise InsertionError(f"{cell} is not a removable corner")
+        raise InsertionError(f"{_cell_text(r, col)} is not a removable corner")
     if len(rows[r][c]) != 1:
-        raise InsertionError(f"corner box at {cell} must hold a single entry")
+        raise InsertionError(f"corner box at {_cell_text(r, col)} must hold a single entry")
     removed = z = rows[r][c][0]
     rows[r].pop()
     if not rows[r]:
@@ -304,7 +309,7 @@ def in_step(t, k: int, ell: int, cell):
         if i is None:
             raise InsertionError(f"no admissible box in {word} {k} for {z}")
         if len(rows[i][col - i * shift]) != 1:
-            raise InsertionError(f"bumped box at {(i, col)} holds more than one entry")
+            raise InsertionError(f"bumped box at {_cell_text(i, col)} holds more than one entry")
         path.append((i, col, cells[i], z))
         rows[i][col - i * shift] = (z,)
         z = cells[i]
@@ -313,7 +318,7 @@ def in_step(t, k: int, ell: int, cell):
     # only shifted entries carry primes, and a box holds each primed value once
     if shift and z.primed and z in box:
         raise PrimedDuplicationError(
-            f"deposit of {z} duplicates a primed entry at {(target, col)}"
+            f"deposit of {z} duplicates a primed entry at {_cell_text(target, col)}"
         )
     rows[target][idx] = tuple(sorted(box + (z,)))
     new_t = replace(t, rows=tuple(tuple(row) for row in rows))

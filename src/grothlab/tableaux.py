@@ -9,10 +9,10 @@ of the shape); diagonals of a shifted tableau are labeled the same way.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import combinations_with_replacement
 
 from .partitions import (
     column_heights,
@@ -588,11 +588,14 @@ def srt_to_maximal_smt(f: SkewFilling) -> ShiftedMultisetTableau:
 # shifted ones, where index i is the value i // 2 + 1, primed when i is even.
 # A cell admits the boxes whose first index is at least the least index that
 # its left and upper boxes allow (`_mt_least`, `_smt_least`, with -1 for a
-# missing neighbour); nothing else of the filling matters to it.  So what
-# later cells read is a frontier of two slots per column (straight) or
-# absolute column (shifted): the first and last index of the box filled
-# there last.  `_fill` walks every tableau for enumerate_*, and `_count`
-# counts them by (x, t) on the frontier for count_*_by_weight.
+# missing neighbour); nothing else of the filling matters to it.  Inside a
+# box the indices run on as they do along a row with nothing above, so a box
+# is its first index i followed by a box that i admits next, one whose first
+# index is at least least(i, -1) (`_Grid.after`).  What later cells read is
+# a frontier of two slots per column (straight) or absolute column
+# (shifted): the first and last index of the box filled there last.  `_fill`
+# walks every tableau for enumerate_*, and `_count` counts them by (x, t) on
+# the frontier for count_*_by_weight.
 
 
 def _mt_least(left: int, above: int) -> int:
@@ -612,12 +615,13 @@ def _smt_least(left: int, above: int) -> int:
 
 
 class _Grid:
-    """The cells, frontier layout and box lists of one enumeration or count.
+    """The cells, frontier layout and box rule of one enumeration or count.
 
     Each cell is (r, c, left, above, slot, unprimed_min): the frontier slots
     its neighbours' indices are read from, the slot pair (first, last) its
     own box is written to, and whether its box must start unprimed.  A
     missing neighbour reads the extra last slot, which always holds -1.
+    `after[i]` is the least index that may follow index i in a box.
     """
 
     def __init__(self, shape, max_value: int, extra_cap: int, shifted: bool, signed: bool = False):
@@ -630,6 +634,8 @@ class _Grid:
             raise ValueError(f"max_value must be nonnegative, got {max_value}")
         if extra_cap < 0:
             raise ValueError(f"extra_cap must be nonnegative, got {extra_cap}")
+        if sum(shape) > sys.maxsize:
+            raise ValueError(f"shape {shape} has more cells than a list can hold")
         self.shape, self.max_value, self.extra_cap = shape, max_value, extra_cap
         self.ell = shape[0] if shape else 0
         self.shifted = shifted
@@ -638,6 +644,7 @@ class _Grid:
             self.alphabet = [Entry(i // 2 + 1, i % 2 == 0) for i in range(2 * max_value)]
         else:
             self.alphabet = list(range(1, max_value + 1))
+        self.after = [self.least(i, -1) for i in range(len(self.alphabet))]
         self.nslots = 2 * self.ell
         self.cells = []
         for r, width in enumerate(shape):
@@ -652,21 +659,27 @@ class _Grid:
     def frontier(self) -> tuple[int, ...]:
         return (0,) * self.nslots + (-1,)
 
-    def boxes(self, lo: int, size: int, unprimed_min: bool) -> list:
+    def firsts(self, lo: int, unprimed_min: bool) -> range:
+        """The first indices a box may take at least lo: only unprimed (odd)
+        ones when unprimed_min is on."""
+        return range(lo | 1 if unprimed_min else lo, len(self.alphabet), 2 if unprimed_min else 1)
+
+    def boxes(self, lo: int, size: int, unprimed_min: bool = False) -> list:
         """The admissible boxes of the given size with first index >= lo, as
-        index tuples in lexicographic order.  In a shifted box a primed
-        (even) index never repeats, and leads only when unprimed_min is off."""
+        index tuples in lexicographic order: each first index, followed by
+        every box of one size less that it admits next."""
         key = (lo, size, unprimed_min)
         found = self._boxes.get(key)
         if found is None:
-            found = combinations_with_replacement(range(lo, len(self.alphabet)), size)
-            if self.shifted:
-                found = (
-                    box for box in found
-                    if not (unprimed_min and box[0] % 2 == 0)
-                    and not any(a == b and a % 2 == 0 for a, b in zip(box, box[1:]))
-                )
-            found = self._boxes[key] = list(found)
+            if size == 1:
+                found = [(i,) for i in self.firsts(lo, unprimed_min)]
+            else:
+                found = [
+                    (i,) + rest
+                    for i in self.firsts(lo, unprimed_min)
+                    for rest in self.boxes(self.after[i], size - 1)
+                ]
+            self._boxes[key] = found
         return found
 
 
@@ -702,73 +715,115 @@ def _count(grid: _Grid) -> dict:
     The transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7):
     the completions of a partial filling depend only on the next cell, the
     frontier and the remaining extra budget, so they are counted once per
-    such state, as a dict {packed weight of the remaining cells: count}.  A
-    frontier slot no later cell reads is zeroed, so that more states
-    coincide.  Weights are packed into one integer, x_v at digit v - 1 and
-    T_j at digit max_value + j - 1 in base |shape| + extra_cap + 1, so a box
-    choice adds one integer to each key of its child's dict.  The memo lives
-    for this call only.
+    such state, as a dict {packed weight of the remaining cells: count}.
+
+    The frontier is one int: slot s is a field of `fw` bits at bit s * fw
+    holding its index + 1, and a missing neighbour reads the all-zero field
+    past the last slot, so it reads index -1.  Each cell's mask clears its
+    own slot pair and the slots no later cell reads before writing them, so
+    that more states coincide.  Each cell has its own memo, keyed by
+    frontier << budget_bits | budget, and the memo lives for this call only.
+
+    Weights are packed into one int, x_v at digit v - 1 and T_j at digit
+    max_value + j - 1 in base |shape| + extra_cap + 1, so a box choice adds
+    one int to each key of its child's dict.  A base that is a power of two
+    is raised by one: with power-of-two digits only the lowest x digits
+    reach the low bits of a key, which pick its dict slot, and the large
+    tallies collide.  The x-weight sums of the boxes come from a span table
+    keyed by (size, first index, last index), grown by the box rule; a
+    cell's choices for one least index are built once from it, as (extra
+    entries, frontier bits, weights), and cells that agree on the least
+    index, slot, kept slots, label and unprimed rule share them.
     """
-    cells, mv, ell = grid.cells, grid.max_value, grid.ell
-    base = sum(grid.shape) + grid.extra_cap + 1
+    cells, mv, ell, least = grid.cells, grid.max_value, grid.ell, grid.least
+    extra_cap, nslots, letters = grid.extra_cap, grid.nslots, len(grid.alphabet)
     # an x digit counts at most every entry, a T digit at most the extra ones
-    assert sum(grid.shape) + grid.extra_cap < base
+    base = sum(grid.shape) + extra_cap + 1
+    if base & (base - 1) == 0:
+        base += 1
+    assert sum(grid.shape) + extra_cap < base
     unit = [base ** k for k in range(mv + ell + 1)]
-    x_unit = [unit[i // 2 if grid.shifted else i] for i in range(len(grid.alphabet))]
+    x_unit = [unit[i // 2 if grid.shifted else i] for i in range(letters)]
+    t_unit = [unit[mv + ell - 1 - c] for c in range(ell)]
+    fw, budget_bits = letters.bit_length(), extra_cap.bit_length()
+    fm = (1 << fw) - 1
 
-    # dead[idx]: the slots that no cell after idx reads before writing them
-    dead = []
-    for idx in range(len(cells)):
-        live = set()
-        for s in range(grid.nslots):
-            for _, _, left, above, slot, _ in cells[idx + 1:]:
-                if s in (left, above):
-                    live.add(s)
-                if s in (left, above, slot, slot + 1):
-                    break
-        dead.append([s for s in range(grid.nslots) if s not in live])
+    # spans[k][first]: {last: x-weight sums of the boxes of size k + 1 that
+    # run from first to last}; a box is its first index and a box it admits next
+    spans = [[{i: [u]} for i, u in enumerate(x_unit)]]
+    for _ in range(extra_cap):
+        shorter, row = spans[-1], []
+        for i, u in enumerate(x_unit):
+            by_last: dict[int, list] = {}
+            for j in range(grid.after[i], letters):
+                for last, ws in shorter[j].items():
+                    by_last.setdefault(last, []).extend([u + w for w in ws])
+            row.append(by_last)
+        spans.append(row)
 
-    # the box choices of cell idx, grouped by the slot pair they leave
-    choices: dict[tuple[int, int, int], list] = {}
+    shared: dict[tuple, list] = {}
 
-    def choices_at(idx: int, lo: int, size: int) -> list:
-        key = (idx, lo, size)
-        found = choices.get(key)
+    def choice_list(lo, slot, keep_first, keep_last, c, unprimed_min) -> list:
+        """[(extra, frontier bits, weights)] by extra entries, grouped by
+        the slot pair the box leaves."""
+        key = (lo, slot, keep_first, keep_last, c, unprimed_min)
+        found = shared.get(key)
         if found is None:
-            _, c, _, _, slot, unprimed_min = cells[idx]
-            t_shift = (size - 1) * unit[mv + ell - 1 - c]
-            keep_first, keep_last = slot not in dead[idx], slot + 1 not in dead[idx]
-            groups: dict[tuple[int, int], list] = {}
-            for box in grid.boxes(lo, size, unprimed_min):
-                pair = (box[0] if keep_first else 0, box[-1] if keep_last else 0)
-                groups.setdefault(pair, []).append(t_shift + sum(map(x_unit.__getitem__, box)))
-            found = choices[key] = list(groups.items())
+            found = []
+            for extra, by_first in enumerate(spans):
+                t_shift = extra * t_unit[c]
+                groups: dict[int, list] = {}
+                for first in grid.firsts(lo, unprimed_min):
+                    head = first + 1 << slot * fw if keep_first else 0
+                    for last, ws in by_first[first].items():
+                        bits = head | (last + 1 << (slot + 1) * fw if keep_last else 0)
+                        groups.setdefault(bits, []).extend([t_shift + w for w in ws])
+                found.extend((extra, bits, ws) for bits, ws in groups.items())
+            shared[key] = found
         return found
 
-    memo: dict[tuple, dict] = {}
+    # plans[idx]: the neighbour shifts, the mask of the kept slots, the
+    # choice lists by least index, and what selects a shared choice list.
+    # live: the slots some cell after idx reads before writing them, built
+    # from the last cell back (a cell reads its neighbours, then writes)
+    plans = [None] * len(cells)
+    live: set[int] = set()
+    for idx in range(len(cells) - 1, -1, -1):
+        _, c, left, above, slot, unprimed_min = cells[idx]
+        keep = sum(fm << s * fw for s in live if s not in (slot, slot + 1))
+        spec = (slot, slot in live, slot + 1 in live, c, unprimed_min)
+        plans[idx] = (left * fw, above * fw, keep, {}, spec)
+        live -= {slot, slot + 1}
+        live |= {left, above} - {nslots}
+
+    memos = [{} for _ in cells]
+    ncells = len(cells)
     done = {0: 1}
 
-    def completions(idx: int, frontier: tuple, budget: int) -> dict:
-        if idx == len(cells):
+    def completions(idx: int, frontier: int, budget: int) -> dict:
+        if idx == ncells:
             return done
-        key = (idx, frontier, budget)
+        memo = memos[idx]
+        key = frontier << budget_bits | budget
         found = memo.get(key)
         if found is not None:
             return found
-        _, _, left, above, slot, _ = cells[idx]
-        lo = grid.least(frontier[left], frontier[above])
-        nxt = list(frontier)
-        for s in dead[idx]:
-            nxt[s] = 0
+        left, above, keep, by_lo, spec = plans[idx]
+        lo = least((frontier >> left & fm) - 1, (frontier >> above & fm) - 1)
+        choices = by_lo.get(lo)
+        if choices is None:
+            choices = by_lo[lo] = choice_list(lo, *spec)
+        frontier &= keep
+        idx += 1
         out: dict[int, int] = {}
-        for size in range(1, budget + 2):
-            for pair, weights in choices_at(idx, lo, size):
-                nxt[slot:slot + 2] = pair
-                child = completions(idx + 1, tuple(nxt), budget - (size - 1))
-                for w in weights:
-                    for k, v in child.items():
-                        k += w
-                        out[k] = out.get(k, 0) + v
+        for extra, bits, weights in choices:
+            if extra > budget:
+                break
+            child = completions(idx, frontier | bits, budget - extra)
+            for w in weights:
+                for k, v in child.items():
+                    k += w
+                    out[k] = out.get(k, 0) + v
         memo[key] = out
         return out
 
@@ -776,7 +831,7 @@ def _count(grid: _Grid) -> dict:
     xs: dict[int, tuple] = {}
     ts: dict[int, tuple] = {}
     counts = {}
-    for key, count in completions(0, grid.frontier(), grid.extra_cap).items():
+    for key, count in completions(0, 0, extra_cap).items():
         high, low = divmod(key, unit[mv])
         x = xs.get(low)
         if x is None:

@@ -1,5 +1,8 @@
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from grothlab.verify import CaseResult
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def run(capsys, *argv):
@@ -404,6 +408,16 @@ def test_readme_trace_examples_run_and_invert(capsys, tmp_path):
     assert ShiftedMultisetTableau.from_text(_final_text(out)) == start
 
 
+def test_readme_trace_names_the_bumped_box_as_its_steps_do(capsys, tmp_path):
+    tableau, _ = _readme_trace_examples()
+    (tmp_path / "tableau.txt").write_text(tableau + "\n")
+    code, out, err = run(
+        capsys, "trace", str(tmp_path / "tableau.txt"), "--k", "2", "--flavor", "shifted", "--ell", "3"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: bumped box at (1, 5) holds more than one entry\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["compute", "Q", "1", "--n", "1"])
@@ -485,6 +499,29 @@ def test_malformed_argv_is_a_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.strip() and "Traceback" not in err
+
+
+def _limit_memory():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "J", OVERSIZED_PART, "--n", "1", "--tcap", "0", "--route", "combinatorial"],
+    ["compute", "P", OVERSIZED_PART, "--n", "1", "--tcap", "0", "--route", "combinatorial"],
+    ["enumerate", "MT", OVERSIZED_PART],
+    ["enumerate", "SMT", OVERSIZED_PART],
+], ids=" ".join)
+def test_shape_with_more_cells_than_a_list_holds_is_a_usage_error(argv):
+    # in a child under a 1 GiB address-space limit and a timeout, so that a
+    # shape whose cells are built one by one fails here, not on the host
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-m", "grothlab.cli", *argv], capture_output=True, text=True,
+        env=env, preexec_fn=_limit_memory, timeout=60,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "more cells than a list can hold" in done.stderr
 
 
 @pytest.mark.parametrize("content", [

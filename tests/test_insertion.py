@@ -243,11 +243,11 @@ def test_out_requires_a_noncircled_entry():
 
 def test_in_rejects_non_corners():
     t = MultisetTableau((((1,), (1,)), ((2,),)))
-    with pytest.raises(InsertionError):
+    with pytest.raises(InsertionError, match=r"^\(1, 1\) is not strictly right of column 1$"):
         in_step(t, 1, 2, (0, 0))
     # the corner sits on diagonal 2 itself; this used to return 1' 2' | 1
     t = ShiftedMultisetTableau(((box("1'"), box("1")), (box("2'"),)), signed=True)
-    with pytest.raises(InsertionError):
+    with pytest.raises(InsertionError, match=r"^\(2, 2\) is not strictly right of diagonal 2$"):
         in_step(t, 2, 2, (1, 1))
 
 
@@ -255,16 +255,17 @@ def test_steps_refuse_to_bump_a_multi_entry_box():
     # out at column 2 moves a 1 into column 1, whose box 2 3 it would bump
     t = MultisetTableau((((1, 1), (2, 3)),))
     assert is_valid_mt(t)
-    with pytest.raises(InsertionError, match="more than one entry"):
+    # cells are named 1-based as (row, absolute column), as trace prints them
+    with pytest.raises(InsertionError, match=r"^bumped box at \(1, 2\) holds more than one entry$"):
         out_step(t, 2, 2)
     # in from the corner 3 would reverse-bump the box 1 2 of column 2
     t = MultisetTableau((((1,), (1, 2), (3,)),))
     assert is_valid_mt(t)
-    with pytest.raises(InsertionError, match="more than one entry"):
+    with pytest.raises(InsertionError, match=r"^bumped box at \(1, 2\) holds more than one entry$"):
         in_step(t, 3, 3, (0, 2))
     # stage 2 of the shifted example bumps its box 7' 7 at diagonal 1; it
     # used to overwrite the box with one entry and drop the other
-    with pytest.raises(InsertionError, match="more than one entry"):
+    with pytest.raises(InsertionError, match=r"^bumped box at \(1, 5\) holds more than one entry$"):
         out_step(example_smt(), 2, 3)
 
 
@@ -273,7 +274,7 @@ def test_in_primed_duplication_is_reported():
         ((box("1'"), box("1"), box("3'")), (box("2", "3'"),)), signed=True
     )
     assert is_valid_smt(t)
-    with pytest.raises(PrimedDuplicationError):
+    with pytest.raises(PrimedDuplicationError, match=r"^deposit of 3' duplicates a primed entry at \(2, 2\)$"):
         in_step(t, 3, 3, (0, 2))
 
 

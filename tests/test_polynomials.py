@@ -159,6 +159,37 @@ def test_coefficient_via_hmult_matches_series():
         assert coefficient_via_hmult(sp, t_exps) == sp_series.coefficient_of_t(t_exps)
 
 
+ROUTE_SHAPES = [mu for mu in subpartitions((7,) * 7) if 0 < sum(mu) <= 7]
+
+
+@st.composite
+def _route_specs(draw):
+    """A J or P spec past the census and the bench grid: |mu| <= 7, n <= 5,
+    t_cap <= 2, with one t-exponent vector within the cap."""
+    family = draw(st.sampled_from(["J", "P"]))
+    shapes = [mu for mu in ROUTE_SHAPES if family == "J" or is_strict_partition(mu)]
+    mu = draw(st.sampled_from(shapes))
+    spec = FamilySpec(family, mu, draw(st.integers(1, 5)), t_cap=draw(st.integers(0, 2)))
+    t_exps = [0] * spec.ell
+    for _ in range(draw(st.integers(0, spec.t_cap))):
+        t_exps[draw(st.integers(0, spec.ell - 1))] += 1
+    return spec, tuple(t_exps)
+
+
+# the combinatorial counter against the algebraic route on shapes the census
+# and the bench grid never reach, and one t-coefficient against the h-product
+@settings(max_examples=25, deadline=None)
+@given(_route_specs())
+def test_routes_agree_past_the_census(args):
+    spec, t_exps = args
+    if spec.family == "J":
+        algebraic, combinatorial = grothendieck_J_algebraic(spec), grothendieck_J_combinatorial(spec)
+    else:
+        algebraic, combinatorial = grothendieck_P_algebraic(spec), grothendieck_P_combinatorial(spec)
+    assert combinatorial == algebraic
+    assert coefficient_via_hmult(spec, t_exps) == algebraic.poly.coefficient_of_t(t_exps)
+
+
 def test_expand_in_schur_trivial():
     exp = expand_in_schur(schur((2, 1), 3), 3)
     assert exp.as_dict() == {(2, 1): Polynomial.constant(1, 0, 0)}

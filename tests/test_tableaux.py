@@ -340,6 +340,8 @@ def _census_args(draw, strict: bool):
 @example(((), 3, 2))
 @example(((2, 2, 1), 2, 2))  # max_value below the row count: no tableau
 @example(((2, 1), 0, 1))
+@example(((7,), 1, 2))  # an x digit reaches |shape| + extra_cap = 9; ell = 7, the widest frontier
+@example(((1,), 2, 2))  # a T digit reaches extra_cap
 def test_count_mt_by_weight_is_the_census_tally(args):
     shape, max_value, extra_cap = args
     census = enumerate_mt(shape, max_value, extra_cap)
@@ -355,6 +357,10 @@ def test_count_mt_by_weight_is_the_census_tally(args):
 @example(((3, 2, 1), 2, 1), False)  # max_value below the row count
 @example(((3, 2, 1), 2, 1), True)
 @example(((2, 1), 0, 0), True)
+@example(((7,), 1, 2), False)  # an x digit reaches |shape| + extra_cap = 9; ell = 7, the widest frontier
+@example(((7,), 1, 2), True)
+@example(((1,), 2, 2), False)  # a T digit reaches extra_cap
+@example(((1,), 2, 2), True)
 def test_count_smt_by_weight_is_the_census_tally(args, signed):
     shape, max_value, extra_cap = args
     census = enumerate_smt(shape, max_value, extra_cap, signed=signed)
