@@ -4,6 +4,11 @@ Every polynomial lives in Z[x_1..x_nx, t_1..t_nt].  Terms are stored as a
 dict mapping (x_exponents, t_exponents) -> integer coefficient, with zero
 coefficients never stored.  TruncatedSeries wraps a Polynomial together with
 degree caps on the two blocks; series products drop terms over either cap.
+
+MonomialCode packs a monomial into one int whose integer order is the
+printed (graded lex) order.  The tableau counter tallies in these codes, a
+TruncatedSeries can hold them and decode its Polynomial only when read, and
+every printed series is sorted on them.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from itertools import chain, combinations_with_replacement, permutations
 
 __all__ = [
     "ExactDivisionError",
+    "MonomialCode",
     "Polynomial",
     "TruncatedSeries",
     "antisymmetrize",
@@ -46,15 +52,86 @@ def perm_sign(sigma) -> int:
     return -1 if inv % 2 else 1
 
 
-def _block_key(exps):
-    """Graded lex key of one block's exponents."""
-    return (sum(exps), exps)
-
-
 def _order_key(mono):
     """Graded lex key, x-block before t-block."""
     xe, te = mono
     return (sum(xe), xe, sum(te), te)
+
+
+class MonomialCode:
+    """The print-order code of the monomials x^a t^b in nx x- and nt t-variables.
+
+    A code is one int of base-`base` digits, most significant first:
+    |a|, a_1..a_nx, |b|, b_1..b_nt.  The base exceeds `x_degree` and
+    `t_degree`, the largest |a| and |b| the codes stand for, and so every
+    digit.  Integer order on codes is therefore `_order_key` order, and
+    the code of a product is the sum of its factors' codes as long as the
+    product stays within those degrees.  The base is odd, so that every
+    digit reaches the low bits of a code, which pick its dict slot; with an
+    even base those bits hold mostly the t digits, which take few values.
+
+    A code splits at `split` into its x part, code // split, and its t part,
+    code % split; each part is its block's degree digit followed by the
+    block's exponents (`part`).  Readers of many codes decode each distinct
+    part once, through the maps {x part: x_exps} and {t part: t_exps}
+    (`parts`).
+    """
+
+    __slots__ = ("nx", "nt", "x_degree", "t_degree", "base", "split")
+
+    def __init__(self, nx: int, nt: int, x_degree: int, t_degree: int):
+        self.nx, self.nt = nx, nt
+        self.x_degree, self.t_degree = x_degree, t_degree
+        self.base = max(x_degree, t_degree) + 1 | 1
+        self.split = self.base ** (nt + 1)
+
+    @classmethod
+    def encoded(cls, poly: "Polynomial") -> tuple["MonomialCode", dict, tuple[dict, dict]]:
+        """A code covering poly's degrees, poly's terms as {code: c}, and the
+        parts maps of those codes; each distinct x and t part is encoded once."""
+        terms = poly.terms
+        xs = {xe for xe, _ in terms}
+        ts = {te for _, te in terms}
+        code = cls(poly.nx, poly.nt, max(map(sum, xs), default=0), max(map(sum, ts), default=0))
+        x_part = {xe: code.part(xe) for xe in xs}
+        t_part = {te: code.part(te) for te in ts}
+        split = code.split
+        x_code = {xe: p * split for xe, p in x_part.items()}
+        coded = {x_code[xe] + t_part[te]: c for (xe, te), c in terms.items()}
+        return code, coded, ({p: xe for xe, p in x_part.items()}, {p: te for te, p in t_part.items()})
+
+    def part(self, exps) -> int:
+        """The x part (of x^exps) or t part (of t^exps): the degree digit,
+        then the exponents."""
+        part = sum(exps)
+        for e in exps:
+            part = part * self.base + e
+        return part
+
+    def x_var(self, i: int) -> int:
+        """The code of x_(i+1)."""
+        base = self.base
+        return (base ** self.nx + base ** (self.nx - 1 - i)) * self.split
+
+    def t_var(self, j: int) -> int:
+        """The code of t_(j+1)."""
+        return self.base ** self.nt + self.base ** (self.nt - 1 - j)
+
+    def parts(self, coded) -> tuple[dict, dict]:
+        """({x part: x_exps}, {t part: t_exps}) over the distinct parts of
+        the codes."""
+        split, base = self.split, self.base
+        x_places = [base ** i for i in range(self.nx - 1, -1, -1)]
+        t_places = [base ** i for i in range(self.nt - 1, -1, -1)]
+        xs = {p: tuple([p // u % base for u in x_places]) for p in {k // split for k in coded}}
+        ts = {p: tuple([p // u % base for u in t_places]) for p in {k % split for k in coded}}
+        return xs, ts
+
+    def decode(self, coded: dict) -> dict:
+        """{(x_exps, t_exps): c} of {code: c}."""
+        split = self.split
+        xs, ts = self.parts(coded)
+        return {(xs[k // split], ts[k % split]): c for k, c in coded.items()}
 
 
 class Polynomial:
@@ -189,19 +266,11 @@ class Polynomial:
         )
 
     def sorted_terms(self):
-        """Terms as (x_exps, t_exps, coeff), leading (graded lex) first.
-
-        This is the one ordering of every printed series, text and JSON.
-        `_order_key` compares the x part before the t part, so each distinct
-        part is ranked once and a term sorts on one int built from its two
-        ranks, with no tuple compared per term.
-        """
-        xs = sorted({xe for xe, _ in self.terms}, key=_block_key)
-        ts = sorted({te for _, te in self.terms}, key=_block_key)
-        x_rank = {xe: i * len(ts) for i, xe in enumerate(xs)}
-        t_rank = {te: i for i, te in enumerate(ts)}
-        by_rank = {x_rank[xe] + t_rank[te]: (xe, te, c) for (xe, te), c in self.terms.items()}
-        return [by_rank[r] for r in sorted(by_rank, reverse=True)]
+        """Terms as (x_exps, t_exps, coeff), leading (graded lex) first: the
+        order of their `MonomialCode`s, the one order of every printed series."""
+        code, coded, (xs, ts) = MonomialCode.encoded(self)
+        split = code.split
+        return [(xs[k // split], ts[k % split], coded[k]) for k in sorted(coded, reverse=True)]
 
     def __repr__(self):
         if not self.terms:
@@ -471,10 +540,12 @@ class TruncatedSeries:
     """Polynomial plus degree caps; products drop terms above either cap.
 
     The t-cap is the single source of truncation: results are exact for
-    every term within the caps.
+    every term within the caps.  A series made by `from_codes` holds its
+    terms as {code: c} and decodes `poly` only when it is first read, so a
+    series that is only printed is never decoded.
     """
 
-    __slots__ = ("poly", "x_cap", "t_cap")
+    __slots__ = ("_poly", "_code", "_coded", "x_cap", "t_cap")
 
     def __init__(self, poly: Polynomial, x_cap: int, t_cap: int):
         # the input is kept, not copied, when every term is within the caps
@@ -484,9 +555,53 @@ class TruncatedSeries:
                 for mono, c in poly.terms.items()
                 if sum(mono[0]) <= x_cap and sum(mono[1]) <= t_cap
             })
-        self.poly = poly
+        self._poly = poly
+        self._code = self._coded = None
         self.x_cap = x_cap
         self.t_cap = t_cap
+
+    @classmethod
+    def from_codes(cls, code: MonomialCode, coded: dict, x_cap: int, t_cap: int) -> "TruncatedSeries":
+        """The series of {code: c}, coefficients nonzero.  The cap filter reads
+        the degree digits, and the input is kept when the code's degrees are
+        within the caps."""
+        if code.x_degree > x_cap or code.t_degree > t_cap:
+            # |a| <= x_cap iff the code is below (x_cap + 1) B^(nx+nt+1), and
+            # |b| <= t_cap iff the t part is below (t_cap + 1) B^nt
+            split, base = code.split, code.base
+            x_limit, t_limit = (x_cap + 1) * split * base ** code.nx, (t_cap + 1) * base ** code.nt
+            coded = {k: c for k, c in coded.items() if k < x_limit and k % split < t_limit}
+        series = cls.__new__(cls)
+        series._poly = None
+        series._code, series._coded = code, coded
+        series.x_cap, series.t_cap = x_cap, t_cap
+        return series
+
+    @property
+    def poly(self) -> Polynomial:
+        if self._poly is None:
+            code = self._code
+            self._poly = Polynomial(code.nx, code.nt, code.decode(self._coded))
+        return self._poly
+
+    def coded(self) -> tuple[MonomialCode, dict, tuple[dict, dict]]:
+        """The terms as (code, {code: c}, parts maps), as
+        `MonomialCode.encoded` gives them; a Polynomial-backed series is
+        encoded one distinct part at a time."""
+        if self._coded is None:
+            return MonomialCode.encoded(self._poly)
+        return self._code, self._coded, self._code.parts(self._coded)
+
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self._poly.terms if self._coded is None else self._coded)
+
+    def with_caps(self, x_cap: int, t_cap: int) -> "TruncatedSeries":
+        """The same terms under new caps, held the same way; terms past a
+        new cap are dropped."""
+        if self._coded is None:
+            return TruncatedSeries(self._poly, x_cap, t_cap)
+        return TruncatedSeries.from_codes(self._code, self._coded, x_cap, t_cap)
 
     @classmethod
     def one(cls, nx: int, nt: int, x_cap: int, t_cap: int) -> "TruncatedSeries":
@@ -528,12 +643,12 @@ class TruncatedSeries:
     __hash__ = None
 
     def __bool__(self):
-        return bool(self.poly)
+        return len(self) > 0
 
     def truncate(self, x_cap: int | None = None, t_cap: int | None = None) -> "TruncatedSeries":
         x_cap = self.x_cap if x_cap is None else min(x_cap, self.x_cap)
         t_cap = self.t_cap if t_cap is None else min(t_cap, self.t_cap)
-        return TruncatedSeries(self.poly, x_cap, t_cap)
+        return self.with_caps(x_cap, t_cap)
 
     def coefficient_of_t(self, texps) -> Polynomial:
         return self.poly.coefficient_of_t(texps)

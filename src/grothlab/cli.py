@@ -83,17 +83,26 @@ def _format_mu(mu) -> str:
 
 
 def _series_text(series: TruncatedSeries) -> str:
-    """The series' lines, each ending in a newline, as one string."""
-    # x parts repeat across lines and t parts across x parts, so each part's
-    # text is built once; an empty t part leaves the line ending in "|"
-    terms = series.poly.terms
-    x_text = {xe: " ".join(map(str, xe)) for xe in {xe for xe, _ in terms}}
-    t_text = {te: f" | {' '.join(map(str, te))}".rstrip() + "\n" for te in {te for _, te in terms}}
-    return "".join([f"{c}  {x_text[xe]}{t_text[te]}" for xe, te, c in series.poly.sorted_terms()])
+    """The series' lines, each ending in a newline, as one string.
+
+    Lines run in the order of the terms' `MonomialCode`s, largest first, so
+    they sort as plain ints; each distinct x part and t part is decoded to
+    text once, and an empty t part leaves the line ending in "|".
+    """
+    code, coded, (xs, ts) = series.coded()
+    split = code.split
+    x_text = {p: " ".join(map(str, xe)) for p, xe in xs.items()}
+    t_text = {p: f" | {' '.join(map(str, te))}".rstrip() + "\n" for p, te in ts.items()}
+    return "".join([f"{coded[k]}  {x_text[k // split]}{t_text[k % split]}" for k in sorted(coded, reverse=True)])
 
 
 def _series_json(series: TruncatedSeries) -> list:
-    return [[c, list(xe), list(te)] for xe, te, c in series.poly.sorted_terms()]
+    """[c, x_exps, t_exps] per term, in the order of `_series_text`."""
+    code, coded, (xs, ts) = series.coded()
+    split = code.split
+    x_list = {p: list(xe) for p, xe in xs.items()}
+    t_list = {p: list(te) for p, te in ts.items()}
+    return [[coded[k], x_list[k // split], t_list[k % split]] for k in sorted(coded, reverse=True)]
 
 
 def _expansion_json(exp: BasisExpansion) -> dict:
@@ -117,9 +126,7 @@ def _routes_for(spec: FamilySpec):
     # s_mu and P_mu are J_mu and P_mu at t = 0, lifted to the spec's caps
     base = FamilySpec("J" if spec.family == "schur" else "P", spec.mu, spec.n, t_cap=0)
     return {
-        name: lambda route=route: TruncatedSeries(
-            route().poly, spec.effective_x_cap(), spec.t_cap
-        )
+        name: lambda route=route: route().with_caps(spec.effective_x_cap(), spec.t_cap)
         for name, route in _routes_for(base).items()
     }
 
@@ -153,7 +160,7 @@ def _cmd_compute(args) -> int:
         print(f"tcap: {spec.t_cap}")
         print(f"xcap: {spec.effective_x_cap()}")
         for name, s in computed.items():
-            print(f"route {name}: {len(s.poly.terms)} terms")
+            print(f"route {name}: {len(s)} terms")
             # a series runs to 10^5 lines, so they go out in one write
             sys.stdout.write(_series_text(s))
         if verdict:

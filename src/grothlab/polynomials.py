@@ -6,9 +6,11 @@ divided exactly by the Vandermonde) and the combinatorial one (a weighted
 sum over multiset or shifted multiset tableaux).  Matching results from
 the two routes is the core correctness check of the whole library.
 
-The combinatorial route builds no tableau.  `count_mt_by_weight` and
-`count_smt_by_weight` count the tableaux by (x, t) = (weight, column or
-diagonal weight), and those counts are the coefficients of the result.
+The combinatorial route builds no tableau.  `count_mt_by_code` and
+`count_smt_by_code` count the tableaux by (x, t) = (weight, column or
+diagonal weight), keyed by the `MonomialCode` of x^x t^t, and those counts
+are the terms of the resulting series as they stand: it is decoded into
+a Polynomial only when read, and printed straight from the codes.
 They fill the cells in row order, where a cell's admissible boxes depend
 only on its left and upper boxes (one helper per family states the rule),
 so the completions of a partial filling depend only on the next cell, the
@@ -60,7 +62,9 @@ from .partitions import (
     staircase,
 )
 from .tableaux import (
+    count_mt_by_code,
     count_mt_by_weight,
+    count_smt_by_code,
     count_smt_by_weight,
     enumerate_maximal_mt,
     enumerate_maximal_smt,
@@ -248,8 +252,8 @@ def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
 
 def grothendieck_J_combinatorial(spec: FamilySpec) -> TruncatedSeries:
     """Tableau route: sum of t^cw x^wt over capped multiset tableaux."""
-    total = Polynomial(spec.n, spec.ell, count_mt_by_weight(spec.mu, spec.n, spec.t_cap))
-    return TruncatedSeries(total, spec.effective_x_cap(), spec.t_cap)
+    code, counts = count_mt_by_code(spec.mu, spec.n, spec.t_cap)
+    return TruncatedSeries.from_codes(code, counts, spec.effective_x_cap(), spec.t_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +270,8 @@ def grothendieck_P_algebraic(spec: FamilySpec) -> TruncatedSeries:
 
 
 def _smt_series(spec: FamilySpec, signed: bool) -> TruncatedSeries:
-    counts = count_smt_by_weight(spec.mu, spec.n, spec.t_cap, signed=signed)
-    total = Polynomial(spec.n, spec.ell, counts)
-    return TruncatedSeries(total, spec.effective_x_cap(), spec.t_cap)
+    code, counts = count_smt_by_code(spec.mu, spec.n, spec.t_cap, signed=signed)
+    return TruncatedSeries.from_codes(code, counts, spec.effective_x_cap(), spec.t_cap)
 
 
 def grothendieck_P_combinatorial(spec: FamilySpec) -> TruncatedSeries:

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import total_ordering
 
+from .algebra import MonomialCode
 from .partitions import (
     column_heights,
     is_partition,
@@ -46,7 +47,9 @@ __all__ = [
     "enumerate_mt",
     "enumerate_ssyt",
     "enumerate_smt",
+    "count_mt_by_code",
     "count_mt_by_weight",
+    "count_smt_by_code",
     "count_smt_by_weight",
     "enumerate_sst",
     "enumerate_rt",
@@ -594,8 +597,22 @@ def srt_to_maximal_smt(f: SkewFilling) -> ShiftedMultisetTableau:
 # index is at least least(i, -1) (`_Grid.after`).  What later cells read is
 # a frontier of two slots per column (straight) or absolute column
 # (shifted): the first and last index of the box filled there last.  `_fill`
-# walks every tableau for enumerate_*, and `_count` counts them by (x, t) on
-# the frontier for count_*_by_weight.
+# walks every tableau for enumerate_*, and `_count` counts them by the code
+# of x^x t^t on the frontier for count_*_by_code and count_*_by_weight.
+
+
+# Every walk over the cells (`_fill`, `_count`, and the restricted and
+# size-matrix backtracks) recurses once per cell.  Half the interpreter's
+# default recursion limit leaves room for any caller's own frames.
+MAX_CELLS = 500
+
+
+def _check_cells(shape, cells: int) -> None:
+    """Refuse a walk over more than MAX_CELLS cells before any cell is built."""
+    if cells > sys.maxsize:
+        raise ValueError(f"shape {shape} has more cells than a list can hold")
+    if cells > MAX_CELLS:
+        raise ValueError(f"shape {shape} has {cells} cells; a tableau walk takes at most {MAX_CELLS}")
 
 
 def _mt_least(left: int, above: int) -> int:
@@ -634,8 +651,7 @@ class _Grid:
             raise ValueError(f"max_value must be nonnegative, got {max_value}")
         if extra_cap < 0:
             raise ValueError(f"extra_cap must be nonnegative, got {extra_cap}")
-        if sum(shape) > sys.maxsize:
-            raise ValueError(f"shape {shape} has more cells than a list can hold")
+        _check_cells(shape, sum(shape))
         self.shape, self.max_value, self.extra_cap = shape, max_value, extra_cap
         self.ell = shape[0] if shape else 0
         self.shifted = shifted
@@ -708,14 +724,15 @@ def _fill(grid: _Grid, leaf) -> None:
     backtrack(0, grid.extra_cap)
 
 
-def _count(grid: _Grid) -> dict:
-    """{(x, t): count} over the tableaux of the grid, with x the weight padded
-    to max_value entries and t the per-label weight (T_1..T_ell).
+def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
+    """(code, {code of x^x t^t: count}) over the tableaux of the grid, with
+    x the weight over max_value variables and t the per-label weight
+    (T_1..T_ell), in a `MonomialCode`.
 
     The transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7):
     the completions of a partial filling depend only on the next cell, the
     frontier and the remaining extra budget, so they are counted once per
-    such state, as a dict {packed weight of the remaining cells: count}.
+    such state, as a dict {code of the remaining cells' weight: count}.
 
     The frontier is one int: slot s is a field of `fw` bits at bit s * fw
     holding its index + 1, and a missing neighbour reads the all-zero field
@@ -724,27 +741,21 @@ def _count(grid: _Grid) -> dict:
     that more states coincide.  Each cell has its own memo, keyed by
     frontier << budget_bits | budget, and the memo lives for this call only.
 
-    Weights are packed into one int, x_v at digit v - 1 and T_j at digit
-    max_value + j - 1 in base |shape| + extra_cap + 1, so a box choice adds
-    one int to each key of its child's dict.  A base that is a power of two
-    is raised by one: with power-of-two digits only the lowest x digits
-    reach the low bits of a key, which pick its dict slot, and the large
-    tallies collide.  The x-weight sums of the boxes come from a span table
-    keyed by (size, first index, last index), grown by the box rule; a
-    cell's choices for one least index are built once from it, as (extra
-    entries, frontier bits, weights), and cells that agree on the least
-    index, slot, kept slots, label and unprimed rule share them.
+    A weight is the code of its monomial, whose degrees are at most
+    |shape| + extra_cap and extra_cap, so a box choice adds one int to each
+    key of its child's dict and the root tally is the result as it stands.
+    Column c holds label ell - c, which is t index ell - 1 - c.  The x-weight
+    sums of the boxes come from a span table keyed by (size, first index,
+    last index), grown by the box rule; a cell's choices for one least
+    index are built once from it, as (extra entries, frontier bits,
+    weights), and cells that agree on the least index, slot, kept slots,
+    label and unprimed rule share them.
     """
     cells, mv, ell, least = grid.cells, grid.max_value, grid.ell, grid.least
     extra_cap, nslots, letters = grid.extra_cap, grid.nslots, len(grid.alphabet)
-    # an x digit counts at most every entry, a T digit at most the extra ones
-    base = sum(grid.shape) + extra_cap + 1
-    if base & (base - 1) == 0:
-        base += 1
-    assert sum(grid.shape) + extra_cap < base
-    unit = [base ** k for k in range(mv + ell + 1)]
-    x_unit = [unit[i // 2 if grid.shifted else i] for i in range(letters)]
-    t_unit = [unit[mv + ell - 1 - c] for c in range(ell)]
+    code = MonomialCode(mv, ell, sum(grid.shape) + extra_cap, extra_cap)
+    x_unit = [code.x_var(i // 2 if grid.shifted else i) for i in range(letters)]
+    t_unit = [code.t_var(ell - 1 - c) for c in range(ell)]
     fw, budget_bits = letters.bit_length(), extra_cap.bit_length()
     fm = (1 << fw) - 1
 
@@ -827,20 +838,7 @@ def _count(grid: _Grid) -> dict:
         memo[key] = out
         return out
 
-    x_digits, t_digits = unit[:mv], unit[:ell]
-    xs: dict[int, tuple] = {}
-    ts: dict[int, tuple] = {}
-    counts = {}
-    for key, count in completions(0, 0, extra_cap).items():
-        high, low = divmod(key, unit[mv])
-        x = xs.get(low)
-        if x is None:
-            x = xs[low] = tuple([low // u % base for u in x_digits])
-        t = ts.get(high)
-        if t is None:
-            t = ts[high] = tuple([high // u % base for u in t_digits])
-        counts[(x, t)] = count
-    return counts
+    return code, completions(0, 0, extra_cap)
 
 
 def enumerate_mt(shape, max_value: int, extra_cap: int):
@@ -854,10 +852,17 @@ def enumerate_mt(shape, max_value: int, extra_cap: int):
     return out
 
 
+def count_mt_by_code(shape, max_value: int, extra_cap: int) -> tuple[MonomialCode, dict]:
+    """(code, {code: count}) over the tableaux of enumerate_mt, keyed by the
+    `MonomialCode` of x^weight t^(column weight) in max_value x-variables."""
+    return _count(_Grid(shape, max_value, extra_cap, shifted=False))
+
+
 def count_mt_by_weight(shape, max_value: int, extra_cap: int) -> dict:
     """{(x, t): count} over the tableaux of enumerate_mt: x is the weight
     padded to max_value entries and t the column weight."""
-    return _count(_Grid(shape, max_value, extra_cap, shifted=False))
+    code, counts = count_mt_by_code(shape, max_value, extra_cap)
+    return code.decode(counts)
 
 
 def enumerate_ssyt(shape, max_value: int):
@@ -876,10 +881,17 @@ def enumerate_smt(shape, max_value: int, extra_cap: int, signed: bool = False):
     return out
 
 
+def count_smt_by_code(shape, max_value: int, extra_cap: int, signed: bool = False) -> tuple[MonomialCode, dict]:
+    """(code, {code: count}) over the tableaux of enumerate_smt, keyed by the
+    `MonomialCode` of x^weight t^(diagonal weight) in max_value x-variables."""
+    return _count(_Grid(shape, max_value, extra_cap, shifted=True, signed=signed))
+
+
 def count_smt_by_weight(shape, max_value: int, extra_cap: int, signed: bool = False) -> dict:
     """{(x, t): count} over the tableaux of enumerate_smt: x is the weight
     padded to max_value entries and t the diagonal weight."""
-    return _count(_Grid(shape, max_value, extra_cap, shifted=True, signed=signed))
+    code, counts = count_smt_by_code(shape, max_value, extra_cap, signed=signed)
+    return code.decode(counts)
 
 
 def enumerate_sst(shape, max_value: int, signed: bool = False):
@@ -888,6 +900,7 @@ def enumerate_sst(shape, max_value: int, signed: bool = False):
 
 def _enumerate_restricted(outer, inner, mu):
     """Skew semistandard fillings in alphabet {1..ell}, entry v on rows <= c_v."""
+    _check_cells(outer, sum(outer) - sum(inner))
     ell = mu[0] if mu else 0
     heights = column_heights(mu)
     cells = [
@@ -955,6 +968,7 @@ def _enumerate_size_matrices(shape, extra_cap: int):
     shape = tuple(shape)
     if extra_cap < 0:
         raise ValueError(f"extra_cap must be nonnegative, got {extra_cap}")
+    _check_cells(shape, sum(shape))
     cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
     sizes = [[1] * width for width in shape]
     out = []

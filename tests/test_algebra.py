@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from grothlab.algebra import (
     ExactDivisionError,
+    MonomialCode,
     Polynomial,
     TruncatedSeries,
     _order_key,
@@ -278,6 +279,80 @@ def test_sorted_terms_is_the_order_key_sort(xs, ts, data):
     p = Polynomial(3, 2, dict(zip(pairs, coeffs)))
     expected = sorted(p.terms, key=_order_key, reverse=True)
     assert p.sorted_terms() == [(xe, te, p.terms[(xe, te)]) for xe, te in expected]
+
+
+@st.composite
+def _coded_monomials(draw):
+    """A layout (nx, nt, degree bounds) and monomials within its degrees."""
+    nx, nt = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    x_degree, t_degree = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+
+    def exps(count, degree):
+        # a weak composition of at most `degree` into `count` parts
+        out = [0] * count
+        for _ in range(draw(st.integers(0, degree)) if count else 0):
+            out[draw(st.integers(0, count - 1))] += 1
+        return tuple(out)
+
+    monos = [(exps(nx, x_degree), exps(nt, t_degree)) for _ in range(draw(st.integers(1, 8)))]
+    return MonomialCode(nx, nt, x_degree, t_degree), monos
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coded_monomials())
+def test_monomial_code_order_is_the_order_key_and_decodes_back(args):
+    code, monos = args
+    encode = {(xe, te): code.part(xe) * code.split + code.part(te) for xe, te in monos}
+    assert code.base % 2 == 1 and code.base > max(code.x_degree, code.t_degree)
+    # integer order on codes is _order_key order, both ways
+    for a in monos:
+        for b in monos:
+            assert (encode[a] < encode[b]) == (_order_key(a) < _order_key(b))
+    coded = {k: i + 1 for i, k in enumerate(set(encode.values()))}
+    by_mono = {mono: coded[k] for mono, k in encode.items()}
+    assert code.decode(coded) == by_mono
+    # the cap filter reads the degree digits alone
+    for x_cap in range(code.x_degree + 1):
+        for t_cap in range(code.t_degree + 1):
+            kept = TruncatedSeries.from_codes(code, coded, x_cap, t_cap).poly.terms
+            assert kept == {(xe, te): c for (xe, te), c in by_mono.items() if sum(xe) <= x_cap and sum(te) <= t_cap}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coded_monomials())
+def test_monomial_code_of_a_product_is_the_sum_of_codes(args):
+    code, monos = args
+    # halve every exponent, so that any two monomials multiply within the degrees
+    halves = [(tuple(e // 2 for e in xe), tuple(e // 2 for e in te)) for xe, te in monos]
+
+    def encode(mono):
+        return code.part(mono[0]) * code.split + code.part(mono[1])
+
+    for a in halves:
+        for b in halves:
+            product = (tuple(map(sum, zip(a[0], b[0]))), tuple(map(sum, zip(a[1], b[1]))))
+            assert encode(a) + encode(b) == encode(product)
+    for i in range(code.nx):
+        unit = tuple(int(k == i) for k in range(code.nx))
+        assert code.x_var(i) == encode((unit, (0,) * code.nt))
+    for j in range(code.nt):
+        unit = tuple(int(k == j) for k in range(code.nt))
+        assert code.t_var(j) == encode(((0,) * code.nx, unit))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_st(nx=3, nt=2, max_exp=4, max_terms=6), st.integers(0, 12), st.integers(0, 2))
+def test_series_from_codes_is_the_series_of_its_polynomial(p, x_cap, t_cap):
+    code, coded, parts = MonomialCode.encoded(p)
+    assert code.decode(coded) == p.terms
+    assert parts == code.parts(coded)
+    from_codes = TruncatedSeries.from_codes(code, coded, x_cap, t_cap)
+    expected = TruncatedSeries(p, x_cap, t_cap)
+    assert len(from_codes) == len(expected.poly.terms)
+    assert from_codes.coded()[0] is code
+    assert from_codes == expected
+    assert from_codes.with_caps(x_cap + 1, t_cap + 1).poly == expected.poly
+    assert from_codes.truncate(x_cap=x_cap - 1 if x_cap else 0) == expected.truncate(x_cap=x_cap - 1 if x_cap else 0)
 
 
 def test_straighten_reads_bialternant_rule():

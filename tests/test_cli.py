@@ -524,6 +524,43 @@ def test_shape_with_more_cells_than_a_list_holds_is_a_usage_error(argv):
     assert done.stderr.startswith("error: ") and "more cells than a list can hold" in done.stderr
 
 
+# every tableau walk recurses once per cell, so a shape past the cell bound
+# is refused before any cell is built, instead of overflowing the stack
+LONG_ROW = "1000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "J", LONG_ROW, "--n", "1", "--tcap", "0", "--route", "combinatorial"],
+    ["compute", "P", LONG_ROW, "--n", "1", "--tcap", "0", "--route", "combinatorial"],
+    ["enumerate", "MT", LONG_ROW, "--max-value", "1"],
+    ["enumerate", "SMT", LONG_ROW, "--max-value", "1"],
+    ["enumerate", "maxMT", LONG_ROW, "--extra", "0"],
+    ["enumerate", "RT", "1", "--outer", LONG_ROW],
+    ["expand", "J", LONG_ROW, "--n", "1", "--tcap", "0"],
+], ids=" ".join)
+def test_shape_past_the_cell_bound_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "a tableau walk takes at most 500" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "MT", "1000000000000"],
+    ["compute", "J", "1000000000000", "--n", "1", "--tcap", "0", "--route", "combinatorial"],
+], ids=" ".join)
+def test_shape_below_sys_maxsize_cells_is_refused_before_its_cells_are_built(argv):
+    # 10^12 cells fit a list's length but not a 1 GiB address space: the
+    # bound must be checked before the first cell is built
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-m", "grothlab.cli", *argv], capture_output=True, text=True,
+        env=env, preexec_fn=_limit_memory, timeout=60,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "a tableau walk takes at most" in done.stderr
+
+
 @pytest.mark.parametrize("content", [
     b"", b"abc | def\n", b"1 | 2''\n", b"1 | 1 1 | 0\n", b"2 | 1\n1\n",
     b"1 |  | 2\n", b". | 1\n", b"1 | 2\n3 | 4 | 5\n", b"\x00\xff\xfe\n",

@@ -34,7 +34,7 @@ from grothlab.polynomials import (
     signed_smt_sum,
     specialize_t,
 )
-from grothlab.tableaux import enumerate_rt, enumerate_srt
+from grothlab.tableaux import count_mt_by_weight, count_smt_by_weight, enumerate_rt, enumerate_srt
 
 
 def t_poly(nt, *terms):
@@ -188,6 +188,45 @@ def test_routes_agree_past_the_census(args):
         algebraic, combinatorial = grothendieck_P_algebraic(spec), grothendieck_P_combinatorial(spec)
     assert combinatorial == algebraic
     assert coefficient_via_hmult(spec, t_exps) == algebraic.poly.coefficient_of_t(t_exps)
+
+
+CODED_SHAPES = [mu for mu in subpartitions((6,) * 6) if 0 < sum(mu) <= 6]
+
+
+@st.composite
+def _coded_specs(draw):
+    """A family (J, P or signed P), a spec with n <= 5, t_cap <= 3 and
+    |mu| + t_cap <= 7, and an x-cap that is sometimes below |mu| + t_cap."""
+    family = draw(st.sampled_from(["J", "P", "P+-"]))
+    shapes = [mu for mu in CODED_SHAPES if family == "J" or is_strict_partition(mu)]
+    mu = draw(st.sampled_from(shapes))
+    t_cap = draw(st.integers(0, min(3, 7 - sum(mu))))
+    x_cap = draw(st.one_of(st.none(), st.integers(0, sum(mu) + t_cap + 1)))
+    spec = FamilySpec(family[0], mu, draw(st.integers(1, 5)), t_cap=t_cap, x_cap=x_cap)
+    return family, spec
+
+
+# the combinatorial routes hold the counter's codes and decode them only when
+# read; they must read, print and compare as the series of its tuple tally
+@settings(max_examples=40, deadline=None)
+@given(_coded_specs())
+def test_coded_series_is_the_series_of_the_tuple_tally(args):
+    from grothlab.cli import _series_json, _series_text
+
+    family, spec = args
+    if family == "J":
+        coded = grothendieck_J_combinatorial(spec)
+        counts = count_mt_by_weight(spec.mu, spec.n, spec.t_cap)
+    else:
+        signed = family == "P+-"
+        coded = signed_smt_sum(spec) if signed else grothendieck_P_combinatorial(spec)
+        counts = count_smt_by_weight(spec.mu, spec.n, spec.t_cap, signed=signed)
+    expected = TruncatedSeries(Polynomial(spec.n, spec.ell, counts), spec.effective_x_cap(), spec.t_cap)
+    assert _series_text(coded) == _series_text(expected)
+    assert _series_json(coded) == _series_json(expected)
+    assert len(coded) == len(expected.poly.terms)
+    assert coded.poly == expected.poly
+    assert coded == expected
 
 
 def test_expand_in_schur_trivial():

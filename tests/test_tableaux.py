@@ -15,6 +15,7 @@ from grothlab.fixtures import (
 )
 from grothlab.partitions import pad
 from grothlab.tableaux import (
+    MAX_CELLS,
     Entry,
     MultisetTableau,
     ShiftedMultisetTableau,
@@ -413,3 +414,17 @@ def test_enumerate_smt_matches_brute_force_over_the_alphabet(shape):
                 found = enumerate_smt(shape, max_value, cap, signed=signed)
                 assert len(set(found)) == len(found)
                 assert set(found) == _brute_force_smt(shape, max_value, cap, signed)
+
+
+def test_walks_run_at_the_cell_bound():
+    # one row of MAX_CELLS cells: every walk recurses once per cell, here on
+    # top of the test runner's own frames
+    row = (MAX_CELLS,)
+    assert count_mt_by_weight(row, 1, 0) == {((MAX_CELLS,), (0,) * MAX_CELLS): 1}
+    assert count_smt_by_weight(row, 1, 0) == {((MAX_CELLS,), (0,) * MAX_CELLS): 1}
+    assert len(enumerate_mt(row, 1, 0)) == 1
+    assert len(enumerate_smt(row, 1, 0)) == 1
+    assert len(enumerate_maximal_mt(row, 0)) == 1
+    assert len(enumerate_rt((MAX_CELLS + 1,), (1,))) == 1
+    with pytest.raises(ValueError, match="a tableau walk takes at most"):
+        count_mt_by_weight((MAX_CELLS + 1,), 1, 0)
