@@ -15,7 +15,6 @@ from .algebra import (
     apply_permutation,
     coset_sum,
     divide_exact,
-    geometric_factor,
     vandermonde,
 )
 from .insertion import (

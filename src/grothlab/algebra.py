@@ -3,18 +3,20 @@
 Every polynomial lives in Z[x_1..x_nx, t_1..t_nt].  Terms are stored as a
 dict mapping (x_exponents, t_exponents) -> integer coefficient, with zero
 coefficients never stored.  TruncatedSeries wraps a Polynomial together with
-degree caps on the two blocks; series products drop terms over either cap.
+degree caps on the two blocks and holds no term over either cap.
 
 MonomialCode packs a monomial into one int whose integer order is the
-printed (graded lex) order.  The tableau counter tallies in these codes, a
-TruncatedSeries can hold them and decode its Polynomial only when read, and
-every printed series is sorted on them.
+printed (graded lex) order.  The tableau counter tallies in these codes, the
+algebraic product multiplies them and `straighten` and `schur_to_monomials`
+read and write them, a TruncatedSeries can hold them and decode its
+Polynomial only when read, and every printed series is sorted on them.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import chain, combinations_with_replacement, permutations
+from functools import cache, partial
+from itertools import chain, combinations, combinations_with_replacement, permutations
+from operator import mul
 
 __all__ = [
     "ExactDivisionError",
@@ -26,7 +28,6 @@ __all__ = [
     "coset_sum",
     "coset_permutations",
     "divide_exact",
-    "geometric_factor",
     "h_polynomial",
     "kostka_columns",
     "perm_sign",
@@ -58,6 +59,12 @@ def _order_key(mono):
     return (sum(xe), xe, sum(te), te)
 
 
+# A code has nx + nt + 2 digits, and reading a series' parts takes up to
+# quadratic time in that; past this bound a code is refused before it is
+# built (base ** nt alone does not finish for nt = 10^20).
+MAX_VARIABLES = 10_000
+
+
 class MonomialCode:
     """The print-order code of the monomials x^a t^b in nx x- and nt t-variables.
 
@@ -74,16 +81,19 @@ class MonomialCode:
     code % split; each part is its block's degree digit followed by the
     block's exponents (`part`).  Readers of many codes decode each distinct
     part once, through the maps {x part: x_exps} and {t part: t_exps}
-    (`parts`).
+    (`parts`, read by `digits`).
     """
 
-    __slots__ = ("nx", "nt", "x_degree", "t_degree", "base", "split")
+    __slots__ = ("nx", "nt", "x_degree", "t_degree", "base", "split", "_places")
 
     def __init__(self, nx: int, nt: int, x_degree: int, t_degree: int):
+        if nx + nt > MAX_VARIABLES:
+            raise ValueError(f"a monomial code holds at most {MAX_VARIABLES} variables, not {nx} x- and {nt} t-variables")
         self.nx, self.nt = nx, nt
         self.x_degree, self.t_degree = x_degree, t_degree
         self.base = max(x_degree, t_degree) + 1 | 1
         self.split = self.base ** (nt + 1)
+        self._places = [self.base ** i for i in range(7, -1, -1)]  # B^7 .. B^0, for `digits`
 
     @classmethod
     def encoded(cls, poly: "Polynomial") -> tuple["MonomialCode", dict, tuple[dict, dict]]:
@@ -108,6 +118,21 @@ class MonomialCode:
             part = part * self.base + e
         return part
 
+    def digits(self, values, count: int) -> dict:
+        """{value: its last `count` base-B digits, most significant first}, the
+        exponents of x parts (count nx) or t parts (count nt).  Past 8 digits
+        each value is halved by one divmod and each distinct half read once,
+        so the zero halves of long sparse parts are read once between them."""
+        if count <= 8:
+            places, base = self._places[8 - count:], self.base
+            return {v: tuple([v // u % base for u in places]) for v in values}
+        half = count // 2
+        unit = self.base ** half
+        halves = {v: divmod(v, unit) for v in values}
+        high = self.digits({h for h, _ in halves.values()}, count - half)
+        low = self.digits({lo for _, lo in halves.values()}, half)
+        return {v: high[h] + low[lo] for v, (h, lo) in halves.items()}
+
     def x_var(self, i: int) -> int:
         """The code of x_(i+1)."""
         base = self.base
@@ -120,12 +145,9 @@ class MonomialCode:
     def parts(self, coded) -> tuple[dict, dict]:
         """({x part: x_exps}, {t part: t_exps}) over the distinct parts of
         the codes."""
-        split, base = self.split, self.base
-        x_places = [base ** i for i in range(self.nx - 1, -1, -1)]
-        t_places = [base ** i for i in range(self.nt - 1, -1, -1)]
-        xs = {p: tuple([p // u % base for u in x_places]) for p in {k // split for k in coded}}
-        ts = {p: tuple([p // u % base for u in t_places]) for p in {k % split for k in coded}}
-        return xs, ts
+        split = self.split
+        xs = self.digits({k // split for k in coded}, self.nx)
+        return xs, self.digits({k % split for k in coded}, self.nt)
 
     def decode(self, coded: dict) -> dict:
         """{(x_exps, t_exps): c} of {code: c}."""
@@ -299,8 +321,6 @@ def x_var(i: int, nx: int, nt: int = 0) -> Polynomial:
 
 def apply_permutation(p, sigma):
     """Relabel x_i -> x_{sigma(i)} (0-based one-line sigma); t-block untouched."""
-    if isinstance(p, TruncatedSeries):
-        return TruncatedSeries(apply_permutation(p.poly, sigma), p.x_cap, p.t_cap)
     if len(sigma) != p.nx:
         raise ValueError("permutation length does not match x-block")
     inv = [0] * len(sigma)
@@ -366,119 +386,126 @@ def h_polynomial(k: int, c: int, nx: int, nt: int = 0) -> Polynomial:
     return Polynomial(nx, nt, terms)
 
 
-def straighten(f) -> dict:
-    """Schur coefficients of the bialternant quotient A(f)/V.
+def straighten(code: MonomialCode, coded: dict) -> dict:
+    """Schur coefficients of the bialternant quotient A(f)/V, f given as
+    {code: c}.
 
     A(x^a)/V is 0 when a has a repeated part, and otherwise sign(w) times
     the Schur polynomial s_{w(a) - delta}, where w sorts a into decreasing
     order and delta = (nx-1, ..., 1, 0) (Macdonald, I §3).  So the quotient
     is read off term by term, with no sum over S_n and no division.  The
-    result maps (lam, t_exps) -> c, with lam padded to nx parts.
+    result maps (lam, t part) -> c, lam padded to nx parts.  The terms are
+    grouped by x part, so each distinct x part is read and signed once.
     """
-    poly = f.poly if isinstance(f, TruncatedSeries) else f
-    n = poly.nx
-    delta = tuple(range(n - 1, -1, -1))
-
-    @cache
-    def read(xe):
-        # an x part repeats under many t parts, so each is sorted and signed once
-        if len(set(xe)) < n:
-            return None
-        a = sorted(xe, reverse=True)
-        # sign(w) is the parity of the pairs i < j with xe[i] < xe[j]
-        return tuple(p - d for p, d in zip(a, delta)), perm_sign([-e for e in xe])
-
+    n, split = code.nx, code.split
+    delta = range(n - 1, -1, -1)
+    by_x: dict[int, list] = {}
+    for k, c in coded.items():
+        x_part, t_part = divmod(k, split)
+        by_x.setdefault(x_part, []).append((t_part, c))
     out = {}
-    for (xe, te), c in poly.terms.items():
-        entry = read(xe)
-        if entry is not None:
-            key = (entry[0], te)
-            out[key] = out.get(key, 0) + entry[1] * c
+    x_exps = code.digits(by_x, n)
+    for x_part, t_terms in by_x.items():
+        xe = x_exps[x_part]
+        if len(set(xe)) < n:
+            continue
+        lam = tuple([p - d for p, d in zip(sorted(xe, reverse=True), delta)])
+        # sign(w) is the parity of the pairs i < j with xe[i] < xe[j]
+        sign = perm_sign([-e for e in xe])
+        for t_part, c in t_terms:
+            key = (lam, t_part)
+            out[key] = out.get(key, 0) + sign * c
     return {key: c for key, c in out.items() if c}
 
 
-def _partitions(d: int, parts: int, largest: int):
-    """Partitions of d into at most `parts` parts of size at most `largest`,
-    padded with zeros to `parts` entries, in decreasing lex order."""
-    if parts == 0:
-        if d == 0:
-            yield ()
-        return
-    for first in range(min(d, largest), -1, -1):
-        if first * parts < d:
-            break
-        for rest in _partitions(d - first, parts - 1, first):
-            yield (first,) + rest
-
-
-def _horizontal_strips(mu: tuple[int, ...], k: int) -> list:
-    """The partitions lam, padded like mu, for which lam/mu is a horizontal
-    k-strip: |lam| = |mu| + k and mu_i <= lam_i <= mu_{i-1} (no bound on lam_1)."""
+def _horizontal_strips(mu: tuple[int, ...], k: int, bound: tuple[int, ...]) -> list:
+    """The partitions lam inside `bound`, padded like mu, for which lam/mu is
+    a horizontal k-strip: |lam| = |mu| + k and mu_i <= lam_i <= mu_{i-1}."""
     grown = [((), k)]
     for i in range(len(mu) - 1, 0, -1):
         grown = [
             ((mu[i] + e,) + tail, left - e)
             for tail, left in grown
-            for e in range(min(mu[i - 1] - mu[i], left) + 1)
+            for e in range(min(mu[i - 1], bound[i], mu[i] + left) - mu[i] + 1)
         ]
-    return [(mu[0] + left,) + tail for tail, left in grown]
+    return [(mu[0] + left,) + tail for tail, left in grown if mu[0] + left <= bound[0]]
 
 
-def kostka_columns(degrees, n: int) -> dict:
+def kostka_columns(degrees, n: int, bound: tuple[int, ...]) -> dict:
     """Kostka numbers {nu: {lam: K_{lam,nu}}} for the partitions nu of each
-    d in `degrees` with at most n parts, lam and nu padded to n parts.
+    d in `degrees` with at most n parts that some lam inside the partition
+    `bound` dominates, lam, nu and bound padded to n parts.
 
     h_nu = sum_lam K_{lam,nu} s_lam, and h_nu is built one part at a time
     by the Pieri rule s_mu h_k = sum of s_lam over the horizontal k-strips
     lam/mu with at most n rows (Macdonald, I (5.16)): the column of nu is
     the column of nu' = nu less its last part k, pushed through the strips.
-    No polynomial is built and no tableau is enumerated.
+    The nu grow one part at a time, so each prefix's column is pushed once
+    for all degrees.  Every shape on the way to lam lies inside lam, so
+    strips outside `bound` are dropped, and so is a prefix whose column
+    empties.  No polynomial is built and no tableau is enumerated.
     """
-    columns = {(): {(0,) * n: 1}}
+    degrees = set(degrees)
+    top = max(degrees, default=0)
+    strips = cache(partial(_horizontal_strips, bound=bound))  # shared by many prefixes
+    out = {}
+    level = [((), 0, {(0,) * n: 1})]  # (prefix of nu, its size, its column)
+    for rows in range(n, -1, -1):  # the parts the prefixes may still take
+        grown = []
+        for nu, size, column in level:
+            if size in degrees:
+                out[nu + (0,) * rows] = column
+            for part in range(min(nu[-1] if nu else top, top - size), 0, -1):
+                # the prefix must still reach a degree with parts of at most `part`
+                if not any(size + part <= d <= size + part * rows for d in degrees):
+                    continue
+                pushed = {}
+                for mu, c in column.items():
+                    for lam in strips(mu, part):
+                        pushed[lam] = pushed.get(lam, 0) + c
+                if pushed:
+                    grown.append((nu + (part,), size + part, pushed))
+        level = grown
+    return out
 
-    def column(nu):
-        if nu not in columns:
-            out = {}
-            for mu, c in column(nu[:-1]).items():
-                for lam in _horizontal_strips(mu, nu[-1]):
-                    out[lam] = out.get(lam, 0) + c
-            columns[nu] = out
-        return columns[nu]
 
-    return {
-        nu: column(tuple(p for p in nu if p))
-        for d in degrees
-        for nu in _partitions(d, n, d)
-    }
-
-
-def schur_to_monomials(coeffs: dict, n: int, nt: int) -> Polynomial:
-    """Expand sum c * s_lam(x_1..x_n) * t^b, given as {(lam, b): c}, in monomials.
+def schur_to_monomials(coeffs: dict, code: MonomialCode) -> dict:
+    """Expand sum c * s_lam(x_1..x_n) * t^b, given as {(lam, t part of b): c}
+    in `code`, in monomials, as {code: c}.
 
     The coefficient of x^alpha in s_lam is K_{lam,nu} with nu = sort(alpha),
     so each dominant weight nu is summed once and copied onto every distinct
-    rearrangement of nu.  The coefficients are grouped by lam, so each
-    weight reads its Kostka column once per distinct lam.
+    rearrangement of nu: an order of its nonzero parts in a set of places.
+    The coefficients are grouped by lam, so each weight reads its Kostka
+    column once per distinct lam.  The code must cover |lam| and |b|.
     """
+    n, base, split = code.nx, code.base, code.split
+    degree_place = base ** n * split
+    x_places = [base ** i * split for i in range(n - 1, -1, -1)]
     by_degree: dict[int, dict] = {}
-    for (lam, te), c in coeffs.items():
-        by_degree.setdefault(sum(lam), {}).setdefault(lam, []).append((te, c))
-    result = Polynomial(n, nt)
-    out = result.terms  # filled in place, with no zero stored, so never copied
-    for nu, column in kostka_columns(by_degree, n).items():
+    for (lam, t_part), c in coeffs.items():
+        by_degree.setdefault(sum(lam), {}).setdefault(lam, []).append((t_part, c))
+    bound = tuple(map(max, zip((0,) * n, *(lam for lam, _ in coeffs))))  # every lam lies inside it
+    spots = cache(lambda r: list(combinations(x_places, r)))  # the places of r nonzero parts
+    out = {}
+    for nu, column in kostka_columns(by_degree, n, bound).items():
         dominant: dict = {}
         for lam, t_terms in by_degree[sum(nu)].items():
             k = column.get(lam)
             if k:
-                for te, c in t_terms:
-                    dominant[te] = dominant.get(te, 0) + k * c
-        nonzero = [(te, c) for te, c in dominant.items() if c]
+                for t_part, c in t_terms:
+                    dominant[t_part] = dominant.get(t_part, 0) + k * c
+        nonzero = [(t_part, c) for t_part, c in dominant.items() if c]
         if not nonzero:
             continue
-        for alpha in set(permutations(nu)):
-            for te, c in nonzero:
-                out[(alpha, te)] = c
-    return result
+        degree = sum(nu) * degree_place
+        parts = [p for p in nu if p]
+        for order in set(permutations(parts)):
+            for places in spots(len(parts)):
+                x_code = degree + sum(map(mul, order, places))
+                for t_part, c in nonzero:
+                    out[x_code + t_part] = c
+    return out
 
 
 def _divide_poly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -537,7 +564,7 @@ def divide_exact(f, g: Polynomial):
 
 
 class TruncatedSeries:
-    """Polynomial plus degree caps; products drop terms above either cap.
+    """Polynomial plus degree caps; terms above either cap are dropped.
 
     The t-cap is the single source of truncation: results are exact for
     every term within the caps.  A series made by `from_codes` holds its
@@ -603,38 +630,6 @@ class TruncatedSeries:
             return TruncatedSeries(self._poly, x_cap, t_cap)
         return TruncatedSeries.from_codes(self._code, self._coded, x_cap, t_cap)
 
-    @classmethod
-    def one(cls, nx: int, nt: int, x_cap: int, t_cap: int) -> "TruncatedSeries":
-        return cls(Polynomial.constant(1, nx, nt), x_cap, t_cap)
-
-    def _check_caps(self, other: "TruncatedSeries"):
-        if (self.x_cap, self.t_cap) != (other.x_cap, other.t_cap):
-            raise ValueError("series caps differ")
-
-    def __add__(self, other):
-        if isinstance(other, Polynomial):
-            other = TruncatedSeries(other, self.x_cap, self.t_cap)
-        self._check_caps(other)
-        return TruncatedSeries(self.poly + other.poly, self.x_cap, self.t_cap)
-
-    def __neg__(self):
-        return TruncatedSeries(-self.poly, self.x_cap, self.t_cap)
-
-    def __sub__(self, other):
-        if isinstance(other, Polynomial):
-            other = TruncatedSeries(other, self.x_cap, self.t_cap)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries(self.poly * other, self.x_cap, self.t_cap)
-        if isinstance(other, Polynomial):
-            other = TruncatedSeries(other, self.x_cap, self.t_cap)
-        self._check_caps(other)
-        return TruncatedSeries(self.poly * other.poly, self.x_cap, self.t_cap)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -645,30 +640,9 @@ class TruncatedSeries:
     def __bool__(self):
         return len(self) > 0
 
-    def truncate(self, x_cap: int | None = None, t_cap: int | None = None) -> "TruncatedSeries":
-        x_cap = self.x_cap if x_cap is None else min(x_cap, self.x_cap)
-        t_cap = self.t_cap if t_cap is None else min(t_cap, self.t_cap)
-        return self.with_caps(x_cap, t_cap)
-
     def coefficient_of_t(self, texps) -> Polynomial:
         return self.poly.coefficient_of_t(texps)
-
-    def x_slice(self, degree: int) -> Polynomial:
-        """Terms of total x-degree exactly `degree`."""
-        kept = {m: c for m, c in self.poly.terms.items() if sum(m[0]) == degree}
-        return Polynomial(self.poly.nx, self.poly.nt, kept)
 
     def __repr__(self):
         return f"TruncatedSeries({self.poly!r}, x_cap={self.x_cap}, t_cap={self.t_cap})"
 
-
-def geometric_factor(i: int, j: int, nx: int, nt: int, x_cap: int, t_cap: int) -> TruncatedSeries:
-    """The truncated series x_i * sum_k (t_j x_i)^k = sum_k t_j^k x_i^{k+1}."""
-    terms = {}
-    for k in range(0, min(t_cap, x_cap - 1) + 1):
-        xe = [0] * nx
-        te = [0] * nt
-        xe[i] = k + 1
-        te[j] = k
-        terms[(tuple(xe), tuple(te))] = 1
-    return TruncatedSeries(Polynomial(nx, nt, terms), x_cap, t_cap)

@@ -464,7 +464,7 @@ def main(argv=None) -> int:
         print(f"internal invariant breach: {ex}", file=sys.stderr)
         return INTERNAL_ERROR
     except (ValueError, OverflowError, OSError) as ex:
-        # OverflowError: a part too large for the packed exponents of `_product`
+        # OverflowError: a size past what the interpreter indexes, as of --max-value 10^20
         print(f"error: {ex}", file=sys.stderr)
         return USAGE_ERROR
 

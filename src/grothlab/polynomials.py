@@ -26,10 +26,10 @@ as Schur coefficients.  Kostka numbers, built by the Pieri rule with no
 polynomial, turn them into monomials; `_from_schur` turns them into a
 basis expansion.  J and P share one product, `_product`: for P the tail
 Vandermonde of the coset sum is replaced by its leading monomial, which
-turns the coset sum into a plain A(f)/V.  The product multiplies
-packed-integer exponents and hands `straighten` one tuple-keyed
-Polynomial.  The explicit antisymmetrize, coset-sum and division path
-stays in use by the h-product reference.
+turns the coset sum into a plain A(f)/V.  The product, `straighten` and
+`schur_to_monomials` work in one `MonomialCode` and the series is printed
+from its codes, with no (x, t) tuple.  The h-product reference keeps the
+explicit antisymmetrize, coset-sum and division path.
 
 Everything is exact: integer coefficients throughout, with the t-degree
 cap as the only source of truncation.  Within the cap window the x-degree
@@ -40,9 +40,10 @@ of every term equals |mu| plus its t-degree, so any x-cap of at least
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 from .algebra import (
+    MonomialCode,
     Polynomial,
     TruncatedSeries,
     antisymmetrize,
@@ -174,9 +175,30 @@ def pschur(lam: tuple[int, ...], n: int) -> Polynomial:
 # the weak symmetric Grothendieck family J
 
 
-def _product(spec: FamilySpec) -> Polynomial:
-    """x^delta times the geometric rows of mu, truncated to the caps; for P,
-    each factor x_i of x^delta with i < m becomes (x_i + x_j).
+def _times(a: dict, b: dict) -> dict:
+    """The product of two {code: c} whose products stay within the code."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+    return out
+
+
+def _stair(code: MonomialCode, head: int) -> dict:
+    """x^delta with each factor x_i, i < head, of it made (x_i + x_j), as
+    {code: c}.  Every term has x-degree n(n-1)/2, which the code covers."""
+    n = code.nx
+    stair = {code.part([0] * head + list(range(n - 1 - head, -1, -1))) * code.split: 1}
+    for i in range(head):
+        for j in range(i + 1, n):
+            stair = _times(stair, dict.fromkeys((code.x_var(i), code.x_var(j)), 1))
+    return stair
+
+
+def _product(spec: FamilySpec) -> tuple[MonomialCode, dict]:
+    """x^delta times the geometric rows of mu, truncated to the caps, as a
+    `MonomialCode` and {code: c}; for P, each factor x_i of x^delta with
+    i < m becomes (x_i + x_j).
 
     The P coset sum over S_n / S_{n-m} is A(f)/(n-m)! for the paper's
     product f = g * V_tail, where V_tail = prod_{m<=i<j} (x_i - x_j) and g
@@ -184,70 +206,65 @@ def _product(spec: FamilySpec) -> Polynomial:
     symmetric in the n - m tail variables.  Each term sign(s) s(x_tail^delta)
     of V_tail gives A(g * s(x_tail^delta)) = sign(s) A(g * x_tail^delta), so
     A(f) = (n-m)! A(g * x_tail^delta): the coset sum is A of this product,
-    with no division.  The stair factors are multiplied in last, as one
-    polynomial, so the row products stay small.
+    with no division.
 
-    Exponents are packed (Monagan and Pearce, CASC 2007): a monomial is one
-    int with a `width`-bit field per x_i, then per t_j, then the total
-    x-degree, then the total t-degree on top.  Only monomials within the
-    caps x_work and t_cap are stored, so each field is at most
-    max(x_work, t_cap) < 2^(width-1): a sum of two carries out of no field,
-    and its two degree fields tell whether it is past a cap.  The terms are
-    unpacked once, at the end.
+    The rows are multiplied first, capped at x-degree x_row = x_work - D,
+    D = n(n-1)/2 the degree of every term of the stair (`_stair`), which
+    comes last with no test: no term comes back under a cap once past it.
+    A product's code is the sum of its factors' codes.  A row factor's term
+    t_j^k x_i^(k+1) has |x| = |t| + 1, so after r row factors every term
+    has |x| = r + |t|, and both caps are |x| <= min(x_row, r + t_cap): the
+    code is below (that + 1) B^n split, the place of its leading digit.
+    The base B may exceed x_work by only one, so a sum of codes can carry
+    out of a digit, but every term has |x| >= |t|.  So when a sum's |x| is
+    within the cap, every digit (x_i, |t|, t_j) is at most |x| < B and none
+    carries; when it is past, the leading digit alone puts the code at or
+    past the limit, carry or not, and the test drops it.
     """
     n, ell, t_cap = spec.n, spec.ell, spec.t_cap
+    stair_degree = n * (n - 1) // 2
+    x_row = min(spec.effective_x_cap(), spec.weight_size + t_cap)
+    code = MonomialCode(n, ell, x_row + stair_degree, t_cap)
     if spec.vanishes():
-        return Polynomial.zero(n, ell)
-    head = len(spec.mu) if spec.family == "P" else 0
-    x_work = min(spec.effective_x_cap(), spec.weight_size + t_cap) + n * (n - 1) // 2
-    width = max(x_work, t_cap).bit_length() + 1
-    mask = (1 << width) - 1
-    x_total, t_total = (n + ell) * width, (n + ell + 1) * width
-    x_one = [1 << (i * width) | 1 << x_total for i in range(n)]
-    t_one = [1 << ((n + j) * width) | 1 << t_total for j in range(ell)]
-
-    def times(a, b):
-        # every factor has positive coefficients, so no sum cancels to zero
-        out = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                if k >> t_total <= t_cap and k >> x_total & mask <= x_work:
-                    out[k] = out.get(k, 0) + ca * cb
-        return out
-
-    in_cap = range(min(t_cap, x_work - 1) + 1)  # the k of the in-cap t_j^k x_i^(k+1)
+        return code, {}
+    base = code.base
+    x_place, t_place = base ** n * code.split, base ** ell  # of the |x| and |t| digits
     prod = {0: 1}
+    rows = 0  # the row factors multiplied in so far
     for i, part in enumerate(spec.mu):
-        for j in range(ell - part, ell):
-            prod = times(prod, {(k + 1) * x_one[i] + k * t_one[j]: 1 for k in in_cap})
-    stair = {0: 1}
-    for i in range(n):
-        for j in range(i + 1, n):
-            stair = times(stair, dict.fromkeys((x_one[i], x_one[j]) if i < head else (x_one[i],), 1))
-
-    @cache
-    def fields(bits, count):
-        # x parts repeat across t parts and t parts across x parts
-        return tuple(bits >> (f * width) & mask for f in range(count))
-
-    x_bits = (1 << n * width) - 1
-    terms = {
-        (fields(k & x_bits, n), fields(k >> (n * width), ell)): c
-        for k, c in times(prod, stair).items()
-    }
-    return Polynomial(n, ell, terms)
+        x_unit = code.x_var(i)
+        t_j_place = 1  # the place B^(ell-1-j) of the t_j digit, as j falls
+        for _ in range(part):  # j from ell - 1 down to ell - part
+            rows += 1
+            x_limit = (min(x_row, rows + t_cap) + 1) * x_place
+            t_unit = t_place + t_j_place
+            t_j_place *= base
+            # t_j^k x_i^(k+1) for the k within the caps, in increasing degree:
+            # a sum past the cap leaves every later one past it too
+            factor = [(k + 1) * x_unit + k * t_unit for k in range(min(t_cap, x_row - 1) + 1)]
+            out = {}
+            for ka, ca in prod.items():
+                for kb in factor:
+                    k = ka + kb
+                    if k >= x_limit:
+                        break
+                    # every factor has positive coefficients, so no sum cancels to zero
+                    out[k] = out.get(k, 0) + ca
+            prod = out
+    return code, _times(prod, _stair(code, len(spec.mu) if spec.family == "P" else 0))
 
 
 def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
     """The bialternant route: A(f)/V for the truncated product f.
 
     The quotient is read off f as Schur coefficients by `straighten` and
-    expanded into monomials by `schur_to_monomials`; it equals the exact
-    quotient of the antisymmetrized f by the Vandermonde.
+    expanded into monomials by `schur_to_monomials`, all in the product's
+    `MonomialCode`; it equals the exact quotient of the antisymmetrized f
+    by the Vandermonde.
     """
-    quotient = schur_to_monomials(straighten(_product(spec)), spec.n, spec.ell)
-    return TruncatedSeries(quotient, spec.effective_x_cap(), spec.t_cap)
+    code, product = _product(spec)
+    quotient = schur_to_monomials(straighten(code, product), code)
+    return TruncatedSeries.from_codes(code, quotient, spec.effective_x_cap(), spec.t_cap)
 
 
 def grothendieck_J_combinatorial(spec: FamilySpec) -> TruncatedSeries:
@@ -381,14 +398,20 @@ class BasisExpansion:
         )
 
 
-def _from_schur(coeffs: dict, basis: str, n: int, nt: int) -> BasisExpansion:
-    """The `basis` ('schur' or 'pschur') expansion of `straighten`'s output.
+def _from_schur(code: MonomialCode, coeffs: dict, basis: str) -> BasisExpansion:
+    """The `basis` ('schur' or 'pschur') expansion of `straighten`'s output
+    in `code`, which covers deg x^delta plus every |lam|.
 
     P_lam is s_lam plus Schur terms lower in dominance order (Macdonald,
     III §8), so the graded-lex largest lam left leads: its t-coefficient is
-    read off and that multiple of P_lam, straightened from the P product at
-    t_cap = 0, subtracted.  A non-strict leader has no P-Schur expansion.
+    read off and that multiple of P_lam subtracted.  P_lam is straightened
+    from x^lam times the P stair of len(lam) rows, the P product at
+    t_cap = 0, built in `code` once per row count.  A non-strict leader has
+    no P-Schur expansion.
     """
+    n, nt = code.nx, code.nt
+    _, t_exps = code.parts({t_part for _, t_part in coeffs})
+    stair = cache(partial(_stair, code))
 
     @cache
     def in_schur(lam):
@@ -397,11 +420,13 @@ def _from_schur(coeffs: dict, basis: str, n: int, nt: int) -> BasisExpansion:
         shape = tuple(p for p in lam if p)
         if not is_strict_partition(shape):
             raise ExpansionError(f"leading shape {shape} is not strict")
-        return {nu: k for (nu, _), k in straighten(_product(FamilySpec("P", shape, n, 0))).items()}
+        shift = code.part(lam) * code.split
+        product = {k + shift: c for k, c in stair(len(shape)).items()}
+        return {nu: k for (nu, _), k in straighten(code, product).items()}
 
     rem = {lam: Polynomial(0, nt) for lam, _ in coeffs}
-    for (lam, te), c in coeffs.items():
-        rem[lam].terms[((), te)] = c  # straighten stores no zero
+    for (lam, t_part), c in coeffs.items():
+        rem[lam].terms[((), t_exps[t_part])] = c  # straighten stores no zero
     out = {}
     while rem:
         lam = max(rem, key=lambda l: (sum(l), l))
@@ -422,8 +447,8 @@ def basis_expansion(spec: FamilySpec) -> BasisExpansion:
     term's exponents only permutes the head, so neither lam nor sign(w)
     depends on n.
     """
-    basis = "pschur" if spec.family == "P" else "schur"
-    return _from_schur(straighten(_product(spec)), basis, spec.n, spec.ell)
+    code, product = _product(spec)
+    return _from_schur(code, straighten(code, product), "pschur" if spec.family == "P" else "schur")
 
 
 def _read_symmetric(f, n: int, basis: str) -> BasisExpansion:
@@ -432,7 +457,8 @@ def _read_symmetric(f, n: int, basis: str) -> BasisExpansion:
     if not poly.is_symmetric_x():
         raise ExpansionError("polynomial is not symmetric in the x-block")
     shifted = poly * Polynomial.monomial(staircase(n), (0,) * poly.nt)
-    return _from_schur(straighten(shifted), basis, n, poly.nt)
+    code, coded, _ = MonomialCode.encoded(shifted)
+    return _from_schur(code, straighten(code, coded), basis)
 
 
 def expand_in_schur(f, n: int) -> BasisExpansion:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grothlab.algebra import (
+    MAX_VARIABLES,
     ExactDivisionError,
     MonomialCode,
     Polynomial,
@@ -15,17 +16,15 @@ from grothlab.algebra import (
     coset_permutations,
     coset_sum,
     divide_exact,
-    geometric_factor,
     h_polynomial,
     kostka_columns,
     perm_sign,
-    schur_to_monomials,
-    straighten,
     vandermonde,
     x_var,
 )
 from grothlab.partitions import pad, staircase, subpartitions
 from grothlab.tableaux import enumerate_ssyt
+from tuple_series import bialternant_quotient, geometric_factor, straightened, times
 
 
 def mono_st(nx=2, nt=1, max_exp=3):
@@ -216,13 +215,11 @@ def test_h_polynomial():
 
 def test_series_caps():
     x = Polynomial.monomial((1,), (0,))
-    t = Polynomial.monomial((0,), (1,))
-    s = TruncatedSeries(x + t * 0, 3, 1)
     geo = geometric_factor(0, 0, 1, 1, 3, 1)
-    prod = geo * geo
-    assert all(sum(xe) <= 3 and sum(te) <= 1 for xe, te in prod.poly.terms)
-    with pytest.raises(ValueError):
-        s + TruncatedSeries(x, 2, 1)
+    prod = times(geo, geo)
+    assert prod.poly.terms == {((2,), (0,)): 1, ((3,), (1,)): 2}
+    # the same terms under other caps are another series
+    assert TruncatedSeries(x, 3, 1) != TruncatedSeries(x, 2, 1)
 
 
 def test_series_below_the_x_cap_drops_terms_and_keeps_its_input():
@@ -242,10 +239,10 @@ def test_series_below_the_x_cap_drops_terms_and_keeps_its_input():
 def test_series_division_adjusts_cap():
     geo = geometric_factor(0, 0, 2, 1, x_cap=4, t_cap=2)
     v = vandermonde(2, 1)
-    numerator = geo * v
+    numerator = times(geo, v)
     q = divide_exact(numerator, v)
     assert q.x_cap == 3
-    assert q.poly == geo.truncate(x_cap=3).poly
+    assert q.poly == geo.with_caps(3, geo.t_cap).poly
 
 
 def test_series_division_requires_homogeneous_divisor():
@@ -352,14 +349,35 @@ def test_series_from_codes_is_the_series_of_its_polynomial(p, x_cap, t_cap):
     assert from_codes.coded()[0] is code
     assert from_codes == expected
     assert from_codes.with_caps(x_cap + 1, t_cap + 1).poly == expected.poly
-    assert from_codes.truncate(x_cap=x_cap - 1 if x_cap else 0) == expected.truncate(x_cap=x_cap - 1 if x_cap else 0)
+    lower = max(x_cap - 1, 0)
+    assert from_codes.with_caps(lower, t_cap) == expected.with_caps(lower, t_cap) == TruncatedSeries(p, lower, t_cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda count: st.tuples(
+    st.integers(1, 40), st.lists(st.integers(0, 3), min_size=count, max_size=count), st.floats(0, 1),
+)))
+def test_digits_read_back_the_exponents_of_a_part(args):
+    degree, exps, density = args
+    # runs past 8 digits are halved, and their zero halves skipped
+    exps = [e if i < density * len(exps) else 0 for i, e in enumerate(exps)]
+    code = MonomialCode(len(exps), 0, max(degree, sum(exps)), 0)
+    assert code.digits({code.part(exps), 0}, len(exps)) == {code.part(exps): tuple(exps), 0: (0,) * len(exps)}
+    assert code.parts({code.part(exps) * code.split: 1}) == ({code.part(exps): tuple(exps)}, {0: ()})
+
+
+def test_monomial_code_refuses_more_variables_than_it_holds():
+    MonomialCode(1, MAX_VARIABLES - 1, 3, 1)
+    for nx, nt in ((1, MAX_VARIABLES), (MAX_VARIABLES + 1, 0), (1, 10 ** 20)):
+        with pytest.raises(ValueError, match="at most"):
+            MonomialCode(nx, nt, 3, 1)
 
 
 def test_straighten_reads_bialternant_rule():
     # x^(3,0,2): sorting to (3,2,0) is one transposition, and (3,2,0) - delta = (1,1,0)
     f = Polynomial.monomial((3, 0, 2), (1,), 5) + Polynomial.monomial((1, 1, 0), (0,), 7)
-    assert straighten(f) == {((1, 1, 0), (1,)): -5}
-    assert straighten(Polynomial.zero(2, 0)) == {}
+    assert straightened(f) == {((1, 1, 0), (1,)): -5}
+    assert straightened(Polynomial.zero(2, 0)) == {}
 
 
 def test_straighten_reads_one_x_part_under_opposite_signs():
@@ -370,8 +388,8 @@ def test_straighten_reads_one_x_part_under_opposite_signs():
         + Polynomial.monomial((3, 0, 2), (0, 1), -5)
         + Polynomial.monomial((2, 0, 3), (1, 0), 5)
     )
-    assert straighten(f) == {((1, 1, 0), (0, 1)): 5}
-    assert schur_to_monomials(straighten(f), 3, 2) == divide_exact(antisymmetrize(f), vandermonde(3, 2))
+    assert straightened(f) == {((1, 1, 0), (0, 1)): 5}
+    assert bialternant_quotient(f) == divide_exact(antisymmetrize(f), vandermonde(3, 2))
 
 
 @settings(max_examples=80, deadline=None)
@@ -379,13 +397,13 @@ def test_straighten_reads_one_x_part_under_opposite_signs():
 def test_straighten_matches_antisymmetrize_and_divide(f):
     # antisymmetrize followed by exact division by V is the oracle
     expected = divide_exact(antisymmetrize(f), vandermonde(f.nx, f.nt))
-    assert schur_to_monomials(straighten(f), f.nx, f.nt) == expected
+    assert bialternant_quotient(f) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_kostka_columns_count_ssyt_by_weight(n):
     shapes = [lam for lam in subpartitions((6,) * n) if sum(lam) <= 6]
-    columns = kostka_columns(range(7), n)
+    columns = kostka_columns(range(7), n, (6,) * n)
     assert sorted(columns) == sorted(pad(lam, n) for lam in shapes)
     for lam in shapes:
         counts = Counter(pad(t.weight(), n) for t in enumerate_ssyt(lam, n))
@@ -400,20 +418,35 @@ def test_kostka_columns_match_straightened_h_products(n):
     delta = staircase(n)
     memo = {(): {(0,) * n: 1}}
 
-    def straightened(nu):
+    def column_of(nu):
         if nu not in memo:
             numerator = Polynomial(n, 0, {
                 (tuple(p + q for p, q in zip(lam, delta)), ()): c
-                for lam, c in straightened(nu[:-1]).items()
+                for lam, c in column_of(nu[:-1]).items()
             })
             g = numerator * h_polynomial(nu[-1], n, n)
-            memo[nu] = {lam: c for (lam, _), c in straighten(g).items()}
+            memo[nu] = {lam: c for (lam, _), c in straightened(g).items()}
         return memo[nu]
 
-    columns = kostka_columns(range(8), n)
+    columns = kostka_columns(range(8), n, (7,) * n)
     assert len(columns) == sum(1 for lam in subpartitions((7,) * n) if sum(lam) <= 7)
     for nu, column in columns.items():
-        assert column == straightened(tuple(p for p in nu if p)), nu
+        assert column == column_of(tuple(p for p in nu if p)), nu
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 5), min_size=n, max_size=n).map(lambda b: tuple(sorted(b, reverse=True))),
+)))
+def test_kostka_columns_inside_a_bound_are_the_full_columns_cut_to_it(args):
+    n, bound = args
+    full = kostka_columns(range(7), n, (6,) * n)
+    cut = {
+        nu: kept
+        for nu, column in full.items()
+        if (kept := {lam: k for lam, k in column.items() if all(a <= b for a, b in zip(lam, bound))})
+    }
+    assert kostka_columns(range(7), n, bound) == cut
 
 
 STRAIGHTEN_ORACLE_CASES = [
@@ -448,4 +481,4 @@ def test_straighten_matches_sympy_quotient(f):
     ))
     vandermonde_expr = sympy.Mul(*(xs[i] - xs[j] for i in range(n) for j in range(i + 1, n)))
     quotient = sympy.cancel(alternant / vandermonde_expr)
-    assert sympy.expand(expr(schur_to_monomials(straighten(f), n, nt)) - quotient) == 0
+    assert sympy.expand(expr(bialternant_quotient(f)) - quotient) == 0

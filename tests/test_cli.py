@@ -443,7 +443,7 @@ def test_compute_below_the_x_cap_prints_the_truncated_series(capsys):
 # Malformed input to every subcommand must end as a usage error: exit 1, a
 # message on stderr and no traceback.
 MALFORMED_MU = ["1,,2", "abc", ",", "-1", "2,-1", "1,2", "2,1,0"]
-OVERSIZED_PART = "99999999999999999999"  # past the packed exponents of the product
+OVERSIZED_PART = "99999999999999999999"  # 10^20 t-variables, past what a monomial code holds
 STRAIGHT_START = os.path.join(DATA, "outchain_straight_start.txt")
 SHIFTED_FAMILIES = ("SMT", "SMT+-", "SST", "SST+-", "maxSMT")
 
@@ -522,6 +522,27 @@ def test_shape_with_more_cells_than_a_list_holds_is_a_usage_error(argv):
     )
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: ") and "more cells than a list can hold" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "J", "100000", "--n", "1", "--tcap", "0", "--route", "algebraic"],
+    ["compute", "P", "100000", "--n", "1", "--tcap", "0", "--route", "algebraic"],
+    ["expand", "J", "100000", "--n", "1", "--tcap", "0"],
+], ids=" ".join)
+def test_long_row_on_the_algebraic_route_ends_in_its_terms_or_one_error_line(argv):
+    # a code holds one digit per t-variable, one per column of mu; the
+    # product once held a unit code per column, memory growing as the square
+    # of the row, and a code of 10^20 digits never finished being built
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-m", "grothlab.cli", *argv], capture_output=True, text=True,
+        env=env, preexec_fn=_limit_memory, timeout=60,
+    )
+    assert "Traceback" not in done.stderr and "MemoryError" not in done.stderr
+    if done.returncode == 1:
+        assert done.stdout == "" and done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    else:
+        assert done.returncode == 0 and done.stdout
 
 
 # every tableau walk recurses once per cell, so a shape past the cell bound

@@ -1,11 +1,12 @@
 """Golden stdout: calls beyond the bench grid must print what they printed
-before the series printer read `MonomialCode`s.
+before the series printer, and later the algebraic route, read
+`MonomialCode`s.
 
 Each digest in data/golden_stdout.json is the SHA-256 of a call's stdout
 bytes, then a NUL byte, "exit=" and the exit code, as the bench digests
 are made.  The calls cover both routes, --route both, --format json, the
 schur/pschur lift, x-caps below |mu| + t_cap, an empty and a vanishing
-family, and the basis-expansion text and JSON.
+family, the basis-expansion text and JSON, and algebraic rows at n = 5-7.
 """
 
 import contextlib

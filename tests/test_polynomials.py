@@ -1,7 +1,7 @@
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grothlab.algebra import (
     Polynomial,
@@ -9,7 +9,6 @@ from grothlab.algebra import (
     antisymmetrize,
     coset_sum,
     divide_exact,
-    geometric_factor,
     vandermonde,
     x_var,
 )
@@ -35,6 +34,7 @@ from grothlab.polynomials import (
     specialize_t,
 )
 from grothlab.tableaux import count_mt_by_weight, count_smt_by_weight, enumerate_rt, enumerate_srt
+from tuple_series import decoded, geometric_factor, one, times, x_slice
 
 
 def t_poly(nt, *terms):
@@ -105,7 +105,7 @@ def test_P_paper_slice():
     alg = grothendieck_P_algebraic(spec)
     comb = grothendieck_P_combinatorial(spec)
     assert alg == comb
-    assert alg.x_slice(4).terms == {
+    assert x_slice(alg, 4).terms == {
         ((3, 1), (1, 0)): 1,
         ((3, 1), (0, 1)): 1,
         ((2, 2), (1, 0)): 2,
@@ -113,7 +113,7 @@ def test_P_paper_slice():
         ((1, 3), (1, 0)): 1,
         ((1, 3), (0, 1)): 1,
     }
-    assert alg.x_slice(3).coefficient_of_t((0, 0)) == pschur((2, 1), 2)
+    assert x_slice(alg, 3).coefficient_of_t((0, 0)) == pschur((2, 1), 2)
 
 
 @pytest.mark.parametrize("mu,n", [((1,), 2), ((2, 1), 3), ((3, 1), 2), ((3, 2), 2)])
@@ -334,20 +334,18 @@ def test_expansion_via_maximal_tcap_zero():
 
 def test_specialize_all_ones_matches_single_parameter_series():
     # one-parameter series built directly with a single shared t-variable
-    from grothlab.algebra import geometric_factor
-
     mu, n, t_cap = (2, 1), 2, 2
     spec = FamilySpec("J", mu, n, t_cap=t_cap)
     multi = grothendieck_J_algebraic(spec)
     window = sum(mu) + t_cap
     x_work = window + n * (n - 1) // 2
-    prod = TruncatedSeries.one(n, 1, x_work, t_cap)
+    prod = one(n, 1, x_work, t_cap)
     for i in range(n):
         stair = [0] * n
         stair[i] = n - 1 - i
-        prod = prod * Polynomial.monomial(stair, (0,))
+        prod = times(prod, Polynomial.monomial(stair, (0,)))
         for _ in range(mu[i] if i < len(mu) else 0):
-            prod = prod * geometric_factor(i, 0, n, 1, x_work, t_cap)
+            prod = times(prod, geometric_factor(i, 0, n, 1, x_work, t_cap))
     single = divide_exact(antisymmetrize(prod, n), vandermonde(n))
     collapsed = specialize_t(multi, (1, 1))
     direct = specialize_t(single, (1,))
@@ -391,7 +389,7 @@ LARGER_TAILS = [((1,), 5, 2), ((1,), 6, 1), ((2, 1), 5, 1), ((2,), 5, 2)]
 @pytest.mark.parametrize("mu,n,t_cap", SMALL_J)
 def test_J_kernel_matches_antisymmetrize_and_divide(mu, n, t_cap):
     spec = FamilySpec("J", mu, n, t_cap=t_cap)
-    expected = divide_exact(antisymmetrize(_product(spec), n), vandermonde(n, spec.ell))
+    expected = divide_exact(antisymmetrize(decoded(*_product(spec)), n), vandermonde(n, spec.ell))
     assert grothendieck_J_algebraic(spec) == TruncatedSeries(expected, spec.effective_x_cap(), t_cap)
 
 
@@ -404,10 +402,10 @@ def _x_work(spec):
 def _geometric_rows(spec, x_work):
     """The truncated geometric factors of every row of mu, as tuple-keyed series."""
     n, ell, t_cap = spec.n, spec.ell, spec.t_cap
-    prod = TruncatedSeries.one(n, ell, x_work, t_cap)
+    prod = one(n, ell, x_work, t_cap)
     for i, part in enumerate(spec.mu):
         for j in range(ell - part, ell):
-            prod = prod * geometric_factor(i, j, n, ell, x_work, t_cap)
+            prod = times(prod, geometric_factor(i, j, n, ell, x_work, t_cap))
     return prod
 
 
@@ -419,7 +417,7 @@ def _paper_p_product(spec):
     for i in range(n):
         for j in range(i + 1, n):
             sign = 1 if i < m else -1
-            prod = prod * (x_var(i, n, ell) + x_var(j, n, ell) * sign)
+            prod = times(prod, x_var(i, n, ell) + x_var(j, n, ell) * sign)
     return prod
 
 
@@ -432,30 +430,73 @@ def test_P_kernel_matches_coset_sum_and_divide(mu, n, t_cap):
     assert grothendieck_P_algebraic(spec) == TruncatedSeries(expected.poly, spec.effective_x_cap(), t_cap)
     # the coset sum is A(f)/(n-m)!, and the tail staircase of _product
     # carries exactly that A(f)/(n-m)!
-    a_paper = antisymmetrize(f_paper, n)
-    assert a_paper == coset_sum(f_paper, n, m) * factorial(n - m)
-    assert a_paper.poly == antisymmetrize(_product(spec), n) * factorial(n - m)
+    a_paper = antisymmetrize(f_paper, n).poly
+    assert a_paper == coset_sum(f_paper, n, m).poly * factorial(n - m)
+    assert a_paper == antisymmetrize(decoded(*_product(spec)), n) * factorial(n - m)
 
 
 PRODUCT_SPECS = (
     [("J", mu, n, t_cap, None) for mu, n, t_cap in SMALL_J]
     + [("P", mu, n, t_cap, None) for mu, n, t_cap in SMALL_P + LARGER_TAILS]
-    # x-cap 3 + 7 + 21 = 31 = 2^5 - 1: the total x-degree field is full
-    # below its carry bit
+    # seven variables, with a t-cap as large as |mu| + deg x^delta allows
     + [("J", (3,), 7, 7, None), ("P", (3,), 7, 7, None)]
-    # x-caps below |mu| + t_cap, so the x-degree field drops pairs; in the
-    # last row t_cap = 7 = 2^3 - 1 and the pairs past the x-cap reach 8
+    # x-caps below |mu| + t_cap
     + [("J", (2, 1), 3, 2, 3), ("P", (2, 1), 4, 3, 4), ("J", (2,), 1, 7, 4)]
 )
+
+
+def _tuple_product(spec):
+    """`_product` by the tuple-keyed series product: the geometric rows,
+    then x^delta with the pair factors (x_i + x_j) of the P head rows."""
+    n, ell = spec.n, spec.ell
+    head = len(spec.mu) if spec.family == "P" else 0
+    expected = _geometric_rows(spec, _x_work(spec))
+    for i in range(n):
+        for j in range(i + 1, n):
+            expected = times(expected, x_var(i, n, ell) + x_var(j, n, ell) if i < head else x_var(i, n, ell))
+    return expected.poly
 
 
 @pytest.mark.parametrize("family,mu,n,t_cap,x_cap", PRODUCT_SPECS)
 def test_packed_product_matches_tuple_series_product(family, mu, n, t_cap, x_cap):
     spec = FamilySpec(family, mu, n, t_cap=t_cap, x_cap=x_cap)
-    head = len(mu) if family == "P" else 0
-    ell = spec.ell
-    expected = _geometric_rows(spec, _x_work(spec))
-    for i in range(n):
-        for j in range(i + 1, n):
-            expected = expected * (x_var(i, n, ell) + x_var(j, n, ell) if i < head else x_var(i, n, ell))
-    assert _product(spec) == expected.poly
+    assert decoded(*_product(spec)) == _tuple_product(spec)
+
+
+@st.composite
+def _product_specs(draw):
+    family = draw(st.sampled_from(["J", "P"]))
+    mu = draw(st.sampled_from([mu for mu in subpartitions((3, 2, 1)) if family == "J" or is_strict_partition(mu)]))
+    t_cap = draw(st.integers(0, 4))
+    # an x-cap below |mu| + t_cap cuts the window, above it changes nothing
+    x_cap = draw(st.one_of(st.none(), st.integers(0, sum(mu) + t_cap + 1)))
+    return FamilySpec(family, mu, draw(st.integers(max(len(mu), 1), 5)), t_cap=t_cap, x_cap=x_cap)
+
+
+# x_work = 3 + 2 + 3 = 8 and 4 + 6 = 10: the base is x_work + 1
+X_WORK_IS_BASE_LESS_ONE = [FamilySpec("J", (2, 1), 3, t_cap=2), FamilySpec("P", (2, 1), 4, t_cap=3, x_cap=4)]
+# base 7: the two row factors pair t_1^4 x^5 with t_2^4 x^5, |t| = 8
+PAIR_T_REACHES_BASE = [FamilySpec("J", (2,), 1, t_cap=4)]
+
+
+def test_product_examples_reach_the_digit_limits():
+    for spec in X_WORK_IS_BASE_LESS_ONE:
+        code, _ = _product(spec)
+        assert code.x_degree == code.base - 1
+    for spec in PAIR_T_REACHES_BASE:
+        code, _ = _product(spec)
+        # a row factor runs to t_j^t_cap, so two of them pair to |t| = 2 t_cap
+        factor = geometric_factor(0, 0, spec.n, spec.ell, _x_work(spec), spec.t_cap)
+        assert max(sum(te) for _, te in factor.poly.terms) == spec.t_cap
+        assert 2 * spec.t_cap >= code.base
+
+
+@settings(max_examples=40, deadline=None)
+@given(_product_specs())
+@example(X_WORK_IS_BASE_LESS_ONE[0])
+@example(X_WORK_IS_BASE_LESS_ONE[1])
+@example(PAIR_T_REACHES_BASE[0])
+def test_coded_product_decodes_to_the_tuple_series_product(spec):
+    # the base exceeds x_work by as little as one, so sums of codes carry;
+    # the caps must still drop exactly the terms past them
+    assert decoded(*_product(spec)) == _tuple_product(spec)
