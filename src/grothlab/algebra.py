@@ -2,14 +2,15 @@
 
 Every polynomial lives in Z[x_1..x_nx, t_1..t_nt].  Terms are stored as a
 dict mapping (x_exponents, t_exponents) -> integer coefficient, with zero
-coefficients never stored.  TruncatedSeries wraps a Polynomial together with
-degree caps on the two blocks and holds no term over either cap.
+coefficients never stored.
 
 MonomialCode packs a monomial into one int whose integer order is the
 printed (graded lex) order.  The tableau counter tallies in these codes, the
 algebraic product multiplies them and `straighten` and `schur_to_monomials`
-read and write them, a TruncatedSeries can hold them and decode its
-Polynomial only when read, and every printed series is sorted on them.
+read and write them, and every printed series is sorted on them.  A
+TruncatedSeries holds its terms as {code: c} in one MonomialCode, with
+degree caps on the two blocks and no term over either cap; it decodes them
+into a Polynomial only when read.
 """
 
 from __future__ import annotations
@@ -255,12 +256,6 @@ class Polynomial:
         texps = tuple(texps) if texps else (0,) * self.nt
         return self.terms.get((tuple(xexps), texps), 0)
 
-    def x_degree(self) -> int:
-        return max(map(sum, {xe for xe, _ in self.terms}), default=0)
-
-    def t_degree(self) -> int:
-        return max(map(sum, {te for _, te in self.terms}), default=0)
-
     def coefficient_of_t(self, texps) -> "Polynomial":
         """Extract the x-polynomial multiplying t^texps (t-block dropped)."""
         texps = tuple(texps)
@@ -269,13 +264,6 @@ class Polynomial:
             if te == texps:
                 out[(xe, ())] = c
         return Polynomial(self.nx, 0, out)
-
-    def x_graded_slices(self):
-        """Split into {total x-degree: sub-polynomial}."""
-        slices = {}
-        for mono, c in self.terms.items():
-            slices.setdefault(sum(mono[0]), {})[mono] = c
-        return {d: Polynomial(self.nx, self.nt, ts) for d, ts in sorted(slices.items())}
 
     def is_symmetric_x(self) -> bool:
         """True iff invariant under every adjacent x-transposition: each
@@ -332,10 +320,10 @@ def apply_permutation(p, sigma):
     ))
 
 
-def antisymmetrize(f, n: int | None = None):
-    """Sum of sgn(sigma) * (f with x relabeled by sigma) over all of S_n."""
-    poly = f.poly if isinstance(f, TruncatedSeries) else f
-    n = poly.nx if n is None else n
+def antisymmetrize(f: Polynomial, n: int | None = None) -> Polynomial:
+    """Sum of sgn(sigma) * (f with x relabeled by sigma) over all of S_n, a
+    Polynomial like f."""
+    n = f.nx if n is None else n
     return coset_sum(f, n, n)
 
 
@@ -350,18 +338,15 @@ def coset_permutations(n: int, m: int):
     return sorted(out)
 
 
-def coset_sum(f, n: int, m: int):
-    """Signed sum of x-relabelings of f over S_n / S_{n-m} coset representatives."""
-    poly = f.poly if isinstance(f, TruncatedSeries) else f
+def coset_sum(f: Polynomial, n: int, m: int) -> Polynomial:
+    """Signed sum of x-relabelings of f over S_n / S_{n-m} coset
+    representatives, a Polynomial like f."""
     signed = ((sigma, perm_sign(sigma)) for sigma in coset_permutations(n, m))
-    total = Polynomial.from_terms(poly.nx, poly.nt, (
+    return Polynomial.from_terms(f.nx, f.nt, (
         (mono, sign * c)
         for sigma, sign in signed
-        for mono, c in apply_permutation(poly, sigma).terms.items()
+        for mono, c in apply_permutation(f, sigma).terms.items()
     ))
-    if isinstance(f, TruncatedSeries):
-        return TruncatedSeries(total, f.x_cap, f.t_cap)
-    return total
 
 
 def vandermonde(n: int, nt: int = 0) -> Polynomial:
@@ -508,8 +493,12 @@ def schur_to_monomials(coeffs: dict, code: MonomialCode) -> dict:
     return out
 
 
-def _divide_poly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact division by leading-term reduction in graded lex order."""
+def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The Polynomial f / g, by leading-term reduction in graded lex order;
+    f and g share their variable blocks.  Raises ExactDivisionError if no
+    exact quotient exists."""
+    if f.nx != g.nx or f.nt != g.nt:
+        raise ValueError("variable blocks differ")
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     lt_g = max(g.terms, key=_order_key)
@@ -538,71 +527,31 @@ def _divide_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.nx, f.nt, quot)
 
 
-def divide_exact(f, g: Polynomial):
-    """Divide f by g exactly; raises ExactDivisionError if no exact quotient.
-
-    For a TruncatedSeries f, g must be x-homogeneous with no t-variables:
-    division then acts per x-degree slice and the x-cap drops by deg g.
-    """
-    if isinstance(f, TruncatedSeries):
-        if g.t_degree() != 0:
-            raise ValueError("series division requires a divisor free of t")
-        degs = {sum(xe) for xe, _ in g.terms}
-        if len(degs) != 1:
-            raise ValueError("series division requires an x-homogeneous divisor")
-        d = degs.pop()
-        lifted = Polynomial(f.poly.nx, f.poly.nt, {(xe, (0,) * f.poly.nt): c for (xe, _), c in g.terms.items()})
-        out = Polynomial.from_terms(f.poly.nx, f.poly.nt, (
-            term
-            for piece in f.poly.x_graded_slices().values()
-            for term in _divide_poly(piece, lifted).terms.items()
-        ))
-        return TruncatedSeries(out, f.x_cap - d, f.t_cap)
-    if f.nx != g.nx or f.nt != g.nt:
-        raise ValueError("variable blocks differ")
-    return _divide_poly(f, g)
-
-
 class TruncatedSeries:
-    """Polynomial plus degree caps; terms above either cap are dropped.
+    """The terms {code: c} of a series in one `MonomialCode`, with degree
+    caps on the two blocks; no term is over either cap.
 
     The t-cap is the single source of truncation: results are exact for
-    every term within the caps.  A series made by `from_codes` holds its
-    terms as {code: c} and decodes `poly` only when it is first read, so a
-    series that is only printed is never decoded.
+    every term within the caps.  The terms are decoded into `poly` only
+    when it is first read, so a series that is only printed is never
+    decoded.
     """
 
     __slots__ = ("_poly", "_code", "_coded", "x_cap", "t_cap")
 
-    def __init__(self, poly: Polynomial, x_cap: int, t_cap: int):
-        # the input is kept, not copied, when every term is within the caps
-        if poly.x_degree() > x_cap or poly.t_degree() > t_cap:
-            poly = Polynomial(poly.nx, poly.nt, {
-                mono: c
-                for mono, c in poly.terms.items()
-                if sum(mono[0]) <= x_cap and sum(mono[1]) <= t_cap
-            })
-        self._poly = poly
-        self._code = self._coded = None
-        self.x_cap = x_cap
-        self.t_cap = t_cap
-
-    @classmethod
-    def from_codes(cls, code: MonomialCode, coded: dict, x_cap: int, t_cap: int) -> "TruncatedSeries":
+    def __init__(self, code: MonomialCode, coded: dict, x_cap: int, t_cap: int):
         """The series of {code: c}, coefficients nonzero.  The cap filter reads
-        the degree digits, and the input is kept when the code's degrees are
-        within the caps."""
+        the degree digits, and the input is kept, not copied, when the code's
+        degrees are within the caps."""
         if code.x_degree > x_cap or code.t_degree > t_cap:
             # |a| <= x_cap iff the code is below (x_cap + 1) B^(nx+nt+1), and
             # |b| <= t_cap iff the t part is below (t_cap + 1) B^nt
             split, base = code.split, code.base
             x_limit, t_limit = (x_cap + 1) * split * base ** code.nx, (t_cap + 1) * base ** code.nt
             coded = {k: c for k, c in coded.items() if k < x_limit and k % split < t_limit}
-        series = cls.__new__(cls)
-        series._poly = None
-        series._code, series._coded = code, coded
-        series.x_cap, series.t_cap = x_cap, t_cap
-        return series
+        self._poly = None
+        self._code, self._coded = code, coded
+        self.x_cap, self.t_cap = x_cap, t_cap
 
     @property
     def poly(self) -> Polynomial:
@@ -613,25 +562,19 @@ class TruncatedSeries:
 
     def coded(self) -> tuple[MonomialCode, dict, tuple[dict, dict]]:
         """The terms as (code, {code: c}, parts maps), as
-        `MonomialCode.encoded` gives them; a Polynomial-backed series is
-        encoded one distinct part at a time."""
-        if self._coded is None:
-            return MonomialCode.encoded(self._poly)
+        `MonomialCode.encoded` gives them."""
         return self._code, self._coded, self._code.parts(self._coded)
 
     def __len__(self) -> int:
         """The number of terms."""
-        return len(self._poly.terms if self._coded is None else self._coded)
+        return len(self._coded)
 
     def with_caps(self, x_cap: int, t_cap: int) -> "TruncatedSeries":
-        """The same terms under new caps, held the same way; terms past a
-        new cap are dropped."""
-        if self._coded is None:
-            return TruncatedSeries(self._poly, x_cap, t_cap)
-        return TruncatedSeries.from_codes(self._code, self._coded, x_cap, t_cap)
+        """The same terms under new caps; terms past a new cap are dropped."""
+        return TruncatedSeries(self._code, self._coded, x_cap, t_cap)
 
     def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (self.x_cap, self.t_cap, self.poly) == (other.x_cap, other.t_cap, other.poly)
 

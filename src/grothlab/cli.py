@@ -467,6 +467,10 @@ def main(argv=None) -> int:
         # OverflowError: a size past what the interpreter indexes, as of --max-value 10^20
         print(f"error: {ex}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError:
+        # a case too large for the memory at hand, as of --tcap 10^20
+        print("error: out of memory", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

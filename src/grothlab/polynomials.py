@@ -9,8 +9,9 @@ the two routes is the core correctness check of the whole library.
 The combinatorial route builds no tableau.  `count_mt_by_code` and
 `count_smt_by_code` count the tableaux by (x, t) = (weight, column or
 diagonal weight), keyed by the `MonomialCode` of x^x t^t, and those counts
-are the terms of the resulting series as they stand: it is decoded into
-a Polynomial only when read, and printed straight from the codes.
+are the terms of the resulting series as they stand: a series holds only
+{code: c}, decodes it into a Polynomial when `.poly` is read, and is
+printed straight from the codes.
 They fill the cells in row order, where a cell's admissible boxes depend
 only on its left and upper boxes (one helper per family states the rule),
 so the completions of a partial filling depend only on the next cell, the
@@ -264,13 +265,13 @@ def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
     """
     code, product = _product(spec)
     quotient = schur_to_monomials(straighten(code, product), code)
-    return TruncatedSeries.from_codes(code, quotient, spec.effective_x_cap(), spec.t_cap)
+    return TruncatedSeries(code, quotient, spec.effective_x_cap(), spec.t_cap)
 
 
 def grothendieck_J_combinatorial(spec: FamilySpec) -> TruncatedSeries:
     """Tableau route: sum of t^cw x^wt over capped multiset tableaux."""
     code, counts = count_mt_by_code(spec.mu, spec.n, spec.t_cap)
-    return TruncatedSeries.from_codes(code, counts, spec.effective_x_cap(), spec.t_cap)
+    return TruncatedSeries(code, counts, spec.effective_x_cap(), spec.t_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ def grothendieck_P_algebraic(spec: FamilySpec) -> TruncatedSeries:
 
 def _smt_series(spec: FamilySpec, signed: bool) -> TruncatedSeries:
     code, counts = count_smt_by_code(spec.mu, spec.n, spec.t_cap, signed=signed)
-    return TruncatedSeries.from_codes(code, counts, spec.effective_x_cap(), spec.t_cap)
+    return TruncatedSeries(code, counts, spec.effective_x_cap(), spec.t_cap)
 
 
 def grothendieck_P_combinatorial(spec: FamilySpec) -> TruncatedSeries:

@@ -24,7 +24,7 @@ from grothlab.algebra import (
 )
 from grothlab.partitions import pad, staircase, subpartitions
 from grothlab.tableaux import enumerate_ssyt
-from tuple_series import bialternant_quotient, geometric_factor, straightened, times
+from tuple_series import bialternant_quotient, cut, encoded_series, geometric_factor, straightened, times
 
 
 def mono_st(nx=2, nt=1, max_exp=3):
@@ -126,7 +126,7 @@ def test_vandermonde():
     v3 = vandermonde(3)
     assert len(v3.terms) == 6
     assert all(abs(c) == 1 for c in v3.terms.values())
-    assert v3.x_degree() == 3
+    assert max(sum(xe) for xe, _ in v3.terms) == 3
 
 
 def test_antisymmetrize():
@@ -190,16 +190,16 @@ def test_coset_sum_extremes():
 
 def test_geometric_factor():
     g = geometric_factor(0, 0, 2, 1, x_cap=1, t_cap=5)
-    assert g.poly == Polynomial.monomial((1, 0), (0,))
+    assert g == Polynomial.monomial((1, 0), (0,))
     g = geometric_factor(0, 0, 2, 1, x_cap=2, t_cap=0)
-    assert g.poly == Polynomial.monomial((1, 0), (0,))
+    assert g == Polynomial.monomial((1, 0), (0,))
     g = geometric_factor(0, 0, 1, 1, x_cap=4, t_cap=2)
     expected = {
         ((1,), (0,)): 1,
         ((2,), (1,)): 1,
         ((3,), (2,)): 1,
     }
-    assert g.poly.terms == expected
+    assert g.terms == expected
 
 
 def test_h_polynomial():
@@ -216,10 +216,10 @@ def test_h_polynomial():
 def test_series_caps():
     x = Polynomial.monomial((1,), (0,))
     geo = geometric_factor(0, 0, 1, 1, 3, 1)
-    prod = times(geo, geo)
-    assert prod.poly.terms == {((2,), (0,)): 1, ((3,), (1,)): 2}
+    prod = times(geo, geo, 3, 1)
+    assert prod.terms == {((2,), (0,)): 1, ((3,), (1,)): 2}
     # the same terms under other caps are another series
-    assert TruncatedSeries(x, 3, 1) != TruncatedSeries(x, 2, 1)
+    assert encoded_series(x, 3, 1) != encoded_series(x, 2, 1)
 
 
 def test_series_below_the_x_cap_drops_terms_and_keeps_its_input():
@@ -228,28 +228,13 @@ def test_series_below_the_x_cap_drops_terms_and_keeps_its_input():
         + Polynomial.monomial((2, 1), (0,))
         + Polynomial.monomial((1, 1), (2,), 5)
     )
-    before = dict(p.terms)
-    s = TruncatedSeries(p, 3, 2)
+    code, coded, _ = MonomialCode.encoded(p)
+    before = dict(coded)
+    s = TruncatedSeries(code, coded, 3, 2)
     assert s.poly.terms == {((2, 1), (0,)): 1, ((1, 1), (2,)): 5}
-    assert p.terms == before
-    assert TruncatedSeries(p, 4, 1).poly.terms == {((3, 1), (1,)): 2, ((2, 1), (0,)): 1}
-    assert TruncatedSeries(p, 4, 2).poly == p
-
-
-def test_series_division_adjusts_cap():
-    geo = geometric_factor(0, 0, 2, 1, x_cap=4, t_cap=2)
-    v = vandermonde(2, 1)
-    numerator = times(geo, v)
-    q = divide_exact(numerator, v)
-    assert q.x_cap == 3
-    assert q.poly == geo.with_caps(3, geo.t_cap).poly
-
-
-def test_series_division_requires_homogeneous_divisor():
-    geo = geometric_factor(0, 0, 2, 1, x_cap=4, t_cap=2)
-    bad = Polynomial.constant(1, 2, 0) + x_var(0, 2)
-    with pytest.raises(ValueError):
-        divide_exact(geo, bad)
+    assert coded == before
+    assert TruncatedSeries(code, coded, 4, 1).poly.terms == {((3, 1), (1,)): 2, ((2, 1), (0,)): 1}
+    assert TruncatedSeries(code, coded, 4, 2).poly == p
 
 
 def test_sorted_terms_order_is_graded_lex():
@@ -311,7 +296,7 @@ def test_monomial_code_order_is_the_order_key_and_decodes_back(args):
     # the cap filter reads the degree digits alone
     for x_cap in range(code.x_degree + 1):
         for t_cap in range(code.t_degree + 1):
-            kept = TruncatedSeries.from_codes(code, coded, x_cap, t_cap).poly.terms
+            kept = TruncatedSeries(code, coded, x_cap, t_cap).poly.terms
             assert kept == {(xe, te): c for (xe, te), c in by_mono.items() if sum(xe) <= x_cap and sum(te) <= t_cap}
 
 
@@ -343,14 +328,22 @@ def test_series_from_codes_is_the_series_of_its_polynomial(p, x_cap, t_cap):
     code, coded, parts = MonomialCode.encoded(p)
     assert code.decode(coded) == p.terms
     assert parts == code.parts(coded)
-    from_codes = TruncatedSeries.from_codes(code, coded, x_cap, t_cap)
-    expected = TruncatedSeries(p, x_cap, t_cap)
-    assert len(from_codes) == len(expected.poly.terms)
+    from_codes = TruncatedSeries(code, coded, x_cap, t_cap)
+    expected = cut(p, x_cap, t_cap)
+    assert len(from_codes) == len(expected.terms)
     assert from_codes.coded()[0] is code
-    assert from_codes == expected
-    assert from_codes.with_caps(x_cap + 1, t_cap + 1).poly == expected.poly
+    assert from_codes == encoded_series(p, x_cap, t_cap)
+    assert from_codes.with_caps(x_cap + 1, t_cap + 1).poly == expected
     lower = max(x_cap - 1, 0)
-    assert from_codes.with_caps(lower, t_cap) == expected.with_caps(lower, t_cap) == TruncatedSeries(p, lower, t_cap)
+    assert from_codes.with_caps(lower, t_cap) == encoded_series(expected, lower, t_cap) == encoded_series(p, lower, t_cap)
+    # within the caps the series holds the caller's dict, and caps below
+    # the code's degrees filter a copy of it
+    before = dict(coded)
+    within = TruncatedSeries(code, coded, code.x_degree, code.t_degree)
+    assert within.coded()[1] is coded
+    below = max(code.x_degree - 1, 0), max(code.t_degree - 1, 0)
+    assert within.with_caps(*below).poly == cut(p, *below)
+    assert coded == before
 
 
 @settings(max_examples=80, deadline=None)

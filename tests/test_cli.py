@@ -545,6 +545,20 @@ def test_long_row_on_the_algebraic_route_ends_in_its_terms_or_one_error_line(arg
         assert done.returncode == 0 and done.stdout
 
 
+@pytest.mark.parametrize("route", ["algebraic", "combinatorial"])
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, route):
+    # a huge --tcap runs out of memory on either route; the stand-in raises
+    # at once, so that no memory is spent to see it
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, f"grothendieck_J_{route}", exhausted)
+    code, out, err = run(capsys, "compute", "J", "2", "--n", "2", "--tcap", "99999999999999999999", "--route", route)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "MemoryError" not in err
+
+
 # every tableau walk recurses once per cell, so a shape past the cell bound
 # is refused before any cell is built, instead of overflowing the stack
 LONG_ROW = "1000"

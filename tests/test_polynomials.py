@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from grothlab.algebra import (
     Polynomial,
-    TruncatedSeries,
     antisymmetrize,
     coset_sum,
     divide_exact,
@@ -34,7 +33,7 @@ from grothlab.polynomials import (
     specialize_t,
 )
 from grothlab.tableaux import count_mt_by_weight, count_smt_by_weight, enumerate_rt, enumerate_srt
-from tuple_series import decoded, geometric_factor, one, times, x_slice
+from tuple_series import decoded, encoded_series, geometric_factor, one, times, x_slice
 
 
 def t_poly(nt, *terms):
@@ -221,7 +220,7 @@ def test_coded_series_is_the_series_of_the_tuple_tally(args):
         signed = family == "P+-"
         coded = signed_smt_sum(spec) if signed else grothendieck_P_combinatorial(spec)
         counts = count_smt_by_weight(spec.mu, spec.n, spec.t_cap, signed=signed)
-    expected = TruncatedSeries(Polynomial(spec.n, spec.ell, counts), spec.effective_x_cap(), spec.t_cap)
+    expected = encoded_series(Polynomial(spec.n, spec.ell, counts), spec.effective_x_cap(), spec.t_cap)
     assert _series_text(coded) == _series_text(expected)
     assert _series_json(coded) == _series_json(expected)
     assert len(coded) == len(expected.poly.terms)
@@ -339,14 +338,14 @@ def test_specialize_all_ones_matches_single_parameter_series():
     multi = grothendieck_J_algebraic(spec)
     window = sum(mu) + t_cap
     x_work = window + n * (n - 1) // 2
-    prod = one(n, 1, x_work, t_cap)
+    prod = one(n, 1)
     for i in range(n):
         stair = [0] * n
         stair[i] = n - 1 - i
-        prod = times(prod, Polynomial.monomial(stair, (0,)))
+        prod = times(prod, Polynomial.monomial(stair, (0,)), x_work, t_cap)
         for _ in range(mu[i] if i < len(mu) else 0):
-            prod = times(prod, geometric_factor(i, 0, n, 1, x_work, t_cap))
-    single = divide_exact(antisymmetrize(prod, n), vandermonde(n))
+            prod = times(prod, geometric_factor(i, 0, n, 1, x_work, t_cap), x_work, t_cap)
+    single = divide_exact(antisymmetrize(prod, n), vandermonde(n, 1))
     collapsed = specialize_t(multi, (1, 1))
     direct = specialize_t(single, (1,))
     for degree in range(0, window + 1):
@@ -390,7 +389,7 @@ LARGER_TAILS = [((1,), 5, 2), ((1,), 6, 1), ((2, 1), 5, 1), ((2,), 5, 2)]
 def test_J_kernel_matches_antisymmetrize_and_divide(mu, n, t_cap):
     spec = FamilySpec("J", mu, n, t_cap=t_cap)
     expected = divide_exact(antisymmetrize(decoded(*_product(spec)), n), vandermonde(n, spec.ell))
-    assert grothendieck_J_algebraic(spec) == TruncatedSeries(expected, spec.effective_x_cap(), t_cap)
+    assert grothendieck_J_algebraic(spec) == encoded_series(expected, spec.effective_x_cap(), t_cap)
 
 
 def _x_work(spec):
@@ -400,12 +399,13 @@ def _x_work(spec):
 
 
 def _geometric_rows(spec, x_work):
-    """The truncated geometric factors of every row of mu, as tuple-keyed series."""
+    """The product of the truncated geometric factors of every row of mu,
+    tuple-keyed and cut to x_work and the t-cap."""
     n, ell, t_cap = spec.n, spec.ell, spec.t_cap
-    prod = one(n, ell, x_work, t_cap)
+    prod = one(n, ell)
     for i, part in enumerate(spec.mu):
         for j in range(ell - part, ell):
-            prod = times(prod, geometric_factor(i, j, n, ell, x_work, t_cap))
+            prod = times(prod, geometric_factor(i, j, n, ell, x_work, t_cap), x_work, t_cap)
     return prod
 
 
@@ -413,11 +413,12 @@ def _paper_p_product(spec):
     """The paper's P product: geometric rows of mu, the plus factors of the
     rows i < m, and the tail Vandermonde prod_{m<=i<j} (x_i - x_j)."""
     n, ell, m = spec.n, spec.ell, len(spec.mu)
-    prod = _geometric_rows(spec, _x_work(spec))
+    x_work = _x_work(spec)
+    prod = _geometric_rows(spec, x_work)
     for i in range(n):
         for j in range(i + 1, n):
             sign = 1 if i < m else -1
-            prod = times(prod, x_var(i, n, ell) + x_var(j, n, ell) * sign)
+            prod = times(prod, x_var(i, n, ell) + x_var(j, n, ell) * sign, x_work, spec.t_cap)
     return prod
 
 
@@ -426,12 +427,12 @@ def test_P_kernel_matches_coset_sum_and_divide(mu, n, t_cap):
     spec = FamilySpec("P", mu, n, t_cap=t_cap)
     m = len(mu)
     f_paper = _paper_p_product(spec)
-    expected = divide_exact(coset_sum(f_paper, n, m), vandermonde(n))
-    assert grothendieck_P_algebraic(spec) == TruncatedSeries(expected.poly, spec.effective_x_cap(), t_cap)
+    expected = divide_exact(coset_sum(f_paper, n, m), vandermonde(n, spec.ell))
+    assert grothendieck_P_algebraic(spec) == encoded_series(expected, spec.effective_x_cap(), t_cap)
     # the coset sum is A(f)/(n-m)!, and the tail staircase of _product
     # carries exactly that A(f)/(n-m)!
-    a_paper = antisymmetrize(f_paper, n).poly
-    assert a_paper == coset_sum(f_paper, n, m).poly * factorial(n - m)
+    a_paper = antisymmetrize(f_paper, n)
+    assert a_paper == coset_sum(f_paper, n, m) * factorial(n - m)
     assert a_paper == antisymmetrize(decoded(*_product(spec)), n) * factorial(n - m)
 
 
@@ -450,11 +451,13 @@ def _tuple_product(spec):
     then x^delta with the pair factors (x_i + x_j) of the P head rows."""
     n, ell = spec.n, spec.ell
     head = len(spec.mu) if spec.family == "P" else 0
-    expected = _geometric_rows(spec, _x_work(spec))
+    x_work = _x_work(spec)
+    expected = _geometric_rows(spec, x_work)
     for i in range(n):
         for j in range(i + 1, n):
-            expected = times(expected, x_var(i, n, ell) + x_var(j, n, ell) if i < head else x_var(i, n, ell))
-    return expected.poly
+            factor = x_var(i, n, ell) + x_var(j, n, ell) if i < head else x_var(i, n, ell)
+            expected = times(expected, factor, x_work, spec.t_cap)
+    return expected
 
 
 @pytest.mark.parametrize("family,mu,n,t_cap,x_cap", PRODUCT_SPECS)
@@ -487,7 +490,7 @@ def test_product_examples_reach_the_digit_limits():
         code, _ = _product(spec)
         # a row factor runs to t_j^t_cap, so two of them pair to |t| = 2 t_cap
         factor = geometric_factor(0, 0, spec.n, spec.ell, _x_work(spec), spec.t_cap)
-        assert max(sum(te) for _, te in factor.poly.terms) == spec.t_cap
+        assert max(sum(te) for _, te in factor.terms) == spec.t_cap
         assert 2 * spec.t_cap >= code.base
 
 

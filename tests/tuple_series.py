@@ -2,25 +2,36 @@
 
 The library multiplies, straightens and expands `MonomialCode` ints.  The
 product here multiplies tuple-keyed Polynomials and cuts the result to the
-caps, so a test that compares the two checks the codes against arithmetic
-that never saw them.  The views encode a Polynomial, run the coded step
-and decode its result.
+caps by summing exponents, so a test that compares the two checks the codes
+against arithmetic that never saw them.  Only `encoded_series` encodes, to
+put a result beside the library's.  The views encode a Polynomial, run the
+coded step and decode its result.
 """
 
 from grothlab.algebra import MonomialCode, Polynomial, TruncatedSeries, schur_to_monomials, straighten
 
 
-def one(nx: int, nt: int, x_cap: int, t_cap: int) -> TruncatedSeries:
-    return TruncatedSeries(Polynomial.constant(1, nx, nt), x_cap, t_cap)
+def cut(p: Polynomial, x_cap: int, t_cap: int) -> Polynomial:
+    """The terms of p within both degree caps."""
+    return Polynomial(p.nx, p.nt, {m: c for m, c in p.terms.items() if sum(m[0]) <= x_cap and sum(m[1]) <= t_cap})
 
 
-def times(a: TruncatedSeries, b) -> TruncatedSeries:
-    """The product of a series and a series or Polynomial, cut to a's caps."""
-    poly = b.poly if isinstance(b, TruncatedSeries) else b
-    return TruncatedSeries(a.poly * poly, a.x_cap, a.t_cap)
+def encoded_series(p: Polynomial, x_cap: int, t_cap: int) -> TruncatedSeries:
+    """The series of p cut to the caps, encoded to compare with a library series."""
+    code, coded, _ = MonomialCode.encoded(cut(p, x_cap, t_cap))
+    return TruncatedSeries(code, coded, x_cap, t_cap)
 
 
-def geometric_factor(i: int, j: int, nx: int, nt: int, x_cap: int, t_cap: int) -> TruncatedSeries:
+def one(nx: int, nt: int) -> Polynomial:
+    return Polynomial.constant(1, nx, nt)
+
+
+def times(a: Polynomial, b: Polynomial, x_cap: int, t_cap: int) -> Polynomial:
+    """The product of a and b, cut to the caps."""
+    return cut(a * b, x_cap, t_cap)
+
+
+def geometric_factor(i: int, j: int, nx: int, nt: int, x_cap: int, t_cap: int) -> Polynomial:
     """The truncated series x_i * sum_k (t_j x_i)^k = sum_k t_j^k x_i^{k+1}."""
     terms = {}
     for k in range(0, min(t_cap, x_cap - 1) + 1):
@@ -29,7 +40,7 @@ def geometric_factor(i: int, j: int, nx: int, nt: int, x_cap: int, t_cap: int) -
         xe[i] = k + 1
         te[j] = k
         terms[(tuple(xe), tuple(te))] = 1
-    return TruncatedSeries(Polynomial(nx, nt, terms), x_cap, t_cap)
+    return Polynomial(nx, nt, terms)
 
 
 def x_slice(series: TruncatedSeries, degree: int) -> Polynomial:
