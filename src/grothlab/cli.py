@@ -112,6 +112,12 @@ def _expansion_json(exp: BasisExpansion) -> dict:
     }
 
 
+def _head(spec: FamilySpec, as_json: bool) -> dict:
+    """The fields that open the output of compute and expand."""
+    mu = list(spec.mu) if as_json else _format_mu(spec.mu)
+    return {"family": spec.family, "mu": mu, "n": spec.n, "tcap": spec.t_cap}
+
+
 def _routes_for(spec: FamilySpec):
     if spec.family == "J":
         return {
@@ -132,8 +138,7 @@ def _routes_for(spec: FamilySpec):
 
 
 def _cmd_compute(args) -> int:
-    mu = _parse_mu(args.mu)
-    spec = FamilySpec(args.family, mu, args.n, t_cap=args.tcap, x_cap=args.xcap)
+    spec = FamilySpec(args.family, _parse_mu(args.mu), args.n, t_cap=args.tcap, x_cap=args.xcap)
     routes = _routes_for(spec)
     wanted = ["algebraic", "combinatorial"] if args.route == "both" else [args.route]
     computed = {name: routes[name]() for name in wanted}
@@ -143,10 +148,7 @@ def _cmd_compute(args) -> int:
         verdict = "AGREE" if a == b else "DISAGREE"
     if args.format == "json":
         payload = {
-            "family": spec.family,
-            "mu": list(mu),
-            "n": spec.n,
-            "tcap": spec.t_cap,
+            **_head(spec, True),
             "xcap": spec.effective_x_cap(),
             "routes": {name: _series_json(s) for name, s in computed.items()},
         }
@@ -154,10 +156,7 @@ def _cmd_compute(args) -> int:
             payload["verdict"] = verdict
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"family: {spec.family}")
-        print(f"mu: {_format_mu(mu)}")
-        print(f"n: {spec.n}")
-        print(f"tcap: {spec.t_cap}")
+        print("\n".join(f"{key}: {value}" for key, value in _head(spec, False).items()))
         print(f"xcap: {spec.effective_x_cap()}")
         for name, s in computed.items():
             print(f"route {name}: {len(s)} terms")
@@ -169,17 +168,13 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    mu = _parse_mu(args.mu)
-    spec = FamilySpec(args.family, mu, args.n, t_cap=args.tcap, x_cap=args.xcap)
+    spec = FamilySpec(args.family, _parse_mu(args.mu), args.n, t_cap=args.tcap, x_cap=args.xcap)
     expansion = basis_expansion(spec)
     via_maximal = expansion_via_maximal(spec)
     verdict = "AGREE" if expansion == via_maximal else "DISAGREE"
     if args.format == "json":
         payload = {
-            "family": spec.family,
-            "mu": list(mu),
-            "n": spec.n,
-            "tcap": spec.t_cap,
+            **_head(spec, True),
             "basis": expansion.basis,
             "coefficients": _expansion_json(expansion),
             "via_maximal": _expansion_json(via_maximal),
@@ -187,10 +182,7 @@ def _cmd_expand(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"family: {spec.family}")
-        print(f"mu: {_format_mu(mu)}")
-        print(f"n: {spec.n}")
-        print(f"tcap: {spec.t_cap}")
+        print("\n".join(f"{key}: {value}" for key, value in _head(spec, False).items()))
         print(f"basis: {expansion.basis}")
         for lam, poly in expansion.coefficients:
             print(f"{_format_mu(lam)} : {poly!r}")
@@ -299,11 +291,9 @@ def _check_trace_input(tableau, shifted: bool) -> None:
 def _cmd_trace(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
-    if args.flavor == "shifted":
-        tableau = ShiftedMultisetTableau.from_text(text)
-    else:
-        tableau = MultisetTableau.from_text(text)
-    _check_trace_input(tableau, args.flavor == "shifted")
+    shifted = args.flavor == "shifted"
+    tableau = (ShiftedMultisetTableau if shifted else MultisetTableau).from_text(text)
+    _check_trace_input(tableau, shifted)
     ell = tableau.ell
     if args.ell is not None:
         # stages only append boxes, so the base shape is never wider than the tableau
@@ -315,70 +305,55 @@ def _cmd_trace(args) -> int:
     states = [tableau]
     traces = []
     if args.direction == "out":
+        # one move per noncircled entry of the active line
         idx = ell - args.k
-        while True:
-            t = states[-1]
-            if all(len(row[idx]) == 1 for row in t.rows if idx < len(row)):
-                break
-            t, trace = out_step(t, args.k, ell)
+        for _ in range(sum(len(row[idx]) - 1 for row in tableau.rows if idx < len(row))):
+            t, trace = out_step(states[-1], args.k, ell)
             states.append(t)
             traces.append(trace)
     else:
         if args.inner is None:
             raise ValueError("direction 'in' needs --inner, the target shape")
         inner = _parse_mu(args.inner)
-        shifted = args.flavor == "shifted"
         while states[-1].shape != inner:
             t = states[-1]
             shape = t.shape
             if len(shape) != len(inner) or any(a < b for a, b in zip(shape, inner)):
                 raise ValueError(f"{inner} is not reachable from shape {shape}")
-            strip = [
-                (r, (r + shape[r] - 1) if shifted else (shape[r] - 1))
-                for r in range(len(shape))
-                if shape[r] > inner[r]
-            ]
+            # the rightmost last box among the rows still longer than inner
+            strip = [(r, r * shifted + shape[r] - 1) for r in range(len(shape)) if shape[r] > inner[r]]
             cell = max(strip, key=lambda rc: rc[1])
             t, trace = in_step(t, args.k, ell, cell)
             states.append(t)
             traces.append(trace)
 
     final = states[-1]
+    # the trace fields that differ by direction; JSON keys are the field names
+    start, moved, verb = (
+        ("removed_cell", "appended", "appended") if args.direction == "out"
+        else ("corner_cell", "deposit", "deposited")
+    )
 
     def step_json(tr, state):
-        data = {
+        return {
             "removed": str(tr.removed),
             "path": [[r + 1, c + 1, str(old), str(new)] for r, c, old, new in tr.path],
             "tableau": state.to_json_dict(),
+            start: _render_cell(getattr(tr, start)),
+            moved: str(getattr(tr, moved)),
+            f"{moved}_cell": _render_cell(getattr(tr, f"{moved}_cell")),
         }
-        if args.direction == "out":
-            data["removed_cell"] = _render_cell(tr.removed_cell)
-            data["appended"] = str(tr.appended)
-            data["appended_cell"] = _render_cell(tr.appended_cell)
-        else:
-            data["corner_cell"] = _render_cell(tr.corner_cell)
-            data["deposit"] = str(tr.deposit)
-            data["deposit_cell"] = _render_cell(tr.deposit_cell)
-        return data
 
     def step_text(i, tr):
         moves = "; ".join(
             f"({r + 1},{c + 1}) {old}->{new}" for r, c, old, new in tr.path
         )
-        if args.direction == "out":
-            rc = _render_cell(tr.removed_cell)
-            ac = _render_cell(tr.appended_cell)
-            return (
-                f"step {i}: removed {tr.removed} at ({rc[0]},{rc[1]})"
-                + (f"; path: {moves}" if moves else "")
-                + f"; appended {tr.appended} at ({ac[0]},{ac[1]})"
-            )
-        cc = _render_cell(tr.corner_cell)
-        dc = _render_cell(tr.deposit_cell)
+        sr, sc = _render_cell(getattr(tr, start))
+        mr, mc = _render_cell(getattr(tr, f"{moved}_cell"))
         return (
-            f"step {i}: removed {tr.removed} at ({cc[0]},{cc[1]})"
+            f"step {i}: removed {tr.removed} at ({sr},{sc})"
             + (f"; path: {moves}" if moves else "")
-            + f"; deposited {tr.deposit} at ({dc[0]},{dc[1]})"
+            + f"; {verb} {getattr(tr, moved)} at ({mr},{mc})"
         )
 
     if args.format == "json":

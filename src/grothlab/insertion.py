@@ -227,10 +227,26 @@ def _largest_noncircled(boxes):
     return best
 
 
+def _on_copy(t, body, *args):
+    """Run body on a list copy of t's rows; returns (new tableau, result)."""
+    rows = [list(row) for row in t.rows]
+    result = body(rows, *args, _family(t))
+    return replace(t, rows=tuple(map(tuple, rows))), result
+
+
 def out_step(t, k: int, ell: int):
     """One out move at stage k; returns (tableau, OutTrace)."""
-    shift, order, _, word = _family(t)
-    rows = [list(row) for row in t.rows]
+    return _on_copy(t, _out, k, ell)
+
+
+def in_step(t, k: int, ell: int, cell):
+    """One in move at stage k undoing an out; cell is the corner consumed."""
+    return _on_copy(t, _in, k, ell, cell)
+
+
+def _out(rows, k: int, ell: int, family) -> OutTrace:
+    """One out move at stage k on a list of row lists, in place."""
+    shift, order, _, word = family
     idx = ell - k
     boxes = [(r, row[idx]) for r, row in enumerate(rows) if idx < len(row)]
     if not boxes:
@@ -267,14 +283,12 @@ def out_step(t, k: int, ell: int):
         if col != h * shift:
             raise InsertionError("append cannot start a new row here")
         rows.append([(a,)])
-    new_t = replace(t, rows=tuple(tuple(row) for row in rows))
-    return new_t, OutTrace(v, (r0, r0 * shift + idx), tuple(path), (h, col), a)
+    return OutTrace(v, (r0, r0 * shift + idx), tuple(path), (h, col), a)
 
 
-def in_step(t, k: int, ell: int, cell):
-    """One in move at stage k undoing an out; cell is the corner consumed."""
-    shift, order, admits, word = _family(t)
-    rows = [list(row) for row in t.rows]
+def _in(rows, k: int, ell: int, cell, family) -> InTrace:
+    """One in move at stage k on a list of row lists, in place."""
+    shift, order, admits, word = family
     idx = ell - k
     r, col = cell
     c = col - r * shift
@@ -321,49 +335,59 @@ def in_step(t, k: int, ell: int, cell):
             f"deposit of {z} duplicates a primed entry at {_cell_text(target, col)}"
         )
     rows[target][idx] = tuple(sorted(box + (z,)))
-    new_t = replace(t, rows=tuple(tuple(row) for row in rows))
-    return new_t, InTrace(cell, removed, tuple(path), (target, col), z)
+    return InTrace(cell, removed, tuple(path), (target, col), z)
 
 
 # ---------------------------------------------------------------------------
 # stage maps and the full bijections
 
 
-def _stage_done(t, idx: int) -> bool:
-    return all(len(row[idx]) == 1 for row in t.rows if idx < len(row))
+def _stage(rows, k: int, ell: int, family) -> list[OutTrace]:
+    """Run stage k on a list of row lists, in place; returns its traces.
+
+    Each out move takes one noncircled entry off line k and appends a
+    single entry right of it, so the stage makes exactly as many moves as
+    line k holds noncircled entries."""
+    idx = ell - k
+    moves = sum([len(row[idx]) - 1 for row in rows if idx < len(row)])
+    return [_out(rows, k, ell, family) for _ in range(moves)]
+
+
+def _unstage(rows, k: int, ell: int, cells, family) -> None:
+    """Undo stage k in place by consuming the strip cells, rightmost first."""
+    for cell in sorted(cells, key=lambda rc: -rc[1]):
+        _in(rows, k, ell, cell, family)
 
 
 def psi_k(t, k: int, ell: int):
     """Apply out at stage k until the active column/diagonal holds single
     entries; returns (tableau, traces)."""
-    idx = ell - k
-    traces = []
-    while not _stage_done(t, idx):
-        t, trace = out_step(t, k, ell)
-        traces.append(trace)
-    return t, traces
+    return _on_copy(t, _stage, k, ell)
 
 
 def psi_k_inverse(t, k: int, ell: int, cells):
     """Undo stage k by consuming the given strip cells, rightmost first."""
-    for cell in sorted(cells, key=lambda rc: -rc[1]):
-        t, _ = in_step(t, k, ell, cell)
-    return t
+    return _on_copy(t, _unstage, k, ell, cells)[0]
 
 
 def _run_stages(p, valid):
     """Run psi_k for k = 1..ell on p; returns (Q, marks), where marks maps
-    each appended cell to the stage k that appended it."""
+    each appended cell to the stage k that appended it.  A stage that moves
+    freezes the rows once; every stage's tableau must pass valid."""
     ell = p.ell
+    family = _family(p)
+    rows = [list(row) for row in p.rows]
     t = p
     marks: dict[tuple[int, int], int] = {}
     for k in range(1, ell + 1):
-        t, traces = psi_k(t, k, ell)
-        cols = [tr.appended_cell[1] for tr in traces]
-        if any(c2 <= c1 for c1, c2 in zip(cols, cols[1:])):
-            raise InsertionError("appended boxes must move strictly right")
-        for tr in traces:
-            marks[tr.appended_cell] = k
+        traces = _stage(rows, k, ell, family)
+        if traces:
+            cols = [tr.appended_cell[1] for tr in traces]
+            if any(c2 <= c1 for c1, c2 in zip(cols, cols[1:])):
+                raise InsertionError("appended boxes must move strictly right")
+            for tr in traces:
+                marks[tr.appended_cell] = k
+            t = replace(p, rows=tuple(map(tuple, rows)))
         if not valid(t):
             raise InsertionError(f"stage {k} left an invalid tableau")
     return t, marks
@@ -373,15 +397,15 @@ def _undo_stages(q, r: SkewFilling, mu, offset: int):
     """Undo stages ell..1 of q; the cells of R labeled k, shifted right by
     offset columns, are the strip that stage k appended."""
     ell = mu[0] if mu else 0
-    t = q
+    strips: dict[int, list[tuple[int, int]]] = {}
+    for rr, row in enumerate(r.rows):
+        for i, v in enumerate(row):
+            strips.setdefault(v, []).append((rr, r.inner[rr] + i + offset))
+    family = _family(q)
+    rows = [list(row) for row in q.rows]
     for k in range(ell, 0, -1):
-        cells = [
-            (rr, r.inner[rr] + i + offset)
-            for rr, row in enumerate(r.rows)
-            for i, v in enumerate(row)
-            if v == k
-        ]
-        t = psi_k_inverse(t, k, ell, cells)
+        _unstage(rows, k, ell, strips.get(k, ()), family)
+    t = replace(q, rows=tuple(map(tuple, rows)))
     if t.shape != mu:
         raise InsertionError("inverse did not return to the inner shape")
     return t

@@ -123,6 +123,8 @@ class _BoxRows:
     weight off `rows` the same way.
     """
 
+    signed = False  # a field of the shifted family; straight tableaux have no signs
+
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
@@ -138,6 +140,13 @@ class _BoxRows:
             sum(len(row[ell - j]) - 1 for row in self.rows if ell - j < len(row))
             for j in range(1, ell + 1)
         )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "shape": list(self.shape),
+            "boxes": [[[str(e) for e in box] for box in row] for row in self.rows],
+            "signed": self.signed,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +185,6 @@ class MultisetTableau(_BoxRows):
                 boxes.append(vals)
             rows.append(tuple(boxes))
         return cls(tuple(rows))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "boxes": [[[str(v) for v in box] for box in row] for row in self.rows],
-            "signed": False,
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultisetTableau":
@@ -281,13 +283,6 @@ class ShiftedMultisetTableau(_BoxRows):
             inferred = any(t.row_minimum(r).primed for r in range(len(rows)))
             t = cls(tuple(rows), signed=inferred)
         return t
-
-    def to_json_dict(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "boxes": [[[str(e) for e in box] for box in row] for row in self.rows],
-            "signed": self.signed,
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ShiftedMultisetTableau":

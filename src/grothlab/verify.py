@@ -187,6 +187,17 @@ def _grown_shapes(mu, extra: int):
     return out
 
 
+def _pair_census(cap_n: int, ell: int, pairs) -> Counter:
+    """Counter of (padded Q weight, R weight) over Q x R for each (Qs, Rs)
+    in pairs, as the product of the two weight counts: no pair is walked."""
+    census = Counter()
+    for qs, rs in pairs:
+        q_weights = Counter(pad(q.weight(), cap_n) for q in qs)
+        for rw, b in Counter(r.weight(ell) for r in rs).items():
+            census.update({(qw, rw): a * b for qw, a in q_weights.items()})
+    return census
+
+
 def _psi_case(mu, cap_n: int, cap_d: int) -> str:
     seen = set()
     classes = Counter()
@@ -206,12 +217,8 @@ def _psi_case(mu, cap_n: int, cap_d: int) -> str:
         highest = all(all(b[0] == i + 1 for b in row) for i, row in enumerate(q.rows))
         if highest != is_maximal_mt(p):
             return f"maximality mismatch for {p.rows}"
-    rhs = Counter(
-        (pad(q.weight(), cap_n), r.weight(mu[0]))
-        for lam in _grown_shapes(mu, cap_d)
-        for r in enumerate_rt(lam, mu)
-        for q in enumerate_ssyt(lam, cap_n)
-    )
+    rhs = _pair_census(cap_n, mu[0], ((enumerate_ssyt(lam, cap_n), enumerate_rt(lam, mu))
+                                      for lam in _grown_shapes(mu, cap_d)))
     return "" if rhs == classes else "pair census cardinalities differ per class"
 
 
@@ -245,13 +252,9 @@ def _phi_case(mu, cap_n: int, cap_d: int) -> str:
     if signed_smt_sum(spec).poly != grothendieck_P_combinatorial(spec).poly * (1 << m):
         return "signed sum is not 2^m times the unsigned sum"
     lhs = Counter((pad(p.weight(), cap_n), p.diagonal_weight()) for p in signed)
-    rhs = Counter(
-        (pad(q.weight(), cap_n), r.weight(mu[0]))
-        for lam in _grown_shapes(mu, cap_d)
-        if all(lam[i] > lam[i + 1] for i in range(len(lam) - 1))
-        for r in enumerate_srt(lam, mu)
-        for q in enumerate_sst(lam, cap_n, signed=True)
-    )
+    strict = (lam for lam in _grown_shapes(mu, cap_d) if all(a > b for a, b in zip(lam, lam[1:])))
+    rhs = _pair_census(cap_n, mu[0], ((enumerate_sst(lam, cap_n, signed=True), enumerate_srt(lam, mu))
+                                      for lam in strict))
     return "" if rhs == lhs else "pair census cardinalities differ per class"
 
 

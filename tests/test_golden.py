@@ -6,7 +6,10 @@ Each digest in data/golden_stdout.json is the SHA-256 of a call's stdout
 bytes, then a NUL byte, "exit=" and the exit code, as the bench digests
 are made.  The calls cover both routes, --route both, --format json, the
 schur/pschur lift, x-caps below |mu| + t_cap, an empty and a vanishing
-family, the basis-expansion text and JSON, and algebraic rows at n = 5-7.
+family, the basis-expansion text and JSON, algebraic rows at n = 5-7, and
+`trace` out and in on the straight and shifted chains of tests/data, in
+text and JSON, plus one exit-1 bump of a multi-entry box.  A call names its
+data file from the repository root, so the test runs from any directory.
 """
 
 import contextlib
@@ -19,7 +22,9 @@ import pytest
 
 import grothlab.cli as cli
 
-with open(os.path.join(os.path.dirname(__file__), "data", "golden_stdout.json"), encoding="utf-8") as fh:
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+with open(os.path.join(ROOT, "tests", "data", "golden_stdout.json"), encoding="utf-8") as fh:
     GOLDEN = json.load(fh)["digests"]
 
 
@@ -27,6 +32,6 @@ with open(os.path.join(os.path.dirname(__file__), "data", "golden_stdout.json"),
 def test_stdout_and_exit_code_match_the_golden_digest(call):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(call.split())
+        code = cli.main([os.path.join(ROOT, a) if a.startswith("tests/data/") else a for a in call.split()])
     digest = hashlib.sha256(out.getvalue().encode() + b"\0exit=" + str(code).encode()).hexdigest()
     assert digest == GOLDEN[call]

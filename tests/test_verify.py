@@ -1,9 +1,12 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 import grothlab.verify as verify
 from grothlab.algebra import Polynomial
+from grothlab.partitions import pad
+from grothlab.tableaux import enumerate_rt, enumerate_srt, enumerate_ssyt, enumerate_sst
 from grothlab.verify import (
     SUITES,
     _bijection_shapes,
@@ -82,3 +85,24 @@ def test_positivity_case_fails_on_a_wrong_expansion(monkeypatch):
             detail = verify._positivity_case(family, (2, 1), 3, 2)
             assert detail == "maximal-tableau expansion disagrees", wrong.__name__
             monkeypatch.setattr(verify, "expansion_via_maximal", true_expansion)
+
+
+@pytest.mark.parametrize("mu", [(2, 1), (3, 1), (3, 2)])
+def test_pair_census_counts_every_pair(mu):
+    # the census multiplies the per-shape Q and R weight counts; walking
+    # every pair Q x R, as the census once did, gives the same Counter
+    cap_n, cap_d = verify._CAP_N, verify._CAP_D
+    shapes = verify._grown_shapes(mu, cap_d)
+    strict = [lam for lam in shapes if all(a > b for a, b in zip(lam, lam[1:]))]
+    for lams, enum_q, enum_r in (
+        (shapes, lambda lam: enumerate_ssyt(lam, cap_n), lambda lam: enumerate_rt(lam, mu)),
+        (strict, lambda lam: enumerate_sst(lam, cap_n, signed=True), lambda lam: enumerate_srt(lam, mu)),
+    ):
+        walked = Counter(
+            (pad(q.weight(), cap_n), r.weight(mu[0]))
+            for lam in lams
+            for r in enum_r(lam)
+            for q in enum_q(lam)
+        )
+        census = verify._pair_census(cap_n, mu[0], ((enum_q(lam), enum_r(lam)) for lam in lams))
+        assert census == walked and sum(census.values()) > 0
