@@ -190,7 +190,19 @@ def _cmd_expand(args) -> int:
     return 0 if verdict == "AGREE" else VERIFY_ERROR
 
 
-_ENUM_FAMILIES = ("MT", "SMT", "SMT+-", "SSYT", "SST", "SST+-", "RT", "SRT", "maxMT", "maxSMT")
+# family name -> enumerator call on (mu, outer shape, parsed arguments)
+_ENUMERATORS = {
+    "MT": lambda mu, outer, a: enumerate_mt(mu, a.max_value, a.extra),
+    "SMT": lambda mu, outer, a: enumerate_smt(mu, a.max_value, a.extra, signed=False),
+    "SMT+-": lambda mu, outer, a: enumerate_smt(mu, a.max_value, a.extra, signed=True),
+    "SSYT": lambda mu, outer, a: enumerate_ssyt(mu, a.max_value),
+    "SST": lambda mu, outer, a: enumerate_sst(mu, a.max_value, signed=False),
+    "SST+-": lambda mu, outer, a: enumerate_sst(mu, a.max_value, signed=True),
+    "RT": lambda mu, outer, a: enumerate_rt(outer, mu),
+    "SRT": lambda mu, outer, a: enumerate_srt(outer, mu),
+    "maxMT": lambda mu, outer, a: enumerate_maximal_mt(mu, a.extra),
+    "maxSMT": lambda mu, outer, a: enumerate_maximal_smt(mu, a.extra),
+}
 
 
 def _cmd_enumerate(args) -> int:
@@ -200,37 +212,15 @@ def _cmd_enumerate(args) -> int:
         outer = None if args.outer is None else _parse_mu(args.outer)
     except ValueError as ex:
         raise ValueError(f"--outer: {ex}") from None
-    if fam in ("RT", "SRT"):
-        if outer is None:
-            raise ValueError(f"family {fam} needs --outer")
-        items = enumerate_rt(outer, mu) if fam == "RT" else enumerate_srt(outer, mu)
-    elif fam == "MT":
-        items = enumerate_mt(mu, args.max_value, args.extra)
-    elif fam == "SSYT":
-        items = enumerate_ssyt(mu, args.max_value)
-    elif fam == "SMT":
-        items = enumerate_smt(mu, args.max_value, args.extra, signed=False)
-    elif fam == "SMT+-":
-        items = enumerate_smt(mu, args.max_value, args.extra, signed=True)
-    elif fam == "SST":
-        items = enumerate_sst(mu, args.max_value, signed=False)
-    elif fam == "SST+-":
-        items = enumerate_sst(mu, args.max_value, signed=True)
-    elif fam == "maxMT":
-        items = enumerate_maximal_mt(mu, args.extra)
-    else:
-        items = enumerate_maximal_smt(mu, args.extra)
+    if fam in ("RT", "SRT") and outer is None:
+        raise ValueError(f"family {fam} needs --outer")
+    items = _ENUMERATORS[fam](mu, outer, args)
     if args.format == "json":
         payload = {
             "family": fam,
             "mu": list(mu),
             "count": len(items),
-            "tableaux": [
-                t.to_json_dict()
-                if hasattr(t, "to_json_dict")
-                else {"outer": list(t.outer), "inner": list(t.inner), "rows": [list(r) for r in t.rows]}
-                for t in items
-            ],
+            "tableaux": [t.to_json_dict() for t in items],
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -403,7 +393,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_expand)
 
     p = sub.add_parser("enumerate", help="list a tableau family under caps")
-    p.add_argument("family", choices=_ENUM_FAMILIES)
+    p.add_argument("family", choices=tuple(_ENUMERATORS))
     p.add_argument("mu")
     p.add_argument("--outer", default=None, help="outer shape for RT/SRT")
     p.add_argument("--max-value", type=_nonnegative_int("max_value"), default=3, dest="max_value")

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
+from itertools import zip_longest
 
 from .algebra import (
     MonomialCode,
@@ -68,8 +69,7 @@ from .tableaux import (
     count_mt_by_weight,
     count_smt_by_code,
     count_smt_by_weight,
-    enumerate_maximal_mt,
-    enumerate_maximal_smt,
+    maximal_box_sizes,
 )
 
 __all__ = [
@@ -476,29 +476,30 @@ def expansion_via_maximal(spec: FamilySpec) -> BasisExpansion:
     """Expansion read off maximal tableaux: index lambda gets sum of t^cw
     (or t^dw) over the maximal tableaux of weight lambda.
 
-    The series' x-cap applies here too: every lambda with |lambda| above
+    Each tableau is read off its box sizes, without building it: row i
+    holds only the value i, so wt_i is the sum of row i's sizes, and the box
+    at within-row index c adds its size - 1 to label ell - c.  The series'
+    x-cap applies here too: every lambda with |lambda| above
     `spec.effective_x_cap()` is dropped, as its basis element is."""
-    n, ell, t_cap = spec.n, spec.ell, spec.t_cap
-    if spec.family == "J":
-        tableaux = enumerate_maximal_mt(spec.mu, t_cap)
-        stats = [(t.weight(), t.column_weight()) for t in tableaux]
-        basis = "schur"
-    elif spec.family == "P":
-        tableaux = enumerate_maximal_smt(spec.mu, t_cap)
-        stats = [(t.weight(), t.diagonal_weight()) for t in tableaux]
-        basis = "pschur"
-    else:
+    if spec.family not in ("J", "P"):
         raise ValueError("maximal-tableau expansions apply to families J and P")
+    n, ell = spec.n, spec.ell
+    sizes = maximal_box_sizes(spec.mu, spec.t_cap, shifted=spec.family == "P")
+    basis = "schur" if spec.family == "J" else "pschur"
     if spec.vanishes():
         return BasisExpansion.from_dict(basis, n, ell, {})
     x_cap = spec.effective_x_cap()
     grouped: dict[tuple[int, ...], list] = {}
-    for wt, cw in stats:
+    for rows in sizes:
+        wt = tuple(map(sum, rows))
         if sum(wt) > x_cap:
             continue
+        # column c sums its sizes, a missing box counted as 1, less one per row
+        cw = tuple(sum(col) - len(rows) for col in zip_longest(*rows, fillvalue=1))[::-1]
+        grouped.setdefault(wt, []).append((((), cw), 1))
+    for wt in grouped:
         if not is_partition(wt):
             raise ExpansionError(f"maximal tableau weight {wt} is not a partition")
-        grouped.setdefault(wt, []).append((((), cw), 1))
     return BasisExpansion.from_dict(basis, n, ell, {
         lam: Polynomial.from_terms(0, ell, pairs) for lam, pairs in grouped.items()
     })

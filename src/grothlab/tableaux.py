@@ -12,15 +12,10 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cache, total_ordering
 
 from .algebra import MonomialCode
-from .partitions import (
-    column_heights,
-    is_partition,
-    is_strict_partition,
-    staircase,
-)
+from .partitions import is_partition, is_strict_partition, staircase
 
 __all__ = [
     "Entry",
@@ -56,6 +51,7 @@ __all__ = [
     "enumerate_srt",
     "enumerate_maximal_mt",
     "enumerate_maximal_smt",
+    "maximal_box_sizes",
 ]
 
 
@@ -390,6 +386,9 @@ class SkewFilling:
     def is_empty(self) -> bool:
         return all(not row for row in self.rows)
 
+    def to_json_dict(self) -> dict:
+        return {"outer": list(self.outer), "inner": list(self.inner), "rows": [list(r) for r in self.rows]}
+
     def to_text(self) -> str:
         lines = []
         for r, row in enumerate(self.rows):
@@ -424,15 +423,20 @@ def _skew_semistandard_ok(f: SkewFilling) -> bool:
     return True
 
 
+def _floors(mu, nrows: int) -> list[int]:
+    """Least entry of each row over mu: v lies on rows 1..c_v, so row r
+    (0-based) admits v exactly when ell + 1 - mu[r] <= v <= ell, and a row
+    past the end of mu admits nothing."""
+    ell = mu[0] if mu else 0
+    return [ell + 1 - (mu[r] if r < len(mu) else 0) for r in range(nrows)]
+
+
 def _restricted_ok(f: SkewFilling, mu: tuple[int, ...]) -> bool:
     """Alphabet {1..ell} with entry i no lower than row c_i (rows 1-based)."""
     ell = mu[0] if mu else 0
-    heights = column_heights(mu)
-    for r, row in enumerate(f.rows):
+    for floor, row in zip(_floors(mu, len(f.rows)), f.rows):
         for v in row:
-            if not 1 <= v <= ell:
-                return False
-            if r + 1 > heights[v]:
+            if not floor <= v <= ell:
                 return False
     return True
 
@@ -476,50 +480,36 @@ def is_valid_srt(f: SkewFilling, mu: tuple[int, ...]) -> bool:
 # maximal tableaux and the restricted correspondences
 
 
-def _partial_sums_ok(size, nrows: int, ell: int, bound: int) -> bool:
-    """Check sum_{j<=k} |b_(i+1)j| - |b_i(j-1)| <= bound for all i, k."""
-    for i in range(1, nrows):
-        running = 0
-        for k in range(1, ell + 1):
-            running += size(i + 1, k) - size(i, k - 1)
-            if running > bound:
-                return False
+def _fits_below(upper, lower, bound: int) -> bool:
+    """sum_{j<=k} |b_(i+1)j| - |b_i(j-1)| <= bound for every k, for rows i
+    and i + 1 given as box sizes left to right (box c sits at label ell - c,
+    b_i0 is empty): 1 for straight tableaux, 0 for shifted ones.  Labels past
+    the lower row only subtract, so the sum starts at minus those sizes."""
+    running = -sum(upper[len(lower) + 1:])
+    for c in range(len(lower) - 1, -1, -1):
+        running += lower[c] - (upper[c + 1] if c + 1 < len(upper) else 0)
+        if running > bound:
+            return False
     return True
 
 
-def _box_size(t):
-    """size(i, j): entries in the box of row i at column/diagonal label j."""
-    ell = t.ell
-
-    def size(i: int, j: int) -> int:
-        r, c = i - 1, ell - j
-        if j < 1 or r < 0 or r >= len(t.rows) or c >= len(t.rows[r]):
-            return 0
-        return len(t.rows[r][c])
-
-    return size
+def _is_maximal(t, valid, entry, bound: int) -> bool:
+    """Valid tableau whose row-i boxes hold only entry(i), with every pair of
+    consecutive rows meeting the partial-sum bound."""
+    if not valid(t) or any(v != entry(r) for r, row in enumerate(t.rows, 1) for box in row for v in box):
+        return False
+    sizes = [[len(box) for box in row] for row in t.rows]
+    return all(_fits_below(up, low, bound) for up, low in zip(sizes, sizes[1:]))
 
 
 def is_maximal_mt(t: MultisetTableau) -> bool:
     """Valid multiset tableau whose row-i boxes hold only i's, partial sums <= 1."""
-    if not is_valid_mt(t):
-        return False
-    for r, row in enumerate(t.rows):
-        for box in row:
-            if any(v != r + 1 for v in box):
-                return False
-    return _partial_sums_ok(_box_size(t), len(t.rows), t.ell, 1)
+    return _is_maximal(t, is_valid_mt, int, 1)
 
 
 def is_maximal_smt(t: ShiftedMultisetTableau) -> bool:
     """Valid unsigned shifted tableau, row-i boxes only i's, partial sums <= 0."""
-    if t.signed or not is_valid_smt(t):
-        return False
-    for r, row in enumerate(t.rows):
-        for box in row:
-            if any(e.value != r + 1 or e.primed for e in box):
-                return False
-    return _partial_sums_ok(_box_size(t), len(t.rows), t.ell, 0)
+    return not t.signed and _is_maximal(t, is_valid_smt, Entry, 0)
 
 
 def _restricted_rows(t) -> tuple[tuple[int, ...], ...]:
@@ -596,9 +586,9 @@ def srt_to_maximal_smt(f: SkewFilling) -> ShiftedMultisetTableau:
 # of x^x t^t on the frontier for count_*_by_code and count_*_by_weight.
 
 
-# Every walk over the cells (`_fill`, `_count`, and the restricted and
-# size-matrix backtracks) recurses once per cell.  Half the interpreter's
-# default recursion limit leaves room for any caller's own frames.
+# `_fill`, `_count` and the restricted backtrack recurse once per cell, and
+# the maximal row walk once per row.  Half the interpreter's default
+# recursion limit leaves room for any caller's own frames.
 MAX_CELLS = 500
 
 
@@ -897,7 +887,7 @@ def _enumerate_restricted(outer, inner, mu):
     """Skew semistandard fillings in alphabet {1..ell}, entry v on rows <= c_v."""
     _check_cells(outer, sum(outer) - sum(inner))
     ell = mu[0] if mu else 0
-    heights = column_heights(mu)
+    floors = _floors(mu, len(outer))
     cells = [
         (r, col)
         for r in range(len(outer))
@@ -920,10 +910,8 @@ def _enumerate_restricted(outer, inner, mu):
         r, col = cells[idx]
         left = entry_at(r, col - 1)
         above = entry_at(r - 1, col)
-        lo = max(1, left if left is not None else 1, (above + 1) if above is not None else 1)
+        lo = max(floors[r], left if left is not None else 1, (above + 1) if above is not None else 1)
         for v in range(lo, ell + 1):
-            if r + 1 > heights[v]:
-                continue
             rows[r][col - inner[r]] = v
             backtrack(idx + 1)
         rows[r][col - inner[r]] = None
@@ -957,48 +945,62 @@ def enumerate_srt(lam, mu):
     return _enumerate_restricted(outer, inner, mu)
 
 
-def _enumerate_size_matrices(shape, extra_cap: int):
-    """Box-size matrices of the given shape: every size >= 1, and at most
-    extra_cap entries beyond one per box in total."""
+def maximal_box_sizes(shape, extra_cap: int, shifted: bool = False):
+    """Box-size matrices (tuples of rows of sizes) of the maximal, or maximal
+    shifted, tableaux of the shape with at most extra_cap extra entries, in
+    lexicographic order read row by row; the arguments are checked on the
+    call, and the walk runs as the returned iterator is read.
+
+    Row i holds only the unprimed value i, so rows weakly increase, columns
+    strictly increase and row minima are unprimed whatever the sizes are:
+    only `_fits_below` can fail, and a row of ones always fits."""
     shape = tuple(shape)
+    if not (is_strict_partition if shifted else is_partition)(shape):
+        raise ValueError(f"not a {'strict ' if shifted else ''}partition: {shape}")
     if extra_cap < 0:
         raise ValueError(f"extra_cap must be nonnegative, got {extra_cap}")
     _check_cells(shape, sum(shape))
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-    sizes = [[1] * width for width in shape]
-    out = []
+    bound = 0 if shifted else 1
 
-    def backtrack(idx: int, budget: int):
-        if idx == len(cells):
-            out.append([list(row) for row in sizes])
+    @cache
+    def size_rows(width: int, budget: int) -> list:
+        """(sizes, extra) of the rows of `width` sizes >= 1 with at most `budget`
+        extra entries in lexicographic order: all ones, then by the index of
+        the first size above 1, from the last index down."""
+        rows = [((1,) * width, 0)]
+        for p in range(width - 1, -1, -1):
+            for a in range(1, budget + 1):
+                head = (1,) * p + (1 + a,)
+                rows.extend((head + tail, a + extra) for tail, extra in size_rows(width - p - 1, budget - a))
+        return rows
+
+    @cache
+    def fitting(upper, width: int, budget: int) -> list:
+        return [
+            (row, extra) for row, extra in size_rows(width, budget)
+            if upper is None or _fits_below(upper, row, bound)
+        ]
+
+    def walk(r: int, upper, budget: int):
+        if r == len(shape):
+            yield ()
             return
-        r, c = cells[idx]
-        for s in range(1, budget + 2):
-            sizes[r][c] = s
-            backtrack(idx + 1, budget - (s - 1))
-        sizes[r][c] = 1
+        for row, extra in fitting(upper, shape[r], budget):
+            for rest in walk(r + 1, row, budget - extra):
+                yield (row,) + rest
 
-    backtrack(0, extra_cap)
-    return out
-
-
-def _enumerate_maximal(shape, extra_cap: int, entry, make, is_maximal):
-    """Tableaux whose row-i boxes hold only entry(i), kept when is_maximal."""
-    out = []
-    for sizes in _enumerate_size_matrices(shape, extra_cap):
-        t = make(tuple(tuple((entry(r + 1),) * s for s in row) for r, row in enumerate(sizes)))
-        if is_maximal(t):
-            out.append(t)
-    return out
+    return walk(0, None, extra_cap)
 
 
 def enumerate_maximal_mt(shape, extra_cap: int):
-    if not is_partition(shape):
-        raise ValueError(f"not a partition: {tuple(shape)}")
-    return _enumerate_maximal(shape, extra_cap, int, MultisetTableau, is_maximal_mt)
+    return [
+        MultisetTableau(tuple(tuple((r,) * s for s in row) for r, row in enumerate(sizes, 1)))
+        for sizes in maximal_box_sizes(shape, extra_cap)
+    ]
 
 
 def enumerate_maximal_smt(shape, extra_cap: int):
-    if not is_strict_partition(shape):
-        raise ValueError(f"not a strict partition: {tuple(shape)}")
-    return _enumerate_maximal(shape, extra_cap, Entry, ShiftedMultisetTableau, is_maximal_smt)
+    return [
+        ShiftedMultisetTableau(tuple(tuple((Entry(r),) * s for s in row) for r, row in enumerate(sizes, 1)))
+        for sizes in maximal_box_sizes(shape, extra_cap, shifted=True)
+    ]

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import grothlab.cli as cli
+import grothlab.tableaux as tableaux
 from grothlab.algebra import ExactDivisionError
 from grothlab.fixtures import out_chain_shifted, out_chain_straight
 from grothlab.polynomials import ExpansionError
@@ -124,6 +125,28 @@ def test_enumerate_counts(capsys):
     payload = json.loads(raw)
     assert payload["count"] == 10
     assert all(t["signed"] is False for t in payload["tableaux"])
+
+
+@pytest.mark.parametrize("family, items", [
+    ("MT", lambda: tableaux.enumerate_mt((2, 1), 2, 1)),
+    ("SMT", lambda: tableaux.enumerate_smt((2, 1), 2, 1, signed=False)),
+    ("SMT+-", lambda: tableaux.enumerate_smt((2, 1), 2, 1, signed=True)),
+    ("SSYT", lambda: tableaux.enumerate_ssyt((2, 1), 2)),
+    ("SST", lambda: tableaux.enumerate_sst((2, 1), 2, signed=False)),
+    ("SST+-", lambda: tableaux.enumerate_sst((2, 1), 2, signed=True)),
+    ("RT", lambda: tableaux.enumerate_rt((4, 2), (2, 1))),
+    ("SRT", lambda: tableaux.enumerate_srt((4, 2), (2, 1))),
+    ("maxMT", lambda: tableaux.enumerate_maximal_mt((2, 1), 1)),
+    ("maxSMT", lambda: tableaux.enumerate_maximal_smt((2, 1), 1)),
+])
+def test_enumerate_prints_each_family_from_its_enumerator(capsys, family, items):
+    code, raw, _ = run(
+        capsys, "enumerate", family, "2,1", "--max-value", "2", "--extra", "1", "--outer", "4,2",
+        "--format", "json",
+    )
+    expected = [t.to_json_dict() for t in items()]
+    assert code == 0 and expected
+    assert json.loads(raw) == {"family": family, "mu": [2, 1], "count": len(expected), "tableaux": expected}
 
 
 @pytest.mark.parametrize("family", ["MT", "SMT", "SMT+-", "maxMT", "maxSMT"])
@@ -450,7 +473,7 @@ SHIFTED_FAMILIES = ("SMT", "SMT+-", "SST", "SST+-", "maxSMT")
 MALFORMED_ARGV = (
     [["compute", "J", mu, "--n", "2"] for mu in MALFORMED_MU]
     + [["expand", "J", mu, "--n", "2"] for mu in MALFORMED_MU]
-    + [["enumerate", fam, mu] for fam in cli._ENUM_FAMILIES if fam not in ("RT", "SRT") for mu in MALFORMED_MU]
+    + [["enumerate", fam, mu] for fam in cli._ENUMERATORS if fam not in ("RT", "SRT") for mu in MALFORMED_MU]
     + [["enumerate", fam, mu, "--outer", "3,2"] for fam in ("RT", "SRT") for mu in MALFORMED_MU]
     + [["enumerate", fam, "2", "--outer", outer] for fam in ("RT", "SRT") for outer in ("1,,2", "-3", "1,3", "3,0,1")]
     + [["enumerate", fam, "2,2"] for fam in SHIFTED_FAMILIES]
@@ -559,9 +582,13 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch, route):
     assert "Traceback" not in err and "MemoryError" not in err
 
 
-# every tableau walk recurses once per cell, so a shape past the cell bound
-# is refused before any cell is built, instead of overflowing the stack
+# every tableau walk recurses once per cell or row, so a shape past the cell
+# bound is refused before any cell is built, instead of overflowing the stack
 LONG_ROW = "1000"
+# past the cell bound, and vanishing at n = 1: the bound is checked before
+# expand returns the empty expansion of a family that vanishes
+LONG_COLUMN = ",".join(["1"] * 501)
+LONG_STAIRCASE = ",".join(map(str, range(32, 0, -1)))  # 528 cells
 
 
 @pytest.mark.parametrize("argv", [
@@ -572,6 +599,9 @@ LONG_ROW = "1000"
     ["enumerate", "maxMT", LONG_ROW, "--extra", "0"],
     ["enumerate", "RT", "1", "--outer", LONG_ROW],
     ["expand", "J", LONG_ROW, "--n", "1", "--tcap", "0"],
+    pytest.param(["expand", "J", LONG_COLUMN, "--n", "1", "--tcap", "0"], id="expand J 1^501 --n 1 --tcap 0"),
+    pytest.param(["expand", "P", LONG_STAIRCASE, "--n", "1", "--tcap", "0"], id="expand P 32,31,...,1 --n 1 --tcap 0"),
+    ["enumerate", "maxSMT", LONG_ROW, "--extra", "0"],
 ], ids=" ".join)
 def test_shape_past_the_cell_bound_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -8,8 +8,11 @@ are made.  The calls cover both routes, --route both, --format json, the
 schur/pschur lift, x-caps below |mu| + t_cap, an empty and a vanishing
 family, the basis-expansion text and JSON, algebraic rows at n = 5-7, and
 `trace` out and in on the straight and shifted chains of tests/data, in
-text and JSON, plus one exit-1 bump of a multi-entry box.  A call names its
-data file from the repository root, so the test runs from any directory.
+text and JSON, plus one exit-1 bump of a multi-entry box, `enumerate` of
+the maximal and restricted families, and `expand` at J (5,4,3,2,1) t6 and
+P (7,5,3,1) t5, the largest maximal-tableau checks of the expand ladder.
+A call names its data file from the repository root, so the test runs
+from any directory.
 """
 
 import contextlib

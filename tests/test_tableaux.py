@@ -277,8 +277,9 @@ def test_json_round_trips():
 
 @pytest.mark.parametrize("shape", [(2, 1), (3, 1), (3, 2), (3, 2, 1)])
 def test_enumerate_maximal_is_the_maximal_part_of_the_census(shape):
-    # the maximal enumerators test every size matrix with is_maximal_*, so
-    # their output must be exactly the maximal members of the full census
+    # the maximal enumerators walk the size rows under the partial-sum bound
+    # alone, so their output must be exactly the members of the full census
+    # that is_maximal_* (validity included) accepts
     for cap in range(3):
         mts = enumerate_maximal_mt(shape, cap)
         assert len(set(mts)) == len(mts)
