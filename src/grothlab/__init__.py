@@ -45,14 +45,12 @@ from .polynomials import (
     BasisExpansion,
     ExpansionError,
     FamilySpec,
+    algebraic_series,
     coefficient_via_hmult,
+    combinatorial_series,
     expand_in_pschur,
     expand_in_schur,
     expansion_via_maximal,
-    grothendieck_J_algebraic,
-    grothendieck_J_combinatorial,
-    grothendieck_P_algebraic,
-    grothendieck_P_combinatorial,
     pschur,
     schur,
     specialize_t,

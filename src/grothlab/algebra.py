@@ -569,10 +569,6 @@ class TruncatedSeries:
         """The number of terms."""
         return len(self._coded)
 
-    def with_caps(self, x_cap: int, t_cap: int) -> "TruncatedSeries":
-        """The same terms under new caps; terms past a new cap are dropped."""
-        return TruncatedSeries(self._code, self._coded, x_cap, t_cap)
-
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented

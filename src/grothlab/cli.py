@@ -20,12 +20,10 @@ from .polynomials import (
     BasisExpansion,
     ExpansionError,
     FamilySpec,
+    algebraic_series,
     basis_expansion,
+    combinatorial_series,
     expansion_via_maximal,
-    grothendieck_J_algebraic,
-    grothendieck_J_combinatorial,
-    grothendieck_P_algebraic,
-    grothendieck_P_combinatorial,
 )
 from .tableaux import (
     MultisetTableau,
@@ -118,30 +116,11 @@ def _head(spec: FamilySpec, as_json: bool) -> dict:
     return {"family": spec.family, "mu": mu, "n": spec.n, "tcap": spec.t_cap}
 
 
-def _routes_for(spec: FamilySpec):
-    if spec.family == "J":
-        return {
-            "algebraic": lambda: grothendieck_J_algebraic(spec),
-            "combinatorial": lambda: grothendieck_J_combinatorial(spec),
-        }
-    if spec.family == "P":
-        return {
-            "algebraic": lambda: grothendieck_P_algebraic(spec),
-            "combinatorial": lambda: grothendieck_P_combinatorial(spec),
-        }
-    # s_mu and P_mu are J_mu and P_mu at t = 0, lifted to the spec's caps
-    base = FamilySpec("J" if spec.family == "schur" else "P", spec.mu, spec.n, t_cap=0)
-    return {
-        name: lambda route=route: route().with_caps(spec.effective_x_cap(), spec.t_cap)
-        for name, route in _routes_for(base).items()
-    }
-
-
 def _cmd_compute(args) -> int:
     spec = FamilySpec(args.family, _parse_mu(args.mu), args.n, t_cap=args.tcap, x_cap=args.xcap)
-    routes = _routes_for(spec)
-    wanted = ["algebraic", "combinatorial"] if args.route == "both" else [args.route]
-    computed = {name: routes[name]() for name in wanted}
+    routes = {"algebraic": algebraic_series, "combinatorial": combinatorial_series}
+    wanted = list(routes) if args.route == "both" else [args.route]
+    computed = {name: routes[name](spec) for name in wanted}
     verdict = None
     if len(computed) == 2:
         a, b = computed["algebraic"], computed["combinatorial"]

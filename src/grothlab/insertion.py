@@ -216,15 +216,10 @@ def _column(rows, col: int, shift: int, idx: int) -> tuple[int, int]:
 
 
 def _largest_noncircled(boxes):
-    """(value, row) of the largest noncircled entry, bottommost box on ties."""
-    best = None
-    for r, box in boxes:
-        extras = list(box)
-        extras.remove(min(box))
-        for v in extras:
-            if best is None or v > best[0] or (v == best[0] and r >= best[1]):
-                best = (v, r)
-    return best
+    """(value, row) of the largest noncircled entry, bottommost box on ties.
+    A box is sorted, so its last entry is its largest and, when the box
+    holds more than one, noncircled."""
+    return max(((box[-1], r) for r, box in boxes if len(box) > 1), default=None)
 
 
 def _on_copy(t, body, *args):
@@ -255,9 +250,7 @@ def _out(rows, k: int, ell: int, family) -> OutTrace:
     if pick is None:
         raise InsertionError(f"no noncircled entry remains in {word} {k}")
     v, r0 = pick
-    box = list(rows[r0][idx])
-    box.remove(v)
-    rows[r0][idx] = tuple(box)
+    rows[r0][idx] = rows[r0][idx][:-1]
 
     a, col = v, r0 * shift + idx + 1
     path = []
@@ -314,7 +307,7 @@ def _in(rows, k: int, ell: int, cell, family) -> InTrace:
         # strictly downward this is the box with m <= z < (min of the next)
         target = None
         for rr in range(s, h):
-            if col - rr * shift == idx and admits(min(rows[rr][idx]), z):
+            if col - rr * shift == idx and admits(rows[rr][idx][0], z):
                 target = rr
         if target is not None:
             break

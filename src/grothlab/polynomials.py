@@ -1,10 +1,13 @@
 """The polynomial families: Schur, P-Schur, and their weak deformations.
 
-Each deformed family has two independent routes: the algebraic one (an
+Every family has two independent routes: the algebraic one (an
 antisymmetrized or coset-summed product of truncated geometric factors,
 divided exactly by the Vandermonde) and the combinatorial one (a weighted
 sum over multiset or shifted multiset tableaux).  Matching results from
-the two routes is the core correctness check of the whole library.
+the two routes is the core correctness check of the whole library.  The
+routes read two things of a family off its `FamilySpec`: whether it is
+shifted (P, pschur) and the t-cap they work at, which is 0 for the
+undeformed families schur and pschur, J and P at t = 0.
 
 The combinatorial route builds no tableau.  `count_mt_by_code` and
 `count_smt_by_code` count the tableaux by (x, t) = (weight, column or
@@ -25,12 +28,12 @@ A(x^a)/V = sign(w) s_{w(a) - delta} (w sorts a decreasingly; 0 if a
 repeats a part), `straighten` reads A(f)/V off the product f term by term
 as Schur coefficients.  Kostka numbers, built by the Pieri rule with no
 polynomial, turn them into monomials; `_from_schur` turns them into a
-basis expansion.  J and P share one product, `_product`: for P the tail
-Vandermonde of the coset sum is replaced by its leading monomial, which
-turns the coset sum into a plain A(f)/V.  The product, `straighten` and
-`schur_to_monomials` work in one `MonomialCode` and the series is printed
-from its codes, with no (x, t) tuple.  The h-product reference keeps the
-explicit antisymmetrize, coset-sum and division path.
+basis expansion.  Every family has one product, `_product`: for a shifted
+family the tail Vandermonde of the coset sum is replaced by its leading
+monomial, which turns the coset sum into a plain A(f)/V.  The product,
+`straighten` and `schur_to_monomials` work in one `MonomialCode` and the
+series is printed from its codes, with no (x, t) tuple.  The h-product
+reference keeps the explicit antisymmetrize, coset-sum and division path.
 
 Everything is exact: integer coefficients throughout, with the t-degree
 cap as the only source of truncation.  Within the cap window the x-degree
@@ -78,10 +81,8 @@ __all__ = [
     "BasisExpansion",
     "schur",
     "pschur",
-    "grothendieck_J_algebraic",
-    "grothendieck_J_combinatorial",
-    "grothendieck_P_algebraic",
-    "grothendieck_P_combinatorial",
+    "algebraic_series",
+    "combinatorial_series",
     "signed_smt_sum",
     "coefficient_via_hmult",
     "hmult_good_extension_route",
@@ -104,7 +105,8 @@ class FamilySpec:
     `family` is one of 'J', 'P', 'schur', 'pschur'.  The t-variable count
     is always ell = mu_1.  When mu needs more rows than there are
     x-variables the family vanishes; both routes then return the zero
-    series.
+    series.  The routes read only `shifted` and `work_t_cap` of the
+    family; the printed caps come from `t_cap` and `x_cap`.
     """
 
     family: str
@@ -118,7 +120,7 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}")
         if not is_partition(self.mu):
             raise ValueError(f"mu must be a partition without trailing zeros: {self.mu}")
-        if self.family in ("P", "pschur") and not is_strict_partition(self.mu):
+        if self.shifted and not is_strict_partition(self.mu):
             raise ValueError(f"family {self.family} needs a strict partition: {self.mu}")
         if self.n < 1:
             raise ValueError("need at least one x-variable")
@@ -130,6 +132,17 @@ class FamilySpec:
     @property
     def ell(self) -> int:
         return self.mu[0] if self.mu else 0
+
+    @property
+    def shifted(self) -> bool:
+        """P and pschur count shifted tableaux; J and schur straight ones."""
+        return self.family in ("P", "pschur")
+
+    @property
+    def work_t_cap(self) -> int:
+        """The t-cap the routes work at: schur and pschur are J and P at
+        t = 0, lifted to the spec's caps."""
+        return self.t_cap if self.family in ("J", "P") else 0
 
     @property
     def weight_size(self) -> int:
@@ -173,7 +186,7 @@ def pschur(lam: tuple[int, ...], n: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# the weak symmetric Grothendieck family J
+# the two routes
 
 
 def _times(a: dict, b: dict) -> dict:
@@ -198,8 +211,8 @@ def _stair(code: MonomialCode, head: int) -> dict:
 
 def _product(spec: FamilySpec) -> tuple[MonomialCode, dict]:
     """x^delta times the geometric rows of mu, truncated to the caps, as a
-    `MonomialCode` and {code: c}; for P, each factor x_i of x^delta with
-    i < m becomes (x_i + x_j).
+    `MonomialCode` and {code: c}; for a shifted family, each factor x_i of
+    x^delta with i < m becomes (x_i + x_j).
 
     The P coset sum over S_n / S_{n-m} is A(f)/(n-m)! for the paper's
     product f = g * V_tail, where V_tail = prod_{m<=i<j} (x_i - x_j) and g
@@ -222,7 +235,7 @@ def _product(spec: FamilySpec) -> tuple[MonomialCode, dict]:
     carries; when it is past, the leading digit alone puts the code at or
     past the limit, carry or not, and the test drops it.
     """
-    n, ell, t_cap = spec.n, spec.ell, spec.t_cap
+    n, ell, t_cap = spec.n, spec.ell, spec.work_t_cap
     stair_degree = n * (n - 1) // 2
     x_row = min(spec.effective_x_cap(), spec.weight_size + t_cap)
     code = MonomialCode(n, ell, x_row + stair_degree, t_cap)
@@ -252,54 +265,38 @@ def _product(spec: FamilySpec) -> tuple[MonomialCode, dict]:
                     # every factor has positive coefficients, so no sum cancels to zero
                     out[k] = out.get(k, 0) + ca
             prod = out
-    return code, _times(prod, _stair(code, len(spec.mu) if spec.family == "P" else 0))
+    return code, _times(prod, _stair(code, len(spec.mu) if spec.shifted else 0))
 
 
-def grothendieck_J_algebraic(spec: FamilySpec) -> TruncatedSeries:
+def algebraic_series(spec: FamilySpec) -> TruncatedSeries:
     """The bialternant route: A(f)/V for the truncated product f.
 
-    The quotient is read off f as Schur coefficients by `straighten` and
-    expanded into monomials by `schur_to_monomials`, all in the product's
-    `MonomialCode`; it equals the exact quotient of the antisymmetrized f
-    by the Vandermonde.
+    For a shifted family this is the coset sum over S_n / S_{n-m} of the
+    signed product, divided by V: `_product` carries the tail staircase in
+    place of the tail Vandermonde (see there).  The quotient is read off f
+    as Schur coefficients by `straighten` and expanded into monomials by
+    `schur_to_monomials`, all in the product's `MonomialCode`; it equals
+    the exact quotient of the antisymmetrized f by the Vandermonde.
     """
     code, product = _product(spec)
     quotient = schur_to_monomials(straighten(code, product), code)
     return TruncatedSeries(code, quotient, spec.effective_x_cap(), spec.t_cap)
 
 
-def grothendieck_J_combinatorial(spec: FamilySpec) -> TruncatedSeries:
-    """Tableau route: sum of t^cw x^wt over capped multiset tableaux."""
-    code, counts = count_mt_by_code(spec.mu, spec.n, spec.t_cap)
+def combinatorial_series(spec: FamilySpec) -> TruncatedSeries:
+    """Tableau route: the sum of t^cw x^wt over capped multiset tableaux,
+    or of t^dw x^wt over capped shifted multiset tableaux."""
+    count = count_smt_by_code if spec.shifted else count_mt_by_code
+    code, counts = count(spec.mu, spec.n, spec.work_t_cap)
     return TruncatedSeries(code, counts, spec.effective_x_cap(), spec.t_cap)
-
-
-# ---------------------------------------------------------------------------
-# the weak symmetric P-Grothendieck family
-
-
-def grothendieck_P_algebraic(spec: FamilySpec) -> TruncatedSeries:
-    """The coset-sum route: (sum over S_n / S_{n-m} of the signed product f) / V.
-
-    The coset sum is A of `_product(spec)`, which carries the tail staircase
-    in place of the tail Vandermonde (see there), so the J route serves.
-    """
-    return grothendieck_J_algebraic(spec)
-
-
-def _smt_series(spec: FamilySpec, signed: bool) -> TruncatedSeries:
-    code, counts = count_smt_by_code(spec.mu, spec.n, spec.t_cap, signed=signed)
-    return TruncatedSeries(code, counts, spec.effective_x_cap(), spec.t_cap)
-
-
-def grothendieck_P_combinatorial(spec: FamilySpec) -> TruncatedSeries:
-    """Tableau route: sum of t^dw x^wt over capped shifted multiset tableaux."""
-    return _smt_series(spec, signed=False)
 
 
 def signed_smt_sum(spec: FamilySpec) -> TruncatedSeries:
     """Sum over the signed census; equals 2^m times the unsigned route."""
-    return _smt_series(spec, signed=True)
+    if not spec.shifted:
+        raise ValueError("the signed census applies to shifted families")
+    code, counts = count_smt_by_code(spec.mu, spec.n, spec.work_t_cap, signed=True)
+    return TruncatedSeries(code, counts, spec.effective_x_cap(), spec.t_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +446,7 @@ def basis_expansion(spec: FamilySpec) -> BasisExpansion:
     depends on n.
     """
     code, product = _product(spec)
-    return _from_schur(code, straighten(code, product), "pschur" if spec.family == "P" else "schur")
+    return _from_schur(code, straighten(code, product), "pschur" if spec.shifted else "schur")
 
 
 def _read_symmetric(f, n: int, basis: str) -> BasisExpansion:
@@ -481,11 +478,9 @@ def expansion_via_maximal(spec: FamilySpec) -> BasisExpansion:
     at within-row index c adds its size - 1 to label ell - c.  The series'
     x-cap applies here too: every lambda with |lambda| above
     `spec.effective_x_cap()` is dropped, as its basis element is."""
-    if spec.family not in ("J", "P"):
-        raise ValueError("maximal-tableau expansions apply to families J and P")
     n, ell = spec.n, spec.ell
-    sizes = maximal_box_sizes(spec.mu, spec.t_cap, shifted=spec.family == "P")
-    basis = "schur" if spec.family == "J" else "pschur"
+    sizes = maximal_box_sizes(spec.mu, spec.work_t_cap, shifted=spec.shifted)
+    basis = "pschur" if spec.shifted else "schur"
     if spec.vanishes():
         return BasisExpansion.from_dict(basis, n, ell, {})
     x_cap = spec.effective_x_cap()

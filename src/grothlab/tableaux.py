@@ -929,7 +929,7 @@ def enumerate_rt(outer, mu):
     if not (is_partition(mu) and is_partition(rows) and outer == rows + (0,) * (len(outer) - len(rows))):
         raise ValueError(f"not a partition pair: {outer}/{mu}")
     inner = mu + (0,) * (len(outer) - len(mu))
-    if any(i > o for i, o in zip(inner, outer)):
+    if len(mu) > len(outer) or any(i > o for i, o in zip(inner, outer)):
         raise ValueError("inner shape must fit inside outer shape")
     return _enumerate_restricted(outer, inner, tuple(p for p in mu if p))
 

@@ -31,12 +31,10 @@ from .partitions import (
 )
 from .polynomials import (
     FamilySpec,
+    algebraic_series,
     coefficient_via_hmult,
+    combinatorial_series,
     expansion_via_maximal,
-    grothendieck_J_algebraic,
-    grothendieck_J_combinatorial,
-    grothendieck_P_algebraic,
-    grothendieck_P_combinatorial,
     hmult_good_extension_route,
     pschur,
     schur,
@@ -249,7 +247,7 @@ def _phi_case(mu, cap_n: int, cap_d: int) -> str:
     if set(fibers) != set(unsigned) or any(v != (1 << m) for v in fibers.values()):
         return "strip_signs fibers are not uniform of size 2^m"
     spec = FamilySpec("P", mu, cap_n, t_cap=cap_d)
-    if signed_smt_sum(spec).poly != grothendieck_P_combinatorial(spec).poly * (1 << m):
+    if signed_smt_sum(spec).poly != combinatorial_series(spec).poly * (1 << m):
         return "signed sum is not 2^m times the unsigned sum"
     lhs = Counter((pad(p.weight(), cap_n), p.diagonal_weight()) for p in signed)
     strict = (lam for lam in _grown_shapes(mu, cap_d) if all(a > b for a, b in zip(lam, lam[1:])))
@@ -331,19 +329,12 @@ def _instance_name(suite: str, family: str, mu, n: int, t_cap: int) -> str:
 
 def _routes_case(family: str, mu, n: int, t_cap: int) -> str:
     spec = FamilySpec(family, mu, n, t_cap=t_cap)
-    if family == "J":
-        alg = grothendieck_J_algebraic(spec)
-        comb = grothendieck_J_combinatorial(spec)
-        base = schur(mu, n)
-    else:
-        alg = grothendieck_P_algebraic(spec)
-        comb = grothendieck_P_combinatorial(spec)
-        base = pschur(mu, n) if len(mu) <= n else Polynomial.zero(n, 0)
+    alg, comb = algebraic_series(spec), combinatorial_series(spec)
     if alg != comb:
         return "algebraic and combinatorial routes disagree"
     if not alg.poly.is_symmetric_x():
         return "series is not symmetric in x"
-    if specialize_t(alg, (0,) * spec.ell) != base:
+    if specialize_t(alg, (0,) * spec.ell) != (pschur if spec.shifted else schur)(mu, n):
         return "t=0 specialization is not the undeformed basis"
     if not spec.ell:
         return ""
@@ -351,17 +342,14 @@ def _routes_case(family: str, mu, n: int, t_cap: int) -> str:
         got = coefficient_via_hmult(spec, t_exps)
         if got != alg.coefficient_of_t(t_exps):
             return f"h-product coefficient differs at t^{t_exps}"
-        if family == "J" and hmult_good_extension_route(spec, t_exps) != got:
+        if not spec.shifted and hmult_good_extension_route(spec, t_exps) != got:
             return f"good-extension route differs at t^{t_exps}"
     return ""
 
 
 def _positivity_case(family: str, mu, n: int, t_cap: int) -> str:
     spec = FamilySpec(family, mu, n, t_cap=t_cap)
-    if family == "J":
-        series, basis = grothendieck_J_combinatorial(spec), schur
-    else:
-        series, basis = grothendieck_P_combinatorial(spec), pschur
+    series, basis = combinatorial_series(spec), pschur if spec.shifted else schur
     expansion = expansion_via_maximal(spec)
     if not expansion.is_nonnegative():
         return "a basis coefficient has a negative term"

@@ -10,11 +10,9 @@ import grothlab.cli as cli
 from grothlab.algebra import Polynomial
 from grothlab.polynomials import (
     FamilySpec,
+    algebraic_series,
+    combinatorial_series,
     expand_in_pschur,
-    grothendieck_J_algebraic,
-    grothendieck_J_combinatorial,
-    grothendieck_P_algebraic,
-    grothendieck_P_combinatorial,
     pschur,
     schur,
     signed_smt_sum,
@@ -55,7 +53,7 @@ def test_criterion_1_paper_example(capsys):
     if code != 0 or "verdict: AGREE" not in out:
         failures.append("CLI routes disagree")
     spec = FamilySpec("P", (2, 1), 2, t_cap=1)
-    series = grothendieck_P_algebraic(spec)
+    series = algebraic_series(spec)
     expected_slice = {
         ((3, 1), (1, 0)): 1,
         ((3, 1), (0, 1)): 1,
@@ -87,11 +85,7 @@ def test_criterion_2_route_equivalence(capsys):
             for n in (1, 2, 3):
                 for t_cap in (0, 1):
                     spec = FamilySpec(family, mu, n, t_cap=t_cap)
-                    if family == "J":
-                        same = grothendieck_J_algebraic(spec) == grothendieck_J_combinatorial(spec)
-                    else:
-                        same = grothendieck_P_algebraic(spec) == grothendieck_P_combinatorial(spec)
-                    if not same:
+                    if algebraic_series(spec) != combinatorial_series(spec):
                         failures.append(f"{family} mu={mu} n={n} tcap={t_cap}")
     elapsed = time.time() - start
     with capsys.disabled():
@@ -137,13 +131,8 @@ def test_criterion_6_specialization(capsys):
                 continue
             for n in (1, 2, 3):
                 spec = FamilySpec(family, mu, n, t_cap=2)
-                if family == "J":
-                    series = grothendieck_J_algebraic(spec)
-                    base = schur(mu, n)
-                else:
-                    series = grothendieck_P_algebraic(spec)
-                    base = pschur(mu, n) if len(mu) <= n else Polynomial.zero(n, 0)
-                if specialize_t(series, (0,) * spec.ell) != base:
+                base = (pschur if spec.shifted else schur)(mu, n)
+                if specialize_t(algebraic_series(spec), (0,) * spec.ell) != base:
                     failures.append(f"{family} mu={mu} n={n}")
     elapsed = time.time() - start
     with capsys.disabled():
@@ -155,7 +144,7 @@ def test_criterion_7_signed_factor(capsys):
     failures = []
     for mu in ((2, 1), (3, 1)):
         spec = FamilySpec("P", mu, 3, t_cap=2)
-        unsigned = grothendieck_P_combinatorial(spec)
+        unsigned = combinatorial_series(spec)
         signed = signed_smt_sum(spec)
         if signed.poly != unsigned.poly * (1 << len(mu)):
             failures.append(f"mu={mu}")

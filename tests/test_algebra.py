@@ -333,16 +333,16 @@ def test_series_from_codes_is_the_series_of_its_polynomial(p, x_cap, t_cap):
     assert len(from_codes) == len(expected.terms)
     assert from_codes.coded()[0] is code
     assert from_codes == encoded_series(p, x_cap, t_cap)
-    assert from_codes.with_caps(x_cap + 1, t_cap + 1).poly == expected
+    assert TruncatedSeries(code, from_codes.coded()[1], x_cap + 1, t_cap + 1).poly == expected
     lower = max(x_cap - 1, 0)
-    assert from_codes.with_caps(lower, t_cap) == encoded_series(expected, lower, t_cap) == encoded_series(p, lower, t_cap)
+    assert TruncatedSeries(code, from_codes.coded()[1], lower, t_cap) == encoded_series(expected, lower, t_cap) == encoded_series(p, lower, t_cap)
     # within the caps the series holds the caller's dict, and caps below
     # the code's degrees filter a copy of it
     before = dict(coded)
     within = TruncatedSeries(code, coded, code.x_degree, code.t_degree)
     assert within.coded()[1] is coded
     below = max(code.x_degree - 1, 0), max(code.t_degree - 1, 0)
-    assert within.with_caps(*below).poly == cut(p, *below)
+    assert TruncatedSeries(code, within.coded()[1], *below).poly == cut(p, *below)
     assert coded == before
 
 

@@ -221,7 +221,7 @@ def test_internal_invariant_breach_exits_three(capsys, monkeypatch):
     def explode(spec):
         raise ExactDivisionError("no exact quotient exists")
 
-    monkeypatch.setattr(cli, "grothendieck_J_algebraic", explode)
+    monkeypatch.setattr(cli, "algebraic_series", explode)
     code, _, err = run(capsys, "compute", "J", "1", "--n", "2")
     assert code == 3
     assert "internal invariant breach" in err
@@ -481,6 +481,8 @@ MALFORMED_ARGV = (
         ["compute", "P", "2,2", "--n", "2"],
         ["expand", "P", "2,2", "--n", "2"],
         ["enumerate", "SRT", "2,2", "--outer", "3,2"],
+        ["enumerate", "RT", "2,1", "--outer", "3"],
+        ["enumerate", "SRT", "2", "--outer", "3,1"],
         ["compute", "J", OVERSIZED_PART, "--n", "1", "--tcap", "0"],
         ["compute", "P", OVERSIZED_PART, "--n", "2", "--tcap", "1", "--format", "json"],
         ["expand", "J", OVERSIZED_PART, "--n", "1", "--tcap", "0"],
@@ -575,7 +577,7 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch, route):
     def exhausted(spec):
         raise MemoryError
 
-    monkeypatch.setattr(cli, f"grothendieck_J_{route}", exhausted)
+    monkeypatch.setattr(cli, f"{route}_series", exhausted)
     code, out, err = run(capsys, "compute", "J", "2", "--n", "2", "--tcap", "99999999999999999999", "--route", route)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

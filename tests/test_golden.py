@@ -1,11 +1,13 @@
 """Golden stdout: calls beyond the bench grid must print what they printed
 before the series printer, and later the algebraic route, read
-`MonomialCode`s.
+`MonomialCode`s, and before the routes read schur and pschur off
+`FamilySpec` instead of lifting J and P at t = 0 in the CLI.
 
 Each digest in data/golden_stdout.json is the SHA-256 of a call's stdout
 bytes, then a NUL byte, "exit=" and the exit code, as the bench digests
-are made.  The calls cover both routes, --route both, --format json, the
-schur/pschur lift, x-caps below |mu| + t_cap, an empty and a vanishing
+are made.  The calls cover both routes, --route both, --format json, schur and
+pschur (among them an x-cap below |mu|, JSON, a vanishing family and the
+empty shape), x-caps below |mu| + t_cap, an empty and a vanishing
 family, the basis-expansion text and JSON, algebraic rows at n = 5-7, and
 `trace` out and in on the straight and shifted chains of tests/data, in
 text and JSON, plus one exit-1 bump of a multi-entry box, `enumerate` of

@@ -1,3 +1,4 @@
+from itertools import product
 from math import factorial
 
 import pytest
@@ -17,15 +18,13 @@ from grothlab.polynomials import (
     BasisExpansion,
     ExpansionError,
     FamilySpec,
+    algebraic_series,
     basis_expansion,
     coefficient_via_hmult,
+    combinatorial_series,
     expand_in_pschur,
     expand_in_schur,
     expansion_via_maximal,
-    grothendieck_J_algebraic,
-    grothendieck_J_combinatorial,
-    grothendieck_P_algebraic,
-    grothendieck_P_combinatorial,
     hmult_good_extension_route,
     pschur,
     schur,
@@ -47,13 +46,13 @@ def test_schur_basics():
     assert schur((1,), 2) == Polynomial.monomial((1, 0), ()) + Polynomial.monomial((0, 1), ())
     s = schur((2, 1), 3)
     assert sum(s.terms.values()) == 8
-    assert s == grothendieck_J_algebraic(FamilySpec("J", (2, 1), 3, t_cap=0)).poly.coefficient_of_t((0, 0))
+    assert s == algebraic_series(FamilySpec("J", (2, 1), 3, t_cap=0)).poly.coefficient_of_t((0, 0))
     assert schur((1, 1, 1), 2) == Polynomial.zero(2, 0)
 
 
 @pytest.mark.parametrize("lam,n", [((2,), 2), ((2, 2), 3), ((3, 1), 3), ((3, 2, 1), 3)])
 def test_schur_routes_agree(lam, n):
-    bialternant = grothendieck_J_algebraic(FamilySpec("J", lam, n, t_cap=0))
+    bialternant = algebraic_series(FamilySpec("J", lam, n, t_cap=0))
     assert schur(lam, n) == bialternant.poly.coefficient_of_t((0,) * lam[0])
 
 
@@ -69,8 +68,8 @@ def test_pschur_values():
 
 def test_J_single_variable_geometric_series():
     spec = FamilySpec("J", (1,), 1, t_cap=3)
-    series = grothendieck_J_algebraic(spec)
-    assert series == grothendieck_J_combinatorial(spec)
+    series = algebraic_series(spec)
+    assert series == combinatorial_series(spec)
     assert series.poly.terms == {
         ((k + 1,), (k,)): 1 for k in range(4)
     }
@@ -82,27 +81,27 @@ def test_J_single_variable_geometric_series():
 )
 def test_J_routes_agree(mu, n):
     spec = FamilySpec("J", mu, n, t_cap=2)
-    assert grothendieck_J_algebraic(spec) == grothendieck_J_combinatorial(spec)
+    assert algebraic_series(spec) == combinatorial_series(spec)
 
 
 def test_J_t_zero_is_schur():
     spec = FamilySpec("J", (2, 1), 3, t_cap=2)
-    series = grothendieck_J_algebraic(spec)
+    series = algebraic_series(spec)
     assert specialize_t(series, (0, 0)) == schur((2, 1), 3)
     spec0 = FamilySpec("J", (2, 1), 3, t_cap=0)
-    assert grothendieck_J_combinatorial(spec0).poly.coefficient_of_t((0, 0)) == schur((2, 1), 3)
+    assert combinatorial_series(spec0).poly.coefficient_of_t((0, 0)) == schur((2, 1), 3)
 
 
 def test_J_vanishes_beyond_variable_count():
     spec = FamilySpec("J", (1, 1, 1), 2, t_cap=1)
-    assert not grothendieck_J_algebraic(spec)
-    assert not grothendieck_J_combinatorial(spec)
+    assert not algebraic_series(spec)
+    assert not combinatorial_series(spec)
 
 
 def test_P_paper_slice():
     spec = FamilySpec("P", (2, 1), 2, t_cap=1)
-    alg = grothendieck_P_algebraic(spec)
-    comb = grothendieck_P_combinatorial(spec)
+    alg = algebraic_series(spec)
+    comb = combinatorial_series(spec)
     assert alg == comb
     assert x_slice(alg, 4).terms == {
         ((3, 1), (1, 0)): 1,
@@ -118,18 +117,20 @@ def test_P_paper_slice():
 @pytest.mark.parametrize("mu,n", [((1,), 2), ((2, 1), 3), ((3, 1), 2), ((3, 2), 2)])
 def test_P_routes_agree(mu, n):
     spec = FamilySpec("P", mu, n, t_cap=2)
-    assert grothendieck_P_algebraic(spec) == grothendieck_P_combinatorial(spec)
+    assert algebraic_series(spec) == combinatorial_series(spec)
 
 
 def test_P_t_zero_is_pschur():
     spec = FamilySpec("P", (2, 1), 2, t_cap=1)
-    assert specialize_t(grothendieck_P_algebraic(spec), (0, 0)) == pschur((2, 1), 2)
+    assert specialize_t(algebraic_series(spec), (0, 0)) == pschur((2, 1), 2)
 
 
 def test_P_signed_route():
     spec = FamilySpec("P", (2, 1), 2, t_cap=1)
-    comb = grothendieck_P_combinatorial(spec)
+    comb = combinatorial_series(spec)
     assert signed_smt_sum(spec).poly == comb.poly * 4
+    with pytest.raises(ValueError, match="shifted"):
+        signed_smt_sum(FamilySpec("J", (2, 1), 2, t_cap=1))
 
 
 def test_P_requires_strict_mu():
@@ -139,20 +140,46 @@ def test_P_requires_strict_mu():
 
 def test_P_vanishes_when_fewer_variables_than_rows():
     spec = FamilySpec("P", (3, 2, 1), 2, t_cap=1)
-    assert not grothendieck_P_algebraic(spec)
-    assert not grothendieck_P_combinatorial(spec)
+    assert not algebraic_series(spec)
+    assert not combinatorial_series(spec)
+
+
+FAMILY_SHAPES = [
+    (family, mu)
+    for family in ("J", "P", "schur", "pschur")
+    for mu in ((), (1,), (2,), (2, 1), (2, 2), (3, 1), (2, 1, 1))
+    if family in ("J", "schur") or is_strict_partition(mu)
+]
+
+
+# schur and pschur are J and P at t = 0 whatever t-cap the spec prints; the
+# route functions once read no family and gave the J series for all four
+@pytest.mark.parametrize("family, mu", FAMILY_SHAPES)
+def test_both_routes_compute_every_family(family, mu):
+    t_free = (0,) * (mu[0] if mu else 0)
+    for n, t_cap in product((1, 2, 3), (0, 1, 2)):
+        spec = FamilySpec(family, mu, n, t_cap=t_cap)
+        series = algebraic_series(spec)
+        assert series == combinatorial_series(spec)
+        if family in ("J", "P"):
+            continue
+        base = (pschur if spec.shifted else schur)(mu, n)
+        assert series.poly == Polynomial(n, spec.ell, {(x, t_free): c for (x, _), c in base.terms.items()})
+        unit = {} if spec.vanishes() else {mu: Polynomial.monomial((), t_free)}
+        assert basis_expansion(spec).as_dict() == unit
+        assert expansion_via_maximal(spec).as_dict() == unit
 
 
 def test_coefficient_via_hmult_matches_series():
     spec = FamilySpec("J", (2, 1), 2, t_cap=1)
-    series = grothendieck_J_algebraic(spec)
+    series = algebraic_series(spec)
     assert coefficient_via_hmult(spec, (0, 0)) == schur((2, 1), 2)
     for t_exps in ((1, 0), (0, 1)):
         extracted = series.coefficient_of_t(t_exps)
         assert coefficient_via_hmult(spec, t_exps) == extracted
         assert hmult_good_extension_route(spec, t_exps) == extracted
     sp = FamilySpec("P", (2, 1), 2, t_cap=1)
-    sp_series = grothendieck_P_algebraic(sp)
+    sp_series = algebraic_series(sp)
     assert coefficient_via_hmult(sp, (0, 0)) == pschur((2, 1), 2)
     for t_exps in ((1, 0), (0, 1)):
         assert coefficient_via_hmult(sp, t_exps) == sp_series.coefficient_of_t(t_exps)
@@ -181,10 +208,7 @@ def _route_specs(draw):
 @given(_route_specs())
 def test_routes_agree_past_the_census(args):
     spec, t_exps = args
-    if spec.family == "J":
-        algebraic, combinatorial = grothendieck_J_algebraic(spec), grothendieck_J_combinatorial(spec)
-    else:
-        algebraic, combinatorial = grothendieck_P_algebraic(spec), grothendieck_P_combinatorial(spec)
+    algebraic, combinatorial = algebraic_series(spec), combinatorial_series(spec)
     assert combinatorial == algebraic
     assert coefficient_via_hmult(spec, t_exps) == algebraic.poly.coefficient_of_t(t_exps)
 
@@ -214,11 +238,11 @@ def test_coded_series_is_the_series_of_the_tuple_tally(args):
 
     family, spec = args
     if family == "J":
-        coded = grothendieck_J_combinatorial(spec)
+        coded = combinatorial_series(spec)
         counts = count_mt_by_weight(spec.mu, spec.n, spec.t_cap)
     else:
         signed = family == "P+-"
-        coded = signed_smt_sum(spec) if signed else grothendieck_P_combinatorial(spec)
+        coded = signed_smt_sum(spec) if signed else combinatorial_series(spec)
         counts = count_smt_by_weight(spec.mu, spec.n, spec.t_cap, signed=signed)
     expected = encoded_series(Polynomial(spec.n, spec.ell, counts), spec.effective_x_cap(), spec.t_cap)
     assert _series_text(coded) == _series_text(expected)
@@ -238,7 +262,7 @@ def test_expand_in_schur_counts_restricted_tableaux():
     # restricted fillings of the corresponding skew shape
     mu, n, t_cap = (2, 1), 3, 2
     spec = FamilySpec("J", mu, n, t_cap=t_cap)
-    for exp in (expand_in_schur(grothendieck_J_algebraic(spec), n), basis_expansion(spec)):
+    for exp in (expand_in_schur(algebraic_series(spec), n), basis_expansion(spec)):
         assert exp.coefficients
         for lam, coeff in exp.coefficients:
             expected = Polynomial.zero(0, spec.ell)
@@ -251,7 +275,7 @@ def test_expand_in_schur_counts_restricted_tableaux():
 def test_expand_in_pschur_counts_shifted_restricted_tableaux():
     mu, n, t_cap = (2, 1), 3, 2
     spec = FamilySpec("P", mu, n, t_cap=t_cap)
-    for exp in (expand_in_pschur(grothendieck_P_algebraic(spec), n), basis_expansion(spec)):
+    for exp in (expand_in_pschur(algebraic_series(spec), n), basis_expansion(spec)):
         assert exp.coefficients
         for lam, coeff in exp.coefficients:
             expected = Polynomial.zero(0, spec.ell)
@@ -297,7 +321,7 @@ def test_basis_expansion_does_not_depend_on_n(family, mu):
 
 def test_expand_in_pschur_paper_line():
     spec = FamilySpec("P", (2, 1), 2, t_cap=1)
-    exp = expand_in_pschur(grothendieck_P_algebraic(spec), 2)
+    exp = expand_in_pschur(algebraic_series(spec), 2)
     assert exp.coefficient((3, 1)) == t_poly(2, ((1, 0), 1), ((0, 1), 1))
     assert exp.coefficient((2, 1)) == Polynomial.constant(1, 0, 2)
 
@@ -315,12 +339,7 @@ def test_expand_in_pschur_rejects_nonstrict_leading_shape():
 def test_expansion_via_maximal_matches_expand():
     for family, mu, n in [("J", (2, 1), 2), ("J", (3, 1), 3), ("P", (2, 1), 2), ("P", (3, 1), 3)]:
         spec = FamilySpec(family, mu, n, t_cap=2)
-        if family == "J":
-            series = grothendieck_J_combinatorial(spec)
-            exp = expand_in_schur(series, n)
-        else:
-            series = grothendieck_P_combinatorial(spec)
-            exp = expand_in_pschur(series, n)
+        exp = (expand_in_pschur if spec.shifted else expand_in_schur)(combinatorial_series(spec), n)
         assert exp == expansion_via_maximal(spec)
         assert exp.is_nonnegative()
 
@@ -335,7 +354,7 @@ def test_specialize_all_ones_matches_single_parameter_series():
     # one-parameter series built directly with a single shared t-variable
     mu, n, t_cap = (2, 1), 2, 2
     spec = FamilySpec("J", mu, n, t_cap=t_cap)
-    multi = grothendieck_J_algebraic(spec)
+    multi = algebraic_series(spec)
     window = sum(mu) + t_cap
     x_work = window + n * (n - 1) // 2
     prod = one(n, 1)
@@ -356,7 +375,7 @@ def test_specialize_all_ones_matches_single_parameter_series():
 
 def test_specialize_validates_values():
     spec = FamilySpec("J", (1,), 1, t_cap=1)
-    series = grothendieck_J_algebraic(spec)
+    series = algebraic_series(spec)
     with pytest.raises(ValueError):
         specialize_t(series, (2,))
     with pytest.raises(ValueError):
@@ -389,7 +408,7 @@ LARGER_TAILS = [((1,), 5, 2), ((1,), 6, 1), ((2, 1), 5, 1), ((2,), 5, 2)]
 def test_J_kernel_matches_antisymmetrize_and_divide(mu, n, t_cap):
     spec = FamilySpec("J", mu, n, t_cap=t_cap)
     expected = divide_exact(antisymmetrize(decoded(*_product(spec)), n), vandermonde(n, spec.ell))
-    assert grothendieck_J_algebraic(spec) == encoded_series(expected, spec.effective_x_cap(), t_cap)
+    assert algebraic_series(spec) == encoded_series(expected, spec.effective_x_cap(), t_cap)
 
 
 def _x_work(spec):
@@ -428,7 +447,7 @@ def test_P_kernel_matches_coset_sum_and_divide(mu, n, t_cap):
     m = len(mu)
     f_paper = _paper_p_product(spec)
     expected = divide_exact(coset_sum(f_paper, n, m), vandermonde(n, spec.ell))
-    assert grothendieck_P_algebraic(spec) == encoded_series(expected, spec.effective_x_cap(), t_cap)
+    assert algebraic_series(spec) == encoded_series(expected, spec.effective_x_cap(), t_cap)
     # the coset sum is A(f)/(n-m)!, and the tail staircase of _product
     # carries exactly that A(f)/(n-m)!
     a_paper = antisymmetrize(f_paper, n)

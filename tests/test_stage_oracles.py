@@ -1,11 +1,15 @@
-"""The in-place stage runners against the step-by-step bodies they replaced.
+"""The in-place stage runners and steps against the bodies they replaced.
 
 The reference oracles below are the earlier bodies of `_stage_done`,
-`psi_k`, `psi_k_inverse`, `_run_stages` and `_undo_stages`.  They run on the
-public `out_step`/`in_step`, so every move rebuilds the tableau, and stage k
-runs until the active line holds single entries.  `psi`, `phi` and both
-inverses are compared with the same calls made while the oracles stand in
-for the current runners; an exception counts as its type and text.
+`psi_k`, `psi_k_inverse`, `_run_stages` and `_undo_stages`, and of the
+out and in steps `_largest_noncircled`, `_out` and `_in`, which scanned
+each box for its minimum and its largest noncircled entry where the
+current steps read the ends of the sorted box.  The runners move one step
+at a time through `_on_copy`, so every move rebuilds the tableau, and
+stage k runs until the active line holds single entries.  `psi`, `phi`
+and both inverses are compared with the same calls made while the oracles
+stand in for the current runners; an exception counts as its type and
+text.
 """
 
 from unittest import mock
@@ -16,9 +20,15 @@ import grothlab.insertion as insertion
 from grothlab.fixtures import example_mt, example_smt
 from grothlab.insertion import (
     InsertionError,
+    InTrace,
+    OutTrace,
+    PrimedDuplicationError,
+    _cell_text,
+    _column,
+    _first_bump,
+    _last_bump,
+    _on_copy,
     _run_stages,
-    in_step,
-    out_step,
     phi,
     phi_inverse,
     psi,
@@ -33,6 +43,112 @@ from test_insertion import random_mt, random_smt
 # reference oracles
 
 
+def ref_largest_noncircled(boxes):
+    """(value, row) of the largest noncircled entry, bottommost box on ties."""
+    best = None
+    for r, box in boxes:
+        extras = list(box)
+        extras.remove(min(box))
+        for v in extras:
+            if best is None or v > best[0] or (v == best[0] and r >= best[1]):
+                best = (v, r)
+    return best
+
+
+def ref_out(rows, k: int, ell: int, family) -> OutTrace:
+    """One out move at stage k on a list of row lists, in place."""
+    shift, order, _, word = family
+    idx = ell - k
+    boxes = [(r, row[idx]) for r, row in enumerate(rows) if idx < len(row)]
+    if not boxes:
+        raise InsertionError(f"{word} {k} is empty")
+    pick = ref_largest_noncircled(boxes)
+    if pick is None:
+        raise InsertionError(f"no noncircled entry remains in {word} {k}")
+    v, r0 = pick
+    box = list(rows[r0][idx])
+    box.remove(v)
+    rows[r0][idx] = tuple(box)
+
+    a, col = v, r0 * shift + idx + 1
+    path = []
+    while True:
+        s, h = _column(rows, col, shift, idx)
+        cells = [rows[r][col - r * shift][0] for r in range(s)]
+        i = _first_bump(a, cells, order)
+        if i is None:
+            break
+        if len(rows[i][col - i * shift]) != 1:
+            raise InsertionError(f"bumped box at {_cell_text(i, col)} holds more than one entry")
+        path.append((i, col, cells[i], a))
+        rows[i][col - i * shift] = (a,)
+        a, col = cells[i], col + 1
+    # a lands at the foot of column col, in row h
+    if s < h:
+        raise InsertionError("append blocked by the circled cell")
+    if h < len(rows):
+        if h * shift + len(rows[h]) != col:
+            raise InsertionError("append does not extend a row")
+        rows[h].append((a,))
+    else:
+        if col != h * shift:
+            raise InsertionError("append cannot start a new row here")
+        rows.append([(a,)])
+    return OutTrace(v, (r0, r0 * shift + idx), tuple(path), (h, col), a)
+
+
+def ref_in(rows, k: int, ell: int, cell, family) -> InTrace:
+    """One in move at stage k on a list of row lists, in place."""
+    shift, order, admits, word = family
+    idx = ell - k
+    r, col = cell
+    c = col - r * shift
+    if c <= idx:
+        raise InsertionError(f"{_cell_text(r, col)} is not strictly right of {word} {k}")
+    if not 0 <= r < len(rows) or c != len(rows[r]) - 1:
+        raise InsertionError(f"{_cell_text(r, col)} is not the last box of its row")
+    if r + 1 < len(rows) and col - (r + 1) * shift < len(rows[r + 1]):
+        raise InsertionError(f"{_cell_text(r, col)} is not a removable corner")
+    if len(rows[r][c]) != 1:
+        raise InsertionError(f"corner box at {_cell_text(r, col)} must hold a single entry")
+    removed = z = rows[r][c][0]
+    rows[r].pop()
+    if not rows[r]:
+        rows.pop()
+
+    path = []
+    while True:
+        col -= 1
+        s, h = _column(rows, col, shift, idx)
+        # deposit into the lowest circled box whose minimum admits z; only
+        # straight column idx holds more than one, and as its minima increase
+        # strictly downward this is the box with m <= z < (min of the next)
+        target = None
+        for rr in range(s, h):
+            if col - rr * shift == idx and admits(min(rows[rr][idx]), z):
+                target = rr
+        if target is not None:
+            break
+        cells = [rows[rr][col - rr * shift][0] for rr in range(s)]
+        i = _last_bump(cells, z, order)
+        if i is None:
+            raise InsertionError(f"no admissible box in {word} {k} for {z}")
+        if len(rows[i][col - i * shift]) != 1:
+            raise InsertionError(f"bumped box at {_cell_text(i, col)} holds more than one entry")
+        path.append((i, col, cells[i], z))
+        rows[i][col - i * shift] = (z,)
+        z = cells[i]
+
+    box = rows[target][idx]
+    # only shifted entries carry primes, and a box holds each primed value once
+    if shift and z.primed and z in box:
+        raise PrimedDuplicationError(
+            f"deposit of {z} duplicates a primed entry at {_cell_text(target, col)}"
+        )
+    rows[target][idx] = tuple(sorted(box + (z,)))
+    return InTrace(cell, removed, tuple(path), (target, col), z)
+
+
 def ref_stage_done(t, idx):
     return all(len(row[idx]) == 1 for row in t.rows if idx < len(row))
 
@@ -41,14 +157,14 @@ def ref_psi_k(t, k, ell):
     idx = ell - k
     traces = []
     while not ref_stage_done(t, idx):
-        t, trace = out_step(t, k, ell)
+        t, trace = _on_copy(t, ref_out, k, ell)
         traces.append(trace)
     return t, traces
 
 
 def ref_psi_k_inverse(t, k, ell, cells):
     for cell in sorted(cells, key=lambda rc: -rc[1]):
-        t, _ = in_step(t, k, ell, cell)
+        t, _ = _on_copy(t, ref_in, k, ell, cell)
     return t
 
 

@@ -13,7 +13,7 @@ from grothlab.fixtures import (
     paper_rt,
     paper_srt,
 )
-from grothlab.partitions import pad
+from grothlab.partitions import pad, subpartitions
 from grothlab.tableaux import (
     MAX_CELLS,
     Entry,
@@ -247,6 +247,23 @@ def test_enumerate_rt_and_srt():
     srts = enumerate_srt((3, 1), (2, 1))
     assert all(is_valid_srt(f, (2, 1)) for f in srts)
     assert len(srts) == 2
+
+
+def test_every_enumerated_rt_and_srt_is_valid():
+    # an outer shape with fewer rows than mu used to be filled as if mu's
+    # extra rows were not there, giving fillings is_valid_rt rejects
+    for outer in subpartitions((4, 3, 2)):
+        for padded in (outer, outer + (0,)):
+            for mu in subpartitions((3, 2, 1)):
+                if len(mu) > len(padded):
+                    with pytest.raises(ValueError, match="fit inside"):
+                        enumerate_rt(padded, mu)
+                for enumerate_fn, valid in ((enumerate_rt, is_valid_rt), (enumerate_srt, lambda f: is_valid_srt(f, mu))):
+                    try:
+                        fillings = enumerate_fn(padded, mu)
+                    except ValueError:
+                        continue
+                    assert all(map(valid, fillings))
 
 
 def test_text_round_trips():
