@@ -3,13 +3,14 @@
 Output is byte-deterministic for identical inputs.  Exit codes: 0 on
 success, 1 on usage errors, 2 on verification failure (including route
 disagreement), 3 on an internal invariant breach such as a failed basis
-expansion.
+expansion, 141 when the reader closes stdout (as `| head` does).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -42,7 +43,7 @@ from .verify import SUITES, run_suite
 
 __all__ = ["main"]
 
-USAGE_ERROR, VERIFY_ERROR, INTERNAL_ERROR = 1, 2, 3
+USAGE_ERROR, VERIFY_ERROR, INTERNAL_ERROR, CLOSED_STDOUT = 1, 2, 3, 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,10 +404,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return status
     except (ExactDivisionError, ExpansionError) as ex:
         print(f"internal invariant breach: {ex}", file=sys.stderr)
         return INTERNAL_ERROR
+    except BrokenPipeError:
+        # the reader has gone: exit with the status of a SIGPIPE death, and
+        # point stdout at devnull so that the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT
     except (ValueError, OverflowError, OSError) as ex:
         # OverflowError: a size past what the interpreter indexes, as of --max-value 10^20
         print(f"error: {ex}", file=sys.stderr)

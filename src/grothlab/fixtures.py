@@ -1,8 +1,8 @@
-"""Reference tableaux used by the verification suites and the test suite.
+"""The paper's worked tableaux, which `verify` checks.
 
-The straight/shifted pairs correspond under the maximal-to-restricted
-bijections, and the two insertion chains are full worked runs of the out
-map at stage k=2 with ambient width ell=3.
+Each maximal tableau corresponds to its restricted tableau under the
+maximal-to-restricted bijection: `paper_maximal_mt` to `paper_rt`, and
+`paper_maximal_smt` to `paper_srt`.
 """
 
 from __future__ import annotations
@@ -12,15 +12,6 @@ from .tableaux import Entry, MultisetTableau, ShiftedMultisetTableau, SkewFillin
 
 def _box(*tokens: str) -> tuple[Entry, ...]:
     return tuple(sorted((Entry.parse(t) for t in tokens), key=Entry.sort_key))
-
-
-def example_mt() -> MultisetTableau:
-    """Straight multiset tableau of shape (3,3,2), weight (3,2,5,4,1)."""
-    return MultisetTableau((
-        ((1, 1), (1, 2), (3, 3, 3)),
-        ((2,), (3,), (4, 4, 5)),
-        ((3, 4), (4,)),
-    ))
 
 
 def paper_maximal_mt() -> MultisetTableau:
@@ -42,15 +33,6 @@ def paper_rt() -> SkewFilling:
     )
 
 
-def example_smt() -> ShiftedMultisetTableau:
-    """Shifted multiset tableau of shape (5,4,2), weight (4,2,2,5,5,1,3)."""
-    return ShiftedMultisetTableau((
-        (_box("1"), _box("1", "1", "1", "3"), _box("3"), _box("4'", "4", "5"), _box("7'", "7")),
-        (_box("2", "2"), _box("4'", "4"), _box("5'", "6'"), _box("7'")),
-        (_box("4", "5'"), _box("5", "5")),
-    ), signed=False)
-
-
 def paper_maximal_smt() -> ShiftedMultisetTableau:
     """Maximal shifted multiset tableau of shape (7,5,4,2), weight (10,8,6,4)."""
     return ShiftedMultisetTableau((
@@ -68,44 +50,3 @@ def paper_srt() -> SkewFilling:
         (4, 3, 3, 2),
         ((2, 3, 5), (3, 3, 6), (4, 7), (6, 7)),
     )
-
-
-def out_chain_straight() -> list[MultisetTableau]:
-    """Worked out-chain at stage k=2, ambient ell=3 (three steps)."""
-    return [
-        MultisetTableau((((1,), (1, 2), (2,), (2,)), ((2,), (2, 3, 3), (4,)), ((3, 4), (4,)))),
-        MultisetTableau((((1,), (1, 2), (2,), (2,)), ((2,), (2, 3), (3,), (4,)), ((3, 4), (4,)))),
-        MultisetTableau((((1,), (1, 2), (2,), (2,), (4,)), ((2,), (2,), (3,), (3,)), ((3, 4), (4,)))),
-        MultisetTableau((((1,), (1,), (2,), (2,), (2,), (4,)), ((2,), (2,), (3,), (3,)), ((3, 4), (4,)))),
-    ]
-
-
-def out_chain_shifted() -> list[ShiftedMultisetTableau]:
-    """Worked shifted out-chain at stage k=2, ambient ell=3 (four steps)."""
-    return [
-        ShiftedMultisetTableau((
-            (_box("1", "1"), _box("2'", "2"), _box("2"), _box("2"), _box("4"), _box("5'")),
-            (_box("2"), _box("3'", "3"), _box("4'"), _box("5'")),
-            (_box("3", "4'"), _box("4", "5'", "5")),
-        ), signed=False),
-        ShiftedMultisetTableau((
-            (_box("1", "1"), _box("2'", "2"), _box("2"), _box("2"), _box("4"), _box("5'")),
-            (_box("2"), _box("3'", "3"), _box("4'"), _box("5'")),
-            (_box("3", "4'"), _box("4", "5'"), _box("5")),
-        ), signed=False),
-        ShiftedMultisetTableau((
-            (_box("1", "1"), _box("2'", "2"), _box("2"), _box("2"), _box("4"), _box("5'")),
-            (_box("2"), _box("3'", "3"), _box("4'"), _box("5'"), _box("5")),
-            (_box("3", "4'"), _box("4"), _box("5'")),
-        ), signed=False),
-        ShiftedMultisetTableau((
-            (_box("1", "1"), _box("2'", "2"), _box("2"), _box("2"), _box("4'"), _box("4"), _box("5'")),
-            (_box("2"), _box("3'"), _box("3"), _box("5'"), _box("5")),
-            (_box("3", "4'"), _box("4"), _box("5'")),
-        ), signed=False),
-        ShiftedMultisetTableau((
-            (_box("1", "1"), _box("2'"), _box("2"), _box("2"), _box("2"), _box("4'"), _box("4"), _box("5'")),
-            (_box("2"), _box("3'"), _box("3"), _box("5'"), _box("5")),
-            (_box("3", "4'"), _box("4"), _box("5'")),
-        ), signed=False),
-    ]

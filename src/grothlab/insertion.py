@@ -49,7 +49,6 @@ __all__ = [
     "PrimedDuplicationError",
     "OutTrace",
     "InTrace",
-    "CircledState",
     "column_insert",
     "column_reverse_insert",
     "shifted_column_insert",
@@ -156,32 +155,6 @@ class InTrace:
     path: tuple[tuple[int, int, object, object], ...]
     deposit_cell: tuple[int, int]
     deposit: object
-
-
-@dataclass(frozen=True)
-class CircledState:
-    """A tableau mid-stage: the active column/diagonal k and its circled minima."""
-
-    tableau: object
-    stage: int
-    ell: int
-
-    def circled(self) -> dict[tuple[int, int], object]:
-        shift = _family(self.tableau)[0]
-        idx = self.ell - self.stage
-        return {
-            (r, r * shift + idx): min(row[idx])
-            for r, row in enumerate(self.tableau.rows)
-            if idx < len(row)
-        }
-
-    def out_step(self):
-        t, trace = out_step(self.tableau, self.stage, self.ell)
-        return CircledState(t, self.stage, self.ell), trace
-
-    def in_step(self, cell):
-        t, trace = in_step(self.tableau, self.stage, self.ell, cell)
-        return CircledState(t, self.stage, self.ell), trace
 
 
 # ---------------------------------------------------------------------------

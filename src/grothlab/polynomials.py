@@ -69,9 +69,7 @@ from .partitions import (
 )
 from .tableaux import (
     count_mt_by_code,
-    count_mt_by_weight,
     count_smt_by_code,
-    count_smt_by_weight,
     maximal_box_sizes,
 )
 
@@ -161,10 +159,11 @@ class FamilySpec:
 # undeformed bases
 
 
-def _x_part(counts, n: int) -> Polynomial:
-    """The t-free polynomial of (x, t) counts taken with no extra entries,
+def _x_part(code, counts) -> Polynomial:
+    """The t-free polynomial of coded counts taken with no extra entries,
     so that t is zero throughout."""
-    return Polynomial(n, 0, {(x, ()): c for (x, _), c in counts.items()})
+    xs, split = code.parts(counts)[0], code.split
+    return Polynomial(code.nx, 0, {(xs[k // split], ()): c for k, c in counts.items()})
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +172,7 @@ def schur(lam: tuple[int, ...], n: int) -> Polynomial:
     lam = tuple(p for p in lam if p)
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
-    return _x_part(count_mt_by_weight(lam, n, 0), n)
+    return _x_part(*count_mt_by_code(lam, n, 0))
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +181,7 @@ def pschur(lam: tuple[int, ...], n: int) -> Polynomial:
     lam = tuple(lam)
     if not is_strict_partition(lam):
         raise ValueError(f"not a strict partition: {lam}")
-    return _x_part(count_smt_by_weight(lam, n, 0), n)
+    return _x_part(*count_smt_by_code(lam, n, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ __all__ = [
     "Entry",
     "lt_u",
     "lt_p",
-    "gt_u",
-    "gt_p",
     "MultisetTableau",
     "ShiftedMultisetTableau",
     "SkewFilling",
@@ -43,9 +41,7 @@ __all__ = [
     "enumerate_ssyt",
     "enumerate_smt",
     "count_mt_by_code",
-    "count_mt_by_weight",
     "count_smt_by_code",
-    "count_smt_by_weight",
     "enumerate_sst",
     "enumerate_rt",
     "enumerate_srt",
@@ -94,14 +90,6 @@ def lt_u(a: Entry, z: Entry) -> bool:
 def lt_p(a: Entry, z: Entry) -> bool:
     """a < z, or a = z and both are primed: on equal values a is primed."""
     return a.value < z.value or (a.value == z.value and a.primed)
-
-
-def gt_u(a: Entry, z: Entry) -> bool:
-    return lt_u(z, a)
-
-
-def gt_p(a: Entry, z: Entry) -> bool:
-    return lt_p(z, a)
 
 
 def _weight_vector(counts: dict[int, int], top: int | None = None) -> tuple[int, ...]:
@@ -375,17 +363,6 @@ class SkewFilling:
                 counts[v] = counts.get(v, 0) + 1
         return _weight_vector(counts, alphabet)
 
-    def entry(self, r: int, col: int):
-        """Entry at absolute column col of row r, or None outside the skew."""
-        if r < 0 or r >= len(self.rows):
-            return None
-        if not self.inner[r] <= col < self.outer[r]:
-            return None
-        return self.rows[r][col - self.inner[r]]
-
-    def is_empty(self) -> bool:
-        return all(not row for row in self.rows)
-
     def to_json_dict(self) -> dict:
         return {"outer": list(self.outer), "inner": list(self.inner), "rows": [list(r) for r in self.rows]}
 
@@ -583,7 +560,7 @@ def srt_to_maximal_smt(f: SkewFilling) -> ShiftedMultisetTableau:
 # a frontier of two slots per column (straight) or absolute column
 # (shifted): the first and last index of the box filled there last.  `_fill`
 # walks every tableau for enumerate_*, and `_count` counts them by the code
-# of x^x t^t on the frontier for count_*_by_code and count_*_by_weight.
+# of x^x t^t on the frontier for count_*_by_code.
 
 
 # `_fill`, `_count` and the restricted backtrack recurse once per cell, and
@@ -843,13 +820,6 @@ def count_mt_by_code(shape, max_value: int, extra_cap: int) -> tuple[MonomialCod
     return _count(_Grid(shape, max_value, extra_cap, shifted=False))
 
 
-def count_mt_by_weight(shape, max_value: int, extra_cap: int) -> dict:
-    """{(x, t): count} over the tableaux of enumerate_mt: x is the weight
-    padded to max_value entries and t the column weight."""
-    code, counts = count_mt_by_code(shape, max_value, extra_cap)
-    return code.decode(counts)
-
-
 def enumerate_ssyt(shape, max_value: int):
     return enumerate_mt(shape, max_value, 0)
 
@@ -870,13 +840,6 @@ def count_smt_by_code(shape, max_value: int, extra_cap: int, signed: bool = Fals
     """(code, {code: count}) over the tableaux of enumerate_smt, keyed by the
     `MonomialCode` of x^weight t^(diagonal weight) in max_value x-variables."""
     return _count(_Grid(shape, max_value, extra_cap, shifted=True, signed=signed))
-
-
-def count_smt_by_weight(shape, max_value: int, extra_cap: int, signed: bool = False) -> dict:
-    """{(x, t): count} over the tableaux of enumerate_smt: x is the weight
-    padded to max_value entries and t the diagonal weight."""
-    code, counts = count_smt_by_code(shape, max_value, extra_cap, signed=signed)
-    return code.decode(counts)
 
 
 def enumerate_sst(shape, max_value: int, signed: bool = False):

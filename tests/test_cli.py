@@ -9,10 +9,10 @@ import pytest
 import grothlab.cli as cli
 import grothlab.tableaux as tableaux
 from grothlab.algebra import ExactDivisionError
-from grothlab.fixtures import out_chain_shifted, out_chain_straight
 from grothlab.polynomials import ExpansionError
 from grothlab.tableaux import MultisetTableau, ShiftedMultisetTableau, is_valid_mt
 from grothlab.verify import CaseResult
+from examples import out_chain_shifted, out_chain_straight
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -568,6 +568,22 @@ def test_long_row_on_the_algebraic_route_ends_in_its_terms_or_one_error_line(arg
         assert done.stdout == "" and done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
     else:
         assert done.returncode == 0 and done.stdout
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_ends_quietly_with_the_sigpipe_status(fmt):
+    # the reader takes a few bytes of 2 MB and closes the pipe, as `| head`
+    # does; capsys has no file descriptor, so the CLI runs in a child
+    env = {**os.environ, "PYTHONPATH": SRC}
+    argv = ["compute", "J", "4,2,1", "--n", "6", "--tcap", "3", "--route", "algebraic", "--format", fmt]
+    with subprocess.Popen(
+        [sys.executable, "-m", "grothlab.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as child:
+        assert child.stdout.read(20)
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 141 and err == b""
 
 
 @pytest.mark.parametrize("route", ["algebraic", "combinatorial"])

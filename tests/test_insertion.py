@@ -3,9 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grothlab.fixtures import example_smt, out_chain_shifted, out_chain_straight
 from grothlab.insertion import (
-    CircledState,
     InsertionError,
     PrimedDuplicationError,
     column_insert,
@@ -38,6 +36,8 @@ from grothlab.tableaux import (
     lt_p,
     lt_u,
 )
+
+from examples import example_smt, out_chain_shifted, out_chain_straight
 
 
 def box(*tokens):
@@ -269,6 +269,22 @@ def test_steps_refuse_to_bump_a_multi_entry_box():
         out_step(example_smt(), 2, 3)
 
 
+def test_in_deposits_by_the_box_minimum():
+    # the deposit goes to a circled box whose minimum admits it, even when
+    # the box's largest entry does not: 3 lands between the 2 and the 5
+    t = MultisetTableau((((1,), (3,)), ((2, 5),)))
+    assert is_valid_mt(t)
+    q, trace = in_step(t, 1, 1, (0, 1))
+    assert q.rows == (((1,),), ((2, 3, 5),)) and is_valid_mt(q)
+    assert trace.deposit_cell == (1, 0)
+    # shifted: the circled box 2 3 on diagonal 3 takes the 2 from the corner
+    t = ShiftedMultisetTableau(((box("1"), box("1"), box("2")), (box("2", "3"),)), signed=False)
+    assert is_valid_smt(t)
+    q, trace = in_step(t, 3, 3, (0, 2))
+    assert q.rows == ((box("1"), box("1")), (box("2", "2", "3"),)) and is_valid_smt(q)
+    assert trace.deposit_cell == (1, 1)
+
+
 def test_in_primed_duplication_is_reported():
     t = ShiftedMultisetTableau(
         ((box("1'"), box("1"), box("3'")), (box("2", "3'"),)), signed=True
@@ -313,7 +329,7 @@ def test_psi_roundtrip_and_weights():
 def test_psi_trivial_on_single_entries():
     p = MultisetTableau((((1,), (1,)), ((2,),)))
     q, r = psi(p)
-    assert q == p and r.is_empty()
+    assert q == p and not any(r.rows)
 
 
 def test_phi_roundtrip_and_weights():
@@ -341,7 +357,7 @@ def test_phi_unsigned_restriction():
 def test_phi_trivial_on_single_entries():
     p = ShiftedMultisetTableau(((box("1"), box("2")), (box("3"),)))
     q, r = phi(p)
-    assert q == p and r.is_empty()
+    assert q == p and not any(r.rows)
 
 
 def test_psi_inverse_rejects_shape_mismatch():
@@ -349,20 +365,6 @@ def test_psi_inverse_rejects_shape_mismatch():
     r = SkewFilling((3,), (2,), ((1,),))
     with pytest.raises(InsertionError):
         psi_inverse(q, r)
-
-
-def test_circled_state():
-    chain = out_chain_straight()
-    state = CircledState(chain[0], 2, 3)
-    assert state.circled() == {(0, 1): 1, (1, 1): 2, (2, 1): 4}
-    nxt, trace = state.out_step()
-    assert nxt.tableau == chain[1] and trace.removed == 3
-    shifted = CircledState(out_chain_shifted()[0], 2, 3)
-    assert shifted.circled() == {
-        (0, 1): Entry(2, True),
-        (1, 2): Entry(3, True),
-        (2, 3): Entry(4),
-    }
 
 
 # ---------------------------------------------------------------------------

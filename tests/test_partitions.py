@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,10 +6,9 @@ from hypothesis import given, strategies as st
 from grothlab.partitions import (
     SignedPair,
     TExtension,
-    bad_pairs,
+    antisymmetrized_tops,
     conjugate,
     enumerate_extensions,
-    hmult_bad_sum,
     hmult_lhs,
     hmult_rhs_good,
     is_good_extension,
@@ -135,6 +134,12 @@ def test_good_extensions_consist_of_partitions():
                 assert level == tuple(sorted(level, reverse=True))
 
 
+def _bad_pairs(mu, increments, columns, n):
+    """All (sigma, extension) pairs with a bad extension, mu padded to n."""
+    exts = enumerate_extensions(pad(mu, n), increments, columns)
+    return [SignedPair(sigma, e) for e in exts if not is_good_extension(e) for sigma in permutations(range(n))]
+
+
 IOTA_CENSUSES = [
     ((2, 1), (1, 1), (2, 1), 3),
     ((2, 1), (1, 1), (2, 2), 2),
@@ -146,7 +151,7 @@ IOTA_CENSUSES = [
 
 @pytest.mark.parametrize("mu,increments,columns,n", IOTA_CENSUSES)
 def test_iota_is_a_sign_reversing_involution(mu, increments, columns, n):
-    pairs = bad_pairs(mu, increments, columns, n)
+    pairs = _bad_pairs(mu, increments, columns, n)
     for pair in pairs:
         image = iota(pair)
         assert not is_good_extension(image.extension)
@@ -162,7 +167,7 @@ def test_iota_rejects_good_extensions():
 
 
 def test_iota_census_is_nonvacuous():
-    assert bad_pairs((2, 1), (1, 1), (2, 2), 2)
+    assert _bad_pairs((2, 1), (1, 1), (2, 2), 2)
 
 
 @pytest.mark.parametrize(
@@ -186,7 +191,8 @@ def test_hmult_zero_increments_give_antisymmetrized_monomial():
     lhs = hmult_lhs((2, 1), (0, 0), (2, 1), 2)
     rhs = hmult_rhs_good((2, 1), (0, 0), (2, 1), 2)
     assert lhs == rhs
-    assert not hmult_bad_sum((2, 1), (0, 0), (2, 1), 2)
+    exts = enumerate_extensions((2, 1), (0, 0), (2, 1))
+    assert not antisymmetrized_tops([e for e in exts if not is_good_extension(e)], 2)
 
 
 def test_hmult_requires_distinct_parts():

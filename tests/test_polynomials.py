@@ -31,8 +31,17 @@ from grothlab.polynomials import (
     signed_smt_sum,
     specialize_t,
 )
-from grothlab.tableaux import count_mt_by_weight, count_smt_by_weight, enumerate_rt, enumerate_srt
-from tuple_series import decoded, encoded_series, geometric_factor, one, times, x_slice
+from grothlab.tableaux import enumerate_rt, enumerate_srt
+from tuple_series import (
+    count_mt_by_weight,
+    count_smt_by_weight,
+    decoded,
+    encoded_series,
+    geometric_factor,
+    one,
+    times,
+    x_slice,
+)
 
 
 def t_poly(nt, *terms):

@@ -17,7 +17,6 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 import grothlab.insertion as insertion
-from grothlab.fixtures import example_mt, example_smt
 from grothlab.insertion import (
     InsertionError,
     InTrace,
@@ -37,6 +36,7 @@ from grothlab.insertion import (
     psi_k_inverse,
 )
 from grothlab.tableaux import MultisetTableau, SkewFilling
+from examples import example_mt, example_smt
 from test_insertion import random_mt, random_smt
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from grothlab.tableaux import (
     enumerate_rt,
     enumerate_smt,
     enumerate_srt,
-    gt_p,
-    gt_u,
     is_valid_mt,
     is_valid_smt,
     lt_p,
@@ -99,6 +97,13 @@ def ref_is_valid_smt(t):
     return True
 
 
+def _entry(f, r, col):
+    """Entry at absolute column col of row r, or None outside the skew."""
+    if 0 <= r < len(f.rows) and f.inner[r] <= col < f.outer[r]:
+        return f.rows[r][col - f.inner[r]]
+    return None
+
+
 def ref_skew_semistandard_ok(f):
     if len(f.outer) != len(f.inner) or len(f.rows) != len(f.outer):
         return False
@@ -116,8 +121,8 @@ def ref_skew_semistandard_ok(f):
                 return False
         if r + 1 < len(f.rows):
             for col in range(f.inner[r + 1], f.outer[r + 1]):
-                above = f.entry(r, col)
-                below = f.entry(r + 1, col)
+                above = _entry(f, r, col)
+                below = _entry(f, r + 1, col)
                 if above is not None and below is not None and above >= below:
                     return False
     return True
@@ -142,8 +147,6 @@ def test_entry_order_matches_its_sort_key_definitions():
         assert (a < z) == ref_lt(a, z), (a, z)
         assert lt_u(a, z) == ref_lt_u(a, z), (a, z)
         assert lt_p(a, z) == ref_lt_p(a, z), (a, z)
-        assert gt_u(a, z) == ref_lt_u(z, a), (a, z)
-        assert gt_p(a, z) == ref_lt_p(z, a), (a, z)
     assert sorted(reversed(ENTRIES)) == sorted(ENTRIES, key=Entry.sort_key)
 
 

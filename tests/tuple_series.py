@@ -9,6 +9,7 @@ coded step and decode its result.
 """
 
 from grothlab.algebra import MonomialCode, Polynomial, TruncatedSeries, schur_to_monomials, straighten
+from grothlab.tableaux import count_mt_by_code, count_smt_by_code
 
 
 def cut(p: Polynomial, x_cap: int, t_cap: int) -> Polynomial:
@@ -65,3 +66,17 @@ def bialternant_quotient(f: Polynomial) -> Polynomial:
     """A(f)/V as `straighten` and `schur_to_monomials` give it."""
     code, coded, _ = MonomialCode.encoded(f)
     return decoded(code, schur_to_monomials(straighten(code, coded), code))
+
+
+def count_mt_by_weight(shape, max_value: int, extra_cap: int) -> dict:
+    """{(x, t): count} of `count_mt_by_code`: x is the weight padded to
+    max_value entries and t the column weight."""
+    code, counts = count_mt_by_code(shape, max_value, extra_cap)
+    return code.decode(counts)
+
+
+def count_smt_by_weight(shape, max_value: int, extra_cap: int, signed: bool = False) -> dict:
+    """{(x, t): count} of `count_smt_by_code`: x is the weight padded to
+    max_value entries and t the diagonal weight."""
+    code, counts = count_smt_by_code(shape, max_value, extra_cap, signed=signed)
+    return code.decode(counts)
