@@ -82,7 +82,8 @@ class MonomialCode:
     code % split; each part is its block's degree digit followed by the
     block's exponents (`part`).  Readers of many codes decode each distinct
     part once, through the maps {x part: x_exps} and {t part: t_exps}
-    (`parts`, read by `digits`).
+    (`parts`, read by `digits`), and a printer writes each distinct part's
+    exponents to text once (`digit_texts`).
     """
 
     __slots__ = ("nx", "nt", "x_degree", "t_degree", "base", "split", "_places")
@@ -133,6 +134,27 @@ class MonomialCode:
         high = self.digits({h for h, _ in halves.values()}, count - half)
         low = self.digits({lo for _, lo in halves.values()}, half)
         return {v: high[h] + low[lo] for v, (h, lo) in halves.items()}
+
+    def digit_texts(self, values, count: int) -> dict:
+        """{value: its last `count` base-B digits in decimal, most significant
+        first and joined by spaces}, the text of `digits`.  Each value is cut
+        into a high and a low half, recursively, and each distinct half is
+        written once, so a part's text is its two halves' texts joined and no
+        exponent tuple is built.  One or two digits are written directly,
+        which spares the calls of the smallest halvings."""
+        base = self.base
+        if count <= 2:
+            if count == 2:
+                return {v: f"{v // base % base} {v % base}" for v in values}
+            return {v: str(v % base) for v in values} if count else dict.fromkeys(values, "")
+        half = count // 2
+        unit = base ** half
+        values = list(values)
+        highs = [v // unit for v in values]
+        lows = [v % unit for v in values]
+        high = self.digit_texts(set(highs), count - half)
+        low = self.digit_texts(set(lows), half)
+        return {v: f"{high[h]} {low[lo]}" for v, h, lo in zip(values, highs, lows)}
 
     def x_var(self, i: int) -> int:
         """The code of x_(i+1)."""
@@ -560,10 +582,10 @@ class TruncatedSeries:
             self._poly = Polynomial(code.nx, code.nt, code.decode(self._coded))
         return self._poly
 
-    def coded(self) -> tuple[MonomialCode, dict, tuple[dict, dict]]:
-        """The terms as (code, {code: c}, parts maps), as
-        `MonomialCode.encoded` gives them."""
-        return self._code, self._coded, self._code.parts(self._coded)
+    def coded(self) -> tuple[MonomialCode, dict]:
+        """The terms as (code, {code: c}), the dict held, not a copy; a
+        reader that wants exponents decodes its parts (`MonomialCode.parts`)."""
+        return self._code, self._coded
 
     def __len__(self) -> int:
         """The number of terms."""

@@ -85,20 +85,27 @@ def _series_text(series: TruncatedSeries) -> str:
     """The series' lines, each ending in a newline, as one string.
 
     Lines run in the order of the terms' `MonomialCode`s, largest first, so
-    they sort as plain ints; each distinct x part and t part is decoded to
-    text once, and an empty t part leaves the line ending in "|".
+    they sort as plain ints.  Each distinct x part and t part is written to
+    text once, from the texts of its halves (`MonomialCode.digit_texts`), so
+    a line is its coefficient and two looked-up texts; an empty t part
+    leaves the line ending in "|".
     """
-    code, coded, (xs, ts) = series.coded()
+    code, coded = series.coded()
     split = code.split
-    x_text = {p: " ".join(map(str, xe)) for p, xe in xs.items()}
-    t_text = {p: f" | {' '.join(map(str, te))}".rstrip() + "\n" for p, te in ts.items()}
-    return "".join([f"{coded[k]}  {x_text[k // split]}{t_text[k % split]}" for k in sorted(coded, reverse=True)])
+    keys = sorted(coded, reverse=True)
+    x_text = code.digit_texts({k // split for k in keys}, code.nx)
+    t_texts = code.digit_texts({k % split for k in keys}, code.nt)
+    t_text = {p: f" | {text}".rstrip() + "\n" for p, text in t_texts.items()}
+    return "".join([f"{coded[k]}  {x_text[k // split]}{t_text[k % split]}" for k in keys])
 
 
 def _series_json(series: TruncatedSeries) -> list:
-    """[c, x_exps, t_exps] per term, in the order of `_series_text`."""
-    code, coded, (xs, ts) = series.coded()
+    """[c, x_exps, t_exps] per term, in the order of `_series_text`; the
+    exponent lists come from each distinct part decoded once
+    (`MonomialCode.parts`)."""
+    code, coded = series.coded()
     split = code.split
+    xs, ts = code.parts(coded)
     x_list = {p: list(xe) for p, xe in xs.items()}
     t_list = {p: list(te) for p, te in ts.items()}
     return [[coded[k], x_list[k // split], t_list[k % split]] for k in sorted(coded, reverse=True)]

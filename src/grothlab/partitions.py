@@ -37,6 +37,7 @@ __all__ = [
     "hmult_lhs",
     "antisymmetrized_tops",
     "hmult_rhs_good",
+    "hmult_lemma_split",
     "verify_hmult_lemma",
 ]
 
@@ -305,11 +306,14 @@ def hmult_rhs_good(mu, increments, columns, n: int) -> Polynomial:
     return antisymmetrized_tops([e for e in exts if is_good_extension(e)], n)
 
 
-def verify_hmult_lemma(mu, increments, columns, n: int) -> bool:
-    """Exact check that the h-product route equals the good-extension route.
+def hmult_lemma_split(mu, increments, columns, n: int) -> tuple[list, list] | None:
+    """The T-extensions of mu padded to n, split into (good, bad), when the
+    h-product route equals the good-extension route and the bad-extension
+    sum vanishes identically; None when either fails.
 
-    Also requires the bad-extension sum to vanish identically.  The padded
-    mu must have distinct parts.
+    The extensions are enumerated once, so a caller that goes on to check
+    the bad ones (as `iota`'s checks do) reads this split.  The padded mu
+    must have distinct parts.
     """
     mu_p = pad(mu, n)
     if len(set(mu_p)) != n:
@@ -318,4 +322,12 @@ def verify_hmult_lemma(mu, increments, columns, n: int) -> bool:
     good = [e for e in exts if is_good_extension(e)]
     bad = [e for e in exts if not is_good_extension(e)]
     lhs = hmult_lhs(mu, increments, columns, n)
-    return lhs == antisymmetrized_tops(good, n) and not antisymmetrized_tops(bad, n)
+    if lhs == antisymmetrized_tops(good, n) and not antisymmetrized_tops(bad, n):
+        return good, bad
+    return None
+
+
+def verify_hmult_lemma(mu, increments, columns, n: int) -> bool:
+    """Exact check that the h-product route equals the good-extension route,
+    and that the bad-extension sum vanishes (`hmult_lemma_split`)."""
+    return hmult_lemma_split(mu, increments, columns, n) is not None

@@ -21,9 +21,7 @@ from .fixtures import paper_maximal_mt, paper_maximal_smt, paper_rt, paper_srt
 from .insertion import phi, phi_inverse, psi, psi_inverse
 from .partitions import (
     SignedPair,
-    antisymmetrized_tops,
-    enumerate_extensions,
-    hmult_lhs,
+    hmult_lemma_split,
     is_good_extension,
     iota,
     pad,
@@ -121,12 +119,10 @@ def _lemma_cases(scale: str):
 
 
 def _lemma_case(mu, ts, cs, n) -> str:
-    exts = enumerate_extensions(mu, ts, cs)
-    good = [e for e in exts if is_good_extension(e)]
-    bad = [e for e in exts if not is_good_extension(e)]
-    lhs = hmult_lhs(mu, ts, cs, n)
-    if not (lhs == antisymmetrized_tops(good, n) and not antisymmetrized_tops(bad, n)):
+    split = hmult_lemma_split(mu, ts, cs, n)
+    if split is None:
         return "h-product route disagrees with good extensions"
+    good, bad = split
     for e in good:
         if any(e.level(h) != tuple(sorted(e.level(h), reverse=True)) for h in range(e.ell + 1)):
             return f"good extension {e.chain} contains a non-partition"

@@ -356,6 +356,9 @@ def test_digits_read_back_the_exponents_of_a_part(args):
     exps = [e if i < density * len(exps) else 0 for i, e in enumerate(exps)]
     code = MonomialCode(len(exps), 0, max(degree, sum(exps)), 0)
     assert code.digits({code.part(exps), 0}, len(exps)) == {code.part(exps): tuple(exps), 0: (0,) * len(exps)}
+    assert code.digit_texts({code.part(exps), 0}, len(exps)) == {
+        code.part(exps): " ".join(map(str, exps)), 0: " ".join(["0"] * len(exps))
+    }
     assert code.parts({code.part(exps) * code.split: 1}) == ({code.part(exps): tuple(exps)}, {0: ()})
 
 

@@ -5,14 +5,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import grothlab.cli as cli
 import grothlab.tableaux as tableaux
-from grothlab.algebra import ExactDivisionError
+from grothlab.algebra import ExactDivisionError, MonomialCode, TruncatedSeries
 from grothlab.polynomials import ExpansionError
 from grothlab.tableaux import MultisetTableau, ShiftedMultisetTableau, is_valid_mt
 from grothlab.verify import CaseResult
 from examples import out_chain_shifted, out_chain_straight
+from tuple_series import series_text
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -92,6 +94,41 @@ def test_compute_json_matches_text(capsys):
         ]
         start = text_lines.index(f"route {route}: {len(wanted)} terms") + 1
         assert text_lines[start : start + len(wanted)] == wanted
+
+
+def _series(nx, nt, terms, slack=0):
+    """The series of [(x_exps, t_exps, c)] in a code whose degrees exceed the
+    terms' by `slack`, so that the base, and with it every digit, varies."""
+    code = MonomialCode(nx, nt, max(sum(xe) for xe, _, _ in terms) + slack, max(sum(te) for _, te, _ in terms))
+    coded = {code.part(xe) * code.split + code.part(te): c for xe, te, c in terms}
+    return TruncatedSeries(code, coded, code.x_degree, code.t_degree)
+
+
+@st.composite
+def _random_series(draw):
+    # nx up to 12 crosses both odd and even halvings and the 8-digit split of
+    # `digits`; coefficients reach past 2^64 and below zero
+    nx, nt = draw(st.integers(1, 12)), draw(st.integers(0, 5))
+    coefficient = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80)).filter(bool)
+    term = st.tuples(
+        st.lists(st.integers(0, 4), min_size=nx, max_size=nx).map(tuple),
+        st.lists(st.integers(0, 3), min_size=nt, max_size=nt).map(tuple),
+        coefficient,
+    )
+    return _series(nx, nt, draw(st.lists(term, min_size=1, max_size=30)), draw(st.integers(0, 12)))
+
+
+# the printer writes each part from the texts of its halves; it must print
+# the bytes of the decode-and-join printer it replaced
+@settings(max_examples=150, deadline=None)
+@given(_random_series())
+@example(_series(3, 0, [((2, 1, 0), (), 5), ((0, 0, 1), (), -(2 ** 65)), ((0, 0, 0), (), 1)]))
+@example(_series(1, 2, [((3,), (1, 0), 1), ((0,), (0, 2), -7), ((1,), (0, 0), 2 ** 70)]))
+def test_series_text_prints_the_bytes_of_the_tuple_printer(series):
+    text = cli._series_text(series)
+    assert text == series_text(series)
+    if series.coded()[0].nt == 0:
+        assert all(line.endswith(" |") for line in text.splitlines())
 
 
 def test_expand_paper_example(capsys):

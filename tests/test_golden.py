@@ -1,7 +1,8 @@
 """Golden stdout: calls beyond the bench grid must print what they printed
 before the series printer, and later the algebraic route, read
-`MonomialCode`s, and before the routes read schur and pschur off
-`FamilySpec` instead of lifting J and P at t = 0 in the CLI.
+`MonomialCode`s, before the routes read schur and pschur off
+`FamilySpec` instead of lifting J and P at t = 0 in the CLI, and before
+the text printer wrote each part from the texts of its halves.
 
 Each digest in data/golden_stdout.json is the SHA-256 of a call's stdout
 bytes, then a NUL byte, "exit=" and the exit code, as the bench digests
@@ -12,7 +13,9 @@ family, the basis-expansion text and JSON, algebraic rows at n = 5-7, and
 `trace` out and in on the straight and shifted chains of tests/data, in
 text and JSON, plus one exit-1 bump of a multi-entry box, `enumerate` of
 the maximal and restricted families, and `expand` at J (5,4,3,2,1) t6 and
-P (7,5,3,1) t5, the largest maximal-tableau checks of the expand ladder.
+P (7,5,3,1) t5, the largest maximal-tableau checks of the expand ladder,
+and text and JSON rows at n = 9 and 10, past the 8 digits beyond which a
+part is read in halves.
 A call names its data file from the repository root, so the test runs
 from any directory.
 """

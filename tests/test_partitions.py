@@ -3,12 +3,15 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
+import grothlab.partitions as partitions
+from grothlab.algebra import Polynomial
 from grothlab.partitions import (
     SignedPair,
     TExtension,
     antisymmetrized_tops,
     conjugate,
     enumerate_extensions,
+    hmult_lemma_split,
     hmult_lhs,
     hmult_rhs_good,
     is_good_extension,
@@ -185,6 +188,16 @@ def test_iota_census_is_nonvacuous():
 )
 def test_hmult_lemma(mu, increments, columns, n):
     assert verify_hmult_lemma(mu, increments, columns, n)
+    # the split holds every extension once, each on its side
+    good, bad = hmult_lemma_split(mu, increments, columns, n)
+    assert sorted(good + bad, key=lambda e: e.chain) == enumerate_extensions(pad(mu, n), increments, columns)
+    assert all(map(is_good_extension, good)) and not any(map(is_good_extension, bad))
+
+
+def test_hmult_lemma_split_is_none_when_the_routes_disagree(monkeypatch):
+    monkeypatch.setattr(partitions, "hmult_lhs", lambda mu, increments, columns, n: Polynomial.zero(n))
+    assert hmult_lemma_split((2, 1), (1, 1), (2, 2), 2) is None
+    assert not verify_hmult_lemma((2, 1), (1, 1), (2, 2), 2)
 
 
 def test_hmult_zero_increments_give_antisymmetrized_monomial():

@@ -5,7 +5,9 @@ product here multiplies tuple-keyed Polynomials and cuts the result to the
 caps by summing exponents, so a test that compares the two checks the codes
 against arithmetic that never saw them.  Only `encoded_series` encodes, to
 put a result beside the library's.  The views encode a Polynomial, run the
-coded step and decode its result.
+coded step and decode its result; `series_text` prints a series through
+exponent tuples, as the CLI's printer did before it wrote the halves of
+each part to text.
 """
 
 from grothlab.algebra import MonomialCode, Polynomial, TruncatedSeries, schur_to_monomials, straighten
@@ -80,3 +82,15 @@ def count_smt_by_weight(shape, max_value: int, extra_cap: int, signed: bool = Fa
     max_value entries and t the diagonal weight."""
     code, counts = count_smt_by_code(shape, max_value, extra_cap, signed=signed)
     return code.decode(counts)
+
+
+def series_text(series: TruncatedSeries) -> str:
+    """The lines `cli._series_text` prints for the series, made by decoding
+    each distinct x and t part to its exponent tuple and joining each tuple
+    into text."""
+    code, coded = series.coded()
+    xs, ts = code.parts(coded)
+    split = code.split
+    x_text = {p: " ".join(map(str, xe)) for p, xe in xs.items()}
+    t_text = {p: f" | {' '.join(map(str, te))}".rstrip() + "\n" for p, te in ts.items()}
+    return "".join([f"{coded[k]}  {x_text[k // split]}{t_text[k % split]}" for k in sorted(coded, reverse=True)])
