@@ -18,8 +18,10 @@ printed straight from the codes.
 They fill the cells in row order, where a cell's admissible boxes depend
 only on its left and upper boxes (one helper per family states the rule),
 so the completions of a partial filling depend only on the next cell, the
-frontier of boxes later cells still read, and the extra entries left; each
-such state is counted once per call (the transfer-matrix method).  `schur`
+frontier of what later cells still read of the boxes (for a shifted box,
+the least index its first and last index let the cell below and the cell
+to its right admit), and the extra entries left; each such state is
+counted once per call (the transfer-matrix method).  `schur`
 and `pschur` are the same counts with no extra entries, where t is zero.
 
 The algebraic route computes neither the antisymmetrization A(f) nor its

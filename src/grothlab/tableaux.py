@@ -559,13 +559,16 @@ def srt_to_maximal_smt(f: SkewFilling) -> ShiftedMultisetTableau:
 # index is at least least(i, -1) (`_Grid.after`).  What later cells read is
 # a frontier of two slots per column (straight) or absolute column
 # (shifted): the first and last index of the box filled there last.  `_fill`
-# walks every tableau for enumerate_*, and `_count` counts them by the code
-# of x^x t^t on the frontier for count_*_by_code.
+# walks every tableau for enumerate_* on the raw indices, and `_count` counts
+# them by the code of x^x t^t on a frontier that holds each shifted index as
+# the value its one reader uses (`_smt_read_first`, `_smt_read_last`), for
+# count_*_by_code.
 
 
-# `_fill`, `_count` and the restricted backtrack recurse once per cell, and
-# the maximal row walk once per row.  Half the interpreter's default
-# recursion limit leaves room for any caller's own frames.
+# `_fill` and the restricted backtrack recurse once per cell, `_count` once
+# per cell but the last, and the maximal row walk once per row.  Half the
+# interpreter's default recursion limit leaves room for any caller's own
+# frames.
 MAX_CELLS = 500
 
 
@@ -580,17 +583,33 @@ def _check_cells(shape, cells: int) -> None:
 def _mt_least(left: int, above: int) -> int:
     """Least index a multiset tableau cell admits, given the last index of
     the box to its left and of the box above: rows weakly increase and
-    columns strictly."""
+    columns strictly.  A box's last index is read both by the cell to its
+    right and by the cell below, so it is kept raw."""
     return max(left, above + 1)
+
+
+# A shifted box's last index is read only by the cell to its right, and its
+# first index only by the cell below, each as the least index it admits
+# there.  Along a row (lt_u) the left index i admits i onwards when unprimed
+# (odd) and i + 1 when primed; down a column (lt_p) the upper index i admits
+# i onwards when primed (even) and i + 1 when unprimed.  Both reads are
+# idempotent, so a read index reads as itself.
+
+
+def _smt_read_last(i: int) -> int:
+    """The least index the cell right of a shifted box's last index i admits."""
+    return i | 1
+
+
+def _smt_read_first(i: int) -> int:
+    """The least index the cell below a shifted box's first index i admits."""
+    return i + i % 2
 
 
 def _smt_least(left: int, above: int) -> int:
     """Least index a shifted cell admits, given the last index of the box to
-    its left and the first index of the box above.  Along a row (lt_u) the
-    left index i admits i onwards when unprimed (odd) and i + 1 when primed;
-    down a column (lt_p) the upper index i admits i onwards when primed
-    (even) and i + 1 when unprimed."""
-    return max(left | 1, above + above % 2)
+    its left and the first index of the box above."""
+    return max(_smt_read_last(left), _smt_read_first(above))
 
 
 class _Grid:
@@ -697,21 +716,29 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
     such state, as a dict {code of the remaining cells' weight: count}.
 
     The frontier is one int: slot s is a field of `fw` bits at bit s * fw
-    holding its index + 1, and a missing neighbour reads the all-zero field
-    past the last slot, so it reads index -1.  Each cell's mask clears its
-    own slot pair and the slots no later cell reads before writing them, so
-    that more states coincide.  Each cell has its own memo, keyed by
-    frontier << budget_bits | budget, and the memo lives for this call only.
+    holding an index + 1, and a missing neighbour reads the all-zero field
+    past the last slot, so it reads index -1.  A kept index is written as
+    the value its one reader uses (`_smt_read_first`, `_smt_read_last`) on a
+    shifted grid, and raw on a straight one, where a last index has two
+    readers; so fillings that differ only in what no later cell reads leave
+    one state.  Each cell's mask clears its own slot pair and the slots no
+    later cell reads before writing them, for the same reason.  Each cell
+    has its own memo, keyed by frontier << budget_bits | budget, which the
+    caller reads, so a state seen before costs no call; the memo past the
+    last cell holds the one empty completion for every budget, and all memos
+    live for this call only.
 
     A weight is the code of its monomial, whose degrees are at most
     |shape| + extra_cap and extra_cap, so a box choice adds one int to each
     key of its child's dict and the root tally is the result as it stands.
     Column c holds label ell - c, which is t index ell - 1 - c.  The x-weight
     sums of the boxes come from a span table keyed by (size, first index,
-    last index), grown by the box rule; a cell's choices for one least
-    index are built once from it, as (extra entries, frontier bits,
-    weights), and cells that agree on the least index, slot, kept slots,
-    label and unprimed rule share them.
+    read last index), grown by the box rule.  A cell's choices for one least
+    index are built once from it, as (extra entries, frontier bits, x-weights),
+    and cells that agree on the least index, slot, kept slots and unprimed
+    rule share them; a choice holds its span list itself unless several
+    spans leave the same bits.  A box of `extra` extra entries adds
+    extra * t_unit[c] to each of its x-weights in the merge.
     """
     cells, mv, ell, least = grid.cells, grid.max_value, grid.ell, grid.least
     extra_cap, nslots, letters = grid.extra_cap, grid.nslots, len(grid.alphabet)
@@ -720,10 +747,13 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
     t_unit = [code.t_var(ell - 1 - c) for c in range(ell)]
     fw, budget_bits = letters.bit_length(), extra_cap.bit_length()
     fm = (1 << fw) - 1
+    # int keeps a straight index raw
+    read_first, read_last = (_smt_read_first, _smt_read_last) if grid.shifted else (int, int)
 
-    # spans[k][first]: {last: x-weight sums of the boxes of size k + 1 that
-    # run from first to last}; a box is its first index and a box it admits next
-    spans = [[{i: [u]} for i, u in enumerate(x_unit)]]
+    # spans[k][first]: {read last: x-weight sums of the boxes of size k + 1
+    # that run from first to a last index of that read}; a box is its first
+    # index and a box it admits next
+    spans = [[{read_last(i): [u]} for i, u in enumerate(x_unit)]]
     for _ in range(extra_cap):
         shorter, row = spans[-1], []
         for i, u in enumerate(x_unit):
@@ -736,27 +766,30 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
 
     shared: dict[tuple, list] = {}
 
-    def choice_list(lo, slot, keep_first, keep_last, c, unprimed_min) -> list:
-        """[(extra, frontier bits, weights)] by extra entries, grouped by
+    def choice_list(lo, slot, keep_first, keep_last, unprimed_min) -> list:
+        """[(extra, frontier bits, x-weights)] by extra entries, grouped by
         the slot pair the box leaves."""
-        key = (lo, slot, keep_first, keep_last, c, unprimed_min)
+        key = (lo, slot, keep_first, keep_last, unprimed_min)
         found = shared.get(key)
         if found is None:
             found = []
             for extra, by_first in enumerate(spans):
-                t_shift = extra * t_unit[c]
                 groups: dict[int, list] = {}
                 for first in grid.firsts(lo, unprimed_min):
-                    head = first + 1 << slot * fw if keep_first else 0
+                    head = read_first(first) + 1 << slot * fw if keep_first else 0
                     for last, ws in by_first[first].items():
                         bits = head | (last + 1 << (slot + 1) * fw if keep_last else 0)
-                        groups.setdefault(bits, []).extend([t_shift + w for w in ws])
-                found.extend((extra, bits, ws) for bits, ws in groups.items())
+                        groups.setdefault(bits, []).append(ws)
+                found.extend(
+                    (extra, bits, parts[0] if len(parts) == 1 else [w for ws in parts for w in ws])
+                    for bits, parts in groups.items()
+                )
             shared[key] = found
         return found
 
     # plans[idx]: the neighbour shifts, the mask of the kept slots, the
-    # choice lists by least index, and what selects a shared choice list.
+    # choice lists by least index, what selects a shared choice list, and
+    # the t-weight of each number of extra entries in the cell's column.
     # live: the slots some cell after idx reads before writing them, built
     # from the last cell back (a cell reads its neighbours, then writes)
     plans = [None] * len(cells)
@@ -764,43 +797,43 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
     for idx in range(len(cells) - 1, -1, -1):
         _, c, left, above, slot, unprimed_min = cells[idx]
         keep = sum(fm << s * fw for s in live if s not in (slot, slot + 1))
-        spec = (slot, slot in live, slot + 1 in live, c, unprimed_min)
-        plans[idx] = (left * fw, above * fw, keep, {}, spec)
+        spec = (slot, slot in live, slot + 1 in live, unprimed_min)
+        t_shift = [extra * t_unit[c] for extra in range(extra_cap + 1)]
+        plans[idx] = (left * fw, above * fw, keep, {}, spec, t_shift)
         live -= {slot, slot + 1}
         live |= {left, above} - {nslots}
 
-    memos = [{} for _ in cells]
-    ncells = len(cells)
+    # nothing is live past the last cell, so its children have frontier 0
     done = {0: 1}
+    memos = [{} for _ in cells] + [{budget: done for budget in range(extra_cap + 1)}]
 
     def completions(idx: int, frontier: int, budget: int) -> dict:
-        if idx == ncells:
-            return done
-        memo = memos[idx]
-        key = frontier << budget_bits | budget
-        found = memo.get(key)
-        if found is not None:
-            return found
-        left, above, keep, by_lo, spec = plans[idx]
+        left, above, keep, by_lo, spec, t_shift = plans[idx]
         lo = least((frontier >> left & fm) - 1, (frontier >> above & fm) - 1)
         choices = by_lo.get(lo)
         if choices is None:
             choices = by_lo[lo] = choice_list(lo, *spec)
         frontier &= keep
         idx += 1
+        memo = memos[idx]
         out: dict[int, int] = {}
         for extra, bits, weights in choices:
             if extra > budget:
                 break
-            child = completions(idx, frontier | bits, budget - extra)
+            state, rest = frontier | bits, budget - extra
+            key = state << budget_bits | rest
+            child = memo.get(key)
+            if child is None:
+                child = memo[key] = completions(idx, state, rest)
+            shift = t_shift[extra]
             for w in weights:
+                w += shift
                 for k, v in child.items():
                     k += w
                     out[k] = out.get(k, 0) + v
-        memo[key] = out
         return out
 
-    return code, completions(0, 0, extra_cap)
+    return code, completions(0, 0, extra_cap) if cells else done
 
 
 def enumerate_mt(shape, max_value: int, extra_cap: int):

@@ -2,7 +2,9 @@
 before the series printer, and later the algebraic route, read
 `MonomialCode`s, before the routes read schur and pschur off
 `FamilySpec` instead of lifting J and P at t = 0 in the CLI, and before
-the text printer wrote each part from the texts of its halves.
+the text printer wrote each part from the texts of its halves, and
+before the tableau counter wrote its frontier as the values later cells
+read.
 
 Each digest in data/golden_stdout.json is the SHA-256 of a call's stdout
 bytes, then a NUL byte, "exit=" and the exit code, as the bench digests
@@ -14,8 +16,9 @@ family, the basis-expansion text and JSON, algebraic rows at n = 5-7, and
 text and JSON, plus one exit-1 bump of a multi-entry box, `enumerate` of
 the maximal and restricted families, and `expand` at J (5,4,3,2,1) t6 and
 P (7,5,3,1) t5, the largest maximal-tableau checks of the expand ladder,
-and text and JSON rows at n = 9 and 10, past the 8 digits beyond which a
-part is read in halves.
+text and JSON rows at n = 9 and 10, past the 8 digits beyond which a
+part is read in halves, and shifted combinatorial rows past the bench grid:
+P (4,3,2,1) at n = 6 and P (3,2,1) at t_cap = 3 in JSON.
 A call names its data file from the repository root, so the test runs
 from any directory.
 """

@@ -41,6 +41,7 @@ from grothlab.tableaux import (
     srt_to_maximal_smt,
     strip_signs,
 )
+from grothlab.tableaux import _smt_least, _smt_read_first, _smt_read_last
 
 from examples import example_mt, example_smt
 from tuple_series import count_mt_by_weight, count_smt_by_weight
@@ -376,6 +377,13 @@ def test_count_mt_by_weight_is_the_census_tally(args):
 @example(((7,), 1, 2), True)
 @example(((1,), 2, 2), False)  # a T digit reaches extra_cap
 @example(((1,), 2, 2), True)
+# the counter merges frontier states that differ only in a prime that
+# neither the cell below nor the cell to the right reads
+@example(((3, 2, 1), 3, 1), False)
+@example(((3, 2, 1), 3, 1), True)
+@example(((3, 1), 4, 2), True)
+@example(((4, 3, 2, 1), 4, 0), False)  # four rows, which _census_args never draws
+@example(((4, 3, 2, 1), 4, 0), True)
 def test_count_smt_by_weight_is_the_census_tally(args, signed):
     shape, max_value, extra_cap = args
     census = enumerate_smt(shape, max_value, extra_cap, signed=signed)
@@ -383,6 +391,24 @@ def test_count_smt_by_weight_is_the_census_tally(args, signed):
     assert count_smt_by_weight(shape, max_value, extra_cap, signed=signed) == Counter(
         (pad(t.weight(), max_value), t.diagonal_weight()) for t in census
     )
+
+
+@pytest.mark.parametrize("max_value", range(1, 9))
+def test_a_shifted_cell_reads_the_frontier_through_two_idempotent_reads(max_value):
+    # the counter writes each kept index as the value its one reader uses, so
+    # a cell must admit the same boxes whether its neighbours hold raw or read
+    # indices; -1 is a missing neighbour
+    indices = range(-1, 2 * max_value)
+    for left in indices:
+        for above in indices:
+            least = _smt_least(left, above)
+            assert least == max(_smt_read_last(left), _smt_read_first(above))
+            assert least == _smt_least(_smt_read_last(left), _smt_read_first(above))
+    # a field holds a read index + 1, at most read_first(2 * max_value - 1) + 1,
+    # in as many bits as the alphabet's size has
+    largest = max(max(_smt_read_first(i), _smt_read_last(i)) + 1 for i in indices)
+    assert largest == 2 * max_value + 1
+    assert largest.bit_length() <= (2 * max_value).bit_length()
 
 
 @pytest.mark.parametrize("caps", [(-1, 0), (2, -1)])
