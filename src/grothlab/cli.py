@@ -9,7 +9,6 @@ expansion, 141 when the reader closes stdout (as `| head` does).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import lru_cache
@@ -99,6 +98,13 @@ def _series_text(series: TruncatedSeries) -> str:
     return "".join([f"{coded[k]}  {x_text[k // split]}{t_text[k % split]}" for k in keys])
 
 
+def _print_json(payload) -> None:
+    # json is imported here, so that the text formats never load it
+    import json
+
+    print(json.dumps(payload, sort_keys=True))
+
+
 def _series_json(series: TruncatedSeries) -> list:
     """[c, x_exps, t_exps] per term, in the order of `_series_text`; the
     exponent lists come from each distinct part decoded once
@@ -141,7 +147,7 @@ def _cmd_compute(args) -> int:
         }
         if verdict:
             payload["verdict"] = verdict
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print("\n".join(f"{key}: {value}" for key, value in _head(spec, False).items()))
         print(f"xcap: {spec.effective_x_cap()}")
@@ -167,7 +173,7 @@ def _cmd_expand(args) -> int:
             "via_maximal": _expansion_json(via_maximal),
             "verdict": verdict,
         }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print("\n".join(f"{key}: {value}" for key, value in _head(spec, False).items()))
         print(f"basis: {expansion.basis}")
@@ -209,7 +215,7 @@ def _cmd_enumerate(args) -> int:
             "count": len(items),
             "tableaux": [t.to_json_dict() for t in items],
         }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"family: {fam}")
         print(f"mu: {_format_mu(mu)}")
@@ -232,7 +238,7 @@ def _cmd_verify(args) -> int:
             ],
             "failures": len(failures),
         }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         for r in results:
             mark = "PASS" if r.passed else "FAIL"
@@ -342,7 +348,7 @@ def _cmd_trace(args) -> int:
             "steps": [step_json(tr, state) for tr, state in zip(traces, states[1:])],
             "final": final.to_json_dict(),
         }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"flavor: {args.flavor}")
         print(f"direction: {args.direction}")

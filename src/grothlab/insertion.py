@@ -26,9 +26,9 @@ one circled box.  The families differ only in the data `_family` returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from operator import le
 
+from .frozen import Frozen
 from .partitions import pad, staircase
 from .tableaux import (
     Entry,
@@ -139,22 +139,46 @@ def shifted_column_reverse_insert(cells: tuple[Entry, ...], z: Entry):
 # traces
 
 
-@dataclass(frozen=True)
-class OutTrace:
-    removed: object
-    removed_cell: tuple[int, int]
-    path: tuple[tuple[int, int, object, object], ...]
-    appended_cell: tuple[int, int]
-    appended: object
+class OutTrace(Frozen):
+    __slots__ = ("removed", "removed_cell", "path", "appended_cell", "appended")
+
+    def __init__(
+        self,
+        removed: object,
+        removed_cell: tuple[int, int],
+        path: tuple[tuple[int, int, object, object], ...],
+        appended_cell: tuple[int, int],
+        appended: object,
+    ):
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "removed_cell", removed_cell)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "appended_cell", appended_cell)
+        object.__setattr__(self, "appended", appended)
+
+    def _key(self):
+        return (self.removed, self.removed_cell, self.path, self.appended_cell, self.appended)
 
 
-@dataclass(frozen=True)
-class InTrace:
-    corner_cell: tuple[int, int]
-    removed: object
-    path: tuple[tuple[int, int, object, object], ...]
-    deposit_cell: tuple[int, int]
-    deposit: object
+class InTrace(Frozen):
+    __slots__ = ("corner_cell", "removed", "path", "deposit_cell", "deposit")
+
+    def __init__(
+        self,
+        corner_cell: tuple[int, int],
+        removed: object,
+        path: tuple[tuple[int, int, object, object], ...],
+        deposit_cell: tuple[int, int],
+        deposit: object,
+    ):
+        object.__setattr__(self, "corner_cell", corner_cell)
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "deposit_cell", deposit_cell)
+        object.__setattr__(self, "deposit", deposit)
+
+    def _key(self):
+        return (self.corner_cell, self.removed, self.path, self.deposit_cell, self.deposit)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +219,19 @@ def _largest_noncircled(boxes):
     return max(((box[-1], r) for r, box in boxes if len(box) > 1), default=None)
 
 
+def _with_rows(t, rows):
+    """A tableau of t's class, and of t's sign flag when shifted, holding rows."""
+    rows = tuple(map(tuple, rows))
+    if isinstance(t, ShiftedMultisetTableau):
+        return ShiftedMultisetTableau(rows, t.signed)
+    return MultisetTableau(rows)
+
+
 def _on_copy(t, body, *args):
     """Run body on a list copy of t's rows; returns (new tableau, result)."""
     rows = [list(row) for row in t.rows]
     result = body(rows, *args, _family(t))
-    return replace(t, rows=tuple(map(tuple, rows))), result
+    return _with_rows(t, rows), result
 
 
 def out_step(t, k: int, ell: int):
@@ -353,7 +385,7 @@ def _run_stages(p, valid):
                 raise InsertionError("appended boxes must move strictly right")
             for tr in traces:
                 marks[tr.appended_cell] = k
-            t = replace(p, rows=tuple(map(tuple, rows)))
+            t = _with_rows(p, rows)
         if not valid(t):
             raise InsertionError(f"stage {k} left an invalid tableau")
     return t, marks
@@ -371,7 +403,7 @@ def _undo_stages(q, r: SkewFilling, mu, offset: int):
     rows = [list(row) for row in q.rows]
     for k in range(ell, 0, -1):
         _unstage(rows, k, ell, strips.get(k, ()), family)
-    t = replace(q, rows=tuple(map(tuple, rows)))
+    t = _with_rows(q, rows)
     if t.shape != mu:
         raise InsertionError("inverse did not return to the inner shape")
     return t

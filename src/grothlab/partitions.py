@@ -10,7 +10,6 @@ under the involution `iota`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .algebra import (
@@ -19,6 +18,7 @@ from .algebra import (
     h_polynomial,
     perm_sign,
 )
+from .frozen import Frozen
 
 __all__ = [
     "Partition",
@@ -112,8 +112,7 @@ def subpartitions(bound) -> list[Partition]:
     return sorted(set(out))
 
 
-@dataclass(frozen=True)
-class TExtension:
+class TExtension(Frozen):
     """A chain base = lam^0 <= lam^1 <= ... <= lam^ell of compositions.
 
     `increments` and `columns` are stored in the conventional descending
@@ -121,10 +120,22 @@ class TExtension:
     common fixed length.
     """
 
-    base: tuple[int, ...]
-    chain: tuple[tuple[int, ...], ...]
-    increments: tuple[int, ...]
-    columns: tuple[int, ...]
+    __slots__ = ("base", "chain", "increments", "columns")
+
+    def __init__(
+        self,
+        base: tuple[int, ...],
+        chain: tuple[tuple[int, ...], ...],
+        increments: tuple[int, ...],
+        columns: tuple[int, ...],
+    ):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "increments", increments)
+        object.__setattr__(self, "columns", columns)
+
+    def _key(self):
+        return (self.base, self.chain, self.increments, self.columns)
 
     @property
     def ell(self) -> int:
@@ -231,12 +242,17 @@ def enumerate_extensions(mu, increments, columns) -> list[TExtension]:
     return sorted(exts, key=lambda e: e.chain)
 
 
-@dataclass(frozen=True)
-class SignedPair:
+class SignedPair(Frozen):
     """A permutation (0-based one-line) together with a T-extension."""
 
-    sigma: tuple[int, ...]
-    extension: TExtension
+    __slots__ = ("sigma", "extension")
+
+    def __init__(self, sigma: tuple[int, ...], extension: TExtension):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "extension", extension)
+
+    def _key(self):
+        return (self.sigma, self.extension)
 
     @property
     def sign(self) -> int:

@@ -45,7 +45,6 @@ of every term equals |mu| plus its t-degree, so any x-cap of at least
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import zip_longest
 
@@ -62,6 +61,7 @@ from .algebra import (
     vandermonde,
     x_var,
 )
+from .frozen import Frozen
 from .partitions import (
     column_heights,
     is_partition,
@@ -98,8 +98,7 @@ class ExpansionError(ValueError):
     """A polynomial does not expand in the requested basis."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """Parameters of one polynomial computation.
 
     `family` is one of 'J', 'P', 'schur', 'pschur'.  The t-variable count
@@ -109,13 +108,16 @@ class FamilySpec:
     family; the printed caps come from `t_cap` and `x_cap`.
     """
 
-    family: str
-    mu: tuple[int, ...]
-    n: int
-    t_cap: int = 1
-    x_cap: int | None = None
+    __slots__ = ("family", "mu", "n", "t_cap", "x_cap")
 
-    def __post_init__(self):
+    def __init__(
+        self, family: str, mu: tuple[int, ...], n: int, t_cap: int = 1, x_cap: int | None = None
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t_cap", t_cap)
+        object.__setattr__(self, "x_cap", x_cap)
         if self.family not in ("J", "P", "schur", "pschur"):
             raise ValueError(f"unknown family {self.family!r}")
         if not is_partition(self.mu):
@@ -128,6 +130,9 @@ class FamilySpec:
             raise ValueError("t_cap must be nonnegative")
         if self.x_cap is not None and self.x_cap < 0:
             raise ValueError("x_cap must be nonnegative")
+
+    def _key(self):
+        return (self.family, self.mu, self.n, self.t_cap, self.x_cap)
 
     @property
     def ell(self) -> int:
@@ -367,14 +372,25 @@ def hmult_good_extension_route(spec: FamilySpec, t_exps) -> Polynomial:
 # basis expansions
 
 
-@dataclass(frozen=True)
-class BasisExpansion:
+class BasisExpansion(Frozen):
     """Finitely supported map from basis indices to t-polynomials."""
 
-    basis: str
-    n: int
-    nt: int
-    coefficients: tuple[tuple[tuple[int, ...], Polynomial], ...]
+    __slots__ = ("basis", "n", "nt", "coefficients")
+
+    def __init__(
+        self,
+        basis: str,
+        n: int,
+        nt: int,
+        coefficients: tuple[tuple[tuple[int, ...], Polynomial], ...],
+    ):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "nt", nt)
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def _key(self):
+        return (self.basis, self.n, self.nt, self.coefficients)
 
     @classmethod
     def from_dict(cls, basis: str, n: int, nt: int, coeffs: dict) -> "BasisExpansion":

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, total_ordering
 
 from .algebra import MonomialCode
+from .frozen import Frozen
 from .partitions import is_partition, is_strict_partition, staircase
 
 __all__ = [
@@ -52,12 +52,17 @@ __all__ = [
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Entry:
+class Entry(Frozen):
     """A tableau entry: a positive integer, optionally primed."""
 
-    value: int
-    primed: bool = False
+    __slots__ = ("value", "primed")
+
+    def __init__(self, value: int, primed: bool = False):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "primed", primed)
+
+    def _key(self):
+        return (self.value, self.primed)
 
     def sort_key(self):
         return (self.value, 0 if self.primed else 1)
@@ -99,7 +104,7 @@ def _weight_vector(counts: dict[int, int], top: int | None = None) -> tuple[int,
     return tuple(counts.get(v, 0) for v in range(1, top + 1))
 
 
-class _BoxRows:
+class _BoxRows(Frozen):
     """Shared body of the straight and shifted multiset tableaux.
 
     Box c of every row sits on the column (straight) or diagonal (shifted)
@@ -107,6 +112,7 @@ class _BoxRows:
     weight off `rows` the same way.
     """
 
+    __slots__ = ()
     signed = False  # a field of the shifted family; straight tableaux have no signs
 
     @property
@@ -137,11 +143,16 @@ class _BoxRows:
 # straight-shape multiset tableaux
 
 
-@dataclass(frozen=True)
 class MultisetTableau(_BoxRows):
     """Left-justified rows of boxes, each box a sorted tuple of integers."""
 
-    rows: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[tuple[int, ...], ...], ...]):
+        object.__setattr__(self, "rows", rows)
+
+    def _key(self):
+        return (self.rows,)
 
     def weight(self) -> tuple[int, ...]:
         counts: dict[int, int] = {}
@@ -214,7 +225,6 @@ def is_valid_ssyt(t: MultisetTableau) -> bool:
 # shifted multiset tableaux
 
 
-@dataclass(frozen=True)
 class ShiftedMultisetTableau(_BoxRows):
     """Shifted rows of boxes over the primed alphabet.
 
@@ -224,8 +234,14 @@ class ShiftedMultisetTableau(_BoxRows):
     minima); unsigned tableaux must have an unprimed minimum in each row.
     """
 
-    rows: tuple[tuple[tuple[Entry, ...], ...], ...]
-    signed: bool = False
+    __slots__ = ("rows", "signed")
+
+    def __init__(self, rows: tuple[tuple[tuple[Entry, ...], ...], ...], signed: bool = False):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "signed", signed)
+
+    def _key(self):
+        return (self.rows, self.signed)
 
     def weight(self) -> tuple[int, ...]:
         counts: dict[int, int] = {}
@@ -344,17 +360,24 @@ def strip_signs(t: ShiftedMultisetTableau) -> ShiftedMultisetTableau:
 # skew fillings (restricted tableaux)
 
 
-@dataclass(frozen=True)
-class SkewFilling:
+class SkewFilling(Frozen):
     """Entries on the skew diagram outer/inner, one integer per cell.
 
     Row r holds the entries of absolute columns inner[r]..outer[r]-1,
     left to right.
     """
 
-    outer: tuple[int, ...]
-    inner: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("outer", "inner", "rows")
+
+    def __init__(
+        self, outer: tuple[int, ...], inner: tuple[int, ...], rows: tuple[tuple[int, ...], ...]
+    ):
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "rows", rows)
+
+    def _key(self):
+        return (self.outer, self.inner, self.rows)
 
     def weight(self, alphabet: int | None = None) -> tuple[int, ...]:
         counts: dict[int, int] = {}

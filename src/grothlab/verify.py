@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .algebra import Polynomial
 from .fixtures import paper_maximal_mt, paper_maximal_smt, paper_rt, paper_srt
+from .frozen import Frozen
 from .insertion import phi, phi_inverse, psi, psi_inverse
 from .partitions import (
     SignedPair,
@@ -66,11 +66,16 @@ from .tableaux import (
 __all__ = ["CaseResult", "census_scale", "run_suite", "SUITES"]
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CaseResult(Frozen):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+
+    def _key(self):
+        return (self.name, self.passed, self.detail)
 
 
 def census_scale() -> str:

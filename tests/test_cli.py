@@ -607,6 +607,22 @@ def test_long_row_on_the_algebraic_route_ends_in_its_terms_or_one_error_line(arg
         assert done.returncode == 0 and done.stdout
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
+    # every CLI call pays for `import grothlab.cli`; dataclasses (with the
+    # inspect it pulls in) and json once took most of it.  A fresh
+    # interpreter, started as the benchmark's set-up timing starts one,
+    # shows what the import loads, where a timing could not tell 10%.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import grothlab.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-E", "-s", "-c", code, SRC], capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_closed_stdout_ends_quietly_with_the_sigpipe_status(fmt):
     # the reader takes a few bytes of 2 MB and closes the pipe, as `| head`

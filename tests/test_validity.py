@@ -145,6 +145,9 @@ ENTRIES = [Entry(v, primed) for v in range(4) for primed in (False, True)]
 def test_entry_order_matches_its_sort_key_definitions():
     for a, z in product(ENTRIES, repeat=2):
         assert (a < z) == ref_lt(a, z), (a, z)
+        # total_ordering derives the other three from __lt__ and __eq__
+        ka, kz = a.sort_key(), z.sort_key()
+        assert (a <= z, a > z, a >= z, a == z) == (ka <= kz, ka > kz, ka >= kz, ka == kz), (a, z)
         assert lt_u(a, z) == ref_lt_u(a, z), (a, z)
         assert lt_p(a, z) == ref_lt_p(a, z), (a, z)
     assert sorted(reversed(ENTRIES)) == sorted(ENTRIES, key=Entry.sort_key)

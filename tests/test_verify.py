@@ -1,11 +1,11 @@
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 import grothlab.verify as verify
 from grothlab.algebra import Polynomial
 from grothlab.partitions import pad
+from grothlab.polynomials import BasisExpansion
 from grothlab.tableaux import enumerate_rt, enumerate_srt, enumerate_ssyt, enumerate_sst
 from grothlab.verify import (
     SUITES,
@@ -71,12 +71,13 @@ def test_positivity_case_fails_on_a_wrong_expansion(monkeypatch):
 
     def drop_one_term(spec):
         exp = true_expansion(spec)
-        return replace(exp, coefficients=exp.coefficients[:-1])
+        return BasisExpansion(exp.basis, exp.n, exp.nt, exp.coefficients[:-1])
 
     def add_one_to_a_coefficient(spec):
         exp = true_expansion(spec)
         (lam, coeff), *rest = exp.coefficients
-        return replace(exp, coefficients=((lam, coeff + Polynomial.constant(1, 0, spec.ell)), *rest))
+        bumped = ((lam, coeff + Polynomial.constant(1, 0, spec.ell)), *rest)
+        return BasisExpansion(exp.basis, exp.n, exp.nt, bumped)
 
     for family in ("J", "P"):
         assert verify._positivity_case(family, (2, 1), 3, 2) == ""
