@@ -734,9 +734,13 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
     (T_1..T_ell), in a `MonomialCode`.
 
     The transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7):
-    the completions of a partial filling depend only on the next cell, the
-    frontier and the remaining extra budget, so they are counted once per
-    such state, as a dict {code of the remaining cells' weight: count}.
+    the completions of a partial filling depend only on the next cell and
+    the frontier, so they are counted once per such state.  A state's
+    completions are kept by t-degree, the number of extra entries in the
+    remaining cells: stratum d is a dict {code of the remaining cells'
+    weight: count} over the completions with exactly d extra entries.  It
+    sums, over the box choices with extra <= d, the child's stratum
+    d - extra shifted by the box's weight.
 
     The frontier is one int: slot s is a field of `fw` bits at bit s * fw
     holding an index + 1, and a missing neighbour reads the all-zero field
@@ -746,29 +750,35 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
     readers; so fillings that differ only in what no later cell reads leave
     one state.  Each cell's mask clears its own slot pair and the slots no
     later cell reads before writing them, for the same reason.  Each cell
-    has its own memo, keyed by frontier << budget_bits | budget, which the
-    caller reads, so a state seen before costs no call; the memo past the
-    last cell holds the one empty completion for every budget, and all memos
-    live for this call only.
+    has its own memo, keyed by the frontier alone, whose entry is the list
+    of the state's strata grown only as far as some caller has needed.  A
+    caller reads its child's entry and, only when it is missing or too
+    short, grows it through the deepest degree this caller reads; a state
+    that a later caller needs deeper adds just the strata it lacks.  The
+    memo past the last cell holds the one empty completion in stratum 0,
+    and all memos live for this call only.  The root's strata have disjoint
+    keys, since the |t| digit of a code differs between them, so the result
+    is their union.
 
     A weight is the code of its monomial, whose degrees are at most
     |shape| + extra_cap and extra_cap, so a box choice adds one int to each
-    key of its child's dict and the root tally is the result as it stands.
-    Column c holds label ell - c, which is t index ell - 1 - c.  The x-weight
-    sums of the boxes come from a span table keyed by (size, first index,
-    read last index), grown by the box rule.  A cell's choices for one least
-    index are built once from it, as (extra entries, frontier bits, x-weights),
-    and cells that agree on the least index, slot, kept slots and unprimed
-    rule share them; a choice holds its span list itself unless several
-    spans leave the same bits.  A box of `extra` extra entries adds
-    extra * t_unit[c] to each of its x-weights in the merge.
+    key of its child's stratum.  Column c holds label ell - c, which is t
+    index ell - 1 - c.  The x-weight sums of the boxes come from a span
+    table keyed by (size, first index, read last index), grown by the box
+    rule.  A box's choices are built once per first index and pair of kept
+    slots, as (extra entries, slot-pair bits, x-weights), and shared by
+    every cell: a cell shifts the bits to its own slot pair and walks the
+    lists of the first indices it admits.  A choice holds its span list
+    itself unless several spans leave the same bits.  A box of `extra`
+    extra entries adds extra * t_unit[c] to each of its x-weights in the
+    merge.
     """
     cells, mv, ell, least = grid.cells, grid.max_value, grid.ell, grid.least
     extra_cap, nslots, letters = grid.extra_cap, grid.nslots, len(grid.alphabet)
     code = MonomialCode(mv, ell, sum(grid.shape) + extra_cap, extra_cap)
     x_unit = [code.x_var(i // 2 if grid.shifted else i) for i in range(letters)]
     t_unit = [code.t_var(ell - 1 - c) for c in range(ell)]
-    fw, budget_bits = letters.bit_length(), extra_cap.bit_length()
+    fw = letters.bit_length()
     fm = (1 << fw) - 1
     # int keeps a straight index raw
     read_first, read_last = (_smt_read_first, _smt_read_last) if grid.shifted else (int, int)
@@ -787,76 +797,89 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
             row.append(by_last)
         spans.append(row)
 
-    shared: dict[tuple, list] = {}
+    tables: dict[tuple[bool, bool], list] = {}
 
-    def choice_list(lo, slot, keep_first, keep_last, unprimed_min) -> list:
-        """[(extra, frontier bits, x-weights)] by extra entries, grouped by
-        the slot pair the box leaves."""
-        key = (lo, slot, keep_first, keep_last, unprimed_min)
-        found = shared.get(key)
+    def choice_table(keep_first, keep_last) -> list:
+        """[[(extra, slot-pair bits, x-weights)] by extra entries] by first
+        index, with the bits of slot pair 0."""
+        key = (keep_first, keep_last)
+        found = tables.get(key)
         if found is None:
             found = []
-            for extra, by_first in enumerate(spans):
-                groups: dict[int, list] = {}
-                for first in grid.firsts(lo, unprimed_min):
-                    head = read_first(first) + 1 << slot * fw if keep_first else 0
-                    for last, ws in by_first[first].items():
-                        bits = head | (last + 1 << (slot + 1) * fw if keep_last else 0)
-                        groups.setdefault(bits, []).append(ws)
-                found.extend(
-                    (extra, bits, parts[0] if len(parts) == 1 else [w for ws in parts for w in ws])
-                    for bits, parts in groups.items()
-                )
-            shared[key] = found
+            for first in range(letters):
+                head = read_first(first) + 1 if keep_first else 0
+                choices = []
+                for extra, by_first in enumerate(spans):
+                    by_last = by_first[first]
+                    if keep_last:
+                        choices.extend((extra, head | last + 1 << fw, ws) for last, ws in by_last.items())
+                    elif by_last:
+                        parts = list(by_last.values())
+                        choices.append((extra, head, parts[0] if len(parts) == 1 else [w for ws in parts for w in ws]))
+                found.append(choices)
+            tables[key] = found
         return found
 
     # plans[idx]: the neighbour shifts, the mask of the kept slots, the
-    # choice lists by least index, what selects a shared choice list, and
-    # the t-weight of each number of extra entries in the cell's column.
-    # live: the slots some cell after idx reads before writing them, built
-    # from the last cell back (a cell reads its neighbours, then writes)
+    # shift of the cell's slot pair, its choice table, what selects the first
+    # indices it admits, and the t-weight of each number of extra entries in
+    # the cell's column.  live: the slots some cell after idx reads before
+    # writing them, built from the last cell back (a cell reads its
+    # neighbours, then writes)
     plans = [None] * len(cells)
     live: set[int] = set()
     for idx in range(len(cells) - 1, -1, -1):
         _, c, left, above, slot, unprimed_min = cells[idx]
         keep = sum(fm << s * fw for s in live if s not in (slot, slot + 1))
-        spec = (slot, slot in live, slot + 1 in live, unprimed_min)
+        table = choice_table(slot in live, slot + 1 in live)
         t_shift = [extra * t_unit[c] for extra in range(extra_cap + 1)]
-        plans[idx] = (left * fw, above * fw, keep, {}, spec, t_shift)
+        plans[idx] = (left * fw, above * fw, keep, slot * fw, table, unprimed_min, t_shift)
         live -= {slot, slot + 1}
         live |= {left, above} - {nslots}
 
     # nothing is live past the last cell, so its children have frontier 0
     done = {0: 1}
-    memos = [{} for _ in cells] + [{budget: done for budget in range(extra_cap + 1)}]
+    memos = [{} for _ in cells] + [{0: [done] + [{}] * extra_cap}]
 
-    def completions(idx: int, frontier: int, budget: int) -> dict:
-        left, above, keep, by_lo, spec, t_shift = plans[idx]
+    def grow(idx: int, frontier: int, strata: list, top: int) -> None:
+        """Grow strata, the completions of the state (idx, frontier) by
+        t-degree, through degree top."""
+        left, above, keep, place, table, unprimed_min, t_shift = plans[idx]
         lo = least((frontier >> left & fm) - 1, (frontier >> above & fm) - 1)
-        choices = by_lo.get(lo)
-        if choices is None:
-            choices = by_lo[lo] = choice_list(lo, *spec)
+        rows = [table[first] for first in grid.firsts(lo, unprimed_min)]
         frontier &= keep
         idx += 1
         memo = memos[idx]
-        out: dict[int, int] = {}
-        for extra, bits, weights in choices:
-            if extra > budget:
-                break
-            state, rest = frontier | bits, budget - extra
-            key = state << budget_bits | rest
-            child = memo.get(key)
-            if child is None:
-                child = memo[key] = completions(idx, state, rest)
-            shift = t_shift[extra]
-            for w in weights:
-                w += shift
-                for k, v in child.items():
-                    k += w
-                    out[k] = out.get(k, 0) + v
-        return out
+        for d in range(len(strata), top + 1):
+            out: dict[int, int] = {}
+            for choices in rows:
+                for extra, bits, weights in choices:
+                    if extra > d:
+                        break
+                    state = frontier | bits << place
+                    child = memo.get(state)
+                    if child is None:
+                        child = memo[state] = []
+                    if len(child) <= d - extra:
+                        grow(idx, state, child, top - extra)
+                    layer = child[d - extra]
+                    if layer:
+                        shift = t_shift[extra]
+                        for w in weights:
+                            w += shift
+                            for k, v in layer.items():
+                                k += w
+                                out[k] = out.get(k, 0) + v
+            strata.append(out)
 
-    return code, completions(0, 0, extra_cap) if cells else done
+    if not cells:
+        return code, done
+    strata: list = []
+    grow(0, 0, strata, extra_cap)
+    out: dict[int, int] = {}
+    for layer in strata:
+        out.update(layer)
+    return code, out
 
 
 def enumerate_mt(shape, max_value: int, extra_cap: int):

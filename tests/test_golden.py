@@ -2,9 +2,9 @@
 before the series printer, and later the algebraic route, read
 `MonomialCode`s, before the routes read schur and pschur off
 `FamilySpec` instead of lifting J and P at t = 0 in the CLI, and before
-the text printer wrote each part from the texts of its halves, and
+the text printer wrote each part from the texts of its halves,
 before the tableau counter wrote its frontier as the values later cells
-read.
+read, and before it kept each state's completions by t-degree.
 
 Each digest in data/golden_stdout.json is the SHA-256 of a call's stdout
 bytes, then a NUL byte, "exit=" and the exit code, as the bench digests
@@ -18,7 +18,8 @@ the maximal and restricted families, and `expand` at J (5,4,3,2,1) t6 and
 P (7,5,3,1) t5, the largest maximal-tableau checks of the expand ladder,
 text and JSON rows at n = 9 and 10, past the 8 digits beyond which a
 part is read in halves, and shifted combinatorial rows past the bench grid:
-P (4,3,2,1) at n = 6 and P (3,2,1) at t_cap = 3 in JSON.
+P (4,3,2,1) at n = 6 and P (3,2,1) at t_cap = 3 in JSON, and
+combinatorial rows at t_cap = 4: J (3,2,1) and P (4,2,1) at n = 5.
 A call names its data file from the repository root, so the test runs
 from any directory.
 """

@@ -393,6 +393,42 @@ def test_count_smt_by_weight_is_the_census_tally(args, signed):
     )
 
 
+@st.composite
+def _truncation_args(draw):
+    """(kind, shape, max_value, T) for straight, shifted unsigned and shifted
+    signed shapes of at most 6 cells."""
+    kind = draw(st.sampled_from(("straight", "shifted", "signed")))
+    shape = draw(_shapes(6, strict=kind != "straight"))
+    return kind, shape, draw(st.integers(1, 4)), draw(st.integers(0, 3))
+
+
+def _count_by_weight(kind, shape, max_value, extra_cap):
+    if kind == "straight":
+        return count_mt_by_weight(shape, max_value, extra_cap)
+    return count_smt_by_weight(shape, max_value, extra_cap, signed=kind == "signed")
+
+
+# The counter keeps each state's completions by t-degree and grows them only
+# as far as a caller needs, and a state that a later caller needs deeper is
+# grown by the strata it lacks: whatever the cap, a term of t-degree d must
+# come out the same.
+@settings(max_examples=100, deadline=None)
+@given(_truncation_args())
+# rows where callers with different remaining caps read one state's strata
+@example(("straight", (2, 1), 2, 2))
+@example(("shifted", (3, 1), 3, 2))
+@example(("signed", (3, 1), 3, 2))
+@example(("straight", (3, 2, 1), 4, 3))
+@example(("signed", (3, 2, 1), 4, 3))
+@example(("shifted", (), 2, 3))
+def test_the_count_at_a_cap_is_the_next_cap_cut_to_it(args):
+    kind, shape, max_value, cap = args
+    wider = _count_by_weight(kind, shape, max_value, cap + 1)
+    assert _count_by_weight(kind, shape, max_value, cap) == {
+        (x, t): c for (x, t), c in wider.items() if sum(t) <= cap
+    }
+
+
 @pytest.mark.parametrize("max_value", range(1, 9))
 def test_a_shifted_cell_reads_the_frontier_through_two_idempotent_reads(max_value):
     # the counter writes each kept index as the value its one reader uses, so
