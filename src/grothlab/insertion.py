@@ -29,7 +29,7 @@ from __future__ import annotations
 from operator import le
 
 from .frozen import Frozen
-from .partitions import pad, staircase
+from .partitions import pad
 from .tableaux import (
     Entry,
     MultisetTableau,
@@ -42,6 +42,8 @@ from .tableaux import (
     is_valid_srt,
     lt_p,
     lt_u,
+    srt_lift,
+    srt_shapes,
 )
 
 __all__ = [
@@ -156,9 +158,6 @@ class OutTrace(Frozen):
         object.__setattr__(self, "appended_cell", appended_cell)
         object.__setattr__(self, "appended", appended)
 
-    def _key(self):
-        return (self.removed, self.removed_cell, self.path, self.appended_cell, self.appended)
-
 
 class InTrace(Frozen):
     __slots__ = ("corner_cell", "removed", "path", "deposit_cell", "deposit")
@@ -176,9 +175,6 @@ class InTrace(Frozen):
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "deposit_cell", deposit_cell)
         object.__setattr__(self, "deposit", deposit)
-
-    def _key(self):
-        return (self.corner_cell, self.removed, self.path, self.deposit_cell, self.deposit)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +431,7 @@ def psi_inverse(q: MultisetTableau, r: SkewFilling) -> MultisetTableau:
 
 
 def phi(p: ShiftedMultisetTableau):
-    """Shifted analog of psi; the filling lives on the staircase-reduced skew."""
+    """Shifted analog of psi; the filling lives on the carrier `srt_shapes(lam, mu)`."""
     if not is_valid_smt(p):
         raise InsertionError("phi needs a valid shifted multiset tableau")
     mu = p.shape
@@ -445,9 +441,7 @@ def phi(p: ShiftedMultisetTableau):
     lam = t.shape
     if len(lam) != m:
         raise InsertionError("the row count changed during phi")
-    delta = staircase(m)
-    outer = tuple(l - d for l, d in zip(lam, delta))
-    inner = tuple(p_ - d for p_, d in zip(mu, delta))
+    outer, inner = srt_shapes(lam, mu)
     rows = tuple(tuple(marks[(r, r + c)] for c in range(mu[r], lam[r])) for r in range(m))
     srt = SkewFilling(outer, inner, rows)
     if not is_valid_srt(srt, mu):
@@ -457,10 +451,7 @@ def phi(p: ShiftedMultisetTableau):
 
 def phi_inverse(q: ShiftedMultisetTableau, r: SkewFilling) -> ShiftedMultisetTableau:
     """Rebuild the shifted multiset tableau from (Q, R)."""
-    m = len(r.inner)
-    delta = staircase(m)
-    lam = tuple(o + d for o, d in zip(r.outer, delta))
-    mu = tuple(i + d for i, d in zip(r.inner, delta))
+    lam, mu = srt_lift(r)
     if q.shape != lam:
         raise InsertionError("shapes of Q and R disagree")
-    return _undo_stages(q, r, mu, m - 1)
+    return _undo_stages(q, r, mu, len(mu) - 1)

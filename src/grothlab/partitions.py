@@ -34,6 +34,7 @@ __all__ = [
     "enumerate_extensions",
     "is_good_extension",
     "iota",
+    "hmult_product",
     "hmult_lhs",
     "antisymmetrized_tops",
     "hmult_rhs_good",
@@ -133,9 +134,6 @@ class TExtension(Frozen):
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "increments", increments)
         object.__setattr__(self, "columns", columns)
-
-    def _key(self):
-        return (self.base, self.chain, self.increments, self.columns)
 
     @property
     def ell(self) -> int:
@@ -251,9 +249,6 @@ class SignedPair(Frozen):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "extension", extension)
 
-    def _key(self):
-        return (self.sigma, self.extension)
-
     @property
     def sign(self) -> int:
         return perm_sign(self.sigma)
@@ -299,14 +294,18 @@ def iota(pair: SignedPair) -> SignedPair:
     return SignedPair(tuple(sigma), new_ext)
 
 
-def hmult_lhs(mu, increments, columns, n: int) -> Polynomial:
-    """Antisymmetrized product of h_{T_h}(x_1..x_{c_h}) terms times x^mu."""
-    mu_p = pad(mu, n)
+def hmult_product(mu, increments, columns, n: int) -> Polynomial:
+    """x^mu, mu padded to n, times h_{T_h}(x_1..x_{c_h}) for h = 1..ell."""
     ell = len(increments)
-    f = Polynomial.monomial(mu_p, ())
+    f = Polynomial.monomial(pad(mu, n), ())
     for h in range(1, ell + 1):
         f = f * h_polynomial(increments[ell - h], columns[ell - h], n)
-    return antisymmetrize(f, n)
+    return f
+
+
+def hmult_lhs(mu, increments, columns, n: int) -> Polynomial:
+    """Antisymmetrized product of h_{T_h}(x_1..x_{c_h}) terms times x^mu."""
+    return antisymmetrize(hmult_product(mu, increments, columns, n), n)
 
 
 def antisymmetrized_tops(extensions, n: int) -> Polynomial:

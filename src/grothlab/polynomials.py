@@ -14,15 +14,10 @@ The combinatorial route builds no tableau.  `count_mt_by_code` and
 diagonal weight), keyed by the `MonomialCode` of x^x t^t, and those counts
 are the terms of the resulting series as they stand: a series holds only
 {code: c}, decodes it into a Polynomial when `.poly` is read, and is
-printed straight from the codes.
-They fill the cells in row order, where a cell's admissible boxes depend
-only on its left and upper boxes (one helper per family states the rule),
-so the completions of a partial filling depend only on the next cell, the
-frontier of what later cells still read of the boxes (for a shifted box,
-the least index its first and last index let the cell below and the cell
-to its right admit), and the extra entries left; each such state is
-counted once per call (the transfer-matrix method).  `schur`
-and `pschur` are the same counts with no extra entries, where t is zero.
+printed straight from the codes.  The counter (`tableaux._count`) counts
+each state of a row-order filling once, by the transfer-matrix method.
+`schur` and `pschur` are the same counts with no extra entries, where t
+is zero.
 
 The algebraic route computes neither the antisymmetrization A(f) nor its
 quotient by the Vandermonde V.  By the bialternant rule
@@ -52,10 +47,8 @@ from .algebra import (
     MonomialCode,
     Polynomial,
     TruncatedSeries,
-    antisymmetrize,
     coset_sum,
     divide_exact,
-    h_polynomial,
     schur_to_monomials,
     straighten,
     vandermonde,
@@ -64,6 +57,9 @@ from .algebra import (
 from .frozen import Frozen
 from .partitions import (
     column_heights,
+    hmult_lhs,
+    hmult_product,
+    hmult_rhs_good,
     is_partition,
     is_strict_partition,
     pad,
@@ -131,9 +127,6 @@ class FamilySpec(Frozen):
         if self.x_cap is not None and self.x_cap < 0:
             raise ValueError("x_cap must be nonnegative")
 
-    def _key(self):
-        return (self.family, self.mu, self.n, self.t_cap, self.x_cap)
-
     @property
     def ell(self) -> int:
         return self.mu[0] if self.mu else 0
@@ -175,19 +168,15 @@ def _x_part(code, counts) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def schur(lam: tuple[int, ...], n: int) -> Polynomial:
-    """Schur polynomial as the tableau generating function."""
-    lam = tuple(p for p in lam if p)
-    if not is_partition(lam):
-        raise ValueError(f"not a partition: {lam}")
-    return _x_part(*count_mt_by_code(lam, n, 0))
+    """Schur polynomial as the tableau generating function; the counter
+    checks the shape."""
+    return _x_part(*count_mt_by_code(tuple(p for p in lam if p), n, 0))
 
 
 @lru_cache(maxsize=None)
 def pschur(lam: tuple[int, ...], n: int) -> Polynomial:
-    """P-Schur polynomial as the shifted tableau generating function."""
-    lam = tuple(lam)
-    if not is_strict_partition(lam):
-        raise ValueError(f"not a strict partition: {lam}")
+    """P-Schur polynomial as the shifted tableau generating function; the
+    counter checks the shape."""
     return _x_part(*count_smt_by_code(lam, n, 0))
 
 
@@ -309,11 +298,12 @@ def signed_smt_sum(spec: FamilySpec) -> TruncatedSeries:
 # the t-coefficient through the h-product identity
 
 
-def _h_product(t_exps, heights, n: int) -> Polynomial:
-    out = Polynomial.constant(1, n, 0)
-    for h, t_h in enumerate(t_exps, start=1):
-        out = out * h_polynomial(t_h, heights[h], n)
-    return out
+def _hmult_arguments(spec: FamilySpec, t_exps) -> tuple:
+    """(mu + delta padded to n, (T_ell..T_1), (c_ell..c_1)): the base of the
+    J lemma and the levels, top first, of the t^T coefficient."""
+    heights, levels = column_heights(spec.mu), range(spec.ell, 0, -1)
+    base = tuple(a + b for a, b in zip(pad(spec.mu, spec.n), staircase(spec.n)))
+    return base, tuple(t_exps[h - 1] for h in levels), tuple(heights[h] for h in levels)
 
 
 def coefficient_via_hmult(spec: FamilySpec, t_exps) -> Polynomial:
@@ -328,17 +318,14 @@ def coefficient_via_hmult(spec: FamilySpec, t_exps) -> Polynomial:
     n, ell = spec.n, spec.ell
     if len(t_exps) != ell:
         raise ValueError(f"need exactly {ell} t-exponents")
-    heights = column_heights(spec.mu)
     if spec.vanishes():
         return Polynomial.zero(n, 0)
+    base, increments, columns = _hmult_arguments(spec, t_exps)
     if spec.family == "J":
-        mu_p = pad(spec.mu, n)
-        exps = tuple(a + b for a, b in zip(mu_p, staircase(n)))
-        f = _h_product(t_exps, heights, n) * Polynomial.monomial(exps, ())
-        return divide_exact(antisymmetrize(f, n), vandermonde(n))
+        return divide_exact(hmult_lhs(base, increments, columns, n), vandermonde(n))
     if spec.family == "P":
         m = len(spec.mu)
-        f = _h_product(t_exps, heights, n) * Polynomial.monomial(pad(spec.mu, n), ())
+        f = hmult_product(spec.mu, increments, columns, n)
         for i in range(m):
             for j in range(i + 1, n):
                 f = f * (x_var(i, n) + x_var(j, n))
@@ -351,21 +338,12 @@ def coefficient_via_hmult(spec: FamilySpec, t_exps) -> Polynomial:
 
 def hmult_good_extension_route(spec: FamilySpec, t_exps) -> Polynomial:
     """Family J only: the same t-coefficient summed over good extensions."""
-    from .partitions import hmult_rhs_good
-
-    t_exps = tuple(t_exps)
     n = spec.n
     if spec.family != "J":
         raise ValueError("the good-extension route applies to family J")
     if spec.vanishes():
         return Polynomial.zero(n, 0)
-    heights = column_heights(spec.mu)
-    ell = spec.ell
-    mu_p = pad(spec.mu, n)
-    base = tuple(a + b for a, b in zip(mu_p, staircase(n)))
-    increments = tuple(t_exps[h - 1] for h in range(ell, 0, -1))
-    columns = tuple(heights[h] for h in range(ell, 0, -1))
-    return divide_exact(hmult_rhs_good(base, increments, columns, n), vandermonde(n))
+    return divide_exact(hmult_rhs_good(*_hmult_arguments(spec, tuple(t_exps)), n), vandermonde(n))
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +366,6 @@ class BasisExpansion(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "nt", nt)
         object.__setattr__(self, "coefficients", coefficients)
-
-    def _key(self):
-        return (self.basis, self.n, self.nt, self.coefficients)
 
     @classmethod
     def from_dict(cls, basis: str, n: int, nt: int, coeffs: dict) -> "BasisExpansion":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import cache, total_ordering
+from itertools import chain
 
 from .algebra import MonomialCode
 from .frozen import Frozen
@@ -61,9 +62,6 @@ class Entry(Frozen):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "primed", primed)
 
-    def _key(self):
-        return (self.value, self.primed)
-
     def sort_key(self):
         return (self.value, 0 if self.primed else 1)
 
@@ -97,11 +95,14 @@ def lt_p(a: Entry, z: Entry) -> bool:
     return a.value < z.value or (a.value == z.value and a.primed)
 
 
-def _weight_vector(counts: dict[int, int], top: int | None = None) -> tuple[int, ...]:
-    """(count of 1, ..., count of top); top defaults to the largest value counted."""
+def _weight_vector(values, top: int | None = None) -> tuple[int, ...]:
+    """(count of 1, ..., count of top) over the values; top defaults to the largest."""
+    # a tableau holds few values, so one count per value, in C, beats a
+    # Counter, whose lookups of values not present run Python code
+    values = tuple(values)
     if top is None:
-        top = max(counts, default=0)
-    return tuple(counts.get(v, 0) for v in range(1, top + 1))
+        top = max(values, default=0)
+    return tuple(map(values.count, range(1, top + 1)))
 
 
 class _BoxRows(Frozen):
@@ -151,16 +152,8 @@ class MultisetTableau(_BoxRows):
     def __init__(self, rows: tuple[tuple[tuple[int, ...], ...], ...]):
         object.__setattr__(self, "rows", rows)
 
-    def _key(self):
-        return (self.rows,)
-
     def weight(self) -> tuple[int, ...]:
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            for box in row:
-                for v in box:
-                    counts[v] = counts.get(v, 0) + 1
-        return _weight_vector(counts)
+        return _weight_vector(chain.from_iterable(chain.from_iterable(self.rows)))
 
     column_weight = _BoxRows._label_weight
 
@@ -240,16 +233,8 @@ class ShiftedMultisetTableau(_BoxRows):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "signed", signed)
 
-    def _key(self):
-        return (self.rows, self.signed)
-
     def weight(self) -> tuple[int, ...]:
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            for box in row:
-                for e in box:
-                    counts[e.value] = counts.get(e.value, 0) + 1
-        return _weight_vector(counts)
+        return _weight_vector(e.value for row in self.rows for box in row for e in box)
 
     diagonal_weight = _BoxRows._label_weight
 
@@ -376,15 +361,8 @@ class SkewFilling(Frozen):
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "rows", rows)
 
-    def _key(self):
-        return (self.outer, self.inner, self.rows)
-
     def weight(self, alphabet: int | None = None) -> tuple[int, ...]:
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            for v in row:
-                counts[v] = counts.get(v, 0) + 1
-        return _weight_vector(counts, alphabet)
+        return _weight_vector(chain.from_iterable(self.rows), alphabet)
 
     def to_json_dict(self) -> dict:
         return {"outer": list(self.outer), "inner": list(self.inner), "rows": [list(r) for r in self.rows]}
@@ -461,16 +439,23 @@ def srt_shapes(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[int, ..
     )
 
 
+def srt_lift(f: SkewFilling) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Inverse of srt_shapes: the shifted shapes (lam, mu) of f's carrier,
+    with the staircase as long as f's inner shape."""
+    delta = staircase(len(f.inner))
+    lam = tuple(o + d for o, d in zip(f.outer, delta))
+    return lam, tuple(i + d for i, d in zip(f.inner, delta))
+
+
 def is_valid_srt(f: SkewFilling, mu: tuple[int, ...]) -> bool:
     """Shifted restricted tableau; f lives on (lam-delta)/(mu-delta) for strict mu."""
     mu = tuple(mu)
     if not is_strict_partition(mu):
         return False
-    m = len(mu)
-    delta = staircase(m)
-    if tuple(i + d for i, d in zip(f.inner, delta)) != mu:
+    lam, inner = srt_lift(f)
+    # the lift keeps f's row count, so a filling of more rows than mu fails here
+    if inner != mu:
         return False
-    lam = tuple(o + d for o, d in zip(f.outer, delta))
     if not is_strict_partition(tuple(p for p in lam if p)):
         return False
     return _skew_semistandard_ok(f) and _restricted_ok(f, mu)
@@ -559,8 +544,7 @@ def maximal_smt_to_srt(t: ShiftedMultisetTableau) -> SkewFilling:
 
 def srt_to_maximal_smt(f: SkewFilling) -> ShiftedMultisetTableau:
     """Inverse of maximal_smt_to_srt; inner shape determines mu."""
-    mu = tuple(i + d for i, d in zip(f.inner, staircase(len(f.inner))))
-    t = ShiftedMultisetTableau(_maximal_rows(f, mu, Entry), signed=False)
+    t = ShiftedMultisetTableau(_maximal_rows(f, srt_lift(f)[1], Entry), signed=False)
     if not is_maximal_smt(t):
         raise ValueError("filling does not encode a maximal shifted tableau")
     return t
@@ -601,6 +585,19 @@ def _check_cells(shape, cells: int) -> None:
         raise ValueError(f"shape {shape} has more cells than a list can hold")
     if cells > MAX_CELLS:
         raise ValueError(f"shape {shape} has {cells} cells; a tableau walk takes at most {MAX_CELLS}")
+
+
+def _walk_shape(shape, shifted: bool, **caps: int) -> tuple[int, ...]:
+    """The shape as a tuple, once it is a (strict, when shifted) partition,
+    each cap, in the order given, is nonnegative and its cells fit a walk."""
+    shape = tuple(shape)
+    if not (is_strict_partition if shifted else is_partition)(shape):
+        raise ValueError(f"not a {'strict ' if shifted else ''}partition: {shape}")
+    for name, cap in caps.items():
+        if cap < 0:
+            raise ValueError(f"{name} must be nonnegative, got {cap}")
+    _check_cells(shape, sum(shape))
+    return shape
 
 
 def _mt_least(left: int, above: int) -> int:
@@ -646,16 +643,7 @@ class _Grid:
     """
 
     def __init__(self, shape, max_value: int, extra_cap: int, shifted: bool, signed: bool = False):
-        shape = tuple(shape)
-        if shifted and shape and not is_strict_partition(shape):
-            raise ValueError(f"not a strict partition: {shape}")
-        if not shifted and not is_partition(shape):
-            raise ValueError(f"not a partition: {shape}")
-        if max_value < 0:
-            raise ValueError(f"max_value must be nonnegative, got {max_value}")
-        if extra_cap < 0:
-            raise ValueError(f"extra_cap must be nonnegative, got {extra_cap}")
-        _check_cells(shape, sum(shape))
+        shape = _walk_shape(shape, shifted, max_value=max_value, extra_cap=extra_cap)
         self.shape, self.max_value, self.extra_cap = shape, max_value, extra_cap
         self.ell = shape[0] if shape else 0
         self.shifted = shifted
@@ -751,14 +739,27 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
     one state.  Each cell's mask clears its own slot pair and the slots no
     later cell reads before writing them, for the same reason.  Each cell
     has its own memo, keyed by the frontier alone, whose entry is the list
-    of the state's strata grown only as far as some caller has needed.  A
-    caller reads its child's entry and, only when it is missing or too
-    short, grows it through the deepest degree this caller reads; a state
-    that a later caller needs deeper adds just the strata it lacks.  The
-    memo past the last cell holds the one empty completion in stratum 0,
-    and all memos live for this call only.  The root's strata have disjoint
-    keys, since the |t| digit of a code differs between them, so the result
-    is their union.
+    of the state's strata, built in one call by the first caller to reach
+    the state, through the deepest degree that caller reads.  No later
+    caller reads deeper:
+
+    - A straight box stores only its last index.  Cutting the box to that
+      entry leaves every stored value and every later choice as they were.
+    - A shifted box's extras change only its stored last value.  Only its
+      right neighbour reads that value, and cutting the box to its first
+      entry only lowers it.
+    - So a state needs at most one extra, in its left neighbour's box.
+    - Each `grow` loop reaches a child first at the child's least extra,
+      because `d` ascends.
+    - A parent that needs that extra is first reached at `d >= 1` of a
+      grandparent.  That grandparent's `d = 0` pass has already grown the
+      cut sibling, and through it the state, at the full top, so the
+      parent finds the state in the memo.
+
+    The memo past the last cell holds the one empty completion in stratum
+    0, and all memos live for this call only.  The root's strata have
+    disjoint keys, since the |t| digit of a code differs between them, so
+    the result is their union.
 
     A weight is the code of its monomial, whose degrees are at most
     |shape| + extra_cap and extra_cap, so a box choice adds one int to each
@@ -841,16 +842,16 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
     done = {0: 1}
     memos = [{} for _ in cells] + [{0: [done] + [{}] * extra_cap}]
 
-    def grow(idx: int, frontier: int, strata: list, top: int) -> None:
-        """Grow strata, the completions of the state (idx, frontier) by
-        t-degree, through degree top."""
+    def grow(idx: int, frontier: int, top: int) -> list:
+        """The strata of the state (idx, frontier), through degree top."""
         left, above, keep, place, table, unprimed_min, t_shift = plans[idx]
         lo = least((frontier >> left & fm) - 1, (frontier >> above & fm) - 1)
         rows = [table[first] for first in grid.firsts(lo, unprimed_min)]
         frontier &= keep
         idx += 1
         memo = memos[idx]
-        for d in range(len(strata), top + 1):
+        strata = []
+        for d in range(top + 1):
             out: dict[int, int] = {}
             for choices in rows:
                 for extra, bits, weights in choices:
@@ -859,9 +860,7 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
                     state = frontier | bits << place
                     child = memo.get(state)
                     if child is None:
-                        child = memo[state] = []
-                    if len(child) <= d - extra:
-                        grow(idx, state, child, top - extra)
+                        child = memo[state] = grow(idx, state, top - extra)
                     layer = child[d - extra]
                     if layer:
                         shift = t_shift[extra]
@@ -871,13 +870,12 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
                                 k += w
                                 out[k] = out.get(k, 0) + v
             strata.append(out)
+        return strata
 
     if not cells:
         return code, done
-    strata: list = []
-    grow(0, 0, strata, extra_cap)
     out: dict[int, int] = {}
-    for layer in strata:
+    for layer in grow(0, 0, extra_cap):
         out.update(layer)
     return code, out
 
@@ -927,6 +925,8 @@ def enumerate_sst(shape, max_value: int, signed: bool = False):
 
 def _enumerate_restricted(outer, inner, mu):
     """Skew semistandard fillings in alphabet {1..ell}, entry v on rows <= c_v."""
+    if len(inner) != len(outer) or any(i > o for i, o in zip(inner, outer)):
+        raise ValueError("inner shape must fit inside outer shape")
     _check_cells(outer, sum(outer) - sum(inner))
     ell = mu[0] if mu else 0
     floors = _floors(mu, len(outer))
@@ -971,9 +971,7 @@ def enumerate_rt(outer, mu):
     if not (is_partition(mu) and is_partition(rows) and outer == rows + (0,) * (len(outer) - len(rows))):
         raise ValueError(f"not a partition pair: {outer}/{mu}")
     inner = mu + (0,) * (len(outer) - len(mu))
-    if len(mu) > len(outer) or any(i > o for i, o in zip(inner, outer)):
-        raise ValueError("inner shape must fit inside outer shape")
-    return _enumerate_restricted(outer, inner, tuple(p for p in mu if p))
+    return _enumerate_restricted(outer, inner, mu)
 
 
 def enumerate_srt(lam, mu):
@@ -981,10 +979,7 @@ def enumerate_srt(lam, mu):
     lam, mu = tuple(lam), tuple(mu)
     if not (is_strict_partition(lam) and is_strict_partition(mu)):
         raise ValueError(f"not a strict partition pair: {lam}/{mu}")
-    outer, inner = srt_shapes(lam, mu)
-    if any(i > o for i, o in zip(inner, outer)):
-        raise ValueError("inner shape must fit inside outer shape")
-    return _enumerate_restricted(outer, inner, mu)
+    return _enumerate_restricted(*srt_shapes(lam, mu), mu)
 
 
 def maximal_box_sizes(shape, extra_cap: int, shifted: bool = False):
@@ -996,12 +991,7 @@ def maximal_box_sizes(shape, extra_cap: int, shifted: bool = False):
     Row i holds only the unprimed value i, so rows weakly increase, columns
     strictly increase and row minima are unprimed whatever the sizes are:
     only `_fits_below` can fail, and a row of ones always fits."""
-    shape = tuple(shape)
-    if not (is_strict_partition if shifted else is_partition)(shape):
-        raise ValueError(f"not a {'strict ' if shifted else ''}partition: {shape}")
-    if extra_cap < 0:
-        raise ValueError(f"extra_cap must be nonnegative, got {extra_cap}")
-    _check_cells(shape, sum(shape))
+    shape = _walk_shape(shape, shifted, extra_cap=extra_cap)
     bound = 0 if shifted else 1
 
     @cache

@@ -24,6 +24,7 @@ from .partitions import (
     hmult_lemma_split,
     is_good_extension,
     iota,
+    is_strict_partition,
     pad,
     subpartitions,
 )
@@ -73,9 +74,6 @@ class CaseResult(Frozen):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "detail", detail)
-
-    def _key(self):
-        return (self.name, self.passed, self.detail)
 
 
 def census_scale() -> str:
@@ -198,7 +196,6 @@ def _pair_census(cap_n: int, ell: int, pairs) -> Counter:
 
 
 def _psi_case(mu, cap_n: int, cap_d: int) -> str:
-    seen = set()
     classes = Counter()
     for p in enumerate_mt(mu, cap_n, cap_d):
         q, r = psi(p)
@@ -208,10 +205,6 @@ def _psi_case(mu, cap_n: int, cap_d: int) -> str:
             return f"weights not preserved for {p.rows}"
         if psi_inverse(q, r) != p:
             return f"round trip failed for {p.rows}"
-        key = (q.rows, r.outer, r.rows)
-        if key in seen:
-            return "psi is not injective"
-        seen.add(key)
         classes[(pad(p.weight(), cap_n), p.column_weight())] += 1
         highest = all(all(b[0] == i + 1 for b in row) for i, row in enumerate(q.rows))
         if highest != is_maximal_mt(p):
@@ -251,7 +244,7 @@ def _phi_case(mu, cap_n: int, cap_d: int) -> str:
     if signed_smt_sum(spec).poly != combinatorial_series(spec).poly * (1 << m):
         return "signed sum is not 2^m times the unsigned sum"
     lhs = Counter((pad(p.weight(), cap_n), p.diagonal_weight()) for p in signed)
-    strict = (lam for lam in _grown_shapes(mu, cap_d) if all(a > b for a, b in zip(lam, lam[1:])))
+    strict = (lam for lam in _grown_shapes(mu, cap_d) if is_strict_partition(lam))
     rhs = _pair_census(cap_n, mu[0], ((enumerate_sst(lam, cap_n, signed=True), enumerate_srt(lam, mu))
                                       for lam in strict))
     return "" if rhs == lhs else "pair census cardinalities differ per class"
@@ -316,9 +309,7 @@ def _route_instances(scale: str):
         rows += [(4, 2), (3, 3)]
     for family in ("J", "P"):
         for mu in subpartitions(bound):
-            if family == "P" and mu and not all(
-                mu[i] > mu[i + 1] for i in range(len(mu) - 1)
-            ):
+            if family == "P" and not is_strict_partition(mu):
                 continue
             for n, t_cap in rows:
                 yield family, mu, n, t_cap

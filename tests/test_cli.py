@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import grothlab.cli as cli
 import grothlab.tableaux as tableaux
-from grothlab.algebra import ExactDivisionError, MonomialCode, TruncatedSeries
-from grothlab.polynomials import ExpansionError
+from grothlab.algebra import ExactDivisionError, MonomialCode, Polynomial, TruncatedSeries
+from grothlab.polynomials import BasisExpansion, ExpansionError
 from grothlab.tableaux import MultisetTableau, ShiftedMultisetTableau, is_valid_mt
 from grothlab.verify import CaseResult
 from examples import out_chain_shifted, out_chain_straight
@@ -273,6 +273,46 @@ def test_expansion_error_in_expand_exits_three(capsys, monkeypatch):
     code, _, err = run(capsys, "expand", "J", "2,1", "--n", "2")
     assert code == 3
     assert "internal invariant breach" in err
+
+
+def _one_coefficient_off(series):
+    """The series with its first term's coefficient raised by one."""
+    code, coded = series.coded()
+    first = max(coded)
+    return TruncatedSeries(code, {**coded, first: coded[first] + 1}, series.x_cap, series.t_cap)
+
+
+@pytest.mark.parametrize("family, mu", [("J", "2,1"), ("P", "2,1")])
+def test_compute_says_disagree_when_the_routes_differ_in_one_coefficient(capsys, monkeypatch, family, mu):
+    true_route = cli.combinatorial_series
+    monkeypatch.setattr(cli, "combinatorial_series", lambda spec: _one_coefficient_off(true_route(spec)))
+    argv = ("compute", family, mu, "--n", "2", "--tcap", "1", "--route", "both")
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines()[-1] == "verdict: DISAGREE"
+    code, raw, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(raw)["verdict"] == "DISAGREE"
+
+
+@pytest.mark.parametrize("family, mu", [("J", "2,1"), ("P", "2,1")])
+def test_expand_says_disagree_when_the_maximal_side_differs_in_one_coefficient(capsys, monkeypatch, family, mu):
+    true_expansion = cli.expansion_via_maximal
+
+    def one_coefficient_off(spec):
+        exp = true_expansion(spec)
+        (lam, coeff), *rest = exp.coefficients
+        bumped = ((lam, coeff + Polynomial.constant(1, 0, spec.ell)), *rest)
+        return BasisExpansion(exp.basis, exp.n, exp.nt, bumped)
+
+    monkeypatch.setattr(cli, "expansion_via_maximal", one_coefficient_off)
+    argv = ("expand", family, mu, "--n", "2", "--tcap", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines()[-1] == "verdict: DISAGREE"
+    code, raw, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(raw)["verdict"] == "DISAGREE"
 
 
 def test_one_parser_serves_successive_calls(capsys):

@@ -504,3 +504,15 @@ def test_walks_run_at_the_cell_bound():
     assert len(enumerate_rt((MAX_CELLS + 1,), (1,))) == 1
     with pytest.raises(ValueError, match="a tableau walk takes at most"):
         count_mt_by_weight((MAX_CELLS + 1,), 1, 0)
+
+
+def test_a_filling_with_more_rows_than_mu_is_no_srt():
+    # the carrier of mu = (2, 1) has two rows; a third, empty row used to go
+    # unread, so is_valid_srt accepted what srt_to_maximal_smt refuses
+    f = SkewFilling((2, 1, 0), (1, 1, 0), ((1,), (), ()))
+    assert not is_valid_srt(f, (2, 1))
+    with pytest.raises(ValueError, match="does not encode a maximal shifted tableau"):
+        srt_to_maximal_smt(f)
+    two_rows = SkewFilling((2, 1), (1, 1), ((1,), ()))
+    assert is_valid_srt(two_rows, (2, 1))
+    assert maximal_smt_to_srt(srt_to_maximal_smt(two_rows)) == two_rows

@@ -3,10 +3,17 @@ from collections import Counter
 import pytest
 
 import grothlab.verify as verify
-from grothlab.algebra import Polynomial
+from grothlab.algebra import MonomialCode, Polynomial, TruncatedSeries
 from grothlab.partitions import pad
 from grothlab.polynomials import BasisExpansion
-from grothlab.tableaux import enumerate_rt, enumerate_srt, enumerate_ssyt, enumerate_sst
+from grothlab.tableaux import (
+    MultisetTableau,
+    ShiftedMultisetTableau,
+    enumerate_rt,
+    enumerate_srt,
+    enumerate_ssyt,
+    enumerate_sst,
+)
 from grothlab.verify import (
     SUITES,
     _bijection_shapes,
@@ -107,3 +114,41 @@ def test_pair_census_counts_every_pair(mu):
         )
         census = verify._pair_census(cap_n, mu[0], ((enum_q(lam), enum_r(lam)) for lam in lams))
         assert census == walked and sum(census.values()) > 0
+
+
+def test_psi_case_reports_a_failed_round_trip_and_a_maximality_mismatch(monkeypatch):
+    assert verify._psi_case((2, 1), 3, 2) == ""
+    monkeypatch.setattr(verify, "psi_inverse", lambda q, r: MultisetTableau(()))
+    assert verify._psi_case((2, 1), 3, 2) == "round trip failed for (((1,), (1,)), ((2,),))"
+    monkeypatch.undo()
+    true_test = verify.is_maximal_mt
+    monkeypatch.setattr(verify, "is_maximal_mt", lambda t: not true_test(t))
+    assert verify._psi_case((2, 1), 3, 2) == "maximality mismatch for (((1,), (1,)), ((2,),))"
+
+
+def test_phi_case_reports_a_failed_round_trip(monkeypatch):
+    monkeypatch.setattr(verify, "phi_inverse", lambda q, r: ShiftedMultisetTableau(()))
+    detail = verify._phi_case((2, 1), 3, 2)
+    assert detail == "round trip failed for (((Entry(1'),), (Entry(1),)), ((Entry(2'),),))"
+
+
+def test_routes_case_reports_a_series_not_symmetric_in_x(monkeypatch):
+    # both routes return the one series x1, so they agree, but on x1 alone
+    code = MonomialCode(2, 2, 1, 0)
+    lopsided = TruncatedSeries(code, {code.x_var(0): 1}, 1, 0)
+    for route in ("algebraic_series", "combinatorial_series"):
+        monkeypatch.setattr(verify, route, lambda spec: lopsided)
+    assert verify._routes_case("J", (2, 1), 2, 1) == "series is not symmetric in x"
+
+
+def test_positivity_case_reports_a_negative_coefficient(monkeypatch):
+    true_expansion = verify.expansion_via_maximal
+
+    def negate_one_coefficient(spec):
+        exp = true_expansion(spec)
+        (lam, coeff), *rest = exp.coefficients
+        return BasisExpansion(exp.basis, exp.n, exp.nt, ((lam, -coeff), *rest))
+
+    monkeypatch.setattr(verify, "expansion_via_maximal", negate_one_coefficient)
+    for family in ("J", "P"):
+        assert verify._positivity_case(family, (2, 1), 3, 2) == "a basis coefficient has a negative term"
