@@ -232,16 +232,19 @@ def _on_copy(t, body, *args):
 
 def out_step(t, k: int, ell: int):
     """One out move at stage k; returns (tableau, OutTrace)."""
-    return _on_copy(t, _out, k, ell)
+    t, fields = _on_copy(t, _out, k, ell)
+    return t, OutTrace(*fields)
 
 
 def in_step(t, k: int, ell: int, cell):
     """One in move at stage k undoing an out; cell is the corner consumed."""
-    return _on_copy(t, _in, k, ell, cell)
+    t, fields = _on_copy(t, _in, k, ell, cell)
+    return t, InTrace(*fields)
 
 
-def _out(rows, k: int, ell: int, family) -> OutTrace:
-    """One out move at stage k on a list of row lists, in place."""
+def _out(rows, k: int, ell: int, family) -> tuple:
+    """One out move at stage k on a list of row lists, in place; returns
+    the fields of its OutTrace as a tuple."""
     shift, order, _, word = family
     idx = ell - k
     boxes = [(r, row[idx]) for r, row in enumerate(rows) if idx < len(row)]
@@ -277,11 +280,12 @@ def _out(rows, k: int, ell: int, family) -> OutTrace:
         if col != h * shift:
             raise InsertionError("append cannot start a new row here")
         rows.append([(a,)])
-    return OutTrace(v, (r0, r0 * shift + idx), tuple(path), (h, col), a)
+    return v, (r0, r0 * shift + idx), tuple(path), (h, col), a
 
 
-def _in(rows, k: int, ell: int, cell, family) -> InTrace:
-    """One in move at stage k on a list of row lists, in place."""
+def _in(rows, k: int, ell: int, cell, family) -> tuple:
+    """One in move at stage k on a list of row lists, in place; returns
+    the fields of its InTrace as a tuple."""
     shift, order, admits, word = family
     idx = ell - k
     r, col = cell
@@ -329,15 +333,16 @@ def _in(rows, k: int, ell: int, cell, family) -> InTrace:
             f"deposit of {z} duplicates a primed entry at {_cell_text(target, col)}"
         )
     rows[target][idx] = tuple(sorted(box + (z,)))
-    return InTrace(cell, removed, tuple(path), (target, col), z)
+    return cell, removed, tuple(path), (target, col), z
 
 
 # ---------------------------------------------------------------------------
 # stage maps and the full bijections
 
 
-def _stage(rows, k: int, ell: int, family) -> list[OutTrace]:
-    """Run stage k on a list of row lists, in place; returns its traces.
+def _stage(rows, k: int, ell: int, family) -> list[tuple]:
+    """Run stage k on a list of row lists, in place; returns the OutTrace
+    fields of its moves.
 
     Each out move takes one noncircled entry off line k and appends a
     single entry right of it, so the stage makes exactly as many moves as
@@ -356,7 +361,8 @@ def _unstage(rows, k: int, ell: int, cells, family) -> None:
 def psi_k(t, k: int, ell: int):
     """Apply out at stage k until the active column/diagonal holds single
     entries; returns (tableau, traces)."""
-    return _on_copy(t, _stage, k, ell)
+    t, moves = _on_copy(t, _stage, k, ell)
+    return t, [OutTrace(*fields) for fields in moves]
 
 
 def psi_k_inverse(t, k: int, ell: int, cells):
@@ -366,24 +372,32 @@ def psi_k_inverse(t, k: int, ell: int, cells):
 
 def _run_stages(p, valid):
     """Run psi_k for k = 1..ell on p; returns (Q, marks), where marks maps
-    each appended cell to the stage k that appended it.  A stage that moves
-    freezes the rows once; every stage's tableau must pass valid."""
+    each appended cell to the stage k that appended it.
+
+    A stage that moves freezes the rows once, and its tableau must pass
+    valid.  A stage without a move hands back the same immutable tableau,
+    which has passed valid already: at the last stage that moved, or, at
+    the start, in the caller's entry test (`psi` tests is_valid_mt, the
+    valid it passes here; `phi` tests is_valid_smt, which runs
+    _smt_structure_ok first).  valid is a pure function, so calling it
+    again on that tableau could not change the outcome, and it is not
+    called."""
     ell = p.ell
     family = _family(p)
     rows = [list(row) for row in p.rows]
     t = p
     marks: dict[tuple[int, int], int] = {}
     for k in range(1, ell + 1):
-        traces = _stage(rows, k, ell, family)
-        if traces:
-            cols = [tr.appended_cell[1] for tr in traces]
-            if any(c2 <= c1 for c1, c2 in zip(cols, cols[1:])):
+        moves = _stage(rows, k, ell, family)
+        if moves:
+            cells = [fields[3] for fields in moves]
+            if any(c2 <= c1 for (_, c1), (_, c2) in zip(cells, cells[1:])):
                 raise InsertionError("appended boxes must move strictly right")
-            for tr in traces:
-                marks[tr.appended_cell] = k
+            for cell in cells:
+                marks[cell] = k
             t = _with_rows(p, rows)
-        if not valid(t):
-            raise InsertionError(f"stage {k} left an invalid tableau")
+            if not valid(t):
+                raise InsertionError(f"stage {k} left an invalid tableau")
     return t, marks
 
 
@@ -398,7 +412,8 @@ def _undo_stages(q, r: SkewFilling, mu, offset: int):
     family = _family(q)
     rows = [list(row) for row in q.rows]
     for k in range(ell, 0, -1):
-        _unstage(rows, k, ell, strips.get(k, ()), family)
+        if k in strips:
+            _unstage(rows, k, ell, strips[k], family)
     t = _with_rows(q, rows)
     if t.shape != mu:
         raise InsertionError("inverse did not return to the inner shape")

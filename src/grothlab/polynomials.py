@@ -298,6 +298,14 @@ def signed_smt_sum(spec: FamilySpec) -> TruncatedSeries:
 # the t-coefficient through the h-product identity
 
 
+def _hmult_exponents(spec: FamilySpec, t_exps) -> tuple:
+    """t_exps as a tuple, refused unless it holds one exponent per label."""
+    t_exps = tuple(t_exps)
+    if len(t_exps) != spec.ell:
+        raise ValueError(f"need exactly {spec.ell} t-exponents")
+    return t_exps
+
+
 def _hmult_arguments(spec: FamilySpec, t_exps) -> tuple:
     """(mu + delta padded to n, (T_ell..T_1), (c_ell..c_1)): the base of the
     J lemma and the levels, top first, of the t^T coefficient."""
@@ -314,10 +322,8 @@ def coefficient_via_hmult(spec: FamilySpec, t_exps) -> Polynomial:
     result must match the same coefficient extracted from the algebraic
     series.
     """
-    t_exps = tuple(t_exps)
-    n, ell = spec.n, spec.ell
-    if len(t_exps) != ell:
-        raise ValueError(f"need exactly {ell} t-exponents")
+    t_exps = _hmult_exponents(spec, t_exps)
+    n = spec.n
     if spec.vanishes():
         return Polynomial.zero(n, 0)
     base, increments, columns = _hmult_arguments(spec, t_exps)
@@ -341,9 +347,10 @@ def hmult_good_extension_route(spec: FamilySpec, t_exps) -> Polynomial:
     n = spec.n
     if spec.family != "J":
         raise ValueError("the good-extension route applies to family J")
+    t_exps = _hmult_exponents(spec, t_exps)
     if spec.vanishes():
         return Polynomial.zero(n, 0)
-    return divide_exact(hmult_rhs_good(*_hmult_arguments(spec, tuple(t_exps)), n), vandermonde(n))
+    return divide_exact(hmult_rhs_good(*_hmult_arguments(spec, t_exps), n), vandermonde(n))
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ class _BoxRows(Frozen):
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
+        return tuple(map(len, self.rows))
 
     @property
     def ell(self) -> int:

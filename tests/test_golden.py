@@ -19,7 +19,10 @@ P (7,5,3,1) t5, the largest maximal-tableau checks of the expand ladder,
 text and JSON rows at n = 9 and 10, past the 8 digits beyond which a
 part is read in halves, and shifted combinatorial rows past the bench grid:
 P (4,3,2,1) at n = 6 and P (3,2,1) at t_cap = 3 in JSON, and
-combinatorial rows at t_cap = 4: J (3,2,1) and P (4,2,1) at n = 5.
+combinatorial rows at t_cap = 4: J (3,2,1) and P (4,2,1) at n = 5,
+and `verify psi` and `verify phi` in text and JSON, made before psi/phi
+stopped validating stages that made no move.  The test removes
+GROTHLAB_CENSUS_SCALE, so those four always read the small census.
 A call names its data file from the repository root, so the test runs
 from any directory.
 """
@@ -41,7 +44,8 @@ with open(os.path.join(ROOT, "tests", "data", "golden_stdout.json"), encoding="u
 
 
 @pytest.mark.parametrize("call", sorted(GOLDEN))
-def test_stdout_and_exit_code_match_the_golden_digest(call):
+def test_stdout_and_exit_code_match_the_golden_digest(call, monkeypatch):
+    monkeypatch.delenv("GROTHLAB_CENSUS_SCALE", raising=False)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main([os.path.join(ROOT, a) if a.startswith("tests/data/") else a for a in call.split()])

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import grothlab.insertion as insertion
 from grothlab.insertion import (
     InsertionError,
     PrimedDuplicationError,
@@ -37,7 +38,7 @@ from grothlab.tableaux import (
     lt_u,
 )
 
-from examples import example_smt, out_chain_shifted, out_chain_straight
+from examples import example_mt, example_smt, out_chain_shifted, out_chain_straight
 
 
 def box(*tokens):
@@ -292,6 +293,49 @@ def test_in_primed_duplication_is_reported():
     assert is_valid_smt(t)
     with pytest.raises(PrimedDuplicationError, match=r"^deposit of 3' duplicates a primed entry at \(2, 2\)$"):
         in_step(t, 3, 3, (0, 2))
+
+
+# ---------------------------------------------------------------------------
+# the drivers' own checks, each reached by breaking what it checks
+
+
+def test_stages_refuse_appended_boxes_out_of_order(monkeypatch):
+    # stage 1 of the straight example makes four moves; run them backwards
+    stage = insertion._stage
+    monkeypatch.setattr(insertion, "_stage", lambda *args: stage(*args)[::-1])
+    with pytest.raises(InsertionError, match=r"^appended boxes must move strictly right$"):
+        psi(example_mt())
+
+
+def test_psi_refuses_strip_entries_that_are_not_restricted(monkeypatch):
+    monkeypatch.setattr(insertion, "is_valid_rt", lambda r: False)
+    with pytest.raises(
+        InsertionError, match=r"^recorded strip entries do not form a restricted tableau$"
+    ):
+        psi(example_mt())
+
+
+def test_phi_refuses_strip_entries_that_are_not_shifted_restricted(monkeypatch):
+    monkeypatch.setattr(insertion, "is_valid_srt", lambda r, mu: False)
+    with pytest.raises(
+        InsertionError, match=r"^recorded strip entries do not form a shifted restricted tableau$"
+    ):
+        phi(example_smt())
+
+
+def test_inverses_refuse_to_end_off_the_inner_shape(monkeypatch):
+    # with stage 1 left undone, its strip stays on the tableau
+    pairs = [(psi_inverse, psi(example_mt())), (phi_inverse, phi(example_smt()))]
+    unstage = insertion._unstage
+
+    def skip_stage_1(rows, k, *args):
+        if k != 1:
+            unstage(rows, k, *args)
+
+    monkeypatch.setattr(insertion, "_unstage", skip_stage_1)
+    for inverse, (q, r) in pairs:
+        with pytest.raises(InsertionError, match=r"^inverse did not return to the inner shape$"):
+            inverse(q, r)
 
 
 def test_single_out_steps_invert_on_valid_census():

@@ -13,6 +13,7 @@ from grothlab.algebra import (
     x_var,
 )
 from grothlab.partitions import is_strict_partition, subpartitions
+import grothlab.polynomials as polynomials
 from grothlab.polynomials import (
     _product,
     BasisExpansion,
@@ -194,6 +195,16 @@ def test_coefficient_via_hmult_matches_series():
         assert coefficient_via_hmult(sp, t_exps) == sp_series.coefficient_of_t(t_exps)
 
 
+def test_both_hmult_routes_refuse_a_wrong_number_of_t_exponents():
+    # checked before the shortcut for a vanishing family, too
+    for spec in (FamilySpec("J", (2, 1), 2), FamilySpec("J", (2, 1, 1), 2)):
+        for route in (coefficient_via_hmult, hmult_good_extension_route):
+            for t_exps in ((1, 0, 5), (1,)):
+                with pytest.raises(ValueError) as err:
+                    route(spec, t_exps)
+                assert str(err.value) == "need exactly 2 t-exponents"
+
+
 ROUTE_SHAPES = [mu for mu in subpartitions((7,) * 7) if 0 < sum(mu) <= 7]
 
 
@@ -343,6 +354,13 @@ def test_expand_rejects_nonsymmetric_input():
 def test_expand_in_pschur_rejects_nonstrict_leading_shape():
     with pytest.raises(ExpansionError):
         expand_in_pschur(schur((2, 2), 2), 2)
+
+
+def test_expansion_via_maximal_refuses_a_weight_that_is_not_a_partition(monkeypatch):
+    # one maximal tableau whose second row holds more than its first
+    monkeypatch.setattr(polynomials, "maximal_box_sizes", lambda *args, **kw: [((1,), (1, 1))])
+    with pytest.raises(ExpansionError, match=r"^maximal tableau weight \(1, 2\) is not a partition$"):
+        expansion_via_maximal(FamilySpec("J", (2, 1), 2, t_cap=1))
 
 
 def test_expansion_via_maximal_matches_expand():

@@ -35,7 +35,7 @@ from grothlab.insertion import (
     psi_k,
     psi_k_inverse,
 )
-from grothlab.tableaux import MultisetTableau, SkewFilling
+from grothlab.tableaux import MultisetTableau, SkewFilling, _smt_structure_ok, is_valid_mt
 from examples import example_mt, example_smt
 from test_insertion import random_mt, random_smt
 
@@ -284,7 +284,7 @@ def test_the_paper_examples_match_the_oracle():
 
 
 # ---------------------------------------------------------------------------
-# every stage is validated, once, on its own tableau
+# every stage's tableau is validated once: when its stage moved
 
 
 def stage_tableaux(p):
@@ -299,16 +299,21 @@ def stage_tableaux(p):
 
 
 def check_validated_once_per_stage(p):
+    """_run_stages validates the tableau of each stage that moved, once and
+    in stage order, and nothing else: a stage without a move hands on the
+    tableau validated before it.  A validator refusing its j-th call stops
+    the run at the stage of that call, naming it."""
     try:
         states, moves = stage_tableaux(p)
     except InsertionError:
         return
+    moved = [k for k, n in enumerate(moves, 1) if n]
+    validated = [states[k - 1] for k in moved]
     seen = []
     q, marks = _run_stages(p, lambda t: seen.append(t) or True)
-    assert seen == states and q == states[-1]
+    assert seen == validated and q == states[-1]
     assert [list(marks.values()).count(k) for k in range(1, p.ell + 1)] == moves
-    # a validator refusing stage j stops the run there, naming j
-    for j in range(1, p.ell + 1):
+    for j, k in enumerate(moved, 1):
         calls = []
 
         def refuse_at_j(t):
@@ -316,26 +321,57 @@ def check_validated_once_per_stage(p):
             return len(calls) != j
 
         assert outcome(_run_stages, p, refuse_at_j) == (
-            "InsertionError", f"stage {j} left an invalid tableau"
+            "InsertionError", f"stage {k} left an invalid tableau"
         )
-        assert calls == states[:j]
+        assert calls == validated[:j]
+
+
+def check_as_validating_every_stage(p, refused_stages):
+    """The outcome of _run_stages is that of the reference driver, which
+    validates every stage, for the validator psi or phi passes and for a
+    pure validator refusing the tableaux of refused_stages.  Both accept p,
+    as psi's and phi's entry tests make sure of the real one."""
+    real = is_valid_mt if isinstance(p, MultisetTableau) else _smt_structure_ok
+    assert outcome(_run_stages, p, real) == outcome(ref_run_stages, p, real)
+    try:
+        states, _ = stage_tableaux(p)
+    except InsertionError:
+        return
+    bad = [states[k - 1] for k in refused_stages]
+
+    def refuse(t):
+        return t == p or t not in bad
+
+    assert outcome(_run_stages, p, refuse) == outcome(ref_run_stages, p, refuse)
 
 
 def test_every_stage_of_the_examples_is_validated():
-    # the last has a stage without moves, whose tableau is validated again
-    examples = (example_mt(), example_smt(), MultisetTableau((((1,), (1, 2)), ((2,),))))
-    assert [stage_tableaux(p)[1] for p in examples] == [[4, 1, 2], [1, 2, 1, 5, 2], [1, 0]]
+    # the third has a last stage without moves, the fourth a first one; in
+    # both, the tableau of that stage was validated before it
+    examples = (
+        example_mt(),
+        example_smt(),
+        MultisetTableau((((1,), (1, 2)), ((2,),))),
+        MultisetTableau((((1, 1), (2,)),)),
+    )
+    assert [stage_tableaux(p)[1] for p in examples] == [[4, 1, 2], [1, 2, 1, 5, 2], [1, 0], [0, 1]]
     for p in examples:
         check_validated_once_per_stage(p)
+        for refused in range(2 ** p.ell):
+            check_as_validating_every_stage(
+                p, [k for k in range(1, p.ell + 1) if refused >> (k - 1) & 1]
+            )
 
 
 @settings(max_examples=100, deadline=None)
-@given(random_mt())
-def test_every_straight_stage_is_validated(p):
+@given(random_mt(), st.data())
+def test_every_straight_stage_is_validated(p, data):
     check_validated_once_per_stage(p)
+    check_as_validating_every_stage(p, data.draw(st.sets(st.integers(1, p.ell))))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.booleans().flatmap(random_smt))
-def test_every_shifted_stage_is_validated(p):
+@given(st.booleans().flatmap(random_smt), st.data())
+def test_every_shifted_stage_is_validated(p, data):
     check_validated_once_per_stage(p)
+    check_as_validating_every_stage(p, data.draw(st.sets(st.integers(1, p.ell))))

@@ -408,10 +408,10 @@ def _count_by_weight(kind, shape, max_value, extra_cap):
     return count_smt_by_weight(shape, max_value, extra_cap, signed=kind == "signed")
 
 
-# The counter keeps each state's completions by t-degree and grows them only
-# as far as a caller needs, and a state that a later caller needs deeper is
-# grown by the strata it lacks: whatever the cap, a term of t-degree d must
-# come out the same.
+# The counter keeps each state's completions by t-degree, built once by the
+# first caller through the deepest degree it reads, which no later caller
+# exceeds (the `_count` docstring): whatever the cap, a term of t-degree d
+# must come out the same.
 @settings(max_examples=100, deadline=None)
 @given(_truncation_args())
 # rows where callers with different remaining caps read one state's strata

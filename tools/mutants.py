@@ -1,0 +1,192 @@
+#!/usr/bin/env python3
+"""A committed list of one-edit mutants, each of which some test must kill.
+
+Each entry of MUTANTS is (name, file, old text, new text, tests).  For each
+entry the script copies src/, tests/ and pyproject.toml into a fresh
+temporary directory, replaces the old text, which must occur in the file
+exactly once, by the new text, and runs pytest there on the named test
+files or node ids only.  The mutant is killed when those tests fail
+(pytest exit 1) and survives when they pass.  Any other outcome (the old
+text not found exactly once, a collection or usage error, a timeout) is an
+error.  Before the mutants, every named test runs once on an unmutated copy
+and must pass, so that a kill means the edit itself was caught.
+
+    python tools/mutants.py              # the baseline, then every mutant
+    python tools/mutants.py NAME ...     # the baseline, then the named mutants
+    python tools/mutants.py --list       # the names, one a line
+
+It prints one line per mutant and exits 0 when every mutant it ran was
+killed, 1 otherwise.  It needs only the standard library and pytest with
+hypothesis, as the test suite does.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 300
+
+INSERTION = "src/grothlab/insertion.py"
+POLYNOMIALS = "src/grothlab/polynomials.py"
+VERIFY = "src/grothlab/verify.py"
+CLI = "src/grothlab/cli.py"
+T_INSERTION = "tests/test_insertion.py"
+T_ORACLES = "tests/test_stage_oracles.py"
+T_POLYNOMIALS = "tests/test_polynomials.py"
+T_VERIFY = "tests/test_verify.py"
+T_CLI = "tests/test_cli.py"
+
+MOVED_STAGE_VALIDATED = """\
+            t = _with_rows(p, rows)
+            if not valid(t):
+                raise InsertionError(f"stage {k} left an invalid tableau")
+"""
+EVERY_STAGE_VALIDATED = """\
+            t = _with_rows(p, rows)
+        if not valid(t):
+            raise InsertionError(f"stage {k} left an invalid tableau")
+"""
+
+MUTANTS = [
+    # the drivers of psi and phi
+    ("stage-order-unchecked", INSERTION,
+     "if any(c2 <= c1 for (_, c1), (_, c2) in zip(cells, cells[1:])):", "if False:",
+     [f"{T_INSERTION}::test_stages_refuse_appended_boxes_out_of_order"]),
+    ("moved-stage-unvalidated", INSERTION,
+     "            if not valid(t):", "            if False:",
+     [T_ORACLES]),
+    ("every-stage-validated", INSERTION,
+     MOVED_STAGE_VALIDATED, EVERY_STAGE_VALIDATED,
+     [T_ORACLES]),
+    ("stage-misnamed", INSERTION,
+     'f"stage {k} left an invalid tableau"', 'f"stage {k + 1} left an invalid tableau"',
+     [T_ORACLES]),
+    ("psi-strip-unchecked", INSERTION,
+     "if not is_valid_rt(rt):", "if False:",
+     [f"{T_INSERTION}::test_psi_refuses_strip_entries_that_are_not_restricted"]),
+    ("phi-strip-unchecked", INSERTION,
+     "if not is_valid_srt(srt, mu):", "if False:",
+     [f"{T_INSERTION}::test_phi_refuses_strip_entries_that_are_not_shifted_restricted"]),
+    ("inverse-shape-unchecked", INSERTION,
+     "if t.shape != mu:", "if False:",
+     [f"{T_INSERTION}::test_inverses_refuse_to_end_off_the_inner_shape"]),
+    ("deposit-by-largest-entry", INSERTION,
+     "admits(rows[rr][idx][0], z)", "admits(rows[rr][idx][-1], z)",
+     [f"{T_INSERTION}::test_in_deposits_by_the_box_minimum"]),
+    # the expansion and the h-product routes
+    ("maximal-weight-unchecked", POLYNOMIALS,
+     "if not is_partition(wt):", "if False:",
+     [f"{T_POLYNOMIALS}::test_expansion_via_maximal_refuses_a_weight_that_is_not_a_partition"]),
+    ("hmult-count-unchecked", POLYNOMIALS,
+     "if len(t_exps) != spec.ell:", "if False:",
+     [f"{T_POLYNOMIALS}::test_both_hmult_routes_refuse_a_wrong_number_of_t_exponents"]),
+    ("good-extension-count-unchecked", POLYNOMIALS,
+     "        raise ValueError(\"the good-extension route applies to family J\")\n"
+     "    t_exps = _hmult_exponents(spec, t_exps)\n",
+     "        raise ValueError(\"the good-extension route applies to family J\")\n"
+     "    t_exps = tuple(t_exps)\n",
+     [f"{T_POLYNOMIALS}::test_both_hmult_routes_refuse_a_wrong_number_of_t_exponents"]),
+    # the verdicts of compute and expand
+    ("compute-always-agrees", CLI,
+     'verdict = "AGREE" if a == b else "DISAGREE"', 'verdict = "AGREE"',
+     [f"{T_CLI}::test_compute_says_disagree_when_the_routes_differ_in_one_coefficient"]),
+    ("expand-always-agrees", CLI,
+     'verdict = "AGREE" if expansion == via_maximal else "DISAGREE"', 'verdict = "AGREE"',
+     [f"{T_CLI}::test_expand_says_disagree_when_the_maximal_side_differs_in_one_coefficient"]),
+    # the checks of the verify suites
+    ("psi-round-trip-unchecked", VERIFY,
+     "if psi_inverse(q, r) != p:", "if False:",
+     [f"{T_VERIFY}::test_psi_case_reports_a_failed_round_trip_and_a_maximality_mismatch"]),
+    ("psi-maximality-unchecked", VERIFY,
+     "if highest != is_maximal_mt(p):", "if False:",
+     [f"{T_VERIFY}::test_psi_case_reports_a_failed_round_trip_and_a_maximality_mismatch"]),
+    ("phi-round-trip-unchecked", VERIFY,
+     "if phi_inverse(q, r) != p:", "if False:",
+     [f"{T_VERIFY}::test_phi_case_reports_a_failed_round_trip"]),
+    ("routes-symmetry-unchecked", VERIFY,
+     "if not alg.poly.is_symmetric_x():", "if False:",
+     [f"{T_VERIFY}::test_routes_case_reports_a_series_not_symmetric_in_x"]),
+    ("positivity-sign-unchecked", VERIFY,
+     "if not expansion.is_nonnegative():", "if False:",
+     [f"{T_VERIFY}::test_positivity_case_reports_a_negative_coefficient"]),
+]
+
+
+def _copy_tree(dest: str) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name), ignore=skip)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def _pytest(cwd: str, tests) -> tuple[int | None, str]:
+    """(pytest's exit code, or None on a timeout; the tail of its output)."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    env.pop("GROTHLAB_CENSUS_SCALE", None)
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, f"timed out after {TIMEOUT_S} s"
+    return done.returncode, "\n".join((done.stdout + done.stderr).strip().splitlines()[-5:])
+
+
+def _run(entry) -> tuple[str, str]:
+    """(verdict, detail) for one mutant: killed, survived or error."""
+    _, path, old, new, tests = entry
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy_tree(tmp)
+        target = os.path.join(tmp, path)
+        with open(target, encoding="utf-8") as fh:
+            text = fh.read()
+        found = text.count(old)
+        if found != 1:
+            return "error", f"old text found {found} times in {path}"
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(old, new))
+        code, tail = _pytest(tmp, tests)
+    if code == 1:
+        return "killed", ""
+    if code == 0:
+        return "survived", ""
+    return "error", f"pytest exit {code}:\n{tail}"
+
+
+def main(argv: list[str]) -> int:
+    names = [entry[0] for entry in MUTANTS]
+    if argv == ["--list"]:
+        print("\n".join(names))
+        return 0
+    unknown = [name for name in argv if name not in names]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 1
+    chosen = [entry for entry in MUTANTS if not argv or entry[0] in argv]
+    tests = list(dict.fromkeys(test for entry in chosen for test in entry[4]))
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy_tree(tmp)
+        code, tail = _pytest(tmp, tests)
+    if code != 0:
+        print(f"baseline: the named tests do not pass on the unmutated tree (pytest exit {code})\n{tail}")
+        return 1
+    print(f"baseline: {len(tests)} test targets pass unmutated")
+    bad = 0
+    for entry in chosen:
+        start = time.perf_counter()
+        verdict, detail = _run(entry)
+        bad += verdict != "killed"
+        print(f"{verdict:8} {entry[0]} ({entry[1]}, {time.perf_counter() - start:.1f} s)")
+        if detail:
+            print(detail)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
