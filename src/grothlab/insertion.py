@@ -26,7 +26,7 @@ one circled box.  The families differ only in the data `_family` returns.
 
 from __future__ import annotations
 
-from operator import le
+from operator import itemgetter, le
 
 from .frozen import Frozen
 from .partitions import pad
@@ -340,28 +340,38 @@ def _in(rows, k: int, ell: int, cell, family) -> tuple:
 # stage maps and the full bijections
 
 
-def _stage(rows, k: int, ell: int, family) -> list[tuple]:
-    """Run stage k on a list of row lists, in place; returns the OutTrace
-    fields of its moves.
+def _noncircled(rows, ell: int) -> list[int]:
+    """The count of noncircled entries (every entry of a box after its
+    first) on each line, by within-row index 0..ell-1, in one pass."""
+    counts = [0] * ell
+    for row in rows:
+        for c, box in zip(range(ell), row):
+            counts[c] += len(box) - 1
+    return counts
+
+
+def _stage(rows, k: int, ell: int, moves: int, family) -> list[tuple]:
+    """Make the moves of stage k on a list of row lists, in place; returns
+    the OutTrace fields of each move.
 
     Each out move takes one noncircled entry off line k and appends a
-    single entry right of it, so the stage makes exactly as many moves as
-    line k holds noncircled entries."""
-    idx = ell - k
-    moves = sum([len(row[idx]) - 1 for row in rows if idx < len(row)])
+    single entry, so a stage makes exactly as many moves as line k holds
+    noncircled entries when it starts, and the caller passes that count."""
     return [_out(rows, k, ell, family) for _ in range(moves)]
 
 
 def _unstage(rows, k: int, ell: int, cells, family) -> None:
     """Undo stage k in place by consuming the strip cells, rightmost first."""
-    for cell in sorted(cells, key=lambda rc: -rc[1]):
+    if len(cells) > 1:
+        cells = sorted(cells, key=itemgetter(1), reverse=True)
+    for cell in cells:
         _in(rows, k, ell, cell, family)
 
 
 def psi_k(t, k: int, ell: int):
     """Apply out at stage k until the active column/diagonal holds single
     entries; returns (tableau, traces)."""
-    t, moves = _on_copy(t, _stage, k, ell)
+    t, moves = _on_copy(t, _stage, k, ell, _noncircled(t.rows, ell)[ell - k])
     return t, [OutTrace(*fields) for fields in moves]
 
 
@@ -371,48 +381,62 @@ def psi_k_inverse(t, k: int, ell: int, cells):
 
 
 def _run_stages(p, valid):
-    """Run psi_k for k = 1..ell on p; returns (Q, marks), where marks maps
-    each appended cell to the stage k that appended it.
+    """Run psi_k for k = 1..ell on p; returns (Q, labels), where labels[r]
+    holds, left to right, the stage that appended each box of row r of Q
+    that p lacks: the rows of R.
+
+    Each line's count of noncircled entries is read once, from p, and a
+    stage whose count is 0 does not run.  This is exact: a stage shortens
+    boxes on its own line only, and every cell it writes holds a single
+    entry and lies on or right of that line, so it leaves the count of
+    every later line, which lies left of it, as p has it.  An append
+    always extends its row at the end, so each row's labels arrive in
+    column order as the stages append them.
 
     A stage that moves freezes the rows once, and its tableau must pass
-    valid.  A stage without a move hands back the same immutable tableau,
-    which has passed valid already: at the last stage that moved, or, at
-    the start, in the caller's entry test (`psi` tests is_valid_mt, the
-    valid it passes here; `phi` tests is_valid_smt, which runs
-    _smt_structure_ok first).  valid is a pure function, so calling it
-    again on that tableau could not change the outcome, and it is not
-    called."""
+    valid.  A stage without a move leaves the tableau as it was, which has
+    passed valid already: at the last stage that moved, or, at the start,
+    in the caller's entry test (`psi` tests is_valid_mt, the valid it
+    passes here; `phi` tests is_valid_smt, which runs _smt_structure_ok
+    first).  valid is a pure function, so calling it again on that
+    tableau could not change the outcome, and it is not called."""
     ell = p.ell
     family = _family(p)
     rows = [list(row) for row in p.rows]
+    labels = [[] for _ in rows]
     t = p
-    marks: dict[tuple[int, int], int] = {}
+    counts = _noncircled(p.rows, ell)
     for k in range(1, ell + 1):
-        moves = _stage(rows, k, ell, family)
-        if moves:
-            cells = [fields[3] for fields in moves]
-            if any(c2 <= c1 for (_, c1), (_, c2) in zip(cells, cells[1:])):
-                raise InsertionError("appended boxes must move strictly right")
-            for cell in cells:
-                marks[cell] = k
-            t = _with_rows(p, rows)
-            if not valid(t):
-                raise InsertionError(f"stage {k} left an invalid tableau")
-    return t, marks
+        moves = counts[ell - k]
+        if not moves:
+            continue
+        cells = [fields[3] for fields in _stage(rows, k, ell, moves, family)]
+        if any(c2 <= c1 for (_, c1), (_, c2) in zip(cells, cells[1:])):
+            raise InsertionError("appended boxes must move strictly right")
+        for h, _ in cells:
+            if h == len(labels):
+                labels.append([])
+            labels[h].append(k)
+        t = _with_rows(p, rows)
+        if not valid(t):
+            raise InsertionError(f"stage {k} left an invalid tableau")
+    return t, tuple(map(tuple, labels))
 
 
 def _undo_stages(q, r: SkewFilling, mu, offset: int):
     """Undo stages ell..1 of q; the cells of R labeled k, shifted right by
-    offset columns, are the strip that stage k appended."""
+    offset columns, are the strip that stage k appended.  Only the labels
+    R holds are visited; a label outside 1..ell undoes nothing."""
     ell = mu[0] if mu else 0
     strips: dict[int, list[tuple[int, int]]] = {}
     for rr, row in enumerate(r.rows):
+        col = r.inner[rr] + offset
         for i, v in enumerate(row):
-            strips.setdefault(v, []).append((rr, r.inner[rr] + i + offset))
+            strips.setdefault(v, []).append((rr, col + i))
     family = _family(q)
     rows = [list(row) for row in q.rows]
-    for k in range(ell, 0, -1):
-        if k in strips:
+    for k in sorted(strips, reverse=True):
+        if 0 < k <= ell:
             _unstage(rows, k, ell, strips[k], family)
     t = _with_rows(q, rows)
     if t.shape != mu:
@@ -426,13 +450,9 @@ def psi(p: MultisetTableau):
     if not is_valid_mt(p):
         raise InsertionError("psi needs a valid multiset tableau")
     mu = p.shape
-    t, marks = _run_stages(p, is_valid_mt)
+    t, labels = _run_stages(p, is_valid_mt)
     lam = t.shape
-    inner = pad(mu, len(lam))
-    rows = tuple(
-        tuple(marks[(r, c)] for c in range(inner[r], lam[r])) for r in range(len(lam))
-    )
-    rt = SkewFilling(lam, inner, rows)
+    rt = SkewFilling(lam, pad(mu, len(lam)), labels)
     if not is_valid_rt(rt):
         raise InsertionError("recorded strip entries do not form a restricted tableau")
     return t, rt
@@ -452,13 +472,11 @@ def phi(p: ShiftedMultisetTableau):
     mu = p.shape
     m = len(mu)
     # every stage must stay in the signed family, whatever p's own flag
-    t, marks = _run_stages(p, _smt_structure_ok)
+    t, labels = _run_stages(p, _smt_structure_ok)
     lam = t.shape
     if len(lam) != m:
         raise InsertionError("the row count changed during phi")
-    outer, inner = srt_shapes(lam, mu)
-    rows = tuple(tuple(marks[(r, r + c)] for c in range(mu[r], lam[r])) for r in range(m))
-    srt = SkewFilling(outer, inner, rows)
+    srt = SkewFilling(*srt_shapes(lam, mu), labels)
     if not is_valid_srt(srt, mu):
         raise InsertionError("recorded strip entries do not form a shifted restricted tableau")
     return t, srt

@@ -11,6 +11,7 @@ under the involution `iota`.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from operator import ge, gt
 
 from .algebra import (
     Polynomial,
@@ -46,19 +47,18 @@ Partition = tuple[int, ...]
 
 
 def is_partition(parts) -> bool:
+    """Weakly decreasing with a positive last part (so every part is
+    positive); the empty tuple is the empty partition.  One pass compares
+    each part with the next, and the last with 1."""
     parts = tuple(parts)
-    if any(p < 0 for p in parts):
-        return False
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        return False
-    return not parts or parts[-1] > 0
+    return all(map(ge, parts, parts[1:] + (1,)))
 
 
 def is_strict_partition(parts) -> bool:
+    """Strictly decreasing with a positive last part; one pass compares
+    each part with the next, and the last with 0."""
     parts = tuple(parts)
-    return all(p > 0 for p in parts) and all(
-        parts[i] > parts[i + 1] for i in range(len(parts) - 1)
-    )
+    return all(map(gt, parts, parts[1:] + (0,)))
 
 
 def pad(mu, n: int) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ import sys
 from collections import Counter
 from functools import cache, total_ordering
 from itertools import chain
+from operator import add, sub
 
 from .algebra import MonomialCode
 from .frozen import Frozen
@@ -410,9 +411,12 @@ def _floors(mu, nrows: int) -> list[int]:
 
 
 def _restricted_ok(f: SkewFilling, mu: tuple[int, ...]) -> bool:
-    """Alphabet {1..ell} with entry i no lower than row c_i (rows 1-based)."""
+    """Alphabet {1..ell} with entry i no lower than row c_i (rows 1-based):
+    every entry of row r lies between its floor (see `_floors`) and ell."""
     ell = mu[0] if mu else 0
-    for floor, row in zip(_floors(mu, len(f.rows)), f.rows):
+    m = len(mu)
+    for r, row in enumerate(f.rows):
+        floor = ell + 1 - (mu[r] if r < m else 0)
         for v in row:
             if not floor <= v <= ell:
                 return False
@@ -421,7 +425,7 @@ def _restricted_ok(f: SkewFilling, mu: tuple[int, ...]) -> bool:
 
 def is_valid_rt(f: SkewFilling) -> bool:
     """Restricted tableau on outer/mu where mu is the inner shape."""
-    mu = tuple(p for p in f.inner if p)
+    mu = tuple(filter(None, f.inner))
     if not is_partition(mu):
         return False
     return _skew_semistandard_ok(f) and _restricted_ok(f, mu)
@@ -433,18 +437,14 @@ def srt_shapes(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[int, ..
     if len(lam) != m:
         raise ValueError("outer and inner shifted shapes must have equal length")
     delta = staircase(m)
-    return (
-        tuple(l - d for l, d in zip(lam, delta)),
-        tuple(p - d for p, d in zip(mu, delta)),
-    )
+    return tuple(map(sub, lam, delta)), tuple(map(sub, mu, delta))
 
 
 def srt_lift(f: SkewFilling) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Inverse of srt_shapes: the shifted shapes (lam, mu) of f's carrier,
     with the staircase as long as f's inner shape."""
     delta = staircase(len(f.inner))
-    lam = tuple(o + d for o, d in zip(f.outer, delta))
-    return lam, tuple(i + d for i, d in zip(f.inner, delta))
+    return tuple(map(add, f.outer, delta)), tuple(map(add, f.inner, delta))
 
 
 def is_valid_srt(f: SkewFilling, mu: tuple[int, ...]) -> bool:
@@ -456,7 +456,7 @@ def is_valid_srt(f: SkewFilling, mu: tuple[int, ...]) -> bool:
     # the lift keeps f's row count, so a filling of more rows than mu fails here
     if inner != mu:
         return False
-    if not is_strict_partition(tuple(p for p in lam if p)):
+    if not is_strict_partition(tuple(filter(None, lam))):
         return False
     return _skew_semistandard_ok(f) and _restricted_ok(f, mu)
 

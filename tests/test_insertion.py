@@ -338,6 +338,15 @@ def test_inverses_refuse_to_end_off_the_inner_shape(monkeypatch):
             inverse(q, r)
 
 
+def test_psi_and_phi_refuse_an_input_outside_their_family():
+    # neither input has a noncircled entry, so no stage moves and no stage
+    # test runs: the entry test alone refuses them
+    with pytest.raises(InsertionError, match=r"^psi needs a valid multiset tableau$"):
+        psi(MultisetTableau((((2,), (1,)),)))
+    with pytest.raises(InsertionError, match=r"^phi needs a valid shifted multiset tableau$"):
+        phi(ShiftedMultisetTableau(((box("1'"), box("2")),), signed=False))
+
+
 def test_single_out_steps_invert_on_valid_census():
     census = (
         enumerate_mt((2, 1), 3, 1)

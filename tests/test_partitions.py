@@ -1,7 +1,7 @@
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import grothlab.partitions as partitions
 from grothlab.algebra import Polynomial
@@ -16,6 +16,8 @@ from grothlab.partitions import (
     hmult_rhs_good,
     is_good_extension,
     iota,
+    is_partition,
+    is_strict_partition,
     pad,
     staircase,
     subpartitions,
@@ -25,6 +27,39 @@ from grothlab.partitions import (
 partitions_st = st.lists(st.integers(1, 5), min_size=0, max_size=4).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
+
+
+def ref_is_partition(parts) -> bool:
+    """The earlier body: no negative part, weakly decreasing, no trailing zero."""
+    parts = tuple(parts)
+    if any(p < 0 for p in parts):
+        return False
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        return False
+    return not parts or parts[-1] > 0
+
+
+def ref_is_strict_partition(parts) -> bool:
+    """The earlier body: every part positive, strictly decreasing."""
+    parts = tuple(parts)
+    return all(p > 0 for p in parts) and all(
+        parts[i] > parts[i + 1] for i in range(len(parts) - 1)
+    )
+
+
+@given(
+    st.lists(st.integers(-2, 6), max_size=6),
+    st.sampled_from([tuple, list, lambda xs: (x for x in xs)]),
+)
+@example([], tuple)
+@example([0], tuple)
+@example([2, 1, 0], list)
+@example([2, 2, 1], tuple)
+@example([3, -1], tuple)
+def test_partition_predicates_match_the_earlier_bodies(parts, container):
+    # the one-pass predicates take any iterable of ints, one-shot generators too
+    assert is_partition(container(parts)) == ref_is_partition(parts)
+    assert is_strict_partition(container(parts)) == ref_is_strict_partition(parts)
 
 
 def test_conjugate_examples():

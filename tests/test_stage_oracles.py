@@ -6,7 +6,10 @@ out and in steps `_largest_noncircled`, `_out` and `_in`, which scanned
 each box for its minimum and its largest noncircled entry where the
 current steps read the ends of the sorted box.  The runners move one step
 at a time through `_on_copy`, so every move rebuilds the tableau, and
-stage k runs until the active line holds single entries.  `psi`, `phi`
+stage k runs until the active line holds single entries; every stage is
+validated, moved or not.  `ref_run_stages` keeps the earlier map from
+each appended cell to its stage and reads R's rows off it, which is the
+contract of `_run_stages` now.  `psi`, `phi`
 and both inverses are compared with the same calls made while the oracles
 stand in for the current runners; an exception counts as its type and
 text.
@@ -181,7 +184,16 @@ def ref_run_stages(p, valid):
             marks[tr.appended_cell] = k
         if not valid(t):
             raise InsertionError(f"stage {k} left an invalid tableau")
-    return t, marks
+    return t, labels_by_row(marks, len(t.rows))
+
+
+def labels_by_row(marks, nrows):
+    """R's rows from the marks: row r lists the labels of the cells that
+    were appended to row r of Q, by column."""
+    return tuple(
+        tuple(marks[cell] for cell in sorted(cell for cell in marks if cell[0] == r))
+        for r in range(nrows)
+    )
 
 
 def ref_undo_stages(q, r, mu, offset):
@@ -310,9 +322,9 @@ def check_validated_once_per_stage(p):
     moved = [k for k, n in enumerate(moves, 1) if n]
     validated = [states[k - 1] for k in moved]
     seen = []
-    q, marks = _run_stages(p, lambda t: seen.append(t) or True)
+    q, labels = _run_stages(p, lambda t: seen.append(t) or True)
     assert seen == validated and q == states[-1]
-    assert [list(marks.values()).count(k) for k in range(1, p.ell + 1)] == moves
+    assert [sum(row.count(k) for row in labels) for k in range(1, p.ell + 1)] == moves
     for j, k in enumerate(moved, 1):
         calls = []
 

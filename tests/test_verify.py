@@ -7,6 +7,7 @@ from grothlab.algebra import MonomialCode, Polynomial, TruncatedSeries
 from grothlab.partitions import pad
 from grothlab.polynomials import BasisExpansion
 from grothlab.tableaux import (
+    Entry,
     MultisetTableau,
     ShiftedMultisetTableau,
     enumerate_rt,
@@ -152,3 +153,93 @@ def test_positivity_case_reports_a_negative_coefficient(monkeypatch):
     monkeypatch.setattr(verify, "expansion_via_maximal", negate_one_coefficient)
     for family in ("J", "P"):
         assert verify._positivity_case(family, (2, 1), 3, 2) == "a basis coefficient has a negative term"
+
+
+# ---------------------------------------------------------------------------
+# every other failure text of the psi and phi cases, each reached by
+# monkeypatching a map the case calls
+
+
+def doubled_first_box(q):
+    """q with its first entry repeated in its box: no longer single-entry."""
+    (first, *row), *rows = q.rows
+    return (((first[0],) + first, *row), *rows)
+
+
+def test_psi_case_reports_an_invalid_image_and_unpreserved_weights(monkeypatch):
+    true_psi = verify.psi
+
+    def doubled(p):
+        q, r = true_psi(p)
+        return MultisetTableau(doubled_first_box(q)), r
+
+    def raised(p):
+        q, r = true_psi(p)
+        return MultisetTableau(tuple(tuple((v + 1,) for (v,) in row) for row in q.rows)), r
+
+    first = "(((1,), (1,)), ((2,),))"
+    monkeypatch.setattr(verify, "psi", doubled)
+    assert verify._psi_case((2, 1), 3, 2) == f"invalid image for {first}"
+    monkeypatch.setattr(verify, "psi", raised)
+    assert verify._psi_case((2, 1), 3, 2) == f"weights not preserved for {first}"
+
+
+def test_psi_case_reports_a_pair_census_that_differs(monkeypatch):
+    true_enumerate = verify.enumerate_ssyt
+    monkeypatch.setattr(verify, "enumerate_ssyt", lambda lam, n: true_enumerate(lam, n)[1:])
+    assert verify._psi_case((2, 1), 3, 2) == "pair census cardinalities differ per class"
+
+
+def test_phi_case_reports_an_invalid_image_and_unpreserved_weights(monkeypatch):
+    true_phi = verify.phi
+
+    def doubled(p):
+        q, r = true_phi(p)
+        return ShiftedMultisetTableau(doubled_first_box(q), q.signed), r
+
+    def raised(p):
+        q, r = true_phi(p)
+        rows = tuple(tuple((Entry(e.value + 1, e.primed),) for (e,) in row) for row in q.rows)
+        return ShiftedMultisetTableau(rows, q.signed), r
+
+    first = "(((Entry(1'),), (Entry(1),)), ((Entry(2'),),))"
+    monkeypatch.setattr(verify, "phi", doubled)
+    assert verify._phi_case((2, 1), 3, 2) == f"invalid image for {first}"
+    monkeypatch.setattr(verify, "phi", raised)
+    assert verify._phi_case((2, 1), 3, 2) == f"weights not preserved for {first}"
+
+
+def test_phi_case_reports_an_unsigned_input_that_leaves_its_family(monkeypatch):
+    true_phi = verify.phi
+
+    def signed_image(p):
+        q, r = true_phi(p)
+        return ShiftedMultisetTableau(q.rows, signed=True), r
+
+    monkeypatch.setattr(verify, "phi", signed_image)
+    assert verify._phi_case((2, 1), 3, 2) == "unsigned input left the unsigned family"
+
+
+def test_phi_case_reports_a_maximality_mismatch(monkeypatch):
+    true_test = verify.is_maximal_smt
+    monkeypatch.setattr(verify, "is_maximal_smt", lambda t: not true_test(t))
+    detail = verify._phi_case((2, 1), 3, 2)
+    assert detail == "maximality mismatch for (((Entry(1),), (Entry(1),)), ((Entry(2),),))"
+
+
+def test_phi_case_reports_strip_signs_fibers_that_are_not_uniform(monkeypatch):
+    monkeypatch.setattr(verify, "strip_signs", lambda t: t)
+    assert verify._phi_case((2, 1), 3, 2) == "strip_signs fibers are not uniform of size 2^m"
+
+
+def test_phi_case_reports_a_signed_sum_off_its_factor(monkeypatch):
+    monkeypatch.setattr(verify, "signed_smt_sum", verify.combinatorial_series)
+    assert verify._phi_case((2, 1), 3, 2) == "signed sum is not 2^m times the unsigned sum"
+
+
+def test_phi_case_reports_a_pair_census_that_differs(monkeypatch):
+    true_enumerate = verify.enumerate_sst
+    monkeypatch.setattr(
+        verify, "enumerate_sst", lambda lam, n, signed: true_enumerate(lam, n, signed=signed)[1:]
+    )
+    assert verify._phi_case((2, 1), 3, 2) == "pair census cardinalities differ per class"

@@ -42,15 +42,16 @@ T_POLYNOMIALS = "tests/test_polynomials.py"
 T_VERIFY = "tests/test_verify.py"
 T_CLI = "tests/test_cli.py"
 
-MOVED_STAGE_VALIDATED = """\
-            t = _with_rows(p, rows)
+SKIPPED_STAGE = """\
+        if not moves:
+            continue
+"""
+# a stage without moves validates its tableau again, as every stage once did
+SKIPPED_STAGE_VALIDATED = """\
+        if not moves:
             if not valid(t):
                 raise InsertionError(f"stage {k} left an invalid tableau")
-"""
-EVERY_STAGE_VALIDATED = """\
-            t = _with_rows(p, rows)
-        if not valid(t):
-            raise InsertionError(f"stage {k} left an invalid tableau")
+            continue
 """
 
 MUTANTS = [
@@ -59,11 +60,27 @@ MUTANTS = [
      "if any(c2 <= c1 for (_, c1), (_, c2) in zip(cells, cells[1:])):", "if False:",
      [f"{T_INSERTION}::test_stages_refuse_appended_boxes_out_of_order"]),
     ("moved-stage-unvalidated", INSERTION,
-     "            if not valid(t):", "            if False:",
+     "        t = _with_rows(p, rows)\n        if not valid(t):",
+     "        t = _with_rows(p, rows)\n        if False:",
      [T_ORACLES]),
     ("every-stage-validated", INSERTION,
-     MOVED_STAGE_VALIDATED, EVERY_STAGE_VALIDATED,
+     SKIPPED_STAGE, SKIPPED_STAGE_VALIDATED,
      [T_ORACLES]),
+    ("line-miscounted", INSERTION,
+     "counts[c] += len(box) - 1", "counts[c] += len(box) - 2",
+     [f"{T_ORACLES}::test_the_paper_examples_match_the_oracle"]),
+    ("label-in-wrong-row", INSERTION,
+     "labels[h].append(k)", "labels[0].append(k)",
+     [f"{T_ORACLES}::test_the_paper_examples_match_the_oracle"]),
+    ("strip-unsorted", INSERTION,
+     "    if len(cells) > 1:\n        cells = sorted(", "    if False:\n        cells = sorted(",
+     [f"{T_ORACLES}::test_the_paper_examples_match_the_oracle"]),
+    ("psi-entry-unchecked", INSERTION,
+     "if not is_valid_mt(p):", "if False:",
+     [f"{T_INSERTION}::test_psi_and_phi_refuse_an_input_outside_their_family"]),
+    ("phi-entry-unchecked", INSERTION,
+     "if not is_valid_smt(p):", "if False:",
+     [f"{T_INSERTION}::test_psi_and_phi_refuse_an_input_outside_their_family"]),
     ("stage-misnamed", INSERTION,
      'f"stage {k} left an invalid tableau"', 'f"stage {k + 1} left an invalid tableau"',
      [T_ORACLES]),
@@ -100,15 +117,47 @@ MUTANTS = [
      'verdict = "AGREE" if expansion == via_maximal else "DISAGREE"', 'verdict = "AGREE"',
      [f"{T_CLI}::test_expand_says_disagree_when_the_maximal_side_differs_in_one_coefficient"]),
     # the checks of the verify suites
+    ("psi-image-unchecked", VERIFY,
+     "if not (is_valid_ssyt(q) and is_valid_rt(r)):", "if False:",
+     [f"{T_VERIFY}::test_psi_case_reports_an_invalid_image_and_unpreserved_weights"]),
+    ("psi-weights-unchecked", VERIFY,
+     "if q.weight() != p.weight() or r.weight(p.ell) != p.column_weight():", "if False:",
+     [f"{T_VERIFY}::test_psi_case_reports_an_invalid_image_and_unpreserved_weights"]),
     ("psi-round-trip-unchecked", VERIFY,
      "if psi_inverse(q, r) != p:", "if False:",
      [f"{T_VERIFY}::test_psi_case_reports_a_failed_round_trip_and_a_maximality_mismatch"]),
     ("psi-maximality-unchecked", VERIFY,
      "if highest != is_maximal_mt(p):", "if False:",
      [f"{T_VERIFY}::test_psi_case_reports_a_failed_round_trip_and_a_maximality_mismatch"]),
+    ("psi-pair-census-unchecked", VERIFY,
+     'return "" if rhs == classes else', 'return "" if True else',
+     [f"{T_VERIFY}::test_psi_case_reports_a_pair_census_that_differs"]),
+    ("phi-image-unchecked", VERIFY,
+     "if not (is_valid_sst(ShiftedMultisetTableau(q.rows, signed=True))\n"
+     "                and is_valid_srt(r, mu)):",
+     "if False:",
+     [f"{T_VERIFY}::test_phi_case_reports_an_invalid_image_and_unpreserved_weights"]),
+    ("phi-weights-unchecked", VERIFY,
+     "if q.weight() != p.weight() or r.weight(p.ell) != p.diagonal_weight():", "if False:",
+     [f"{T_VERIFY}::test_phi_case_reports_an_invalid_image_and_unpreserved_weights"]),
     ("phi-round-trip-unchecked", VERIFY,
      "if phi_inverse(q, r) != p:", "if False:",
      [f"{T_VERIFY}::test_phi_case_reports_a_failed_round_trip"]),
+    ("phi-unsigned-family-unchecked", VERIFY,
+     "if q.signed or not is_valid_sst(q):", "if False:",
+     [f"{T_VERIFY}::test_phi_case_reports_an_unsigned_input_that_leaves_its_family"]),
+    ("phi-maximality-unchecked", VERIFY,
+     "if highest != is_maximal_smt(p):", "if False:",
+     [f"{T_VERIFY}::test_phi_case_reports_a_maximality_mismatch"]),
+    ("phi-fibers-unchecked", VERIFY,
+     "if set(fibers) != set(unsigned) or any(v != (1 << m) for v in fibers.values()):", "if False:",
+     [f"{T_VERIFY}::test_phi_case_reports_strip_signs_fibers_that_are_not_uniform"]),
+    ("phi-signed-sum-unchecked", VERIFY,
+     "if signed_smt_sum(spec).poly != combinatorial_series(spec).poly * (1 << m):", "if False:",
+     [f"{T_VERIFY}::test_phi_case_reports_a_signed_sum_off_its_factor"]),
+    ("phi-pair-census-unchecked", VERIFY,
+     'return "" if rhs == lhs else', 'return "" if True else',
+     [f"{T_VERIFY}::test_phi_case_reports_a_pair_census_that_differs"]),
     ("routes-symmetry-unchecked", VERIFY,
      "if not alg.poly.is_symmetric_x():", "if False:",
      [f"{T_VERIFY}::test_routes_case_reports_a_series_not_symmetric_in_x"]),
