@@ -198,21 +198,29 @@ def _family(t):
 
 def _column(rows, col: int, shift: int, idx: int) -> tuple[int, int]:
     """(s, h): rows 0..h-1 hold a cell in absolute column col, and the top s
-    of those cells sit right of within-row index idx (single entries)."""
-    h = 0
-    while h < len(rows) and 0 <= col - h * shift < len(rows[h]):
-        h += 1
-    s = 0
-    while s < h and col - s * shift > idx:
-        s += 1
-    return s, h
+    of those cells sit right of within-row index idx (single entries).
+
+    Only h walks the rows.  The cell of row r has index col - r * shift, so
+    a straight column is all single cells or all circled boxes, and a
+    shifted one has its single cells in the rows r < col - idx."""
+    h, n = 0, len(rows)
+    if shift:
+        while h < n and 0 <= col - h < len(rows[h]):
+            h += 1
+        return min(h, max(0, col - idx)), h
+    if col >= 0:
+        while h < n and col < len(rows[h]):
+            h += 1
+    return (h if col > idx else 0), h
 
 
-def _largest_noncircled(boxes):
-    """(value, row) of the largest noncircled entry, bottommost box on ties.
-    A box is sorted, so its last entry is its largest and, when the box
-    holds more than one, noncircled."""
-    return max(((box[-1], r) for r, box in boxes if len(box) > 1), default=None)
+def _line_order(rows, idx: int) -> list[tuple]:
+    """(value, row) of every noncircled entry on line idx (every entry of a
+    box after its first), largest first and bottommost box first on ties:
+    the order in which the out moves of a stage take them."""
+    order = [(v, r) for r, row in enumerate(rows) if idx < len(row) for v in row[idx][1:]]
+    order.sort(reverse=True)
+    return order
 
 
 def _with_rows(t, rows):
@@ -231,44 +239,63 @@ def _on_copy(t, body, *args):
 
 
 def out_step(t, k: int, ell: int):
-    """One out move at stage k; returns (tableau, OutTrace)."""
-    t, fields = _on_copy(t, _out, k, ell)
-    return t, OutTrace(*fields)
+    """One out move at stage k, the first of its stage (the head of
+    _line_order); returns (tableau, OutTrace)."""
+    word = _family(t)[3]
+    idx = ell - k
+    if not any(idx < len(row) for row in t.rows):
+        raise InsertionError(f"{word} {k} is empty")
+    order = _line_order(t.rows, idx)
+    if not order:
+        raise InsertionError(f"no noncircled entry remains in {word} {k}")
+    return _on_copy(t, _traced_out, order[0][1], idx)
 
 
 def in_step(t, k: int, ell: int, cell):
     """One in move at stage k undoing an out; cell is the corner consumed."""
-    t, fields = _on_copy(t, _in, k, ell, cell)
-    return t, InTrace(*fields)
-
-
-def _out(rows, k: int, ell: int, family) -> tuple:
-    """One out move at stage k on a list of row lists, in place; returns
-    the fields of its OutTrace as a tuple."""
-    shift, order, _, word = family
-    idx = ell - k
-    boxes = [(r, row[idx]) for r, row in enumerate(rows) if idx < len(row)]
-    if not boxes:
-        raise InsertionError(f"{word} {k} is empty")
-    pick = _largest_noncircled(boxes)
-    if pick is None:
-        raise InsertionError(f"no noncircled entry remains in {word} {k}")
-    v, r0 = pick
-    rows[r0][idx] = rows[r0][idx][:-1]
-
-    a, col = v, r0 * shift + idx + 1
+    family = _family(t)
+    rows = [list(row) for row in t.rows]
     path = []
+    target, z = _in(rows, k, ell, cell, family, path)
+    # the corner passed _in's checks, so t holds it
+    r, col = cell
+    shift = family[0]
+    removed = t.rows[r][col - r * shift][0]
+    return _with_rows(t, rows), InTrace(cell, removed, tuple(path), (target, target * shift + ell - k), z)
+
+
+def _traced_out(rows, r0: int, idx: int, family) -> OutTrace:
+    """_out with its OutTrace, read off the rows before and after the move."""
+    v = rows[r0][idx][-1]
+    path = []
+    h, col = _out(rows, r0, idx, family, path)
+    return OutTrace(v, (r0, r0 * family[0] + idx), tuple(path), (h, col), rows[h][-1][0])
+
+
+def _out(rows, r0: int, idx: int, family, path=None) -> tuple[int, int]:
+    """One out move on a list of row lists, in place: take the last entry
+    off the box of row r0 on line idx and column-insert it from the next
+    column on.  Returns the appended cell (row, absolute column); each bump
+    (row, column, old, new) goes to path when it is a list."""
+    shift, order, _, _ = family
+    box = rows[r0][idx]
+    rows[r0][idx] = box[:-1]
+    a, col = box[-1], r0 * shift + idx + 1
     while True:
         s, h = _column(rows, col, shift, idx)
-        cells = [rows[r][col - r * shift][0] for r in range(s)]
-        i = _first_bump(a, cells, order)
-        if i is None:
+        for i in range(s):
+            c = col - i * shift
+            b = rows[i][c]
+            if order(a, b[0]):
+                break
+        else:
             break
-        if len(rows[i][col - i * shift]) != 1:
+        if len(b) != 1:
             raise InsertionError(f"bumped box at {_cell_text(i, col)} holds more than one entry")
-        path.append((i, col, cells[i], a))
-        rows[i][col - i * shift] = (a,)
-        a, col = cells[i], col + 1
+        if path is not None:
+            path.append((i, col, b[0], a))
+        rows[i][c] = (a,)
+        a, col = b[0], col + 1
     # a lands at the foot of column col, in row h
     if s < h:
         raise InsertionError("append blocked by the circled cell")
@@ -280,12 +307,13 @@ def _out(rows, k: int, ell: int, family) -> tuple:
         if col != h * shift:
             raise InsertionError("append cannot start a new row here")
         rows.append([(a,)])
-    return v, (r0, r0 * shift + idx), tuple(path), (h, col), a
+    return h, col
 
 
-def _in(rows, k: int, ell: int, cell, family) -> tuple:
+def _in(rows, k: int, ell: int, cell, family, path=None) -> tuple:
     """One in move at stage k on a list of row lists, in place; returns
-    the fields of its InTrace as a tuple."""
+    (row, entry) of the deposit, which lands on line ell - k.  Each reverse
+    bump (row, column, old, new) goes to path when it is a list."""
     shift, order, admits, word = family
     idx = ell - k
     r, col = cell
@@ -298,33 +326,39 @@ def _in(rows, k: int, ell: int, cell, family) -> tuple:
         raise InsertionError(f"{_cell_text(r, col)} is not a removable corner")
     if len(rows[r][c]) != 1:
         raise InsertionError(f"corner box at {_cell_text(r, col)} must hold a single entry")
-    removed = z = rows[r][c][0]
+    z = rows[r][c][0]
     rows[r].pop()
     if not rows[r]:
         rows.pop()
 
-    path = []
     while True:
         col -= 1
         s, h = _column(rows, col, shift, idx)
-        # deposit into the lowest circled box whose minimum admits z; only
-        # straight column idx holds more than one, and as its minima increase
-        # strictly downward this is the box with m <= z < (min of the next)
+        # deposit into the lowest circled box whose minimum admits z.  The
+        # walk never passes left of line idx, so circled boxes exist when
+        # s < h: a straight column is then line idx itself, all circled,
+        # and a shifted one holds a single circled box, in row s
         target = None
-        for rr in range(s, h):
-            if col - rr * shift == idx and admits(rows[rr][idx][0], z):
-                target = rr
+        if s < h:
+            for rr in range(s if shift else h - 1, s - 1, -1):
+                if admits(rows[rr][idx][0], z):
+                    target = rr
+                    break
         if target is not None:
             break
-        cells = [rows[rr][col - rr * shift][0] for rr in range(s)]
-        i = _last_bump(cells, z, order)
-        if i is None:
+        for i in range(s - 1, -1, -1):
+            c = col - i * shift
+            b = rows[i][c]
+            if order(b[0], z):
+                break
+        else:
             raise InsertionError(f"no admissible box in {word} {k} for {z}")
-        if len(rows[i][col - i * shift]) != 1:
+        if len(b) != 1:
             raise InsertionError(f"bumped box at {_cell_text(i, col)} holds more than one entry")
-        path.append((i, col, cells[i], z))
-        rows[i][col - i * shift] = (z,)
-        z = cells[i]
+        if path is not None:
+            path.append((i, col, b[0], z))
+        rows[i][c] = (z,)
+        z = b[0]
 
     box = rows[target][idx]
     # only shifted entries carry primes, and a box holds each primed value once
@@ -333,31 +367,28 @@ def _in(rows, k: int, ell: int, cell, family) -> tuple:
             f"deposit of {z} duplicates a primed entry at {_cell_text(target, col)}"
         )
     rows[target][idx] = tuple(sorted(box + (z,)))
-    return cell, removed, tuple(path), (target, col), z
+    return target, z
 
 
 # ---------------------------------------------------------------------------
 # stage maps and the full bijections
 
 
-def _noncircled(rows, ell: int) -> list[int]:
-    """The count of noncircled entries (every entry of a box after its
-    first) on each line, by within-row index 0..ell-1, in one pass."""
-    counts = [0] * ell
-    for row in rows:
-        for c, box in zip(range(ell), row):
-            counts[c] += len(box) - 1
-    return counts
-
-
-def _stage(rows, k: int, ell: int, moves: int, family) -> list[tuple]:
+def _stage(rows, k: int, ell: int, move, family) -> list:
     """Make the moves of stage k on a list of row lists, in place; returns
-    the OutTrace fields of each move.
+    what move returns for each: the appended cell (`_out`) or the
+    OutTrace (`_traced_out`).
 
-    Each out move takes one noncircled entry off line k and appends a
-    single entry, so a stage makes exactly as many moves as line k holds
-    noncircled entries when it starts, and the caller passes that count."""
-    return [_out(rows, k, ell, family) for _ in range(moves)]
+    Line k's noncircled entries are read once, in `_line_order`, and
+    moved in that order.  An out move shortens one box of line k by its
+    last entry, and every cell it writes, bumped or appended, holds a
+    single entry and lies right of line k or is a new circled box on it.
+    So after each move the entries still to move are the rest of the
+    list, and no move adds one.  Within a row the picks come largest
+    first, and a box is sorted, so each pick is its box's last entry,
+    the one the move takes off."""
+    idx = ell - k
+    return [move(rows, r, idx, family) for _, r in _line_order(rows, idx)]
 
 
 def _unstage(rows, k: int, ell: int, cells, family) -> None:
@@ -371,8 +402,9 @@ def _unstage(rows, k: int, ell: int, cells, family) -> None:
 def psi_k(t, k: int, ell: int):
     """Apply out at stage k until the active column/diagonal holds single
     entries; returns (tableau, traces)."""
-    t, moves = _on_copy(t, _stage, k, ell, _noncircled(t.rows, ell)[ell - k])
-    return t, [OutTrace(*fields) for fields in moves]
+    if not 1 <= k <= ell:
+        raise InsertionError(f"stage {k} is not a label in 1..{ell}")
+    return _on_copy(t, _stage, k, ell, _traced_out)
 
 
 def psi_k_inverse(t, k: int, ell: int, cells):
@@ -383,15 +415,9 @@ def psi_k_inverse(t, k: int, ell: int, cells):
 def _run_stages(p, valid):
     """Run psi_k for k = 1..ell on p; returns (Q, labels), where labels[r]
     holds, left to right, the stage that appended each box of row r of Q
-    that p lacks: the rows of R.
-
-    Each line's count of noncircled entries is read once, from p, and a
-    stage whose count is 0 does not run.  This is exact: a stage shortens
-    boxes on its own line only, and every cell it writes holds a single
-    entry and lies on or right of that line, so it leaves the count of
-    every later line, which lies left of it, as p has it.  An append
-    always extends its row at the end, so each row's labels arrive in
-    column order as the stages append them.
+    that p lacks: the rows of R.  An append always extends its row at the
+    end, so each row's labels arrive in column order as the stages append
+    them.
 
     A stage that moves freezes the rows once, and its tableau must pass
     valid.  A stage without a move leaves the tableau as it was, which has
@@ -405,15 +431,15 @@ def _run_stages(p, valid):
     rows = [list(row) for row in p.rows]
     labels = [[] for _ in rows]
     t = p
-    counts = _noncircled(p.rows, ell)
     for k in range(1, ell + 1):
-        moves = counts[ell - k]
-        if not moves:
+        cells = _stage(rows, k, ell, _out, family)
+        if not cells:
             continue
-        cells = [fields[3] for fields in _stage(rows, k, ell, moves, family)]
-        if any(c2 <= c1 for (_, c1), (_, c2) in zip(cells, cells[1:])):
-            raise InsertionError("appended boxes must move strictly right")
-        for h, _ in cells:
+        last = -1
+        for h, col in cells:
+            if col <= last:
+                raise InsertionError("appended boxes must move strictly right")
+            last = col
             if h == len(labels):
                 labels.append([])
             labels[h].append(k)

@@ -22,7 +22,11 @@ P (4,3,2,1) at n = 6 and P (3,2,1) at t_cap = 3 in JSON, and
 combinatorial rows at t_cap = 4: J (3,2,1) and P (4,2,1) at n = 5,
 and `verify psi` and `verify phi` in text and JSON, made before psi/phi
 stopped validating stages that made no move.  The test removes
-GROTHLAB_CENSUS_SCALE, so those four always read the small census.
+GROTHLAB_CENSUS_SCALE, so those four always read the small census.  Two
+more calls start with `GROTHLAB_CENSUS_SCALE=full`, which sets the variable
+for that call as a shell would: `verify psi` and `verify phi` in text at
+the full census, made before the out and in steps took each stage's
+entries in one order and read columns in place.
 A call names its data file from the repository root, so the test runs
 from any directory.
 """
@@ -46,8 +50,12 @@ with open(os.path.join(ROOT, "tests", "data", "golden_stdout.json"), encoding="u
 @pytest.mark.parametrize("call", sorted(GOLDEN))
 def test_stdout_and_exit_code_match_the_golden_digest(call, monkeypatch):
     monkeypatch.delenv("GROTHLAB_CENSUS_SCALE", raising=False)
+    argv = call.split()
+    while "=" in argv[0]:
+        name, value = argv.pop(0).split("=", 1)
+        monkeypatch.setenv(name, value)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main([os.path.join(ROOT, a) if a.startswith("tests/data/") else a for a in call.split()])
+        code = cli.main([os.path.join(ROOT, a) if a.startswith("tests/data/") else a for a in argv])
     digest = hashlib.sha256(out.getvalue().encode() + b"\0exit=" + str(code).encode()).hexdigest()
     assert digest == GOLDEN[call]

@@ -238,8 +238,58 @@ def test_shifted_in_chain_inverts_display():
 
 def test_out_requires_a_noncircled_entry():
     t = MultisetTableau((((1,), (1,)), ((2,),)))
-    with pytest.raises(InsertionError):
+    with pytest.raises(InsertionError, match=r"^no noncircled entry remains in column 1$"):
         out_step(t, 1, 2)
+    t = ShiftedMultisetTableau(((box("1"), box("2")), (box("3"),)))
+    with pytest.raises(InsertionError, match=r"^no noncircled entry remains in diagonal 1$"):
+        out_step(t, 1, 2)
+
+
+def test_out_refuses_an_empty_line():
+    # ell = 3 names a line that no row of these one-box tableaux reaches
+    with pytest.raises(InsertionError, match=r"^column 1 is empty$"):
+        out_step(MultisetTableau((((1,),),)), 1, 3)
+    with pytest.raises(InsertionError, match=r"^diagonal 1 is empty$"):
+        out_step(ShiftedMultisetTableau(((box("1"),),)), 1, 3)
+
+
+def test_out_refuses_appends_off_the_shape():
+    # the tableaux are not valid, so the moved entry ends where no box can
+    # be appended; a straight column has no circled cell below single ones,
+    # so the blocked append needs a shifted tableau
+    t = ShiftedMultisetTableau(((box("1", "5"), box("2")), (box("3"),)))
+    with pytest.raises(InsertionError, match=r"^append blocked by the circled cell$"):
+        out_step(t, 2, 2)
+    t = MultisetTableau((((1,), (1, 3), (2,)), ((2,),)))
+    with pytest.raises(InsertionError, match=r"^append does not extend a row$"):
+        out_step(t, 2, 3)
+    with pytest.raises(InsertionError, match=r"^append cannot start a new row here$"):
+        out_step(MultisetTableau((((1, 3), (2,)),)), 2, 2)
+
+
+def test_in_refuses_an_entry_no_box_admits():
+    # the corner's 1 neither bumps nor fits the box 2 of the active line
+    with pytest.raises(InsertionError, match=r"^no admissible box in column 2 for 1$"):
+        in_step(MultisetTableau((((2,), (1,)),)), 2, 2, (0, 1))
+    with pytest.raises(InsertionError, match=r"^no admissible box in diagonal 2 for 1$"):
+        in_step(ShiftedMultisetTableau(((box("2"), box("1")),)), 2, 2, (0, 1))
+
+
+def test_stage_takes_the_bottommost_box_on_ties():
+    # equal entries on one column take an invalid tableau; the lower box
+    # gives up its 3 first, then the upper one
+    t = MultisetTableau((((1, 3),), ((2, 3),)))
+    _, trace = out_step(t, 1, 1)
+    assert (trace.removed, trace.removed_cell) == (3, (1, 0))
+    _, traces = psi_k(t, 1, 1)
+    assert [(tr.removed, tr.removed_cell) for tr in traces] == [(3, (1, 0)), (3, (0, 0))]
+
+
+def test_psi_k_refuses_a_stage_outside_its_labels():
+    t = MultisetTableau((((1, 2), (3,)),))
+    for k in (0, 3):
+        with pytest.raises(InsertionError, match=rf"^stage {k} is not a label in 1\.\.2$"):
+            psi_k(t, k, 2)
 
 
 def test_in_rejects_non_corners():

@@ -243,3 +243,59 @@ def test_phi_case_reports_a_pair_census_that_differs(monkeypatch):
         verify, "enumerate_sst", lambda lam, n, signed: true_enumerate(lam, n, signed=signed)[1:]
     )
     assert verify._phi_case((2, 1), 3, 2) == "pair census cardinalities differ per class"
+
+
+# ---------------------------------------------------------------------------
+# every failure text of the maximal and routes cases, each reached by
+# monkeypatching a map the case calls
+
+
+def test_maximal_case_reports_failed_round_trips(monkeypatch):
+    assert verify._maximal_case((2, 1)) == ""
+    monkeypatch.setattr(verify, "rt_to_maximal_mt", lambda f: MultisetTableau(()))
+    assert verify._maximal_case((2, 1)) == "straight round trip failed for (((1,), (1,)), ((2,),))"
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "srt_to_maximal_smt", lambda f: ShiftedMultisetTableau(()))
+    detail = verify._maximal_case((2, 1))
+    assert detail == "shifted round trip failed for (((Entry(1),), (Entry(1),)), ((Entry(2),),))"
+
+
+def test_maximal_case_reports_unpreserved_label_weights(monkeypatch):
+    # the maps under test never read these weights, so only the case's
+    # own comparison sees them change
+    monkeypatch.setattr(MultisetTableau, "column_weight", lambda t: ())
+    assert verify._maximal_case((2, 1)) == "column weight not preserved"
+    monkeypatch.undo()
+    monkeypatch.setattr(ShiftedMultisetTableau, "diagonal_weight", lambda t: ())
+    assert verify._maximal_case((2, 1)) == "diagonal weight not preserved"
+
+
+def test_routes_case_reports_routes_that_disagree(monkeypatch):
+    code = MonomialCode(2, 2, 1, 0)
+    monkeypatch.setattr(verify, "combinatorial_series", lambda spec: TruncatedSeries(code, {}, 1, 0))
+    for family in ("J", "P"):
+        assert verify._routes_case(family, (2, 1), 2, 1) == "algebraic and combinatorial routes disagree"
+
+
+def test_routes_case_reports_a_wrong_t0_specialization(monkeypatch):
+    for basis in ("schur", "pschur"):
+        true_basis = getattr(verify, basis)
+        monkeypatch.setattr(verify, basis, lambda mu, n, true_basis=true_basis: true_basis(mu, n) * 2)
+    for family in ("J", "P"):
+        detail = verify._routes_case(family, (2, 1), 2, 1)
+        assert detail == "t=0 specialization is not the undeformed basis"
+
+
+def test_routes_case_reports_a_wrong_h_product_coefficient(monkeypatch):
+    true_route = verify.coefficient_via_hmult
+    monkeypatch.setattr(verify, "coefficient_via_hmult", lambda spec, t: true_route(spec, t) * 2)
+    for family in ("J", "P"):
+        assert verify._routes_case(family, (2, 1), 2, 1) == "h-product coefficient differs at t^(1, 0)"
+
+
+def test_routes_case_reports_a_wrong_good_extension_route(monkeypatch):
+    true_route = verify.hmult_good_extension_route
+    monkeypatch.setattr(verify, "hmult_good_extension_route", lambda spec, t: true_route(spec, t) * 2)
+    assert verify._routes_case("J", (2, 1), 2, 1) == "good-extension route differs at t^(1, 0)"
+    # the route applies to J alone, so P never calls it
+    assert verify._routes_case("P", (2, 1), 2, 1) == ""

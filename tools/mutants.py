@@ -43,12 +43,12 @@ T_VERIFY = "tests/test_verify.py"
 T_CLI = "tests/test_cli.py"
 
 SKIPPED_STAGE = """\
-        if not moves:
+        if not cells:
             continue
 """
 # a stage without moves validates its tableau again, as every stage once did
 SKIPPED_STAGE_VALIDATED = """\
-        if not moves:
+        if not cells:
             if not valid(t):
                 raise InsertionError(f"stage {k} left an invalid tableau")
             continue
@@ -57,7 +57,7 @@ SKIPPED_STAGE_VALIDATED = """\
 MUTANTS = [
     # the drivers of psi and phi
     ("stage-order-unchecked", INSERTION,
-     "if any(c2 <= c1 for (_, c1), (_, c2) in zip(cells, cells[1:])):", "if False:",
+     "if col <= last:", "if False:",
      [f"{T_INSERTION}::test_stages_refuse_appended_boxes_out_of_order"]),
     ("moved-stage-unvalidated", INSERTION,
      "        t = _with_rows(p, rows)\n        if not valid(t):",
@@ -67,8 +67,20 @@ MUTANTS = [
      SKIPPED_STAGE, SKIPPED_STAGE_VALIDATED,
      [T_ORACLES]),
     ("line-miscounted", INSERTION,
-     "counts[c] += len(box) - 1", "counts[c] += len(box) - 2",
+     "for v in row[idx][1:]]", "for v in row[idx][2:]]",
      [f"{T_ORACLES}::test_the_paper_examples_match_the_oracle"]),
+    ("stage-order-ascending", INSERTION,
+     "order.sort(reverse=True)", "order.sort()",
+     [f"{T_ORACLES}::test_the_paper_examples_match_the_oracle"]),
+    ("stage-tie-topmost", INSERTION,
+     "order.sort(reverse=True)", "order.sort(key=lambda vr: (vr[0], -vr[1]), reverse=True)",
+     [f"{T_INSERTION}::test_stage_takes_the_bottommost_box_on_ties"]),
+    ("shifted-column-split-off-by-one", INSERTION,
+     "return min(h, max(0, col - idx)), h", "return min(h, max(0, col - idx - 1)), h",
+     [f"{T_INSERTION}::test_shifted_out_chain_reproduces_display"]),
+    ("psi-k-label-unchecked", INSERTION,
+     "if not 1 <= k <= ell:", "if False:",
+     [f"{T_INSERTION}::test_psi_k_refuses_a_stage_outside_its_labels"]),
     ("label-in-wrong-row", INSERTION,
      "labels[h].append(k)", "labels[0].append(k)",
      [f"{T_ORACLES}::test_the_paper_examples_match_the_oracle"]),
@@ -96,6 +108,26 @@ MUTANTS = [
     ("deposit-by-largest-entry", INSERTION,
      "admits(rows[rr][idx][0], z)", "admits(rows[rr][idx][-1], z)",
      [f"{T_INSERTION}::test_in_deposits_by_the_box_minimum"]),
+    # the out and in steps' own checks, each reached from a crafted tableau
+    ("out-empty-line-unchecked", INSERTION,
+     "if not any(idx < len(row) for row in t.rows):", "if False:",
+     [f"{T_INSERTION}::test_out_refuses_an_empty_line"]),
+    ("out-noncircled-unchecked", INSERTION,
+     "    if not order:\n", "    if False:\n",
+     [f"{T_INSERTION}::test_out_requires_a_noncircled_entry"]),
+    ("append-blocked-unchecked", INSERTION,
+     "    if s < h:\n        raise", "    if False:\n        raise",
+     [f"{T_INSERTION}::test_out_refuses_appends_off_the_shape"]),
+    ("append-extension-unchecked", INSERTION,
+     "if h * shift + len(rows[h]) != col:", "if False:",
+     [f"{T_INSERTION}::test_out_refuses_appends_off_the_shape"]),
+    ("new-row-unchecked", INSERTION,
+     "if col != h * shift:", "if False:",
+     [f"{T_INSERTION}::test_out_refuses_appends_off_the_shape"]),
+    ("in-admissible-box-unchecked", INSERTION,
+     '        else:\n            raise InsertionError(f"no admissible box',
+     '        else:\n            if False:\n                raise InsertionError(f"no admissible box',
+     [f"{T_INSERTION}::test_in_refuses_an_entry_no_box_admits"]),
     # the expansion and the h-product routes
     ("maximal-weight-unchecked", POLYNOMIALS,
      "if not is_partition(wt):", "if False:",
@@ -158,6 +190,30 @@ MUTANTS = [
     ("phi-pair-census-unchecked", VERIFY,
      'return "" if rhs == lhs else', 'return "" if True else',
      [f"{T_VERIFY}::test_phi_case_reports_a_pair_census_that_differs"]),
+    ("maximal-straight-round-trip-unchecked", VERIFY,
+     "if not is_valid_rt(f) or rt_to_maximal_mt(f) != t:", "if False:",
+     [f"{T_VERIFY}::test_maximal_case_reports_failed_round_trips"]),
+    ("maximal-column-weight-unchecked", VERIFY,
+     "if f.weight(t.ell) != t.column_weight():", "if False:",
+     [f"{T_VERIFY}::test_maximal_case_reports_unpreserved_label_weights"]),
+    ("maximal-shifted-round-trip-unchecked", VERIFY,
+     "if not is_valid_srt(f, mu) or srt_to_maximal_smt(f) != t:", "if False:",
+     [f"{T_VERIFY}::test_maximal_case_reports_failed_round_trips"]),
+    ("maximal-diagonal-weight-unchecked", VERIFY,
+     "if f.weight(t.ell) != t.diagonal_weight():", "if False:",
+     [f"{T_VERIFY}::test_maximal_case_reports_unpreserved_label_weights"]),
+    ("routes-agreement-unchecked", VERIFY,
+     "if alg != comb:", "if False:",
+     [f"{T_VERIFY}::test_routes_case_reports_routes_that_disagree"]),
+    ("routes-t0-unchecked", VERIFY,
+     "if specialize_t(alg, (0,) * spec.ell) != (pschur if spec.shifted else schur)(mu, n):", "if False:",
+     [f"{T_VERIFY}::test_routes_case_reports_a_wrong_t0_specialization"]),
+    ("routes-hmult-unchecked", VERIFY,
+     "if got != alg.coefficient_of_t(t_exps):", "if False:",
+     [f"{T_VERIFY}::test_routes_case_reports_a_wrong_h_product_coefficient"]),
+    ("routes-good-extension-unchecked", VERIFY,
+     "if not spec.shifted and hmult_good_extension_route(spec, t_exps) != got:", "if False:",
+     [f"{T_VERIFY}::test_routes_case_reports_a_wrong_good_extension_route"]),
     ("routes-symmetry-unchecked", VERIFY,
      "if not alg.poly.is_symmetric_x():", "if False:",
      [f"{T_VERIFY}::test_routes_case_reports_a_series_not_symmetric_in_x"]),
