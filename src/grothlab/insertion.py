@@ -214,13 +214,28 @@ def _column(rows, col: int, shift: int, idx: int) -> tuple[int, int]:
     return (h if col > idx else 0), h
 
 
-def _line_order(rows, idx: int) -> list[tuple]:
-    """(value, row) of every noncircled entry on line idx (every entry of a
-    box after its first), largest first and bottommost box first on ties:
-    the order in which the out moves of a stage take them."""
-    order = [(v, r) for r, row in enumerate(rows) if idx < len(row) for v in row[idx][1:]]
-    order.sort(reverse=True)
-    return order
+def _line_orders(rows) -> dict[int, list[tuple]]:
+    """{idx: order} for every line idx holding a noncircled entry (an entry
+    of a box after its first), read in one pass over the boxes: the order
+    lists the (value, row) of each such entry, largest first and bottommost
+    box first on ties, which is the order in which the out moves of the
+    line's stage take them."""
+    orders = {}
+    for r, row in enumerate(rows):
+        for idx, box in enumerate(row):
+            if len(box) > 1:
+                for v in box[1:]:
+                    orders.setdefault(idx, []).append((v, r))
+    for order in orders.values():
+        order.sort(reverse=True)
+    return orders
+
+
+def _check_label(k: int, ell: int) -> None:
+    """Refuse a stage k outside 1..ell: its line index ell - k would miss
+    every line, or, negative, index each row from its end."""
+    if not 1 <= k <= ell:
+        raise InsertionError(f"stage {k} is not a label in 1..{ell}")
 
 
 def _with_rows(t, rows):
@@ -239,13 +254,14 @@ def _on_copy(t, body, *args):
 
 
 def out_step(t, k: int, ell: int):
-    """One out move at stage k, the first of its stage (the head of
-    _line_order); returns (tableau, OutTrace)."""
+    """One out move at stage k, the first of its stage (the head of its
+    line's order in _line_orders); returns (tableau, OutTrace)."""
+    _check_label(k, ell)
     word = _family(t)[3]
     idx = ell - k
     if not any(idx < len(row) for row in t.rows):
         raise InsertionError(f"{word} {k} is empty")
-    order = _line_order(t.rows, idx)
+    order = _line_orders(t.rows).get(idx)
     if not order:
         raise InsertionError(f"no noncircled entry remains in {word} {k}")
     return _on_copy(t, _traced_out, order[0][1], idx)
@@ -253,6 +269,7 @@ def out_step(t, k: int, ell: int):
 
 def in_step(t, k: int, ell: int, cell):
     """One in move at stage k undoing an out; cell is the corner consumed."""
+    _check_label(k, ell)
     family = _family(t)
     rows = [list(row) for row in t.rows]
     path = []
@@ -374,21 +391,19 @@ def _in(rows, k: int, ell: int, cell, family, path=None) -> tuple:
 # stage maps and the full bijections
 
 
-def _stage(rows, k: int, ell: int, move, family) -> list:
-    """Make the moves of stage k on a list of row lists, in place; returns
-    what move returns for each: the appended cell (`_out`) or the
-    OutTrace (`_traced_out`).
+def _stage(rows, idx: int, order, move, family) -> list:
+    """Make the moves of the stage of line idx on a list of row lists, in
+    place, taking the line's noncircled entries in order (its entry of
+    `_line_orders`); returns what move returns for each: the appended cell
+    (`_out`) or the OutTrace (`_traced_out`).
 
-    Line k's noncircled entries are read once, in `_line_order`, and
-    moved in that order.  An out move shortens one box of line k by its
-    last entry, and every cell it writes, bumped or appended, holds a
-    single entry and lies right of line k or is a new circled box on it.
-    So after each move the entries still to move are the rest of the
-    list, and no move adds one.  Within a row the picks come largest
-    first, and a box is sorted, so each pick is its box's last entry,
-    the one the move takes off."""
-    idx = ell - k
-    return [move(rows, r, idx, family) for _, r in _line_order(rows, idx)]
+    An out move shortens one box of line idx by its last entry, and every
+    cell it writes, bumped or appended, holds a single entry and lies right
+    of the line or is a new circled box on it.  So after each move the
+    entries still to move are the rest of the order, and no move adds one.
+    Within a row the picks come largest first, and a box is sorted, so each
+    pick is its box's last entry, the one the move takes off."""
+    return [move(rows, r, idx, family) for _, r in order]
 
 
 def _unstage(rows, k: int, ell: int, cells, family) -> None:
@@ -402,13 +417,14 @@ def _unstage(rows, k: int, ell: int, cells, family) -> None:
 def psi_k(t, k: int, ell: int):
     """Apply out at stage k until the active column/diagonal holds single
     entries; returns (tableau, traces)."""
-    if not 1 <= k <= ell:
-        raise InsertionError(f"stage {k} is not a label in 1..{ell}")
-    return _on_copy(t, _stage, k, ell, _traced_out)
+    _check_label(k, ell)
+    idx = ell - k
+    return _on_copy(t, _stage, idx, _line_orders(t.rows).get(idx, ()), _traced_out)
 
 
 def psi_k_inverse(t, k: int, ell: int, cells):
     """Undo stage k by consuming the given strip cells, rightmost first."""
+    _check_label(k, ell)
     return _on_copy(t, _unstage, k, ell, cells)[0]
 
 
@@ -418,6 +434,14 @@ def _run_stages(p, valid):
     that p lacks: the rows of R.  An append always extends its row at the
     end, so each row's labels arrive in column order as the stages append
     them.
+
+    Every stage's order is read from p, in one `_line_orders` pass.  A
+    stage removes entries only from its own line, and every cell an out
+    move writes (bumped, appended, or a new row's first box) holds a single
+    entry, so no move adds a noncircled entry to any line.  So when the
+    stage of line idx starts, the line's order is the one p gives it, and a
+    line without an order has a stage without a move.  Only the lines with
+    an order are visited, largest idx first: stage k = ell - idx ascending.
 
     A stage that moves freezes the rows once, and its tableau must pass
     valid.  A stage without a move leaves the tableau as it was, which has
@@ -431,12 +455,11 @@ def _run_stages(p, valid):
     rows = [list(row) for row in p.rows]
     labels = [[] for _ in rows]
     t = p
-    for k in range(1, ell + 1):
-        cells = _stage(rows, k, ell, _out, family)
-        if not cells:
-            continue
+    orders = _line_orders(p.rows)
+    for idx in sorted(orders, reverse=True):
+        k = ell - idx
         last = -1
-        for h, col in cells:
+        for h, col in _stage(rows, idx, orders[idx], _out, family):
             if col <= last:
                 raise InsertionError("appended boxes must move strictly right")
             last = col

@@ -113,6 +113,17 @@ def subpartitions(bound) -> list[Partition]:
     return sorted(set(out))
 
 
+def _check_columns(n: int, increments, columns) -> None:
+    """The checks on (T_ell..T_1) and (c_ell..c_1) for a base of n parts,
+    shared by `TExtension.check` and `enumerate_extensions`."""
+    if len(increments) != len(columns):
+        raise ValueError("increment and column lists differ in length")
+    if any(columns[i] < columns[i + 1] for i in range(len(columns) - 1)):
+        raise ValueError("columns must be weakly decreasing as (c_ell..c_1)")
+    if columns and (columns[0] > n or columns[-1] < 1):
+        raise ValueError("columns out of range")
+
+
 class TExtension(Frozen):
     """A chain base = lam^0 <= lam^1 <= ... <= lam^ell of compositions.
 
@@ -155,12 +166,7 @@ class TExtension(Frozen):
 
     def check(self):
         n = len(self.base)
-        if len(self.increments) != len(self.columns):
-            raise ValueError("increment and column lists differ in length")
-        if any(self.columns[i] < self.columns[i + 1] for i in range(self.ell - 1)):
-            raise ValueError("columns must be weakly decreasing as (c_ell..c_1)")
-        if self.columns and (self.columns[0] > n or self.columns[-1] < 1):
-            raise ValueError("columns out of range")
+        _check_columns(n, self.increments, self.columns)
         prev = self.base
         for h in range(1, self.ell + 1):
             cur = self.level(h)
@@ -202,12 +208,7 @@ def enumerate_extensions(mu, increments, columns) -> list[TExtension]:
     columns = tuple(columns)
     n = len(mu)
     ell = len(increments)
-    if len(columns) != ell:
-        raise ValueError("increment and column lists differ in length")
-    if any(columns[i] < columns[i + 1] for i in range(ell - 1)):
-        raise ValueError("columns must be weakly decreasing as (c_ell..c_1)")
-    if columns and (columns[0] > n or columns[-1] < 1):
-        raise ValueError("columns out of range")
+    _check_columns(n, increments, columns)
 
     def additions(total, width):
         """Compositions of `total` into `width` nonnegative parts."""

@@ -16,6 +16,7 @@ from grothlab.insertion import (
     psi,
     psi_inverse,
     psi_k,
+    psi_k_inverse,
     shifted_column_insert,
     shifted_column_reverse_insert,
 )
@@ -292,6 +293,29 @@ def test_psi_k_refuses_a_stage_outside_its_labels():
             psi_k(t, k, 2)
 
 
+def test_out_step_refuses_a_stage_outside_its_labels():
+    # stage 3 of ell = 2 names line -1, which used to move the 2 off the
+    # last box of the row
+    t = MultisetTableau((((1,), (1, 2)),))
+    for k in (0, 3):
+        with pytest.raises(InsertionError, match=rf"^stage {k} is not a label in 1\.\.2$"):
+            out_step(t, k, 2)
+
+
+def test_in_step_refuses_a_stage_outside_its_labels():
+    t = MultisetTableau((((1,), (2,)),))
+    for k in (0, 3):
+        with pytest.raises(InsertionError, match=rf"^stage {k} is not a label in 1\.\.2$"):
+            in_step(t, k, 2, (0, 1))
+
+
+def test_psi_k_inverse_refuses_a_stage_outside_its_labels():
+    t = MultisetTableau((((1,), (2,)),))
+    for k in (0, 3):
+        with pytest.raises(InsertionError, match=rf"^stage {k} is not a label in 1\.\.2$"):
+            psi_k_inverse(t, k, 2, [(0, 1)])
+
+
 def test_in_rejects_non_corners():
     t = MultisetTableau((((1,), (1,)), ((2,),)))
     with pytest.raises(InsertionError, match=r"^\(1, 1\) is not strictly right of column 1$"):
@@ -350,11 +374,19 @@ def test_in_primed_duplication_is_reported():
 
 
 def test_stages_refuse_appended_boxes_out_of_order(monkeypatch):
-    # stage 1 of the straight example makes four moves; run them backwards
+    # each stage takes its line's entries smallest first, so a later move
+    # appends left of an earlier one (stage 1 of the straight example makes
+    # four moves)
     stage = insertion._stage
-    monkeypatch.setattr(insertion, "_stage", lambda *args: stage(*args)[::-1])
+
+    def smallest_first(rows, idx, order, *args):
+        return stage(rows, idx, order[::-1], *args)
+
+    monkeypatch.setattr(insertion, "_stage", smallest_first)
     with pytest.raises(InsertionError, match=r"^appended boxes must move strictly right$"):
         psi(example_mt())
+    with pytest.raises(InsertionError, match=r"^appended boxes must move strictly right$"):
+        phi(example_smt())
 
 
 def test_psi_refuses_strip_entries_that_are_not_restricted(monkeypatch):

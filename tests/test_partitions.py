@@ -149,8 +149,19 @@ def test_enumerate_extensions_trivial():
 
 
 def test_enumerate_extensions_rejects_bad_columns():
-    with pytest.raises(ValueError):
-        enumerate_extensions((2, 1), (1, 1), (1, 2))
+    # the first two inputs also fail every later check, so the message names
+    # the first check failed; TExtension.check gives the same messages
+    cases = [
+        ((1,), (3, 0, 5), "increment and column lists differ in length"),
+        ((1, 1, 1), (3, 0, 5), r"columns must be weakly decreasing as \(c_ell\.\.c_1\)"),
+        ((1, 1), (3, 3), "columns out of range"),
+        ((1, 1), (1, 0), "columns out of range"),
+    ]
+    for increments, columns, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_extensions((2, 1), increments, columns)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TExtension((2, 1), (), increments, columns).check()
 
 
 def test_good_extension_classification():

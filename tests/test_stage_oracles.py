@@ -1,8 +1,10 @@
 """The in-place stage runners and steps against the bodies they replaced.
 
 The reference oracles below are the earlier bodies of `_stage_done`,
-`psi_k`, `psi_k_inverse`, `_run_stages` and `_undo_stages`, and of the
-out and in steps `_largest_noncircled`, `_out` and `_in`, which scanned
+`psi_k`, `psi_k_inverse`, `_run_stages` and `_undo_stages`, of
+`_line_order`, which read one line's order off the rows at the start of
+its stage, and of the out and in steps `_largest_noncircled`, `_out` and
+`_in`, which scanned
 each box for its minimum and its largest noncircled entry where the
 current steps read the ends of the sorted box.  The runners move one step
 at a time through `_on_copy`, so every move rebuilds the tableau, and
@@ -29,6 +31,7 @@ from grothlab.insertion import (
     _column,
     _first_bump,
     _last_bump,
+    _line_orders,
     _on_copy,
     _run_stages,
     phi,
@@ -56,6 +59,14 @@ def ref_largest_noncircled(boxes):
             if best is None or v > best[0] or (v == best[0] and r >= best[1]):
                 best = (v, r)
     return best
+
+
+def ref_line_order(rows, idx):
+    """(value, row) of every noncircled entry on line idx, largest first and
+    bottommost box first on ties."""
+    order = [(v, r) for r, row in enumerate(rows) if idx < len(row) for v in row[idx][1:]]
+    order.sort(reverse=True)
+    return order
 
 
 def ref_out(rows, k: int, ell: int, family) -> OutTrace:
@@ -293,6 +304,28 @@ def test_the_paper_examples_match_the_oracle():
         q, r = bijection(p)
         assert (q, r) == oracle(bijection, p)
         assert inverse(q, r) == oracle(inverse, q, r) == p
+
+
+# ---------------------------------------------------------------------------
+# every stage's order is read from the input
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_mt(), st.booleans().flatmap(random_smt)))
+def test_line_orders_of_the_input_are_those_at_the_start_of_each_stage(p):
+    # MT, SMT and SMT+- inputs; stages run by the stepwise oracle up to the
+    # first that refuses, and a line without an order has none in the input
+    ell = p.ell
+    orders = _line_orders(p.rows)
+    assert set(orders) <= set(range(ell)) and all(orders.values())
+    t = p
+    for k in range(1, ell + 1):
+        idx = ell - k
+        assert orders.get(idx, []) == ref_line_order(t.rows, idx)
+        try:
+            t, _ = ref_psi_k(t, k, ell)
+        except InsertionError:
+            return
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 import grothlab.verify as verify
 from grothlab.algebra import MonomialCode, Polynomial, TruncatedSeries
-from grothlab.partitions import pad
+from grothlab.partitions import SignedPair, TExtension, pad
 from grothlab.polynomials import BasisExpansion
 from grothlab.tableaux import (
     Entry,
@@ -299,3 +299,62 @@ def test_routes_case_reports_a_wrong_good_extension_route(monkeypatch):
     assert verify._routes_case("J", (2, 1), 2, 1) == "good-extension route differs at t^(1, 0)"
     # the route applies to J alone, so P never calls it
     assert verify._routes_case("P", (2, 1), 2, 1) == ""
+
+
+# ---------------------------------------------------------------------------
+# every failure text of the lemma case, each reached by monkeypatching a map
+# the case calls; the case (2, 1, 0), T = (2,), c = (2,), n = 3 has bad
+# extensions, the first with top (2, 3, 0)
+
+LEMMA = ((2, 1, 0), (2,), (2,), 3)
+
+
+def test_lemma_case_reports_routes_that_disagree(monkeypatch):
+    assert verify._lemma_case(*LEMMA) == ""
+    monkeypatch.setattr(verify, "hmult_lemma_split", lambda mu, ts, cs, n: None)
+    assert verify._lemma_case(*LEMMA) == "h-product route disagrees with good extensions"
+
+
+def test_lemma_case_reports_a_good_extension_off_the_partitions(monkeypatch):
+    true_split = verify.hmult_lemma_split
+
+    def with_a_non_partition(*args):
+        good, bad = true_split(*args)
+        return good + [TExtension((2, 1, 0), ((2, 3, 0),), (2,), (2,))], bad
+
+    monkeypatch.setattr(verify, "hmult_lemma_split", with_a_non_partition)
+    assert verify._lemma_case(*LEMMA) == "good extension ((2, 3, 0),) contains a non-partition"
+
+
+def test_lemma_case_reports_iota_reaching_a_good_extension(monkeypatch):
+    monkeypatch.setattr(verify, "is_good_extension", lambda ext: True)
+    assert verify._lemma_case(*LEMMA) == "iota produced a good extension"
+
+
+def swapped(pair, a, b):
+    """pair with positions a and b of its permutation swapped, the
+    extension kept: a sign flip that leaves the extension bad."""
+    sigma = list(pair.sigma)
+    sigma[a], sigma[b] = sigma[b], sigma[a]
+    return SignedPair(tuple(sigma), pair.extension)
+
+
+def test_lemma_case_reports_iota_keeping_the_sign(monkeypatch):
+    monkeypatch.setattr(verify, "iota", lambda pair: pair)
+    assert verify._lemma_case(*LEMMA) == "iota did not flip the sign"
+
+
+def test_lemma_case_reports_iota_that_is_not_an_involution(monkeypatch):
+    # swap the first two positions where they ascend, else the last two:
+    # from the identity, two steps reach (1, 2, 0)
+    def not_an_involution(pair):
+        return swapped(pair, *((0, 1) if pair.sigma[0] < pair.sigma[1] else (1, 2)))
+
+    monkeypatch.setattr(verify, "iota", not_an_involution)
+    assert verify._lemma_case(*LEMMA) == "iota is not an involution"
+
+
+def test_lemma_case_reports_iota_moving_the_monomial(monkeypatch):
+    # the swap moves the exponents 2 and 3 of the top (2, 3, 0)
+    monkeypatch.setattr(verify, "iota", lambda pair: swapped(pair, 0, 1))
+    assert verify._lemma_case(*LEMMA) == "iota moved the signed monomial"

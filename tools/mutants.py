@@ -42,18 +42,6 @@ T_POLYNOMIALS = "tests/test_polynomials.py"
 T_VERIFY = "tests/test_verify.py"
 T_CLI = "tests/test_cli.py"
 
-SKIPPED_STAGE = """\
-        if not cells:
-            continue
-"""
-# a stage without moves validates its tableau again, as every stage once did
-SKIPPED_STAGE_VALIDATED = """\
-        if not cells:
-            if not valid(t):
-                raise InsertionError(f"stage {k} left an invalid tableau")
-            continue
-"""
-
 MUTANTS = [
     # the drivers of psi and phi
     ("stage-order-unchecked", INSERTION,
@@ -62,25 +50,40 @@ MUTANTS = [
     ("moved-stage-unvalidated", INSERTION,
      "        t = _with_rows(p, rows)\n        if not valid(t):",
      "        t = _with_rows(p, rows)\n        if False:",
-     [T_ORACLES]),
+     [f"{T_ORACLES}::test_every_stage_of_the_examples_is_validated"]),
+    # every line is visited, so a stage without moves validates its tableau
+    # again, as every stage once did
     ("every-stage-validated", INSERTION,
-     SKIPPED_STAGE, SKIPPED_STAGE_VALIDATED,
-     [T_ORACLES]),
+     "    orders = _line_orders(p.rows)\n",
+     "    orders = dict.fromkeys(range(ell), ()) | _line_orders(p.rows)\n",
+     [f"{T_ORACLES}::test_every_stage_of_the_examples_is_validated"]),
+    ("lines-ascending", INSERTION,
+     "for idx in sorted(orders, reverse=True):", "for idx in sorted(orders):",
+     [f"{T_ORACLES}::test_the_paper_examples_match_the_oracle"]),
     ("line-miscounted", INSERTION,
-     "for v in row[idx][1:]]", "for v in row[idx][2:]]",
+     "for v in box[1:]:", "for v in box[2:]:",
      [f"{T_ORACLES}::test_the_paper_examples_match_the_oracle"]),
     ("stage-order-ascending", INSERTION,
-     "order.sort(reverse=True)", "order.sort()",
+     "        order.sort(reverse=True)", "        order.sort()",
      [f"{T_ORACLES}::test_the_paper_examples_match_the_oracle"]),
     ("stage-tie-topmost", INSERTION,
-     "order.sort(reverse=True)", "order.sort(key=lambda vr: (vr[0], -vr[1]), reverse=True)",
+     "        order.sort(reverse=True)", "        order.sort(key=lambda vr: (vr[0], -vr[1]), reverse=True)",
      [f"{T_INSERTION}::test_stage_takes_the_bottommost_box_on_ties"]),
     ("shifted-column-split-off-by-one", INSERTION,
      "return min(h, max(0, col - idx)), h", "return min(h, max(0, col - idx - 1)), h",
      [f"{T_INSERTION}::test_shifted_out_chain_reproduces_display"]),
     ("psi-k-label-unchecked", INSERTION,
-     "if not 1 <= k <= ell:", "if False:",
+     "    _check_label(k, ell)\n    idx = ell - k\n    return", "    idx = ell - k\n    return",
      [f"{T_INSERTION}::test_psi_k_refuses_a_stage_outside_its_labels"]),
+    ("out-step-label-unchecked", INSERTION,
+     "    _check_label(k, ell)\n    word = _family(t)[3]", "    word = _family(t)[3]",
+     [f"{T_INSERTION}::test_out_step_refuses_a_stage_outside_its_labels"]),
+    ("in-step-label-unchecked", INSERTION,
+     "    _check_label(k, ell)\n    family = _family(t)", "    family = _family(t)",
+     [f"{T_INSERTION}::test_in_step_refuses_a_stage_outside_its_labels"]),
+    ("psi-k-inverse-label-unchecked", INSERTION,
+     "    _check_label(k, ell)\n    return _on_copy(t, _unstage", "    return _on_copy(t, _unstage",
+     [f"{T_INSERTION}::test_psi_k_inverse_refuses_a_stage_outside_its_labels"]),
     ("label-in-wrong-row", INSERTION,
      "labels[h].append(k)", "labels[0].append(k)",
      [f"{T_ORACLES}::test_the_paper_examples_match_the_oracle"]),
@@ -95,7 +98,7 @@ MUTANTS = [
      [f"{T_INSERTION}::test_psi_and_phi_refuse_an_input_outside_their_family"]),
     ("stage-misnamed", INSERTION,
      'f"stage {k} left an invalid tableau"', 'f"stage {k + 1} left an invalid tableau"',
-     [T_ORACLES]),
+     [f"{T_ORACLES}::test_every_stage_of_the_examples_is_validated"]),
     ("psi-strip-unchecked", INSERTION,
      "if not is_valid_rt(rt):", "if False:",
      [f"{T_INSERTION}::test_psi_refuses_strip_entries_that_are_not_restricted"]),
@@ -190,6 +193,24 @@ MUTANTS = [
     ("phi-pair-census-unchecked", VERIFY,
      'return "" if rhs == lhs else', 'return "" if True else',
      [f"{T_VERIFY}::test_phi_case_reports_a_pair_census_that_differs"]),
+    ("lemma-routes-unchecked", VERIFY,
+     "    if split is None:\n", "    if False:\n",
+     [f"{T_VERIFY}::test_lemma_case_reports_routes_that_disagree"]),
+    ("lemma-partitions-unchecked", VERIFY,
+     "if any(e.level(h) != tuple(sorted(e.level(h), reverse=True)) for h in range(e.ell + 1)):", "if False:",
+     [f"{T_VERIFY}::test_lemma_case_reports_a_good_extension_off_the_partitions"]),
+    ("iota-good-image-unchecked", VERIFY,
+     "if is_good_extension(img.extension):", "if False:",
+     [f"{T_VERIFY}::test_lemma_case_reports_iota_reaching_a_good_extension"]),
+    ("iota-sign-unchecked", VERIFY,
+     "if img.sign != -pair.sign:", "if False:",
+     [f"{T_VERIFY}::test_lemma_case_reports_iota_keeping_the_sign"]),
+    ("iota-involution-unchecked", VERIFY,
+     "if iota(img) != pair:", "if False:",
+     [f"{T_VERIFY}::test_lemma_case_reports_iota_that_is_not_an_involution"]),
+    ("iota-monomial-unchecked", VERIFY,
+     "if img.monomial() != pair.monomial():", "if False:",
+     [f"{T_VERIFY}::test_lemma_case_reports_iota_moving_the_monomial"]),
     ("maximal-straight-round-trip-unchecked", VERIFY,
      "if not is_valid_rt(f) or rt_to_maximal_mt(f) != t:", "if False:",
      [f"{T_VERIFY}::test_maximal_case_reports_failed_round_trips"]),
