@@ -592,9 +592,27 @@ class TruncatedSeries:
         return len(self._coded)
 
     def __eq__(self, other):
+        """Equal caps, variables and terms, compared on the codes: each
+        distinct part of other's codes is decoded once and re-encoded in
+        self's code, and each of other's terms is looked up in self's.  A
+        part past self's degrees is no term of self, and is refused before
+        it is encoded, since its digits would carry."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        return (self.x_cap, self.t_cap, self.poly) == (other.x_cap, other.t_cap, other.poly)
+        code, coded = self._code, self._coded
+        other_code, other_coded = other._code, other._coded
+        if (self.x_cap, self.t_cap, code.nx, code.nt, len(coded)) != (
+            other.x_cap, other.t_cap, other_code.nx, other_code.nt, len(other_coded)
+        ):
+            return False
+        xs, ts = other_code.parts(other_coded)
+        if any(sum(e) > code.x_degree for e in xs.values()) or any(sum(e) > code.t_degree for e in ts.values()):
+            return False
+        split, other_split = code.split, other_code.split
+        x_recoded = {p: code.part(e) * split for p, e in xs.items()}
+        t_recoded = {p: code.part(e) for p, e in ts.items()}
+        get = coded.get
+        return all(get(x_recoded[k // other_split] + t_recoded[k % other_split]) == c for k, c in other_coded.items())
 
     __hash__ = None
 

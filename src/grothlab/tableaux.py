@@ -572,10 +572,10 @@ def srt_to_maximal_smt(f: SkewFilling) -> ShiftedMultisetTableau:
 # count_*_by_code.
 
 
-# `_fill` and the restricted backtrack recurse once per cell, `_count` once
-# per cell but the last, and the maximal row walk once per row.  Half the
-# interpreter's default recursion limit leaves room for any caller's own
-# frames.
+# `_fill` and the restricted backtrack recurse once per cell, and the maximal
+# row walk once per row.  Half the interpreter's default recursion limit
+# leaves room for any caller's own frames.  `_count` loops over its cells
+# and does not recurse, but its grid is held to the same bound.
 MAX_CELLS = 500
 
 
@@ -716,6 +716,26 @@ def _fill(grid: _Grid, leaf) -> None:
     backtrack(0, grid.extra_cap)
 
 
+def _choice_table(spans, read_first, fw: int, keep_first: bool, keep_last: bool) -> list:
+    """[[(extra, slot-pair bits, x-weights)] by extra entries] by first index,
+    with the bits of slot pair 0: a box's choices when its cell's first and
+    last slots are kept or not.  A choice holds its span list itself unless
+    several spans leave the same bits."""
+    table = []
+    for first in range(len(spans[0])):
+        head = read_first(first) + 1 if keep_first else 0
+        choices = []
+        for extra, by_first in enumerate(spans):
+            by_last = by_first[first]
+            if keep_last:
+                choices.extend((extra, head | last + 1 << fw, ws) for last, ws in by_last.items())
+            elif by_last:
+                parts = list(by_last.values())
+                choices.append((extra, head, parts[0] if len(parts) == 1 else [w for ws in parts for w in ws]))
+        table.append(choices)
+    return table
+
+
 def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
     """(code, {code of x^x t^t: count}) over the tableaux of the grid, with
     x the weight over max_value variables and t the per-label weight
@@ -737,42 +757,30 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
     shifted grid, and raw on a straight one, where a last index has two
     readers; so fillings that differ only in what no later cell reads leave
     one state.  Each cell's mask clears its own slot pair and the slots no
-    later cell reads before writing them, for the same reason.  Each cell
-    has its own memo, keyed by the frontier alone, whose entry is the list
-    of the state's strata, built in one call by the first caller to reach
-    the state, through the deepest degree that caller reads.  No later
-    caller reads deeper:
+    later cell reads before writing them, for the same reason.
 
-    - A straight box stores only its last index.  Cutting the box to that
-      entry leaves every stored value and every later choice as they were.
-    - A shifted box's extras change only its stored last value.  Only its
-      right neighbour reads that value, and cutting the box to its first
-      entry only lowers it.
-    - So a state needs at most one extra, in its left neighbour's box.
-    - Each `grow` loop reaches a child first at the child's least extra,
-      because `d` ascends.
-    - A parent that needs that extra is first reached at `d >= 1` of a
-      grandparent.  That grandparent's `d = 0` pass has already grown the
-      cut sibling, and through it the state, at the full top, so the
-      parent finds the state in the memo.
-
-    The memo past the last cell holds the one empty completion in stratum
-    0, and all memos live for this call only.  The root's strata have
-    disjoint keys, since the |t| digit of a code differs between them, so
-    the result is their union.
+    Two loops over the cells, with no recursion.  The forward loop records,
+    for each cell, the frontiers at which it is reached, each with the
+    deepest t-degree any caller reads there: the largest `top - extra` over
+    its callers, where `top` is the caller's own depth and the root's is
+    extra_cap.  It keeps each state's kept slots and choice lists, which the
+    backward loop reads as it folds each cell's strata, through that depth,
+    from the next cell's; then it drops the next cell's, so two cells'
+    strata are alive at a time.  Past the last cell the one empty
+    completion sits in stratum 0.  The root's strata have disjoint keys,
+    since the |t| digit of a code differs between them, so the result is
+    their union.
 
     A weight is the code of its monomial, whose degrees are at most
     |shape| + extra_cap and extra_cap, so a box choice adds one int to each
     key of its child's stratum.  Column c holds label ell - c, which is t
     index ell - 1 - c.  The x-weight sums of the boxes come from a span
     table keyed by (size, first index, read last index), grown by the box
-    rule.  A box's choices are built once per first index and pair of kept
-    slots, as (extra entries, slot-pair bits, x-weights), and shared by
-    every cell: a cell shifts the bits to its own slot pair and walks the
-    lists of the first indices it admits.  A choice holds its span list
-    itself unless several spans leave the same bits.  A box of `extra`
-    extra entries adds extra * t_unit[c] to each of its x-weights in the
-    merge.
+    rule.  A box's choices are built once per pair of kept slots
+    (`_choice_table`) and shared by every cell: a cell shifts the bits to
+    its own slot pair and walks the lists of the first indices it admits.
+    A box of `extra` extra entries adds extra * t_unit[c] to each of its
+    x-weights in the merge.
     """
     cells, mv, ell, least = grid.cells, grid.max_value, grid.ell, grid.least
     extra_cap, nslots, letters = grid.extra_cap, grid.nslots, len(grid.alphabet)
@@ -798,29 +806,6 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
             row.append(by_last)
         spans.append(row)
 
-    tables: dict[tuple[bool, bool], list] = {}
-
-    def choice_table(keep_first, keep_last) -> list:
-        """[[(extra, slot-pair bits, x-weights)] by extra entries] by first
-        index, with the bits of slot pair 0."""
-        key = (keep_first, keep_last)
-        found = tables.get(key)
-        if found is None:
-            found = []
-            for first in range(letters):
-                head = read_first(first) + 1 if keep_first else 0
-                choices = []
-                for extra, by_first in enumerate(spans):
-                    by_last = by_first[first]
-                    if keep_last:
-                        choices.extend((extra, head | last + 1 << fw, ws) for last, ws in by_last.items())
-                    elif by_last:
-                        parts = list(by_last.values())
-                        choices.append((extra, head, parts[0] if len(parts) == 1 else [w for ws in parts for w in ws]))
-                found.append(choices)
-            tables[key] = found
-        return found
-
     # plans[idx]: the neighbour shifts, the mask of the kept slots, the
     # shift of the cell's slot pair, its choice table, what selects the first
     # indices it admits, and the t-weight of each number of extra entries in
@@ -828,54 +813,67 @@ def _count(grid: _Grid) -> tuple[MonomialCode, dict]:
     # writing them, built from the last cell back (a cell reads its
     # neighbours, then writes)
     plans = [None] * len(cells)
+    tables: dict[tuple[bool, bool], list] = {}
     live: set[int] = set()
     for idx in range(len(cells) - 1, -1, -1):
         _, c, left, above, slot, unprimed_min = cells[idx]
         keep = sum(fm << s * fw for s in live if s not in (slot, slot + 1))
-        table = choice_table(slot in live, slot + 1 in live)
+        pair = (slot in live, slot + 1 in live)
+        if pair not in tables:
+            tables[pair] = _choice_table(spans, read_first, fw, *pair)
         t_shift = [extra * t_unit[c] for extra in range(extra_cap + 1)]
-        plans[idx] = (left * fw, above * fw, keep, slot * fw, table, unprimed_min, t_shift)
+        plans[idx] = (left * fw, above * fw, keep, slot * fw, tables[pair], unprimed_min, t_shift)
         live -= {slot, slot + 1}
         live |= {left, above} - {nslots}
 
-    # nothing is live past the last cell, so its children have frontier 0
-    done = {0: 1}
-    memos = [{} for _ in cells] + [{0: [done] + [{}] * extra_cap}]
-
-    def grow(idx: int, frontier: int, top: int) -> list:
-        """The strata of the state (idx, frontier), through degree top."""
-        left, above, keep, place, table, unprimed_min, t_shift = plans[idx]
-        lo = least((frontier >> left & fm) - 1, (frontier >> above & fm) - 1)
-        rows = [table[first] for first in grid.firsts(lo, unprimed_min)]
-        frontier &= keep
-        idx += 1
-        memo = memos[idx]
-        strata = []
-        for d in range(top + 1):
-            out: dict[int, int] = {}
+    # forward: layers[idx] lists the states that reach cell idx as (frontier,
+    # depth, kept slots, choice lists of the first indices it admits); reached
+    # is {frontier: depth} of the next cell's, from the root's empty frontier
+    layers = []
+    reached = {0: extra_cap}
+    for left, above, keep, place, table, unprimed_min, _ in plans:
+        states, reached_next = [], {}
+        for frontier, top in reached.items():
+            lo = least((frontier >> left & fm) - 1, (frontier >> above & fm) - 1)
+            rows = [table[first] for first in grid.firsts(lo, unprimed_min)]
+            kept = frontier & keep
+            states.append((frontier, top, kept, rows))
             for choices in rows:
-                for extra, bits, weights in choices:
-                    if extra > d:
+                for extra, bits, _ in choices:
+                    if extra > top:
                         break
-                    state = frontier | bits << place
-                    child = memo.get(state)
-                    if child is None:
-                        child = memo[state] = grow(idx, state, top - extra)
-                    layer = child[d - extra]
-                    if layer:
-                        shift = t_shift[extra]
-                        for w in weights:
-                            w += shift
-                            for k, v in layer.items():
-                                k += w
-                                out[k] = out.get(k, 0) + v
-            strata.append(out)
-        return strata
+                    state = kept | bits << place
+                    if reached_next.get(state, -1) < top - extra:
+                        reached_next[state] = top - extra
+        layers.append(states)
+        reached = reached_next
 
-    if not cells:
-        return code, done
-    out: dict[int, int] = {}
-    for layer in grow(0, 0, extra_cap):
+    # backward: below is {frontier reaching the next cell: its strata}; past
+    # the last cell nothing is live, and frontier 0 holds the empty completion
+    below = {0: [{0: 1}] + [{}] * extra_cap}
+    for _, _, _, place, _, _, t_shift in reversed(plans):
+        here = {}
+        for frontier, top, kept, rows in layers.pop():
+            strata = []
+            for d in range(top + 1):
+                out: dict[int, int] = {}
+                for choices in rows:
+                    for extra, bits, weights in choices:
+                        if extra > d:
+                            break
+                        layer = below[kept | bits << place][d - extra]
+                        if layer:
+                            shift = t_shift[extra]
+                            for w in weights:
+                                w += shift
+                                for k, v in layer.items():
+                                    k += w
+                                    out[k] = out.get(k, 0) + v
+                strata.append(out)
+            here[frontier] = strata
+        below = here
+    out = {}
+    for layer in below[0]:
         out.update(layer)
     return code, out
 

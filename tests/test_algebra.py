@@ -237,6 +237,48 @@ def test_series_below_the_x_cap_drops_terms_and_keeps_its_input():
     assert TruncatedSeries(code, coded, 4, 2).poly == p
 
 
+def _series_in(code: MonomialCode, terms: dict, x_cap: int, t_cap: int) -> TruncatedSeries:
+    """The series of {(x_exps, t_exps): c}, encoded in the given code."""
+    coded = {code.part(xe) * code.split + code.part(te): c for (xe, te), c in terms.items()}
+    return TruncatedSeries(code, coded, x_cap, t_cap)
+
+
+SERIES_TERMS = {((2, 1), (0, 1)): 3, ((1, 0), (1, 0)): -1, ((0, 0), (0, 0)): 2, ((0, 3), (0, 0)): 1}
+TIGHT = MonomialCode(2, 2, 3, 1)  # base 5
+WIDE = MonomialCode(2, 2, 9, 4)  # base 11
+
+
+def test_series_in_different_codes_compare_by_their_terms():
+    a, b = _series_in(TIGHT, SERIES_TERMS, 9, 4), _series_in(WIDE, SERIES_TERMS, 9, 4)
+    assert a.coded()[1] != b.coded()[1]
+    assert a == b and b == a
+    assert a.poly == b.poly
+
+
+def test_series_differing_in_one_coefficient_or_term_are_unequal():
+    a = _series_in(TIGHT, SERIES_TERMS, 9, 4)
+    changed = _series_in(WIDE, {**SERIES_TERMS, ((0, 3), (0, 0)): 2}, 9, 4)
+    assert a != changed and changed != a
+    # one extra term: every term of the shorter series is in the longer one,
+    # so only the term count tells them apart in one direction
+    longer = _series_in(WIDE, {**SERIES_TERMS, ((1, 1), (0, 0)): 1}, 9, 4)
+    assert a != longer and longer != a
+    assert _series_in(TIGHT, SERIES_TERMS, 9, 3) != _series_in(WIDE, SERIES_TERMS, 9, 4)
+    assert _series_in(TIGHT, SERIES_TERMS, 8, 4) != _series_in(WIDE, SERIES_TERMS, 9, 4)
+
+
+def test_a_term_past_the_code_degrees_is_no_term_of_the_series():
+    # in base 3 the code of x^1 is its x part, 1 * 3 + 1, times the split 9,
+    # and t^9's part is 9 * 3 + 9: both are 36, so re-encoded unchecked the
+    # digits of t^9 carry into the x part and the series compare equal
+    low, high = MonomialCode(1, 1, 2, 0), MonomialCode(1, 1, 9, 9)
+    assert low.base == 3
+    a = _series_in(low, {((1,), (0,)): 1}, 9, 9)
+    b = _series_in(high, {((0,), (9,)): 1}, 9, 9)
+    assert a.coded()[1] == {36: 1} and low.part((0,)) * low.split + low.part((9,)) == 36
+    assert a != b and b != a
+
+
 def test_sorted_terms_order_is_graded_lex():
     p = (
         Polynomial.monomial((0, 2), (0,))

@@ -693,8 +693,9 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch, route):
     assert "Traceback" not in err and "MemoryError" not in err
 
 
-# every tableau walk recurses once per cell or row, so a shape past the cell
-# bound is refused before any cell is built, instead of overflowing the stack
+# every tableau walk but the counter recurses once per cell or row, so a
+# shape past the cell bound is refused before any cell is built, instead of
+# overflowing the stack
 LONG_ROW = "1000"
 # past the cell bound, and vanishing at n = 1: the bound is checked before
 # expand returns the empty expansion of a family that vanishes

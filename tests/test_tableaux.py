@@ -1,10 +1,12 @@
 import json
+import sys
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from grothlab import tableaux
 from grothlab.fixtures import (
     paper_maximal_mt,
     paper_maximal_smt,
@@ -18,6 +20,7 @@ from grothlab.tableaux import (
     MultisetTableau,
     ShiftedMultisetTableau,
     SkewFilling,
+    count_mt_by_code,
     enumerate_maximal_mt,
     enumerate_maximal_smt,
     enumerate_mt,
@@ -408,10 +411,10 @@ def _count_by_weight(kind, shape, max_value, extra_cap):
     return count_smt_by_weight(shape, max_value, extra_cap, signed=kind == "signed")
 
 
-# The counter keeps each state's completions by t-degree, built once by the
-# first caller through the deepest degree it reads, which no later caller
-# exceeds (the `_count` docstring): whatever the cap, a term of t-degree d
-# must come out the same.
+# The counter keeps each state's completions by t-degree, through the
+# deepest degree any caller reads there, which its forward loop computes
+# (the `_count` docstring): whatever the cap, a term of t-degree d must come
+# out the same.
 @settings(max_examples=100, deadline=None)
 @given(_truncation_args())
 # rows where callers with different remaining caps read one state's strata
@@ -493,8 +496,8 @@ def test_enumerate_smt_matches_brute_force_over_the_alphabet(shape):
 
 
 def test_walks_run_at_the_cell_bound():
-    # one row of MAX_CELLS cells: every walk recurses once per cell, here on
-    # top of the test runner's own frames
+    # one row of MAX_CELLS cells: every walk but the counter recurses once
+    # per cell, here on top of the test runner's own frames
     row = (MAX_CELLS,)
     assert count_mt_by_weight(row, 1, 0) == {((MAX_CELLS,), (0,) * MAX_CELLS): 1}
     assert count_smt_by_weight(row, 1, 0) == {((MAX_CELLS,), (0,) * MAX_CELLS): 1}
@@ -504,6 +507,17 @@ def test_walks_run_at_the_cell_bound():
     assert len(enumerate_rt((MAX_CELLS + 1,), (1,))) == 1
     with pytest.raises(ValueError, match="a tableau walk takes at most"):
         count_mt_by_weight((MAX_CELLS + 1,), 1, 0)
+
+
+def test_the_count_runs_past_the_recursion_limit(monkeypatch):
+    # the counter loops over its cells, so with the cell bound lifted it
+    # counts a row longer than the interpreter's recursion limit; the key is
+    # compared by value, since its more than 4,300 digits have no repr
+    monkeypatch.setattr(tableaux, "MAX_CELLS", 2000)
+    assert 1500 > sys.getrecursionlimit()
+    code, counts = count_mt_by_code((1500,), 1, 0)
+    assert list(counts.values()) == [1]
+    assert code.decode(counts) == {((1500,), (0,) * 1500): 1}
 
 
 def test_a_filling_with_more_rows_than_mu_is_no_srt():

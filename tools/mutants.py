@@ -33,11 +33,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 300
 
 INSERTION = "src/grothlab/insertion.py"
+TABLEAUX = "src/grothlab/tableaux.py"
+ALGEBRA = "src/grothlab/algebra.py"
 POLYNOMIALS = "src/grothlab/polynomials.py"
 VERIFY = "src/grothlab/verify.py"
 CLI = "src/grothlab/cli.py"
 T_INSERTION = "tests/test_insertion.py"
 T_ORACLES = "tests/test_stage_oracles.py"
+T_TABLEAUX = "tests/test_tableaux.py"
+T_ALGEBRA = "tests/test_algebra.py"
 T_POLYNOMIALS = "tests/test_polynomials.py"
 T_VERIFY = "tests/test_verify.py"
 T_CLI = "tests/test_cli.py"
@@ -131,6 +135,33 @@ MUTANTS = [
      '        else:\n            raise InsertionError(f"no admissible box',
      '        else:\n            if False:\n                raise InsertionError(f"no admissible box',
      [f"{T_INSERTION}::test_in_refuses_an_entry_no_box_admits"]),
+    # the tableau counter's two passes (cutting the root to stratum 0 cuts
+    # every cap alike, so only the census tallies see it)
+    ("count-depth-of-first-caller", TABLEAUX,
+     "if reached_next.get(state, -1) < top - extra:", "if state not in reached_next:",
+     [f"{T_TABLEAUX}::test_count_by_weight_tallies_the_census",
+      f"{T_TABLEAUX}::test_count_mt_by_weight_is_the_census_tally",
+      f"{T_TABLEAUX}::test_count_smt_by_weight_is_the_census_tally",
+      f"{T_TABLEAUX}::test_the_count_at_a_cap_is_the_next_cap_cut_to_it"]),
+    ("count-fold-reads-own-degree", TABLEAUX,
+     "layer = below[kept | bits << place][d - extra]", "layer = below[kept | bits << place][d]",
+     [f"{T_TABLEAUX}::test_count_by_weight_tallies_the_census",
+      f"{T_TABLEAUX}::test_the_count_at_a_cap_is_the_next_cap_cut_to_it"]),
+    ("count-root-joins-stratum-0", TABLEAUX,
+     "for layer in below[0]:", "for layer in below[0][:1]:",
+     [f"{T_TABLEAUX}::test_count_by_weight_tallies_the_census",
+      f"{T_TABLEAUX}::test_count_mt_by_weight_is_the_census_tally"]),
+    # series equality on codes
+    ("series-length-unchecked", ALGEBRA,
+     "self.x_cap, self.t_cap, code.nx, code.nt, len(coded)) != (\n"
+     "            other.x_cap, other.t_cap, other_code.nx, other_code.nt, len(other_coded)",
+     "self.x_cap, self.t_cap, code.nx, code.nt) != (\n"
+     "            other.x_cap, other.t_cap, other_code.nx, other_code.nt",
+     [f"{T_ALGEBRA}::test_series_differing_in_one_coefficient_or_term_are_unequal"]),
+    ("series-degrees-unchecked", ALGEBRA,
+     "if any(sum(e) > code.x_degree for e in xs.values()) or any(sum(e) > code.t_degree for e in ts.values()):",
+     "if False:",
+     [f"{T_ALGEBRA}::test_a_term_past_the_code_degrees_is_no_term_of_the_series"]),
     # the expansion and the h-product routes
     ("maximal-weight-unchecked", POLYNOMIALS,
      "if not is_partition(wt):", "if False:",
