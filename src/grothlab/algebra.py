@@ -16,8 +16,8 @@ into a Polynomial only when read.
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import chain, combinations, combinations_with_replacement, permutations
-from operator import mul
+from itertools import chain, combinations, combinations_with_replacement, permutations, starmap
+from operator import gt, mul
 
 __all__ = [
     "ExactDivisionError",
@@ -44,14 +44,11 @@ class ExactDivisionError(ArithmeticError):
 
 
 def perm_sign(sigma) -> int:
-    """Sign of a permutation given in one-line form (tuple of images)."""
-    inv = 0
-    n = len(sigma)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sigma[i] > sigma[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    """Sign of a permutation given in one-line form (tuple of images): the
+    parity of its inversions, the pairs i < j with sigma[i] > sigma[j].  Any
+    sequence of comparable entries is read the same way, a tie being no
+    inversion.  The pairs are compared and counted in C, by `starmap`."""
+    return -1 if sum(starmap(gt, combinations(sigma, 2))) % 2 else 1
 
 
 def _order_key(mono):
@@ -427,7 +424,10 @@ def straighten(code: MonomialCode, coded: dict) -> dict:
 
 def _horizontal_strips(mu: tuple[int, ...], k: int, bound: tuple[int, ...]) -> list:
     """The partitions lam inside `bound`, padded like mu, for which lam/mu is
-    a horizontal k-strip: |lam| = |mu| + k and mu_i <= lam_i <= mu_{i-1}."""
+    a horizontal k-strip: |lam| = |mu| + k and mu_i <= lam_i <= mu_{i-1}.
+    A strip of k > 0 boxes does not fit in no rows."""
+    if not mu:
+        return [] if k else [()]
     grown = [((), k)]
     for i in range(len(mu) - 1, 0, -1):
         grown = [
@@ -441,22 +441,25 @@ def _horizontal_strips(mu: tuple[int, ...], k: int, bound: tuple[int, ...]) -> l
 def kostka_columns(degrees, n: int, bound: tuple[int, ...]) -> dict:
     """Kostka numbers {nu: {lam: K_{lam,nu}}} for the partitions nu of each
     d in `degrees` with at most n parts that some lam inside the partition
-    `bound` dominates, lam, nu and bound padded to n parts.
+    `bound` dominates; nu is padded to n parts, and lam to len(bound) parts.
 
     h_nu = sum_lam K_{lam,nu} s_lam, and h_nu is built one part at a time
     by the Pieri rule s_mu h_k = sum of s_lam over the horizontal k-strips
-    lam/mu with at most n rows (Macdonald, I (5.16)): the column of nu is
-    the column of nu' = nu less its last part k, pushed through the strips.
-    The nu grow one part at a time, so each prefix's column is pushed once
-    for all degrees.  Every shape on the way to lam lies inside lam, so
-    strips outside `bound` are dropped, and so is a prefix whose column
-    empties.  No polynomial is built and no tableau is enumerated.
+    lam/mu (Macdonald, I (5.16)): the column of nu is the column of nu' =
+    nu less its last part k, pushed through the strips.  The nu grow one
+    part at a time, so each prefix's column is pushed once for all degrees.
+    Every shape on the way to lam lies inside lam, so strips outside
+    `bound` are dropped, and so is a prefix whose column empties.  So the
+    strips walk only the bound's rows: a bound cut to its r nonzero parts
+    gives the columns of its n-part padding with the zero rows of every lam
+    dropped, and the empty bound (r = 0) leaves only the column of nu = 0.
+    No polynomial is built and no tableau is enumerated.
     """
     degrees = set(degrees)
     top = max(degrees, default=0)
     strips = cache(partial(_horizontal_strips, bound=bound))  # shared by many prefixes
     out = {}
-    level = [((), 0, {(0,) * n: 1})]  # (prefix of nu, its size, its column)
+    level = [((), 0, {(0,) * len(bound): 1})]  # (prefix of nu, its size, its column)
     for rows in range(n, -1, -1):  # the parts the prefixes may still take
         grown = []
         for nu, size, column in level:
@@ -483,17 +486,22 @@ def schur_to_monomials(coeffs: dict, code: MonomialCode) -> dict:
     The coefficient of x^alpha in s_lam is K_{lam,nu} with nu = sort(alpha),
     so each dominant weight nu is summed once and copied onto every distinct
     rearrangement of nu: an order of its nonzero parts in a set of places.
-    The coefficients are grouped by lam, so each weight reads its Kostka
+    Every lam lies inside their partwise maximum, the bound, and fills only
+    its r nonzero rows (len(mu) rows for J and P, whatever n is), so the
+    Kostka columns are built on the bound cut to those rows, and the
+    coefficients are grouped by lam cut to them; each weight reads its
     column once per distinct lam.  The code must cover |lam| and |b|.
     """
     n, base, split = code.nx, code.base, code.split
     degree_place = base ** n * split
     x_places = [base ** i * split for i in range(n - 1, -1, -1)]
+    bound = tuple(map(max, zip((0,) * n, *{lam for lam, _ in coeffs})))
+    r = n - bound.count(0)  # a partition's zero parts trail
+    bound = bound[:r]
     by_degree: dict[int, dict] = {}
     for (lam, t_part), c in coeffs.items():
-        by_degree.setdefault(sum(lam), {}).setdefault(lam, []).append((t_part, c))
-    bound = tuple(map(max, zip((0,) * n, *(lam for lam, _ in coeffs))))  # every lam lies inside it
-    spots = cache(lambda r: list(combinations(x_places, r)))  # the places of r nonzero parts
+        by_degree.setdefault(sum(lam), {}).setdefault(lam[:r], []).append((t_part, c))
+    spots = cache(lambda k: list(combinations(x_places, k)))  # the places of k nonzero parts
     out = {}
     for nu, column in kostka_columns(by_degree, n, bound).items():
         dominant: dict = {}

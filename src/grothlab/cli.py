@@ -87,15 +87,18 @@ def _series_text(series: TruncatedSeries) -> str:
     they sort as plain ints.  Each distinct x part and t part is written to
     text once, from the texts of its halves (`MonomialCode.digit_texts`), so
     a line is its coefficient and two looked-up texts; an empty t part
-    leaves the line ending in "|".
+    leaves the line ending in "|".  Each code is split into its two parts
+    once, and both the distinct parts and the lines are read from them.
     """
     code, coded = series.coded()
     split = code.split
     keys = sorted(coded, reverse=True)
-    x_text = code.digit_texts({k // split for k in keys}, code.nx)
-    t_texts = code.digit_texts({k % split for k in keys}, code.nt)
+    x_parts = [k // split for k in keys]
+    t_parts = [k % split for k in keys]
+    x_text = code.digit_texts(set(x_parts), code.nx)
+    t_texts = code.digit_texts(set(t_parts), code.nt)
     t_text = {p: f" | {text}".rstrip() + "\n" for p, text in t_texts.items()}
-    return "".join([f"{coded[k]}  {x_text[k // split]}{t_text[k % split]}" for k in keys])
+    return "".join([f"{coded[k]}  {x_text[x]}{t_text[t]}" for k, x, t in zip(keys, x_parts, t_parts)])
 
 
 def _print_json(payload) -> None:

@@ -78,6 +78,29 @@ def test_perm_sign():
     assert perm_sign((2, 0, 1)) == 1
 
 
+def ref_perm_sign(sigma) -> int:
+    """The parity of the pairs i < j with sigma[i] > sigma[j], counted by a
+    double loop."""
+    inv = 0
+    for i in range(len(sigma)):
+        for j in range(i + 1, len(sigma)):
+            if sigma[i] > sigma[j]:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
+def test_perm_sign_is_the_inversion_parity_of_every_permutation_up_to_6():
+    for n in range(7):
+        for sigma in permutations(range(n)):
+            assert perm_sign(sigma) == ref_perm_sign(sigma), sigma
+
+
+@given(st.lists(st.integers(-3, 3), max_size=9))
+def test_perm_sign_reads_ties_and_negative_entries_as_the_double_loop(seq):
+    # straighten passes negated exponents, which may repeat
+    assert perm_sign(seq) == perm_sign(tuple(seq)) == ref_perm_sign(seq)
+
+
 def test_apply_permutation():
     p = Polynomial.monomial((2, 1), ())
     assert apply_permutation(p, (0, 1)) == p

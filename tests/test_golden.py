@@ -26,7 +26,12 @@ GROTHLAB_CENSUS_SCALE, so those four always read the small census.  Two
 more calls start with `GROTHLAB_CENSUS_SCALE=full`, which sets the variable
 for that call as a shell would: `verify psi` and `verify phi` in text at
 the full census, made before the out and in steps took each stage's
-entries in one order and read columns in place.
+entries in one order and read columns in place.  Two P calls past the bench
+grid, `compute P 2,1 --n 9 --tcap 2 --route both` (9,932 lines, AGREE) and
+`expand P 3,1 --n 9 --tcap 2`, were made before the Kostka columns walked
+only the bound's nonzero rows; they pin the bytes of the P stair, which
+multiplies out every head-tail pair factor, before a dual-Cauchy stair
+replaces it.
 A call names its data file from the repository root, so the test runs
 from any directory.
 """

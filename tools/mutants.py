@@ -42,6 +42,7 @@ T_INSERTION = "tests/test_insertion.py"
 T_ORACLES = "tests/test_stage_oracles.py"
 T_TABLEAUX = "tests/test_tableaux.py"
 T_ALGEBRA = "tests/test_algebra.py"
+T_KOSTKA = "tests/test_kostka_oracles.py"
 T_POLYNOMIALS = "tests/test_polynomials.py"
 T_VERIFY = "tests/test_verify.py"
 T_CLI = "tests/test_cli.py"
@@ -151,6 +152,14 @@ MUTANTS = [
      "for layer in below[0]:", "for layer in below[0][:1]:",
      [f"{T_TABLEAUX}::test_count_by_weight_tallies_the_census",
       f"{T_TABLEAUX}::test_count_mt_by_weight_is_the_census_tally"]),
+    # the Kostka columns on the bound's live rows: one row too few loses
+    # every lam that fills them
+    ("kostka-live-row-dropped", ALGEBRA,
+     "bound = bound[:r]", "bound = bound[:r - 1]",
+     [f"{T_KOSTKA}::test_schur_to_monomials_is_the_n_row_expansion"]),
+    ("kostka-starts-on-n-rows", ALGEBRA,
+     "{(0,) * len(bound): 1}", "{(0,) * n: 1}",
+     [f"{T_KOSTKA}::test_kostka_columns_on_the_live_rows_are_the_n_row_columns_cut_to_them"]),
     # series equality on codes
     ("series-length-unchecked", ALGEBRA,
      "self.x_cap, self.t_cap, code.nx, code.nt, len(coded)) != (\n"
