@@ -22,6 +22,13 @@ equals idx is a circled box of the active column/diagonal.  A straight
 column is therefore all single cells (col > idx) or all circled boxes
 (col = idx), while a shifted column has its single cells on top of at most
 one circled box.  The families differ only in the data `_family` returns.
+
+Boxes are kept sorted (validity implies it; parsing, enumeration and the in
+step's deposit keep it), so the steps read only a box's ends.  The bodies
+`_out` and `_in` change a list of row lists in place and record their bumps
+only when handed a path list, which `out_step`, `in_step` and `psi_k` do
+for `trace`; `psi`, `phi` and their inverses run all their moves on one row
+list and never build a trace.
 """
 
 from __future__ import annotations
@@ -144,37 +151,9 @@ def shifted_column_reverse_insert(cells: tuple[Entry, ...], z: Entry):
 class OutTrace(Frozen):
     __slots__ = ("removed", "removed_cell", "path", "appended_cell", "appended")
 
-    def __init__(
-        self,
-        removed: object,
-        removed_cell: tuple[int, int],
-        path: tuple[tuple[int, int, object, object], ...],
-        appended_cell: tuple[int, int],
-        appended: object,
-    ):
-        object.__setattr__(self, "removed", removed)
-        object.__setattr__(self, "removed_cell", removed_cell)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "appended_cell", appended_cell)
-        object.__setattr__(self, "appended", appended)
-
 
 class InTrace(Frozen):
     __slots__ = ("corner_cell", "removed", "path", "deposit_cell", "deposit")
-
-    def __init__(
-        self,
-        corner_cell: tuple[int, int],
-        removed: object,
-        path: tuple[tuple[int, int, object, object], ...],
-        deposit_cell: tuple[int, int],
-        deposit: object,
-    ):
-        object.__setattr__(self, "corner_cell", corner_cell)
-        object.__setattr__(self, "removed", removed)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "deposit_cell", deposit_cell)
-        object.__setattr__(self, "deposit", deposit)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def subpartitions(bound) -> list[Partition]:
     out = []
 
     def grow(prefix, row):
-        out.append(tuple(p for p in prefix if p))
+        out.append(prefix)
         if row >= len(bound):
             return
         hi = min(bound[row], prefix[-1] if prefix else bound[row])
@@ -110,7 +110,7 @@ def subpartitions(bound) -> list[Partition]:
             grow(prefix + (part,), row + 1)
 
     grow((), 0)
-    return sorted(set(out))
+    return sorted(out)
 
 
 def _check_columns(n: int, increments, columns) -> None:
@@ -133,18 +133,6 @@ class TExtension(Frozen):
     """
 
     __slots__ = ("base", "chain", "increments", "columns")
-
-    def __init__(
-        self,
-        base: tuple[int, ...],
-        chain: tuple[tuple[int, ...], ...],
-        increments: tuple[int, ...],
-        columns: tuple[int, ...],
-    ):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "increments", increments)
-        object.__setattr__(self, "columns", columns)
 
     @property
     def ell(self) -> int:
@@ -220,7 +208,7 @@ def enumerate_extensions(mu, increments, columns) -> list[TExtension]:
             for i in combo:
                 comp[i] += 1
             out.append(tuple(comp))
-        return sorted(set(out))
+        return sorted(out)
 
     chains = [()]
     for h in range(1, ell + 1):
@@ -245,10 +233,6 @@ class SignedPair(Frozen):
     """A permutation (0-based one-line) together with a T-extension."""
 
     __slots__ = ("sigma", "extension")
-
-    def __init__(self, sigma: tuple[int, ...], extension: TExtension):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "extension", extension)
 
     @property
     def sign(self) -> int:

@@ -362,18 +362,6 @@ class BasisExpansion(Frozen):
 
     __slots__ = ("basis", "n", "nt", "coefficients")
 
-    def __init__(
-        self,
-        basis: str,
-        n: int,
-        nt: int,
-        coefficients: tuple[tuple[tuple[int, ...], Polynomial], ...],
-    ):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "nt", nt)
-        object.__setattr__(self, "coefficients", coefficients)
-
     @classmethod
     def from_dict(cls, basis: str, n: int, nt: int, coeffs: dict) -> "BasisExpansion":
         items = tuple(

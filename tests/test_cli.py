@@ -458,6 +458,16 @@ def test_trace_rejects_broken_shape_or_rows(capsys, tmp_path, flavor, text, mess
     assert message in err
 
 
+@pytest.mark.parametrize("flavor", ["multiset", "shifted"])
+def test_trace_refuses_an_empty_first_box_in_both_flavors(capsys, tmp_path, flavor):
+    # the shifted parser reads each row's first box for the sign flag, which
+    # must leave an empty box to the input check
+    f = tmp_path / "empty.txt"
+    f.write_text(" | 2\n")
+    code, out, err = run(capsys, "trace", str(f), "--k", "1", "--flavor", flavor)
+    assert (code, out, err) == (1, "", "error: trace input row 1 box 1 must hold positive entries\n")
+
+
 @pytest.mark.parametrize("name, shifted", [
     ("outchain_straight_start.txt", False),
     ("outchain_shifted_start.txt", True),

@@ -283,6 +283,14 @@ def test_text_infers_signed_flag():
     assert parsed.signed and parsed == signed
 
 
+def test_text_infers_the_signed_flag_past_an_empty_first_box():
+    parsed = ShiftedMultisetTableau.from_text(" | 2\n. | 1'")
+    assert parsed.rows == (((), (Entry(2),)), ((Entry(1, True),),))
+    assert parsed.signed
+    assert not ShiftedMultisetTableau.from_text(" | 2").signed
+    assert ShiftedMultisetTableau.from_text(" | 2", signed=True).signed
+
+
 def test_json_round_trips():
     smt = example_smt()
     data = json.loads(json.dumps(smt.to_json_dict()))

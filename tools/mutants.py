@@ -38,6 +38,7 @@ ALGEBRA = "src/grothlab/algebra.py"
 POLYNOMIALS = "src/grothlab/polynomials.py"
 VERIFY = "src/grothlab/verify.py"
 CLI = "src/grothlab/cli.py"
+FROZEN = "src/grothlab/frozen.py"
 T_INSERTION = "tests/test_insertion.py"
 T_ORACLES = "tests/test_stage_oracles.py"
 T_TABLEAUX = "tests/test_tableaux.py"
@@ -46,8 +47,22 @@ T_KOSTKA = "tests/test_kostka_oracles.py"
 T_POLYNOMIALS = "tests/test_polynomials.py"
 T_VERIFY = "tests/test_verify.py"
 T_CLI = "tests/test_cli.py"
+T_VALUES = "tests/test_value_classes.py"
+T_FROZEN = "tests/test_frozen.py"
 
 MUTANTS = [
+    # the constructors compiled from __slots__: every default read as None,
+    # and the last slot left unwritten.  test_value_classes.py builds values
+    # at import, so under the second edit it does not collect (an error, not
+    # a kill), and test_frozen.py's slot walk names that edit's killers
+    ("frozen-defaults-dropped", FROZEN,
+     'namespace = {f"_default_{n}": value for n, value in defaults.items()}',
+     'namespace = dict.fromkeys(f"_default_{n}" for n in defaults)',
+     [f"{T_VALUES}::test_the_constructor_defaults",
+      f"{T_FROZEN}::test_a_default_is_bound_as_the_object_itself"]),
+    ("frozen-last-slot-unwritten", FROZEN,
+     'for n in names) or "\\n    pass"', 'for n in names[:-1]) or "\\n    pass"',
+     [f"{T_FROZEN}::test_every_compiled_constructor_writes_each_slot"]),
     # the drivers of psi and phi
     ("stage-order-unchecked", INSERTION,
      "if col <= last:", "if False:",
