@@ -16,7 +16,7 @@ into a Polynomial only when read.
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import chain, combinations, combinations_with_replacement, permutations, starmap
+from itertools import chain, combinations, combinations_with_replacement, permutations, product, starmap
 from operator import gt, mul
 
 __all__ = [
@@ -422,20 +422,16 @@ def straighten(code: MonomialCode, coded: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _horizontal_strips(mu: tuple[int, ...], k: int, bound: tuple[int, ...]) -> list:
-    """The partitions lam inside `bound`, padded like mu, for which lam/mu is
-    a horizontal k-strip: |lam| = |mu| + k and mu_i <= lam_i <= mu_{i-1}.
-    A strip of k > 0 boxes does not fit in no rows."""
-    if not mu:
-        return [] if k else [()]
-    grown = [((), k)]
-    for i in range(len(mu) - 1, 0, -1):
-        grown = [
-            ((mu[i] + e,) + tail, left - e)
-            for tail, left in grown
-            for e in range(min(mu[i - 1], bound[i], mu[i] + left) - mu[i] + 1)
-        ]
-    return [(mu[0] + left,) + tail for tail, left in grown if mu[0] + left <= bound[0]]
+def _horizontal_strips(mu: tuple[int, ...], bound: tuple[int, ...]) -> dict:
+    """{k: the partitions lam inside `bound`, padded like mu, for which lam/mu
+    is a horizontal k-strip}: |lam| = |mu| + k and mu_i <= lam_i <= mu_{i-1}.
+    The strips of every size are walked in one pass, as the product of the
+    rows' ranges; no rows hold only the empty strip."""
+    size = sum(mu)
+    out: dict[int, list] = {}
+    for lam in product(*[range(p, min(above, b) + 1) for above, p, b in zip(bound[:1] + mu, mu, bound)]):
+        out.setdefault(sum(lam) - size, []).append(lam)
+    return out
 
 
 def kostka_columns(degrees, n: int, bound: tuple[int, ...]) -> dict:
@@ -447,7 +443,8 @@ def kostka_columns(degrees, n: int, bound: tuple[int, ...]) -> dict:
     by the Pieri rule s_mu h_k = sum of s_lam over the horizontal k-strips
     lam/mu (Macdonald, I (5.16)): the column of nu is the column of nu' =
     nu less its last part k, pushed through the strips.  The nu grow one
-    part at a time, so each prefix's column is pushed once for all degrees.
+    part at a time, so each prefix's column is pushed once for all degrees,
+    and each shape's strips are walked once for all sizes.
     Every shape on the way to lam lies inside lam, so strips outside
     `bound` are dropped, and so is a prefix whose column empties.  So the
     strips walk only the bound's rows: a bound cut to its r nonzero parts
@@ -457,7 +454,7 @@ def kostka_columns(degrees, n: int, bound: tuple[int, ...]) -> dict:
     """
     degrees = set(degrees)
     top = max(degrees, default=0)
-    strips = cache(partial(_horizontal_strips, bound=bound))  # shared by many prefixes
+    strips = cache(partial(_horizontal_strips, bound=bound))  # shared by many prefixes and sizes
     out = {}
     level = [((), 0, {(0,) * len(bound): 1})]  # (prefix of nu, its size, its column)
     for rows in range(n, -1, -1):  # the parts the prefixes may still take
@@ -471,7 +468,7 @@ def kostka_columns(degrees, n: int, bound: tuple[int, ...]) -> dict:
                     continue
                 pushed = {}
                 for mu, c in column.items():
-                    for lam in strips(mu, part):
+                    for lam in strips(mu).get(part, ()):
                         pushed[lam] = pushed.get(lam, 0) + c
                 if pushed:
                     grown.append((nu + (part,), size + part, pushed))

@@ -27,7 +27,9 @@ as Schur coefficients.  Kostka numbers, built by the Pieri rule with no
 polynomial, turn them into monomials; `_from_schur` turns them into a
 basis expansion.  Every family has one product, `_product`: for a shifted
 family the tail Vandermonde of the coset sum is replaced by its leading
-monomial, which turns the coset sum into a plain A(f)/V.  The product,
+monomial, which turns the coset sum into a plain A(f)/V, and the head-tail
+pair factors by a sum of at most C(n, m) Schur polynomials in the head
+(`_stair`), with the rows sorted on the head.  The product,
 `straighten` and `schur_to_monomials` work in one `MonomialCode` and the
 series is printed from its codes, with no (x, t) tuple.  The h-product
 reference keeps the explicit antisymmetrize, coset-sum and division path.
@@ -41,14 +43,16 @@ of every term equals |mu| plus its t-degree, so any x-cap of at least
 from __future__ import annotations
 
 from functools import cache, lru_cache, partial
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from .algebra import (
     MonomialCode,
     Polynomial,
     TruncatedSeries,
+    _horizontal_strips,
     coset_sum,
     divide_exact,
+    perm_sign,
     schur_to_monomials,
     straighten,
     vandermonde,
@@ -193,21 +197,117 @@ def _times(a: dict, b: dict) -> dict:
     return out
 
 
-def _stair(code: MonomialCode, head: int) -> dict:
-    """x^delta with each factor x_i, i < head, of it made (x_i + x_j), as
-    {code: c}.  Every term has x-degree n(n-1)/2, which the code covers."""
-    n = code.nx
-    stair = {code.part([0] * head + list(range(n - 1 - head, -1, -1))) * code.split: 1}
+def _head_schur(code: MonomialCode, head: int, k: int) -> dict:
+    """{lam: s_lam(x_1..x_head) as {code: c}} for every lam inside the box
+    (k^head), padded to head parts.
+
+    By the branching rule, s_lam(x_1..x_i) is the sum over the mu with lam/mu
+    a horizontal strip of s_mu(x_1..x_(i-1)) x_i^|lam/mu| (Macdonald, I
+    (5.11)), so the head variables are taken in one at a time, each shape
+    pushed through its strips inside the box (`_horizontal_strips`, the
+    strips the Kostka columns walk).  Each monomial is written once per
+    chain of shapes that reaches it.
+    """
+    box = (k,) * head
+    level = {(0,) * head: {0: 1}}
     for i in range(head):
-        for j in range(i + 1, n):
-            stair = _times(stair, dict.fromkeys((code.x_var(i), code.x_var(j)), 1))
-    return stair
+        x_unit = code.x_var(i)
+        grown: dict = {}
+        for mu, s_mu in level.items():
+            for size, lams in _horizontal_strips(mu, box).items():
+                shift = size * x_unit
+                for lam in lams:
+                    into = grown.setdefault(lam, {})
+                    for h, c in s_mu.items():
+                        into[h + shift] = into.get(h + shift, 0) + c
+        level = grown
+    return level
+
+
+def _stair(code: MonomialCode, head: int) -> dict:
+    """A product with the same antisymmetrization as x^delta with each factor
+    x_i, i < head, of it made (x_i + x_j), as {code: c}.  Every term has
+    x-degree n(n-1)/2, which the code covers.
+
+    That product is the pair factors inside the head, times the head-tail
+    pair factors, times x_tail^delta_tail, delta_tail = (k-1, ..., 0) on the
+    k = n - head tail variables.  By the dual Cauchy identity for a box
+    (Macdonald, I §4, Example 5),
+
+        prod_{i < head <= j} (x_i + x_j)
+            = sum over lam inside (k^head) of s_lam(x_head) s_{lam~'}(x_tail),
+
+    lam~ = (k - lam_head, ..., k - lam_1) the complement of lam in the box.
+    The rest of a product that carries this stair (the rows, the head pair
+    factors, s_lam(x_head)) is symmetric in the tail, and for such a G
+    A(G s_nu(x_tail) x_tail^delta_tail) = A(G x_tail^(nu + delta_tail))
+    (Macdonald, I §3: both are A(G a_(nu + delta_tail)(x_tail)) / k!).  So
+    the stair is the head pair factors times the sum over lam of
+    s_lam(x_head) x_tail^(lam~' + delta_tail): at most C(n, head) Schur
+    terms in the head, where the pair factors multiply out to
+    2^(head (n - head)) terms.  At k = 1 the sum is the product itself, and
+    at k = 0 (head = n) and head = 0 (x^delta) it is one term.  The stair
+    is symmetric in the head variables (`_head_sorted`).
+    """
+    n = code.nx
+    k = n - head
+    delta_tail = range(k - 1, -1, -1)
+    x_delta = code.part([0] * head + list(delta_tail)) * code.split
+    # lam~ has a row of k - lam_i boxes for each row of lam; conjugated, a
+    # row of r boxes is a column, one box in each of the first r tail
+    # variables, whose code is columns[r]
+    columns = list(accumulate([code.x_var(j) for j in range(head, n)], initial=0))
+    box = {}
+    for lam, s_lam in _head_schur(code, head, k).items():
+        x_tail = x_delta + sum([columns[k - p] for p in lam])
+        for h, c in s_lam.items():
+            box[h + x_tail] = c  # each lam has its own tail exponents
+    for i in range(head):
+        for j in range(i + 1, head):
+            box = _times(box, dict.fromkeys((code.x_var(i), code.x_var(j)), 1))
+    return box
+
+
+def _head_sorted(code: MonomialCode, coded: dict, head: int) -> dict:
+    """A product of head-only terms {code: c} with the same antisymmetrization
+    against anything symmetric in the head variables: a term that repeats a
+    head exponent drops out, and every other term sorts its head exponents
+    into decreasing order and takes the sign of that sort.
+
+    For such an S, A(x^a S) = sign(w) A(x^(w(a)) S) for a permutation w of
+    the head, and A(x^a S) = 0 when a transposition of two equal head
+    exponents fixes x^a S.  Each distinct x part is read and signed once; a
+    head of one variable is its own sort.
+    """
+    if head < 2:
+        return coded
+    n, split = code.nx, code.split
+    by_x: dict[int, list] = {}
+    for key, c in coded.items():
+        x_part, t_part = divmod(key, split)
+        by_x.setdefault(x_part, []).append((t_part, c))
+    tail_unit = code.base ** (n - head)  # the places of the zero tail exponents
+    heads = code.digits({x_part // tail_unit for x_part in by_x}, head)
+    out = {}
+    for x_part, t_terms in by_x.items():
+        xe = heads[x_part // tail_unit]
+        if len(set(xe)) < head:
+            continue
+        # the sign of the sort is the parity of the pairs i < j with xe[i] < xe[j]
+        sign = perm_sign([-e for e in xe])
+        x_sorted = code.part(sorted(xe, reverse=True)) * tail_unit * split
+        for t_part, c in t_terms:
+            out[x_sorted + t_part] = out.get(x_sorted + t_part, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
 
 
 def _product(spec: FamilySpec) -> tuple[MonomialCode, dict]:
-    """x^delta times the geometric rows of mu, truncated to the caps, as a
-    `MonomialCode` and {code: c}; for a shifted family, each factor x_i of
-    x^delta with i < m becomes (x_i + x_j).
+    """A product f with A(f) that of x^delta times the geometric rows of mu,
+    truncated to the caps, as a `MonomialCode` and {code: c}; for a shifted
+    family, each factor x_i of x^delta with i < m becomes (x_i + x_j).  For J
+    f is that product itself; for a shifted family it is the head-sorted rows
+    (`_head_sorted`) times the stair of `_stair`, which is symmetric in the
+    head: equal to the paper's product under A, not term for term.
 
     The P coset sum over S_n / S_{n-m} is A(f)/(n-m)! for the paper's
     product f = g * V_tail, where V_tail = prod_{m<=i<j} (x_i - x_j) and g
@@ -260,7 +360,10 @@ def _product(spec: FamilySpec) -> tuple[MonomialCode, dict]:
                     # every factor has positive coefficients, so no sum cancels to zero
                     out[k] = out.get(k, 0) + ca
             prod = out
-    return code, _times(prod, _stair(code, len(spec.mu) if spec.shifted else 0))
+    if not spec.shifted:
+        return code, _times(prod, _stair(code, 0))
+    m = len(spec.mu)
+    return code, _times(_head_sorted(code, prod, m), _stair(code, m))
 
 
 def algebraic_series(spec: FamilySpec) -> TruncatedSeries:
@@ -389,10 +492,12 @@ def _from_schur(code: MonomialCode, coeffs: dict, basis: str) -> BasisExpansion:
 
     P_lam is s_lam plus Schur terms lower in dominance order (Macdonald,
     III §8), so the graded-lex largest lam left leads: its t-coefficient is
-    read off and that multiple of P_lam subtracted.  P_lam is straightened
-    from x^lam times the P stair of len(lam) rows, the P product at
-    t_cap = 0, built in `code` once per row count.  A non-strict leader has
-    no P-Schur expansion.
+    read off and that multiple of P_lam subtracted.  The coefficients are
+    kept as {t part: c} per lam, and each leader's `Polynomial` is built
+    once, at the end.  P_lam is straightened from x^lam times the P stair
+    of len(lam) rows, the P product at t_cap = 0 (x^lam is its own head
+    sort), built in `code` once per row count.  A non-strict leader has no
+    P-Schur expansion.
     """
     n, nt = code.nx, code.nt
     _, t_exps = code.parts({t_part for _, t_part in coeffs})
@@ -409,17 +514,27 @@ def _from_schur(code: MonomialCode, coeffs: dict, basis: str) -> BasisExpansion:
         product = {k + shift: c for k, c in stair(len(shape)).items()}
         return {nu: k for (nu, _), k in straighten(code, product).items()}
 
-    rem = {lam: Polynomial(0, nt) for lam, _ in coeffs}
+    rem: dict = {}  # {lam: {t part: c}}, no zero c and no empty lam
     for (lam, t_part), c in coeffs.items():
-        rem[lam].terms[((), t_exps[t_part])] = c  # straighten stores no zero
+        rem.setdefault(lam, {})[t_part] = c
     out = {}
     while rem:
         lam = max(rem, key=lambda l: (sum(l), l))
-        lead = out[tuple(p for p in lam if p)] = rem[lam]
+        lead = out[tuple(p for p in lam if p)] = dict(rem[lam])
         for nu, k in in_schur(lam).items():
-            rem[nu] = rem.get(nu, Polynomial(0, nt)) - lead * k
-        rem = {nu: c for nu, c in rem.items() if c}
-    return BasisExpansion.from_dict(basis, n, nt, out)
+            into = rem.setdefault(nu, {})
+            for t_part, c in lead.items():
+                left = into.get(t_part, 0) - k * c
+                if left:
+                    into[t_part] = left
+                else:
+                    del into[t_part]
+            if not into:
+                del rem[nu]
+    return BasisExpansion.from_dict(basis, n, nt, {
+        shape: Polynomial(0, nt, {((), t_exps[t_part]): c for t_part, c in lead.items()})
+        for shape, lead in out.items()
+    })
 
 
 def basis_expansion(spec: FamilySpec) -> BasisExpansion:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grothlab.algebra import (
+    MonomialCode,
     Polynomial,
     antisymmetrize,
     coset_sum,
@@ -12,10 +13,13 @@ from grothlab.algebra import (
     vandermonde,
     x_var,
 )
-from grothlab.partitions import is_strict_partition, subpartitions
+from grothlab.partitions import is_strict_partition, pad, subpartitions
 import grothlab.polynomials as polynomials
 from grothlab.polynomials import (
+    _head_schur,
+    _head_sorted,
     _product,
+    _stair,
     BasisExpansion,
     ExpansionError,
     FamilySpec,
@@ -40,6 +44,7 @@ from tuple_series import (
     encoded_series,
     geometric_factor,
     one,
+    straightened,
     times,
     x_slice,
 )
@@ -441,13 +446,13 @@ def test_J_kernel_matches_antisymmetrize_and_divide(mu, n, t_cap):
 def _x_work(spec):
     """The x-cap of `_product`: the window of the result plus deg x^delta."""
     n = spec.n
-    return min(spec.effective_x_cap(), spec.weight_size + spec.t_cap) + n * (n - 1) // 2
+    return min(spec.effective_x_cap(), spec.weight_size + spec.work_t_cap) + n * (n - 1) // 2
 
 
 def _geometric_rows(spec, x_work):
     """The product of the truncated geometric factors of every row of mu,
     tuple-keyed and cut to x_work and the t-cap."""
-    n, ell, t_cap = spec.n, spec.ell, spec.t_cap
+    n, ell, t_cap = spec.n, spec.ell, spec.work_t_cap
     prod = one(n, ell)
     for i, part in enumerate(spec.mu):
         for j in range(ell - part, ell):
@@ -493,23 +498,45 @@ PRODUCT_SPECS = (
 
 
 def _tuple_product(spec):
-    """`_product` by the tuple-keyed series product: the geometric rows,
-    then x^delta with the pair factors (x_i + x_j) of the P head rows."""
+    """The paper's product as `_product` once multiplied it out, by the
+    tuple-keyed series product: the geometric rows, then x^delta with each
+    pair factor (x_i + x_j) of the shifted head rows i < m multiplied in
+    one at a time."""
     n, ell = spec.n, spec.ell
-    head = len(spec.mu) if spec.family == "P" else 0
+    head = len(spec.mu) if spec.shifted else 0
     x_work = _x_work(spec)
     expected = _geometric_rows(spec, x_work)
     for i in range(n):
         for j in range(i + 1, n):
             factor = x_var(i, n, ell) + x_var(j, n, ell) if i < head else x_var(i, n, ell)
-            expected = times(expected, factor, x_work, spec.t_cap)
+            expected = times(expected, factor, x_work, spec.work_t_cap)
     return expected
+
+
+def _check_product(spec):
+    """`_product` against the tuple product.  J's product is the tuple
+    product term for term.  A shifted product has head-sorted rows and the
+    box-sum stair, so it equals the tuple product under the antisymmetrizer
+    A only: the two are compared as the Schur coefficients `straighten`
+    reads off them, and its codes must decode and re-encode to themselves,
+    as no code with a carried digit does.  A vanishing spec has no terms."""
+    code, coded = _product(spec)
+    if spec.vanishes():
+        assert coded == {}
+        return
+    product = decoded(code, coded)
+    expected = _tuple_product(spec)
+    if not spec.shifted:
+        assert product == expected
+        return
+    split = code.split
+    assert {code.part(xe) * split + code.part(te) for xe, te in product.terms} == set(coded)
+    assert straightened(product) == straightened(expected)
 
 
 @pytest.mark.parametrize("family,mu,n,t_cap,x_cap", PRODUCT_SPECS)
 def test_packed_product_matches_tuple_series_product(family, mu, n, t_cap, x_cap):
-    spec = FamilySpec(family, mu, n, t_cap=t_cap, x_cap=x_cap)
-    assert decoded(*_product(spec)) == _tuple_product(spec)
+    _check_product(FamilySpec(family, mu, n, t_cap=t_cap, x_cap=x_cap))
 
 
 @st.composite
@@ -548,4 +575,81 @@ def test_product_examples_reach_the_digit_limits():
 def test_coded_product_decodes_to_the_tuple_series_product(spec):
     # the base exceeds x_work by as little as one, so sums of codes carry;
     # the caps must still drop exactly the terms past them
-    assert decoded(*_product(spec)) == _tuple_product(spec)
+    _check_product(spec)
+
+
+@st.composite
+def _shifted_specs(draw):
+    """A P or pschur spec with n <= 6, which vanishes when n < len(mu), and
+    an x-cap that is sometimes below |mu| + t_cap."""
+    family = draw(st.sampled_from(["P", "pschur"]))
+    mu = draw(st.sampled_from([mu for mu in subpartitions((4, 2, 1)) if is_strict_partition(mu)]))
+    t_cap = draw(st.integers(0, 3))
+    x_cap = draw(st.one_of(st.none(), st.integers(0, sum(mu) + t_cap + 1)))
+    return FamilySpec(family, mu, draw(st.integers(1, 6)), t_cap=t_cap, x_cap=x_cap)
+
+
+# the shifted product is the head-sorted rows times the box-sum stair; under
+# A it must be the paper's product, with or without a tail
+@settings(max_examples=40, deadline=None)
+@given(_shifted_specs())
+@example(FamilySpec("P", (3, 2, 1), 3, t_cap=2))  # m = n: no tail, the head pairs alone
+@example(FamilySpec("P", (4, 1), 3, t_cap=2))  # m = n - 1: a tail of one
+@example(FamilySpec("P", (2, 1), 5, t_cap=2, x_cap=4))  # a tail of three, x-cap below |mu| + t_cap
+@example(FamilySpec("pschur", (4, 2, 1), 5, t_cap=1))  # a tail of two, t = 0 at any t-cap
+@example(FamilySpec("P", (2, 1), 1, t_cap=1))  # vanishes
+def test_shifted_product_is_the_paper_product_under_antisymmetrization(spec):
+    _check_product(spec)
+
+
+@st.composite
+def _head_terms(draw):
+    """A head of 1-4 variables in a code with up to two more, and head-only
+    terms {(x_exps, t_exps): c}, some of which repeat a head exponent."""
+    head = draw(st.integers(1, 4))
+    n = head + draw(st.integers(0, 2))
+    exps = st.tuples(*[st.integers(0, 3)] * head).map(lambda h: h + (0,) * (n - head))
+    terms = draw(st.dictionaries(st.tuples(exps, st.tuples(st.integers(0, 2))), st.integers(-3, 3), max_size=12))
+    return head, Polynomial(n, 1, terms)
+
+
+# sorting the head of a term keeps A(term * S) for S symmetric in the head
+@settings(max_examples=60, deadline=None)
+@given(_head_terms())
+@example((2, Polynomial(3, 1, {((1, 1, 0), (0,)): 1, ((1, 2, 0), (1,)): 4, ((2, 1, 0), (1,)): 1})))
+@example((3, Polynomial(3, 1, {((0, 2, 1), (0,)): 2, ((2, 2, 0), (0,)): 5})))
+def test_head_sort_drops_repeated_heads_and_signs_the_rest(args):
+    head, poly = args
+    expected = {}
+    for (xe, te), c in poly.terms.items():
+        h = xe[:head]
+        if len(set(h)) == head:
+            # the sign of the sort: the parity of the pairs i < j with h_i < h_j
+            sign = (-1) ** sum(a < b for i, a in enumerate(h) for b in h[i + 1:])
+            mono = (tuple(sorted(h, reverse=True)) + xe[head:], te)
+            expected[mono] = expected.get(mono, 0) + sign * c
+    code, coded, _ = MonomialCode.encoded(poly)
+    assert decoded(code, _head_sorted(code, coded, head)) == Polynomial(poly.nx, 1, expected)
+
+
+@pytest.mark.parametrize("head,k", [(1, 0), (1, 3), (2, 2), (3, 2), (4, 1), (3, 0), (2, 4)])
+def test_head_schur_is_the_schur_polynomial_of_every_shape_in_the_box(head, k):
+    n = head + k
+    code = MonomialCode(n, 0, head * k, 0)
+    got = _head_schur(code, head, k)
+    assert set(got) == {pad(lam, head) for lam in subpartitions((k,) * head)}
+    for lam, s_lam in got.items():
+        # the tableau counter's s_lam in the head, padded with the tail
+        s_head = schur(tuple(p for p in lam if p), head)
+        assert decoded(code, s_lam) == Polynomial(n, 0, {(xe + (0,) * k, ()): c for (xe, _), c in s_head.terms.items()})
+
+
+def test_stair_is_one_term_without_a_head_and_the_head_pairs_without_a_tail():
+    n = 4
+    code = MonomialCode(n, 0, 6, 0)
+    assert decoded(code, _stair(code, 0)) == Polynomial.monomial((3, 2, 1, 0), ())
+    pairs = one(n, 0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            pairs = pairs * (x_var(i, n) + x_var(j, n))
+    assert decoded(code, _stair(code, n)) == pairs

@@ -186,6 +186,23 @@ MUTANTS = [
      "if any(sum(e) > code.x_degree for e in xs.values()) or any(sum(e) > code.t_degree for e in ts.values()):",
      "if False:",
      [f"{T_ALGEBRA}::test_a_term_past_the_code_degrees_is_no_term_of_the_series"]),
+    # the P product: the head-sorted rows and the box-sum stair; a repeated
+    # head exponent has A = 0, so only the head sort's own test sees it kept
+    ("head-sort-keeps-repeats", POLYNOMIALS,
+     "        if len(set(xe)) < head:\n            continue\n", "        if False:\n            continue\n",
+     [f"{T_POLYNOMIALS}::test_head_sort_drops_repeated_heads_and_signs_the_rest"]),
+    ("head-sort-unsigned", POLYNOMIALS,
+     "sign = perm_sign([-e for e in xe])", "sign = 1",
+     [f"{T_POLYNOMIALS}::test_head_sort_drops_repeated_heads_and_signs_the_rest",
+      f"{T_POLYNOMIALS}::test_shifted_product_is_the_paper_product_under_antisymmetrization"]),
+    # each row of lam~ laid in one tail variable, as a row, not as a column
+    ("box-complement-unconjugated", POLYNOMIALS,
+     "sum([columns[k - p] for p in lam])", "sum([(k - p) * columns[1] for p in lam])",
+     [f"{T_POLYNOMIALS}::test_shifted_product_is_the_paper_product_under_antisymmetrization",
+      f"{T_POLYNOMIALS}::test_packed_product_matches_tuple_series_product"]),
+    ("delta-tail-off-by-one", POLYNOMIALS,
+     "delta_tail = range(k - 1, -1, -1)", "delta_tail = range(k, 0, -1)",
+     [f"{T_POLYNOMIALS}::test_packed_product_matches_tuple_series_product"]),
     # the expansion and the h-product routes
     ("maximal-weight-unchecked", POLYNOMIALS,
      "if not is_partition(wt):", "if False:",
