@@ -15,7 +15,7 @@ into a Polynomial only when read.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from bisect import bisect_left
 from itertools import chain, combinations, combinations_with_replacement, permutations, product, starmap
 from operator import gt, mul
 
@@ -444,7 +444,11 @@ def kostka_columns(degrees, n: int, bound: tuple[int, ...]) -> dict:
     lam/mu (Macdonald, I (5.16)): the column of nu is the column of nu' =
     nu less its last part k, pushed through the strips.  The nu grow one
     part at a time, so each prefix's column is pushed once for all degrees,
-    and each shape's strips are walked once for all sizes.
+    and each shape's strips are walked once for all sizes, into a table the
+    call owns.  A prefix of size s that may take j more parts grows by a
+    part p only if it can still reach a degree with parts of at most p: the
+    least degree from s + p on, one `bisect_left` into the sorted degrees,
+    must be at most s + p j.
     Every shape on the way to lam lies inside lam, so strips outside
     `bound` are dropped, and so is a prefix whose column empties.  So the
     strips walk only the bound's rows: a bound cut to its r nonzero parts
@@ -452,9 +456,10 @@ def kostka_columns(degrees, n: int, bound: tuple[int, ...]) -> dict:
     dropped, and the empty bound (r = 0) leaves only the column of nu = 0.
     No polynomial is built and no tableau is enumerated.
     """
-    degrees = set(degrees)
-    top = max(degrees, default=0)
-    strips = cache(partial(_horizontal_strips, bound=bound))  # shared by many prefixes and sizes
+    reach = sorted(set(degrees))
+    degrees = set(reach)
+    top = reach[-1] if reach else 0
+    strips: dict = {}  # {mu: its strips}, shared by many prefixes and sizes of this call
     out = {}
     level = [((), 0, {(0,) * len(bound): 1})]  # (prefix of nu, its size, its column)
     for rows in range(n, -1, -1):  # the parts the prefixes may still take
@@ -463,12 +468,15 @@ def kostka_columns(degrees, n: int, bound: tuple[int, ...]) -> dict:
             if size in degrees:
                 out[nu + (0,) * rows] = column
             for part in range(min(nu[-1] if nu else top, top - size), 0, -1):
-                # the prefix must still reach a degree with parts of at most `part`
-                if not any(size + part <= d <= size + part * rows for d in degrees):
+                # the least degree from size + part on (there is one, top)
+                if reach[bisect_left(reach, size + part)] > size + part * rows:
                     continue
                 pushed = {}
                 for mu, c in column.items():
-                    for lam in strips(mu).get(part, ()):
+                    lams = strips.get(mu)
+                    if lams is None:
+                        lams = strips[mu] = _horizontal_strips(mu, bound)
+                    for lam in lams.get(part, ()):
                         pushed[lam] = pushed.get(lam, 0) + c
                 if pushed:
                     grown.append((nu + (part,), size + part, pushed))
@@ -498,7 +506,7 @@ def schur_to_monomials(coeffs: dict, code: MonomialCode) -> dict:
     by_degree: dict[int, dict] = {}
     for (lam, t_part), c in coeffs.items():
         by_degree.setdefault(sum(lam), {}).setdefault(lam[:r], []).append((t_part, c))
-    spots = cache(lambda k: list(combinations(x_places, k)))  # the places of k nonzero parts
+    spots: dict[int, list] = {}  # {k: the places of k nonzero parts}
     out = {}
     for nu, column in kostka_columns(by_degree, n, bound).items():
         dominant: dict = {}
@@ -512,9 +520,12 @@ def schur_to_monomials(coeffs: dict, code: MonomialCode) -> dict:
             continue
         degree = sum(nu) * degree_place
         parts = [p for p in nu if p]
+        places = spots.get(len(parts))
+        if places is None:
+            places = spots[len(parts)] = list(combinations(x_places, len(parts)))
         for order in set(permutations(parts)):
-            for places in spots(len(parts)):
-                x_code = degree + sum(map(mul, order, places))
+            for spot in places:
+                x_code = degree + sum(map(mul, order, spot))
                 for t_part, c in nonzero:
                     out[x_code + t_part] = c
     return out

@@ -42,7 +42,7 @@ of every term equals |mu| plus its t-degree, so any x-cap of at least
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, zip_longest
 
 from .algebra import (
@@ -246,13 +246,16 @@ def _stair(code: MonomialCode, head: int) -> dict:
     s_lam(x_head) x_tail^(lam~' + delta_tail): at most C(n, head) Schur
     terms in the head, where the pair factors multiply out to
     2^(head (n - head)) terms.  At k = 1 the sum is the product itself, and
-    at k = 0 (head = n) and head = 0 (x^delta) it is one term.  The stair
-    is symmetric in the head variables (`_head_sorted`).
+    at k = 0 (head = n) it is one term; at head = 0 (the J product) the
+    stair is x^delta, which is returned as it stands.  The stair is
+    symmetric in the head variables (`_head_sorted`).
     """
     n = code.nx
     k = n - head
     delta_tail = range(k - 1, -1, -1)
     x_delta = code.part([0] * head + list(delta_tail)) * code.split
+    if not head:
+        return {x_delta: 1}
     # lam~ has a row of k - lam_i boxes for each row of lam; conjugated, a
     # row of r boxes is a column, one box in each of the first r tail
     # variables, whose code is columns[r]
@@ -501,17 +504,18 @@ def _from_schur(code: MonomialCode, coeffs: dict, basis: str) -> BasisExpansion:
     """
     n, nt = code.nx, code.nt
     _, t_exps = code.parts({t_part for _, t_part in coeffs})
-    stair = cache(partial(_stair, code))
+    stairs: dict = {}  # {row count: its P stair}, shared by the leaders
 
-    @cache
     def in_schur(lam):
         if basis == "schur":
             return {lam: 1}
         shape = tuple(p for p in lam if p)
         if not is_strict_partition(shape):
             raise ExpansionError(f"leading shape {shape} is not strict")
+        if len(shape) not in stairs:
+            stairs[len(shape)] = _stair(code, len(shape))
         shift = code.part(lam) * code.split
-        product = {k + shift: c for k, c in stair(len(shape)).items()}
+        product = {k + shift: c for k, c in stairs[len(shape)].items()}
         return {nu: k for (nu, _), k in straighten(code, product).items()}
 
     rem: dict = {}  # {lam: {t part: c}}, no zero c and no empty lam

@@ -194,10 +194,15 @@ def _psi_case(mu, cap_n: int, cap_d: int) -> str:
     classes = Counter()
     for p in enumerate_mt(mu, cap_n, cap_d):
         q, r = psi(p)
+        # psi checks R itself; the image is checked here again, so that the
+        # census does not rest on the bijection's internals
         if not (is_valid_ssyt(q) and is_valid_rt(r)):
             return f"invalid image for {p.rows}"
         if q.weight() != p.weight() or r.weight(p.ell) != p.column_weight():
             return f"weights not preserved for {p.rows}"
+        # no injectivity check: r.inner is mu padded to len(r.outer), so two
+        # tableaux with one (q.rows, r.outer, r.rows) would both equal
+        # psi_inverse(q, r), and the round trip fails for one of them
         if psi_inverse(q, r) != p:
             return f"round trip failed for {p.rows}"
         classes[(pad(p.weight(), cap_n), p.column_weight())] += 1

@@ -7,6 +7,8 @@ oracles below are the bodies both had when every shape, bound and lam was
 padded to n rows; the properties check that the cut bound gives the n-row
 columns with the zero rows dropped, that an n-row bound still gives the
 n-row columns, and that the expansion is the one the n-row bodies give.
+The Kostka oracle also keeps the reach test as it was, an `any` over every
+degree, where `kostka_columns` bisects the sorted degrees.
 """
 
 from functools import cache, partial
@@ -109,6 +111,36 @@ def test_kostka_columns_on_the_live_rows_are_the_n_row_columns_cut_to_them(args)
     assert kostka_columns(degrees, n, bound[:r]) == {
         nu: {lam[:r]: k for lam, k in column.items()} for nu, column in full.items()
     }
+
+
+def _degree_sets(bound):
+    """Degree sets for `bound`: gaps, degrees past sum(bound), and the empty set."""
+    return st.sets(st.integers(0, sum(bound) + 4), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: _partition(n, 4).flatmap(
+    lambda bound: st.tuples(st.just(n), st.just(bound), _degree_sets(bound)),
+)))
+@example((3, (3, 2, 0), {2, 5}))
+@example((4, (2, 1, 1, 0), {1, 6}))
+@example((2, (2, 1), {4, 7}))
+@example((3, (2, 0, 0), {9}))
+@example((3, (2, 2, 1), set()))
+@example((1, (0,), set()))
+def test_kostka_columns_and_their_order_are_those_of_the_any_reach_test(args):
+    # the oracle tests each part's reach with `any` over every degree; the
+    # columns and their order must not move
+    n, bound, degrees = args
+    r = n - bound.count(0)
+    for cut in (bound, bound[:r]):
+        got = kostka_columns(degrees, n, cut)
+        want = {
+            nu: {lam[:len(cut)]: k for lam, k in column.items()}
+            for nu, column in ref_kostka_columns(degrees, n, bound).items()
+        }
+        assert got == want
+        assert list(got) == list(want)
 
 
 @st.composite

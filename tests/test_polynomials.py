@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import grothlab.algebra as algebra
 from grothlab.algebra import (
     MonomialCode,
     Polynomial,
@@ -183,6 +184,37 @@ def test_both_routes_compute_every_family(family, mu):
         unit = {} if spec.vanishes() else {mu: Polynomial.monomial((), t_free)}
         assert basis_expansion(spec).as_dict() == unit
         assert expansion_via_maximal(spec).as_dict() == unit
+
+
+def _refuse(monkeypatch, module, *names):
+    """Patch each named function of `module`, as the routes look it up
+    there, to raise when it is called."""
+    for name in names:
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"{module.__name__}.{name} was called")
+        monkeypatch.setattr(module, name, refuse)
+
+
+# the two routes stay independent: the algebraic one counts no tableau, and
+# the tableau counter and the maximal-tableau expansion use neither
+# `straighten` nor the Pieri rule
+@pytest.mark.parametrize("family, mu", FAMILY_SHAPES)
+def test_the_algebraic_route_counts_no_tableau(monkeypatch, family, mu):
+    specs = [FamilySpec(family, mu, n, t_cap=2) for n in (1, 2, 3)]
+    counted = [combinatorial_series(spec) for spec in specs]
+    _refuse(monkeypatch, polynomials, "count_mt_by_code", "count_smt_by_code", "schur", "pschur")
+    assert [algebraic_series(spec) for spec in specs] == counted
+
+
+@pytest.mark.parametrize("family, mu", FAMILY_SHAPES)
+def test_the_tableau_side_straightens_nothing(monkeypatch, family, mu):
+    specs = [FamilySpec(family, mu, n, t_cap=2) for n in (1, 2, 3)]
+    straightened_series = [algebraic_series(spec) for spec in specs]
+    expansions = [basis_expansion(spec) for spec in specs]
+    _refuse(monkeypatch, algebra, "straighten", "kostka_columns", "schur_to_monomials", "_horizontal_strips")
+    _refuse(monkeypatch, polynomials, "straighten", "schur_to_monomials", "_horizontal_strips")
+    assert [combinatorial_series(spec) for spec in specs] == straightened_series
+    assert [expansion_via_maximal(spec) for spec in specs] == expansions
 
 
 def test_coefficient_via_hmult_matches_series():

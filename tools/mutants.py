@@ -9,15 +9,17 @@ files or node ids only.  The mutant is killed when those tests fail
 (pytest exit 1) and survives when they pass.  Any other outcome (the old
 text not found exactly once, a collection or usage error, a timeout) is an
 error.  Before the mutants, every named test runs once on an unmutated copy
-and must pass, so that a kill means the edit itself was caught.
+and must pass, so that a kill means the edit itself was caught.  Then the
+mutants run two at a time, each in its own copy.
 
     python tools/mutants.py              # the baseline, then every mutant
     python tools/mutants.py NAME ...     # the baseline, then the named mutants
     python tools/mutants.py --list       # the names, one a line
 
-It prints one line per mutant and exits 0 when every mutant it ran was
-killed, 1 otherwise.  It needs only the standard library and pytest with
-hypothesis, as the test suite does.
+It prints one line per mutant, in the order of the list, and the run's wall
+time, and exits 0 when every mutant it ran was killed, 1 otherwise.  It
+needs only the standard library and pytest with hypothesis, as the test
+suite does.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 300
+WORKERS = 2  # mutants run at once, each pytest in its own process
 
 INSERTION = "src/grothlab/insertion.py"
 TABLEAUX = "src/grothlab/tableaux.py"
@@ -175,6 +179,12 @@ MUTANTS = [
     ("kostka-starts-on-n-rows", ALGEBRA,
      "{(0,) * len(bound): 1}", "{(0,) * n: 1}",
      [f"{T_KOSTKA}::test_kostka_columns_on_the_live_rows_are_the_n_row_columns_cut_to_them"]),
+    # the reach test made strict: a prefix whose remaining parts all equal
+    # `part` exactly, and every last part, no longer grows
+    ("kostka-reach-strict", ALGEBRA,
+     "reach[bisect_left(reach, size + part)] > size + part * rows",
+     "reach[bisect_left(reach, size + part)] >= size + part * rows",
+     [f"{T_KOSTKA}::test_kostka_columns_and_their_order_are_those_of_the_any_reach_test"]),
     # series equality on codes
     ("series-length-unchecked", ALGEBRA,
      "self.x_cap, self.t_cap, code.nx, code.nt, len(coded)) != (\n"
@@ -356,6 +366,13 @@ def _run(entry) -> tuple[str, str]:
     return "error", f"pytest exit {code}:\n{tail}"
 
 
+def _timed_run(entry) -> tuple[str, str, float]:
+    """`_run` with its wall time in seconds."""
+    start = time.perf_counter()
+    verdict, detail = _run(entry)
+    return verdict, detail, time.perf_counter() - start
+
+
 def main(argv: list[str]) -> int:
     names = [entry[0] for entry in MUTANTS]
     if argv == ["--list"]:
@@ -366,6 +383,7 @@ def main(argv: list[str]) -> int:
         print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
         return 1
     chosen = [entry for entry in MUTANTS if not argv or entry[0] in argv]
+    start = time.perf_counter()
     tests = list(dict.fromkeys(test for entry in chosen for test in entry[4]))
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         _copy_tree(tmp)
@@ -373,16 +391,16 @@ def main(argv: list[str]) -> int:
     if code != 0:
         print(f"baseline: the named tests do not pass on the unmutated tree (pytest exit {code})\n{tail}")
         return 1
-    print(f"baseline: {len(tests)} test targets pass unmutated")
+    print(f"baseline: {len(tests)} test targets pass unmutated", flush=True)
     bad = 0
-    for entry in chosen:
-        start = time.perf_counter()
-        verdict, detail = _run(entry)
-        bad += verdict != "killed"
-        print(f"{verdict:8} {entry[0]} ({entry[1]}, {time.perf_counter() - start:.1f} s)")
-        if detail:
-            print(detail)
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for entry, (verdict, detail, seconds) in zip(chosen, pool.map(_timed_run, chosen)):
+            bad += verdict != "killed"
+            print(f"{verdict:8} {entry[0]} ({entry[1]}, {seconds:.1f} s)", flush=True)
+            if detail:
+                print(detail)
     print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"wall time {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
 
