@@ -101,6 +101,28 @@ def _series_text(series: TruncatedSeries) -> str:
     return "".join([f"{coded[k]}  {x_text[x]}{t_text[t]}" for k, x, t in zip(keys, x_parts, t_parts)])
 
 
+def _write_whole(text: str) -> None:
+    """Write `text` to stdout, all of it or an error.
+
+    A binary write past a closed reader or a full disk can return short
+    and raise nothing, and a text stream drops that count.  So when stdout
+    has a buffer, the text goes to it in a loop on the count, and the write
+    after a short one raises the stream's error (`BrokenPipeError`, or the
+    `OSError` of a full file).  The bytes are those the stream writes on
+    POSIX, which translates no newline.  A stream without a buffer, as
+    `io.StringIO`, takes the text in one write.
+    """
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[buffer.write(data):]
+
+
 def _print_json(payload) -> None:
     # json is imported here, so that the text formats never load it
     import json
@@ -157,7 +179,7 @@ def _cmd_compute(args) -> int:
         for name, s in computed.items():
             print(f"route {name}: {len(s)} terms")
             # a series runs to 10^5 lines, so they go out in one write
-            sys.stdout.write(_series_text(s))
+            _write_whole(_series_text(s))
         if verdict:
             print(f"verdict: {verdict}")
     return 0 if verdict in (None, "AGREE") else VERIFY_ERROR
@@ -413,12 +435,31 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_trace)
 
+    parser.commands = sub.choices  # command name -> its parser, for _parse_args
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)`, less the `command` attribute.
+
+    When argv starts with a command, that command's parser reads the rest
+    alone: the top-level parser would classify every token and then hand
+    the same tokens to it to read again.  Tokens it leaves get the
+    top-level parser's error, as they would there.  Any other argv (empty,
+    `-h`, an unknown command, a leading `--`) goes to the top-level parser.
+    """
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, rest = command.parse_known_args(argv[1:])
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         status = args.fn(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -613,6 +615,67 @@ def test_malformed_argv_is_a_usage_error(capsys, argv):
     assert err.strip() and "Traceback" not in err
 
 
+def _parsed(parse, argv):
+    """What `parse(argv)` leaves: (its namespace less `command`, or None,
+    the exit code it raised, or None, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            found, code = vars(parse(argv)), None
+            found.pop("command", None)
+        except SystemExit as ex:
+            found, code = None, ex.code
+    return found, code, out.getvalue(), err.getvalue()
+
+
+def _parses_as_the_top_level_parser(argv):
+    assert _parsed(cli._parse_args, argv) == _parsed(cli._build_parser().parse_args, argv)
+
+
+# main hands the tokens after a command to that command's parser alone; the
+# bytes it prints, the exit code and the namespace must be those of the
+# top-level parser, compared in one interpreter so that argparse's wording
+# in any Python version is the reference
+@pytest.mark.parametrize("argv", MALFORMED_ARGV + [
+    ["-h"],
+    *([command, "-h"] for command in cli._build_parser().commands),
+    ["compute", "J", "1", "--n", "2"],
+    ["compute", "J", "1", "--n", "2", "--bogus"],
+    ["compute", "J", "1", "--n", "2", "extra", "more"],
+    ["--", "compute", "J", "1", "--n", "2"],
+], ids=" ".join)
+def test_the_command_parser_answers_as_the_top_level_parser(argv):
+    _parses_as_the_top_level_parser(argv)
+
+
+COMMANDS = tuple(cli._build_parser().commands)
+ARGV_TOKENS = COMMANDS + (
+    "--n", "--tcap", "--tc", "--xcap", "--route", "--format", "--fo", "--outer", "--max-value", "--max",
+    "--extra", "--k", "--flavor", "--direction", "--inner", "--ell", "-h", "--help", "--he", "--n=2",
+    "J", "P", "schur", "MT", "RT", "routes", "all", "1", "2,1", "0", "-1", "both", "algebraic", "json",
+    "multiset", "shifted", "in", STRAIGHT_START, "--", "-", "x", "--bogus", "-z", "a b",
+)
+
+
+@st.composite
+def _argvs(draw):
+    """At most 8 tokens of the commands' own vocabulary and some junk, the
+    first a command half the time."""
+    tokens = draw(st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
+    if draw(st.booleans()):
+        tokens = [draw(st.sampled_from(COMMANDS)), *tokens[:7]]
+    return tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+@example(["compute", "J", "1", "--n", "2", "--he"])
+@example(["compute", "J", "1", "--n=2", "--tc", "0", "x"])
+@example(["verify", "routes", "x"])
+def test_any_argv_parses_as_the_top_level_parser_parses_it(argv):
+    _parses_as_the_top_level_parser(argv)
+
+
 def _limit_memory():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -673,20 +736,61 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
     assert done.stdout == "\n"
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_closed_stdout_ends_quietly_with_the_sigpipe_status(fmt):
-    # the reader takes a few bytes of 2 MB and closes the pipe, as `| head`
-    # does; capsys has no file descriptor, so the CLI runs in a child
+# a 2 MB series; a short write of it once went unseen on the single-route
+# text path, which writes and flushes nothing after the series
+SERIES_ARGV = ["compute", "J", "4,2,1", "--n", "6", "--tcap", "3"]
+
+
+def _close_stdout_after(argv, size):
+    """Run the CLI in a child (capsys has no file descriptor), read `size`
+    bytes of its stdout and close the pipe, as `| head -c` does; returns
+    (exit code, stderr)."""
     env = {**os.environ, "PYTHONPATH": SRC}
-    argv = ["compute", "J", "4,2,1", "--n", "6", "--tcap", "3", "--route", "algebraic", "--format", fmt]
     with subprocess.Popen(
         [sys.executable, "-m", "grothlab.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     ) as child:
-        assert child.stdout.read(20)
+        left = size
+        while left:
+            chunk = child.stdout.read(left)
+            assert chunk, f"stdout ended before {size} bytes"
+            left -= len(chunk)
         child.stdout.close()
         err = child.stderr.read()
-        assert child.wait(timeout=60) == 141 and err == b""
+        return child.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_ends_quietly_with_the_sigpipe_status(fmt):
+    # the reader takes a few bytes of 2 MB and closes the pipe, as `| head` does
+    assert _close_stdout_after([*SERIES_ARGV, "--route", "algebraic", "--format", fmt], 20) == (141, b"")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("route", ["algebraic", "combinatorial"])
+def test_stdout_closed_mid_series_ends_quietly_with_the_sigpipe_status(route, fmt):
+    assert _close_stdout_after([*SERIES_ARGV, "--route", route, "--format", fmt], 100_000) == (141, b"")
+
+
+def _limit_file_size():
+    # a file that cannot grow past 1 MiB stands in for a full disk
+    limit = 1 << 20
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("route", ["algebraic", "combinatorial"])
+def test_stdout_full_mid_series_is_one_error_line(tmp_path, route, fmt):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    argv = [*SERIES_ARGV, "--route", route, "--format", fmt]
+    with open(tmp_path / "out", "wb") as out:
+        done = subprocess.run(
+            [sys.executable, "-m", "grothlab.cli", *argv], stdout=out, stderr=subprocess.PIPE,
+            env=env, preexec_fn=_limit_file_size, timeout=60,
+        )
+    err = done.stderr.decode()
+    assert done.returncode == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("route", ["algebraic", "combinatorial"])

@@ -16,6 +16,7 @@ from grothlab.algebra import (
 )
 from grothlab.partitions import is_strict_partition, pad, subpartitions
 import grothlab.polynomials as polynomials
+import grothlab.verify as verify
 from grothlab.polynomials import (
     _head_schur,
     _head_sorted,
@@ -215,6 +216,15 @@ def test_the_tableau_side_straightens_nothing(monkeypatch, family, mu):
     _refuse(monkeypatch, polynomials, "straighten", "schur_to_monomials", "_horizontal_strips")
     assert [combinatorial_series(spec) for spec in specs] == straightened_series
     assert [expansion_via_maximal(spec) for spec in specs] == expansions
+
+
+def test_the_positivity_suite_straightens_nothing(monkeypatch):
+    # `_case` turns an exception into a FAIL, so a straightening call in a
+    # positivity case shows up as a failed case
+    _refuse(monkeypatch, algebra, "straighten", "kostka_columns", "schur_to_monomials", "_horizontal_strips")
+    _refuse(monkeypatch, polynomials, "straighten", "schur_to_monomials", "_horizontal_strips")
+    results = verify.positivity_suite("small")
+    assert results and [r for r in results if not r.passed] == []
 
 
 def test_coefficient_via_hmult_matches_series():

@@ -233,6 +233,17 @@ MUTANTS = [
     ("expand-always-agrees", CLI,
      'verdict = "AGREE" if expansion == via_maximal else "DISAGREE"', 'verdict = "AGREE"',
      [f"{T_CLI}::test_expand_says_disagree_when_the_maximal_side_differs_in_one_coefficient"]),
+    # the command's parser reads the tokens after the command, and what it
+    # leaves is a usage error
+    ("cli-leftover-args-ignored", CLI,
+     "if rest:", "if False:",
+     [f"{T_CLI}::test_any_argv_parses_as_the_top_level_parser_parses_it",
+      f"{T_CLI}::test_the_command_parser_answers_as_the_top_level_parser[compute J 1 --n 2 --bogus]"]),
+    # a series goes out in one text write, whose short count is lost
+    ("cli-series-short-write-unseen", CLI,
+     "_write_whole(_series_text(s))", "sys.stdout.write(_series_text(s))",
+     [f"{T_CLI}::test_stdout_closed_mid_series_ends_quietly_with_the_sigpipe_status",
+      f"{T_CLI}::test_stdout_full_mid_series_is_one_error_line"]),
     # the checks of the verify suites
     ("psi-image-unchecked", VERIFY,
      "if not (is_valid_ssyt(q) and is_valid_rt(r)):", "if False:",
