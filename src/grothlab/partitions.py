@@ -99,17 +99,17 @@ def column_heights(mu) -> dict[int, int]:
 def subpartitions(bound) -> list[Partition]:
     """All partitions fitting inside the given partition, largest parts first."""
     bound = tuple(bound)
-    out = []
-
-    def grow(prefix, row):
-        out.append(prefix)
-        if row >= len(bound):
-            return
-        hi = min(bound[row], prefix[-1] if prefix else bound[row])
-        for part in range(1, hi + 1):
-            grow(prefix + (part,), row + 1)
-
-    grow((), 0)
+    # grown one row at a time: each partition of `row` parts, followed by
+    # every part that fits under its last and under the bound's row
+    layer = [()]
+    out = list(layer)
+    for row, cap in enumerate(bound):
+        layer = [
+            prefix + (part,)
+            for prefix in layer
+            for part in range(1, min(cap, prefix[-1] if row else cap) + 1)
+        ]
+        out += layer
     return sorted(out)
 
 

@@ -554,10 +554,10 @@ def srt_to_maximal_smt(f: SkewFilling) -> ShiftedMultisetTableau:
 # count_*_by_code.
 
 
-# `_fill` and the restricted backtrack recurse once per cell, and the maximal
-# row walk once per row.  Half the interpreter's default recursion limit
-# leaves room for any caller's own frames.  `_count` loops over its cells
-# and does not recurse, but its grid is held to the same bound.
+# No walk recurses, so none is bounded by the interpreter's recursion limit.
+# The bound holds long shapes back until a walk's size can be estimated
+# before it runs: the count's work on one long row grows much faster than
+# its output.
 MAX_CELLS = 500
 
 
@@ -644,10 +644,7 @@ class _Grid:
                 above = (2 * pos if shifted else 2 * pos + 1) if r else self.nslots
                 unprimed_min = shifted and not signed and c == 0
                 self.cells.append((r, c, left, above, 2 * pos, unprimed_min))
-        self._boxes: dict[tuple[int, int, bool], list] = {}
-
-    def frontier(self) -> tuple[int, ...]:
-        return (0,) * self.nslots + (-1,)
+        self._boxes: dict[tuple[int, bool], list] = {}
 
     def firsts(self, lo: int, unprimed_min: bool) -> range:
         """The first indices a box may take at least lo: only unprimed (odd)
@@ -656,46 +653,62 @@ class _Grid:
 
     def boxes(self, lo: int, size: int, unprimed_min: bool = False) -> list:
         """The admissible boxes of the given size with first index >= lo, as
-        index tuples in lexicographic order: each first index, followed by
-        every box of one size less that it admits next."""
-        key = (lo, size, unprimed_min)
-        found = self._boxes.get(key)
-        if found is None:
-            if size == 1:
-                found = [(i,) for i in self.firsts(lo, unprimed_min)]
-            else:
-                found = [
-                    (i,) + rest
-                    for i in self.firsts(lo, unprimed_min)
-                    for rest in self.boxes(self.after[i], size - 1)
-                ]
-            self._boxes[key] = found
-        return found
+        index tuples in lexicographic order: the boxes of one size less,
+        each followed by every index its last index admits next."""
+        # by_size[s - 1]: the boxes of size s, grown one size at a time
+        by_size = self._boxes.setdefault((lo, unprimed_min), [])
+        if not by_size:
+            by_size.append([(i,) for i in self.firsts(lo, unprimed_min)])
+        letters, after = len(self.alphabet), self.after
+        while len(by_size) < size:
+            by_size.append([box + (j,) for box in by_size[-1] for j in range(after[box[-1]], letters)])
+        return by_size[size - 1]
 
 
 def _fill(grid: _Grid, leaf) -> None:
     """Call leaf(rows) on every tableau of the grid, in deterministic order:
-    cells in row order, each box by size, then lexicographically."""
+    cells in row order, each box by size, then lexicographically.
+
+    Depth first on an explicit stack: a popped box is written to its cell,
+    then the boxes the next cell admits are pushed in reverse, so the first
+    is popped next.  All that is pushed after a box fills later cells, so
+    the earlier cells hold the filling it extends when it is popped."""
+    cells, least = grid.cells, grid.least
     rows = [[None] * width for width in grid.shape]
-    frontier = list(grid.frontier())
-    cells, entry = grid.cells, grid.alphabet.__getitem__
-
-    def backtrack(idx: int, budget: int):
-        if idx == len(cells):
+    # marks[2k], marks[2k + 1]: the first and last index of cell k's box,
+    # then the -1 a missing neighbour reads; reads[k]: the marks cell k reads
+    # for its left and upper neighbours, which last wrote those frontier slots
+    marks = [0] * (2 * len(cells)) + [-1]
+    written = {grid.nslots: len(marks) - 1}
+    reads = []
+    for k, (_, _, left, above, slot, _) in enumerate(cells):
+        reads.append((written[left], written[above]))
+        written[slot], written[slot + 1] = 2 * k, 2 * k + 1
+    # pushes[cell, least index, budget]: what that cell pushes, each box as
+    # (cell, budget left, first index, last index, entries)
+    pushes = {}
+    stack = []
+    k, budget = 0, grid.extra_cap
+    while True:
+        if k == len(cells):
             leaf(rows)
+        else:
+            left, above = reads[k]
+            lo = least(marks[left], marks[above])
+            key = (k, lo, budget)
+            if key not in pushes:
+                pushes[key] = [
+                    (k, budget - size + 1, box[0], box[-1], tuple(map(grid.alphabet.__getitem__, box)))
+                    for size in range(budget + 1, 0, -1)
+                    for box in reversed(grid.boxes(lo, size, cells[k][5]))
+                ]
+            stack += pushes[key]
+        if not stack:
             return
-        r, c, left, above, slot, unprimed_min = cells[idx]
-        lo = grid.least(frontier[left], frontier[above])
-        saved = frontier[slot:slot + 2]
-        for size in range(1, budget + 2):
-            for box in grid.boxes(lo, size, unprimed_min):
-                rows[r][c] = tuple(map(entry, box))
-                frontier[slot:slot + 2] = box[0], box[-1]
-                backtrack(idx + 1, budget - (size - 1))
-        frontier[slot:slot + 2] = saved
-        rows[r][c] = None
-
-    backtrack(0, grid.extra_cap)
+        k, budget, first, last, box = stack.pop()
+        marks[2 * k], marks[2 * k + 1] = first, last
+        rows[cells[k][0]][cells[k][1]] = box
+        k += 1
 
 
 def _choice_table(spans, read_first, fw: int, keep_first: bool, keep_last: bool) -> list:
@@ -909,37 +922,25 @@ def _enumerate_restricted(outer, inner, mu):
         raise ValueError("inner shape must fit inside outer shape")
     _check_cells(outer, sum(outer) - sum(inner))
     ell = mu[0] if mu else 0
-    floors = [_floor(mu, r) for r in range(len(outer))]
-    cells = [
-        (r, col)
-        for r in range(len(outer))
-        for col in range(inner[r], outer[r])
-    ]
-    rows = [[None] * (outer[r] - inner[r]) for r in range(len(outer))]
-    out = []
-
-    def entry_at(r: int, col: int):
-        if r < 0 or not inner[r] <= col < outer[r]:
-            return None
-        return rows[r][col - inner[r]]
-
-    def backtrack(idx: int):
-        if idx == len(cells):
-            out.append(
-                SkewFilling(tuple(outer), tuple(inner), tuple(tuple(row) for row in rows))
-            )
-            return
-        r, col = cells[idx]
-        left = entry_at(r, col - 1)
-        above = entry_at(r - 1, col)
-        lo = max(floors[r], left if left is not None else 1, (above + 1) if above is not None else 1)
-        for v in range(lo, ell + 1):
-            rows[r][col - inner[r]] = v
-            backtrack(idx + 1)
-        rows[r][col - inner[r]] = None
-
-    backtrack(0)
-    return out
+    # a filling is its entries in row order after a leading 0, which a
+    # missing neighbour reads; every floor is at least 1, so that 0 bounds
+    # nothing.  Each cell extends every filling of the cells before it, in
+    # lexicographic order, by each entry it admits in turn
+    fillings = [(0,)]
+    at = {}  # (r, col): the position of that cell's entry
+    spans = []  # the positions of each row's entries
+    for r in range(len(outer)):
+        floor, start = _floor(mu, r), len(at) + 1
+        for col in range(inner[r], outer[r]):
+            left, above = at.get((r, col - 1), 0), at.get((r - 1, col), 0)
+            at[r, col] = len(at) + 1
+            fillings = [
+                f + (v,)
+                for f in fillings
+                for v in range(max(floor, f[left], f[above] + 1), ell + 1)
+            ]
+        spans.append(slice(start, len(at) + 1))
+    return [SkewFilling(outer, inner, tuple(f[s] for s in spans)) for f in fillings]
 
 
 def enumerate_rt(outer, mu):
@@ -977,13 +978,11 @@ def maximal_box_sizes(shape, extra_cap: int, shifted: bool = False):
     @cache
     def size_rows(width: int, budget: int) -> list:
         """(sizes, extra) of the rows of `width` sizes >= 1 with at most `budget`
-        extra entries in lexicographic order: all ones, then by the index of
-        the first size above 1, from the last index down."""
-        rows = [((1,) * width, 0)]
-        for p in range(width - 1, -1, -1):
-            for a in range(1, budget + 1):
-                head = (1,) * p + (1 + a,)
-                rows.extend((head + tail, a + extra) for tail, extra in size_rows(width - p - 1, budget - a))
+        extra entries in lexicographic order, grown one size at a time: each
+        shorter row, followed by every size its leftover budget allows."""
+        rows = [((), 0)]
+        for _ in range(width):
+            rows = [(row + (1 + a,), extra + a) for row, extra in rows for a in range(budget - extra + 1)]
         return rows
 
     @cache
@@ -993,15 +992,23 @@ def maximal_box_sizes(shape, extra_cap: int, shifted: bool = False):
             if upper is None or _fits_below(upper, row, bound)
         ]
 
-    def walk(r: int, upper, budget: int):
-        if r == len(shape):
-            yield ()
-            return
-        for row, extra in fitting(upper, shape[r], budget):
-            for rest in walk(r + 1, row, budget - extra):
-                yield (row,) + rest
+    def walk():
+        # depth first on an explicit stack of (rows so far, budget left), as
+        # `_fill` walks; the last row's choices are yielded, not pushed
+        stack = [((), extra_cap)]
+        while stack:
+            rows, budget = stack.pop()
+            r = len(rows)
+            if r == len(shape):
+                yield rows
+                continue
+            below = fitting(rows[-1] if rows else None, shape[r], budget)
+            if r + 1 < len(shape):
+                stack += [(rows + (row,), budget - extra) for row, extra in reversed(below)]
+            else:
+                yield from (rows + (row,) for row, _ in below)
 
-    return walk(0, None, extra_cap)
+    return walk()
 
 
 def enumerate_maximal_mt(shape, extra_cap: int):

@@ -163,20 +163,11 @@ def _grown_shapes(mu, extra: int):
     """Partitions lam >= mu entrywise with at most `extra` added boxes and
     the same number of rows."""
     mu = tuple(mu)
-    out = []
-
-    def grow(prefix, r, left):
-        if r == len(mu):
-            out.append(tuple(prefix))
-            return
-        hi = mu[r] + left
-        if r > 0:
-            hi = min(hi, prefix[-1])
-        for v in range(mu[r], hi + 1):
-            grow(prefix + [v], r + 1, left - (v - mu[r]))
-
-    grow([], 0, extra)
-    return out
+    size = sum(mu) + extra
+    return [
+        lam for lam in subpartitions(tuple(p + extra for p in mu))
+        if len(lam) == len(mu) and sum(lam) <= size and all(l >= m for l, m in zip(lam, mu))
+    ]
 
 
 def _pair_census(cap_n: int, ell: int, pairs) -> Counter:

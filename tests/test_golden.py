@@ -31,7 +31,12 @@ grid, `compute P 2,1 --n 9 --tcap 2 --route both` (9,932 lines, AGREE) and
 `expand P 3,1 --n 9 --tcap 2`, were made before the Kostka columns walked
 only the bound's nonzero rows; they pin the bytes of the P stair, which
 multiplies out every head-tail pair factor, before a dual-Cauchy stair
-replaces it.
+replaces it.  Three `enumerate` calls of the filled families,
+`enumerate MT 3,2,1 --max-value 3 --extra 2`,
+`enumerate SMT+- 3,1 --max-value 3 --extra 2` and
+`enumerate SMT 2,1 --max-value 3 --extra 1 --format json`, were made
+before the tableau walks became loops; they pin the order in which the
+fill visits its tableaux.
 A call names its data file from the repository root, so the test runs
 from any directory.
 """

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import sys
 from collections import Counter
@@ -38,6 +40,7 @@ from grothlab.tableaux import (
     is_valid_sst,
     lt_p,
     lt_u,
+    maximal_box_sizes,
     maximal_mt_to_rt,
     maximal_smt_to_srt,
     rt_to_maximal_mt,
@@ -504,8 +507,8 @@ def test_enumerate_smt_matches_brute_force_over_the_alphabet(shape):
 
 
 def test_walks_run_at_the_cell_bound():
-    # one row of MAX_CELLS cells: every walk but the counter recurses once
-    # per cell, here on top of the test runner's own frames
+    # one row of MAX_CELLS cells: no walk recurses, and the bound holds long
+    # shapes back until a walk's size can be estimated before it runs
     row = (MAX_CELLS,)
     assert count_mt_by_weight(row, 1, 0) == {((MAX_CELLS,), (0,) * MAX_CELLS): 1}
     assert count_smt_by_weight(row, 1, 0) == {((MAX_CELLS,), (0,) * MAX_CELLS): 1}
@@ -518,14 +521,39 @@ def test_walks_run_at_the_cell_bound():
 
 
 def test_the_count_runs_past_the_recursion_limit(monkeypatch):
-    # the counter loops over its cells, so with the cell bound lifted it
-    # counts a row longer than the interpreter's recursion limit; the key is
-    # compared by value, since its more than 4,300 digits have no repr
+    # every walk loops over its cells, rows or box entries, so with the cell
+    # bound lifted each one runs on a shape longer than the interpreter's
+    # recursion limit; the key is compared by value, since its more than
+    # 4,300 digits have no repr
     monkeypatch.setattr(tableaux, "MAX_CELLS", 2000)
     assert 1500 > sys.getrecursionlimit()
     code, counts = count_mt_by_code((1500,), 1, 0)
     assert list(counts.values()) == [1]
     assert code.decode(counts) == {((1500,), (0,) * 1500): 1}
+    assert enumerate_mt((1500,), 1, 0) == [MultisetTableau((((1,),) * 1500,))]
+    assert enumerate_smt((1500,), 1, 0) == [ShiftedMultisetTableau(((((Entry(1),),) * 1500),))]
+    assert enumerate_rt((1501,), (1,)) == [SkewFilling((1501,), (1,), ((1,) * 1500,))]
+    assert list(maximal_box_sizes((1,) * 1500, 0)) == [((1,),) * 1500]
+    assert tableaux._Grid((1,), 1, 1500, shifted=False).boxes(0, 1500) == [(0,) * 1500]
+
+
+def test_no_function_in_tableaux_calls_itself():
+    # a function that calls itself, by name or as self.<its name>, would bring
+    # back the walks' dependence on the interpreter's recursion limit
+    tree = ast.parse(inspect.getsource(tableaux))
+    recursive = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if (isinstance(f, ast.Name) and f.id == node.name) or (
+                    isinstance(f, ast.Attribute) and f.attr == node.name
+                    and isinstance(f.value, ast.Name) and f.value.id == "self"
+                ):
+                    recursive.append(node.name)
+    assert recursive == []
 
 
 def test_a_filling_with_more_rows_than_mu_is_no_srt():

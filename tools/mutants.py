@@ -53,6 +53,7 @@ T_VERIFY = "tests/test_verify.py"
 T_CLI = "tests/test_cli.py"
 T_VALUES = "tests/test_value_classes.py"
 T_FROZEN = "tests/test_frozen.py"
+T_GOLDEN = "tests/test_golden.py::test_stdout_and_exit_code_match_the_golden_digest"
 
 MUTANTS = [
     # the constructors compiled from __slots__: every default read as None,
@@ -171,6 +172,16 @@ MUTANTS = [
      "for layer in below[0]:", "for layer in below[0][:1]:",
      [f"{T_TABLEAUX}::test_count_by_weight_tallies_the_census",
       f"{T_TABLEAUX}::test_count_mt_by_weight_is_the_census_tally"]),
+    # the walks' explicit stacks: children pushed in their own order are
+    # popped last first, which the enumerate digests see
+    ("fill-children-unreversed", TABLEAUX,
+     "for box in reversed(grid.boxes(lo, size, cells[k][5]))", "for box in grid.boxes(lo, size, cells[k][5])",
+     [f"{T_GOLDEN}[enumerate MT 3,2,1 --max-value 3 --extra 2]",
+      f"{T_GOLDEN}[enumerate SMT+- 3,1 --max-value 3 --extra 2]",
+      f"{T_GOLDEN}[enumerate SMT 2,1 --max-value 3 --extra 1 --format json]"]),
+    ("maximal-walk-unreversed", TABLEAUX,
+     "for row, extra in reversed(below)", "for row, extra in below",
+     [f"{T_GOLDEN}[enumerate maxMT 4,3,2,1 --extra 3]"]),
     # the Kostka columns on the bound's live rows: one row too few loses
     # every lam that fills them
     ("kostka-live-row-dropped", ALGEBRA,
